@@ -17,7 +17,7 @@ naive size (a transposition becomes one bare constraint).
 
 from dataclasses import dataclass
 
-from .smodels import BasicRule, GroundProgram, validate
+from .smodels import BasicRule, GroundProgram, Rule, validate
 from .symmetry import AtomOrder, AtomPermutation, RowMatrix
 
 
@@ -42,7 +42,7 @@ class FreshAtoms:
 class Fragment:
     """Rules and fresh atoms generated for one broken symmetry."""
 
-    rules: tuple[BasicRule, ...]
+    rules: tuple[Rule, ...]
     aux_atoms: tuple[int, ...] = ()
 
 
@@ -50,7 +50,7 @@ class Fragment:
 class BreakingProgram:
     """Everything appended by symmetry breaking, for reporting and tests."""
 
-    new_rules: tuple[BasicRule, ...]
+    new_rules: tuple[Rule, ...]
     aux_atoms: tuple[int, ...]
     per_symmetry_aux_count: tuple[int, ...]
     new_max_atom: int
@@ -152,8 +152,8 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms,
     seen_constraints = set()
     for frag in fragments:
         for r in frag.rules:
-            if r.head == constraint_head:
-                key = (r.head, tuple(sorted(r.pos)), tuple(sorted(r.neg)))
+            if r.heads == (constraint_head,):
+                key = (tuple(sorted(r.pos)), tuple(sorted(r.neg)))
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)

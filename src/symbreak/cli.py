@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .encoding import dump_graph
-from .oracle import OracleBudgetError, answer_sets, check_soundness
+from .oracle import OracleBudgetError, check_soundness
 from .pipeline import BreakConfig, RunStats, break_program, detect_symmetries
 from .smodels import GroundProgram, ParseError, parse_program, validate, write_program
 from .symmetry import AtomPermutation
@@ -74,12 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str):
+    """The raw input; parse_program decodes it."""
     if path == "-":
-        stream = getattr(sys.stdin, "buffer", sys.stdin)
-        data = stream.read()
-        return data.decode() if isinstance(data, bytes) else data
-    with open(path, "r") as handle:
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    with open(path, "rb") as handle:
         return handle.read()
 
 
@@ -101,24 +100,22 @@ def _verify(program: GroundProgram, config: BreakConfig) -> int:
         print("symbreak: search budget exceeded", file=sys.stderr)
         return 2
     try:
-        base = answer_sets(program, config.oracle_budget)
         verdict = check_soundness(program, result.detection.generators,
                                   result.program, config.oracle_budget)
     except OracleBudgetError as exc:
         print(f"symbreak: {exc}", file=sys.stderr)
         return 2
-    surviving = {frozenset(a for a in interp if a <= program.max_atom)
-                 for interp in answer_sets(result.program, config.oracle_budget)}
-    if not surviving <= set(base):
+    base = set(verdict.original)
+    if not verdict.surviving <= base:
         violations.append("augmented program admits a non-answer-set")
     if not verdict.ok:
         violations.append(f"{len(verdict.missing)} orbit(s) lost every representative")
     for g in result.detection.generators:
         mapped = {g.apply_to_set(interp) for interp in base}
-        if mapped != set(base):
+        if mapped != base:
             violations.append(f"generator {g} does not preserve the answer sets")
-    print(f"symbreak: answer sets {len(base)} -> {len(surviving)}"
-          + (" (unsat preserved)" if not base and not surviving else ""),
+    print(f"symbreak: answer sets {verdict.original_count} -> {verdict.surviving_count}"
+          + (" (unsat preserved)" if not base and not verdict.surviving else ""),
           file=sys.stderr)
     if violations:
         for v in violations:

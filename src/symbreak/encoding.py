@@ -18,9 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
-                      GroundProgram, MinimizeStatement, WeightRule,
-                      semantic_view)
+from .smodels import CHOICE, MINIMIZE, WEIGHT, GroundProgram, semantic_view
 
 ATOM_COLOR = 1
 NEGATION_COLOR = 2
@@ -110,10 +108,9 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
 
     values = set()
     for r in sem.rules:
-        if isinstance(r, (CardinalityRule, WeightRule)):
+        if r.bound is not None:
             values.add(r.bound)
-        if isinstance(r, (WeightRule, MinimizeStatement)):
-            values.update(r.weights)
+        values.update(r.weights)
     value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
 
     def new_node(color: int) -> int:
@@ -129,54 +126,26 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     def connect(u: int, v: int):
         edges.add((min(u, v), max(u, v)))
 
-    def connect_heads(head_node: int, heads):
-        for h in heads:
-            if h != sem.false_atom:
-                connect(head_node, pos_node(h))
-
-    def connect_body(body_node: int, pos, neg):
-        for a in pos:
-            connect(body_node, pos_node(a))
-        for b in neg:
-            connect(body_node, neg_node(b))
-
     for r in sem.rules:
-        if isinstance(r, (BasicRule, DisjunctiveRule)):
-            heads = r.heads if isinstance(r, DisjunctiveRule) else (r.head,)
-            hn = new_node(HEAD_COLOR)
-            bn = new_node(BODY_COLOR)
+        if r.kind == MINIMIZE:
+            bn = new_node(MINIMIZE_COLOR)
+        else:
+            hn = new_node(CHOICE_HEAD_COLOR if r.kind == CHOICE else HEAD_COLOR)
+            bn = new_node(BODY_COLOR if r.bound is None else value_color[r.bound])
             connect(hn, bn)
-            connect_heads(hn, heads)
-            connect_body(bn, r.pos, r.neg)
-        elif isinstance(r, ChoiceRule):
-            hn = new_node(CHOICE_HEAD_COLOR)
-            bn = new_node(BODY_COLOR)
-            connect(hn, bn)
-            connect_heads(hn, r.heads)
-            connect_body(bn, r.pos, r.neg)
-        elif isinstance(r, CardinalityRule):
-            hn = new_node(HEAD_COLOR)
-            bn = new_node(value_color[r.bound])
-            connect(hn, bn)
-            connect_heads(hn, (r.head,))
-            connect_body(bn, r.pos, r.neg)
-        elif isinstance(r, WeightRule):
-            hn = new_node(HEAD_COLOR)
-            bn = new_node(value_color[r.bound])
-            connect(hn, bn)
-            connect_heads(hn, (r.head,))
+            for h in r.heads:
+                if h != sem.false_atom:
+                    connect(hn, pos_node(h))
+        if r.kind in (WEIGHT, MINIMIZE):
             for a, is_pos, w in r.pairs():
                 tn = new_node(value_color[w])
                 connect(tn, pos_node(a) if is_pos else neg_node(a))
                 connect(tn, bn)
-        elif isinstance(r, MinimizeStatement):
-            mn = new_node(MINIMIZE_COLOR)
-            for a, is_pos, w in r.pairs():
-                tn = new_node(value_color[w])
-                connect(tn, pos_node(a) if is_pos else neg_node(a))
-                connect(tn, mn)
         else:
-            raise TypeError(f"not a rule: {r!r}")
+            for a in r.pos:
+                connect(bn, pos_node(a))
+            for b in r.neg:
+                connect(bn, neg_node(b))
 
     nbrs = [[] for _ in range(len(colors))]
     for u, v in edges:

@@ -14,9 +14,8 @@ an explicit subset-minimality check.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
-                      GroundProgram, MinimizeStatement, WeightRule,
-                      semantic_view)
+from .smodels import (BASIC, CARDINALITY, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT,
+                      BasicRule, GroundProgram, Rule, semantic_view)
 
 
 class OracleBudgetError(RuntimeError):
@@ -33,22 +32,19 @@ def satisfies(interp, rule) -> bool:
     Choice rules and minimize statements are satisfied by every
     interpretation; their effect lives in stability and in the objective.
     """
-    if isinstance(rule, BasicRule):
-        return rule.head in interp or not _body_holds(interp, rule.pos, rule.neg)
-    if isinstance(rule, DisjunctiveRule):
-        return (any(h in interp for h in rule.heads)
-                or not _body_holds(interp, rule.pos, rule.neg))
-    if isinstance(rule, CardinalityRule):
+    if rule.kind in (CHOICE, MINIMIZE):
+        return True
+    if any(h in interp for h in rule.heads):
+        return True
+    if rule.kind == CARDINALITY:
         count = sum(1 for a in rule.pos if a in interp)
         count += sum(1 for b in rule.neg if b not in interp)
-        return rule.head in interp or count < rule.bound
-    if isinstance(rule, WeightRule):
+        return count < rule.bound
+    if rule.kind == WEIGHT:
         total = sum(w for a, is_pos, w in rule.pairs()
                     if (a in interp) == is_pos)
-        return rule.head in interp or total < rule.bound
-    if isinstance(rule, (ChoiceRule, MinimizeStatement)):
-        return True
-    raise TypeError(f"not a rule: {rule!r}")
+        return total < rule.bound
+    return not _body_holds(interp, rule.pos, rule.neg)
 
 
 def reduct(program: GroundProgram, interp) -> GroundProgram:
@@ -60,15 +56,11 @@ def reduct(program: GroundProgram, interp) -> GroundProgram:
     """
     rules = []
     for r in program.rules:
-        if isinstance(r, BasicRule):
-            if not any(b in interp for b in r.neg):
-                rules.append(BasicRule(r.head, r.pos, ()))
-        elif isinstance(r, DisjunctiveRule):
-            if not any(b in interp for b in r.neg):
-                rules.append(DisjunctiveRule(r.heads, r.pos, ()))
-        else:
+        if r.kind not in (BASIC, DISJUNCTIVE):
             raise ValueError("reduct expects a desugared program "
                              "(basic and disjunctive rules only)")
+        if not any(b in interp for b in r.neg):
+            rules.append(Rule(r.kind, r.heads, r.pos))
     return GroundProgram(tuple(rules), dict(program.symbols), (), (),
                          program.model_count, program.max_atom)
 
@@ -112,8 +104,8 @@ class Desugared:
     original atoms.
     """
 
-    basic: tuple[BasicRule, ...]
-    disjunctive: tuple[DisjunctiveRule, ...]
+    basic: tuple[Rule, ...]
+    disjunctive: tuple[Rule, ...]
     n_atoms: int
     false_atom: int  # or None
     shadows: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
@@ -130,11 +122,11 @@ def desugar(program: GroundProgram, expansion_budget: int = 1 << 16) -> Desugare
     shadows = []
     choice_body = set()
     for r in sem.rules:
-        if isinstance(r, BasicRule):
+        if r.kind == BASIC:
             basic.append(r)
-        elif isinstance(r, DisjunctiveRule):
+        elif r.kind == DISJUNCTIVE:
             disj.append(r)
-        elif isinstance(r, ChoiceRule):
+        elif r.kind == CHOICE:
             choice_body.update(r.pos)
             choice_body.update(r.neg)
             for h in r.heads:
@@ -143,21 +135,16 @@ def desugar(program: GroundProgram, expansion_budget: int = 1 << 16) -> Desugare
                 basic.append(BasicRule(h, r.pos, r.neg + (shadow,)))
                 basic.append(BasicRule(shadow, r.pos, r.neg + (h,)))
                 shadows.append((shadow, h, r.pos, r.neg))
-        elif isinstance(r, CardinalityRule):
-            lits = [(a, True) for a in r.pos] + [(b, False) for b in r.neg]
-            for sub in _minimal_cardinality_bodies(lits, r.bound, expansion_budget):
-                basic.append(BasicRule(r.head,
-                                       tuple(a for a, p in sub if p),
-                                       tuple(a for a, p in sub if not p)))
-        elif isinstance(r, WeightRule):
-            for sub in _minimal_weight_bodies(r.pairs(), r.bound, expansion_budget):
-                basic.append(BasicRule(r.head,
-                                       tuple(a for a, p in sub if p),
-                                       tuple(a for a, p in sub if not p)))
-        elif isinstance(r, MinimizeStatement):
-            continue
-        else:
-            raise TypeError(f"not a rule: {r!r}")
+        elif r.kind in (CARDINALITY, WEIGHT):
+            if r.kind == CARDINALITY:
+                lits = [(a, True) for a in r.pos] + [(b, False) for b in r.neg]
+                subs = _minimal_cardinality_bodies(lits, r.bound, expansion_budget)
+            else:
+                subs = _minimal_weight_bodies(r.pairs(), r.bound, expansion_budget)
+            for sub in subs:
+                basic.append(Rule(BASIC, r.heads,
+                                  tuple(a for a, p in sub if p),
+                                  tuple(a for a, p in sub if not p)))
     return Desugared(tuple(basic), tuple(disj), next_atom, sem.false_atom,
                      tuple(shadows), frozenset(choice_body), program.max_atom)
 
@@ -187,7 +174,7 @@ def _gray_subsets(bits: list[int]):
 
 
 def _compile_rules(rules):
-    return [(_bit(r.head), _or_bits(r.pos), _or_bits(r.neg)) for r in rules]
+    return [(_or_bits(r.heads), _or_bits(r.pos), _or_bits(r.neg)) for r in rules]
 
 
 def _or_bits(atoms) -> int:
@@ -320,7 +307,7 @@ def objective_value(program: GroundProgram, interp) -> int:
     """Sum of minimize-statement weights whose literal holds in interp."""
     total = 0
     for r in program.rules:
-        if isinstance(r, MinimizeStatement):
+        if r.kind == MINIMIZE:
             total += sum(w for a, is_pos, w in r.pairs()
                          if (a in interp) == is_pos)
     return total
@@ -329,12 +316,24 @@ def objective_value(program: GroundProgram, interp) -> int:
 @dataclass(frozen=True)
 class SoundnessVerdict:
     """Outcome of the orbit check: every answer set of the input must have
-    a symmetric image surviving in the augmented program."""
+    a symmetric image surviving in the augmented program.
+
+    ``original`` lists the input's answer sets; ``surviving`` holds the
+    augmented program's, projected onto the input's atoms.
+    """
 
     ok: bool
     missing: tuple[frozenset[int], ...]
-    original_count: int
-    surviving_count: int
+    original: tuple[frozenset[int], ...]
+    surviving: frozenset[frozenset[int]]
+
+    @property
+    def original_count(self) -> int:
+        return len(self.original)
+
+    @property
+    def surviving_count(self) -> int:
+        return len(self.surviving)
 
 
 def check_soundness(program: GroundProgram, generators, augmented: GroundProgram,
@@ -346,8 +345,8 @@ def check_soundness(program: GroundProgram, generators, augmented: GroundProgram
     sets of ``augmented`` projected back onto the original vocabulary.
     """
     base = answer_sets(program, budget)
-    keep = {frozenset(a for a in interp if a <= program.max_atom)
-            for interp in answer_sets(augmented, budget)}
+    keep = frozenset(frozenset(a for a in interp if a <= program.max_atom)
+                     for interp in answer_sets(augmented, budget))
     missing = []
     for interp in base:
         orbit = {interp}
@@ -361,4 +360,4 @@ def check_soundness(program: GroundProgram, generators, augmented: GroundProgram
                     frontier.append(image)
         if not orbit & keep:
             missing.append(interp)
-    return SoundnessVerdict(not missing, tuple(missing), len(base), len(keep))
+    return SoundnessVerdict(not missing, tuple(missing), tuple(base), keep)

@@ -16,7 +16,7 @@ everything downstream of parsing.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -27,142 +27,104 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class BasicRule:
-    """Wire type 1: ``head <- pos, not neg``."""
+BASIC, CARDINALITY, CHOICE, WEIGHT, MINIMIZE, DISJUNCTIVE = 1, 2, 3, 5, 6, 8
 
-    head: int
+
+class Rule(NamedTuple):
+    """One rule of any wire type, immutable.
+
+    ``kind`` is the smodels type tag.  ``heads`` holds the single head
+    atom of basic, cardinality and weight rules, any number of atoms for
+    choice and disjunctive rules, and nothing for a minimize statement.
+    ``bound`` is None for kinds whose wire line carries none.  ``weights``
+    belong to weight rules and minimize statements only and run
+    neg-then-pos, as on the wire.
+    """
+
+    kind: int
+    heads: tuple[int, ...] = ()
     pos: tuple[int, ...] = ()
     neg: tuple[int, ...] = ()
-
-    def atoms(self) -> Iterator[int]:
-        yield self.head
-        yield from self.pos
-        yield from self.neg
-
-    def key(self):
-        return ("basic", self.head, tuple(sorted(self.pos)), tuple(sorted(self.neg)))
-
-
-@dataclass(frozen=True)
-class CardinalityRule:
-    """Wire type 2: ``head <- bound <= #{pos, not neg}`` (lower bound only)."""
-
-    head: int
-    bound: int
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
-
-    def atoms(self) -> Iterator[int]:
-        yield self.head
-        yield from self.pos
-        yield from self.neg
-
-    def key(self):
-        return ("card", self.head, self.bound,
-                tuple(sorted(self.pos)), tuple(sorted(self.neg)))
-
-
-@dataclass(frozen=True)
-class ChoiceRule:
-    """Wire type 3: ``{heads} <- pos, not neg``."""
-
-    heads: tuple[int, ...]
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
+    bound: int = None
+    weights: tuple[int, ...] = ()
 
     def atoms(self) -> Iterator[int]:
         yield from self.heads
         yield from self.pos
         yield from self.neg
-
-    def key(self):
-        return ("choice", tuple(sorted(self.heads)),
-                tuple(sorted(self.pos)), tuple(sorted(self.neg)))
-
-
-@dataclass(frozen=True)
-class WeightRule:
-    """Wire type 5: ``head <- bound <= sum{..=w..}``, weights neg-then-pos."""
-
-    head: int
-    bound: int
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
-    weights: tuple[int, ...] = ()
-
-    @property
-    def neg_weights(self) -> tuple[int, ...]:
-        return self.weights[:len(self.neg)]
-
-    @property
-    def pos_weights(self) -> tuple[int, ...]:
-        return self.weights[len(self.neg):]
 
     def pairs(self) -> list[tuple[int, bool, int]]:
         """Weighted literals as (atom, is_positive, weight), wire order."""
-        out = [(b, False, w) for b, w in zip(self.neg, self.neg_weights)]
-        out += [(a, True, w) for a, w in zip(self.pos, self.pos_weights)]
+        out = [(b, False, w) for b, w in zip(self.neg, self.weights)]
+        out += [(a, True, w) for a, w in zip(self.pos, self.weights[len(self.neg):])]
         return out
 
-    def atoms(self) -> Iterator[int]:
-        yield self.head
-        yield from self.pos
-        yield from self.neg
-
     def key(self):
-        return ("weight", self.head, self.bound, tuple(sorted(self.pairs())))
-
-
-@dataclass(frozen=True)
-class MinimizeStatement:
-    """Wire type 6: weighted literal sum to minimize, weights neg-then-pos."""
-
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
-    weights: tuple[int, ...] = ()
-
-    @property
-    def neg_weights(self) -> tuple[int, ...]:
-        return self.weights[:len(self.neg)]
-
-    @property
-    def pos_weights(self) -> tuple[int, ...]:
-        return self.weights[len(self.neg):]
-
-    def pairs(self) -> list[tuple[int, bool, int]]:
-        out = [(b, False, w) for b, w in zip(self.neg, self.neg_weights)]
-        out += [(a, True, w) for a, w in zip(self.pos, self.pos_weights)]
-        return out
-
-    def atoms(self) -> Iterator[int]:
-        yield from self.pos
-        yield from self.neg
-
-    def key(self):
-        return ("minimize", tuple(sorted(self.pairs())))
-
-
-@dataclass(frozen=True)
-class DisjunctiveRule:
-    """Wire type 8: ``h1 | ... | hk <- pos, not neg``."""
-
-    heads: tuple[int, ...]
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
-
-    def atoms(self) -> Iterator[int]:
-        yield from self.heads
-        yield from self.pos
-        yield from self.neg
-
-    def key(self):
-        return ("disj", tuple(sorted(self.heads)),
+        """Equal for rules that differ at most in literal order: heads and
+        body compare as multisets, weighted literals with their weights."""
+        heads = self.heads if len(self.heads) < 2 else tuple(sorted(self.heads))
+        if self.kind in (WEIGHT, MINIMIZE):
+            return (self.kind, heads, self.bound, tuple(sorted(self.pairs())))
+        return (self.kind, heads, self.bound,
                 tuple(sorted(self.pos)), tuple(sorted(self.neg)))
 
+    def map_atoms(self, f) -> "Rule":
+        """The same rule with every atom a replaced by f(a)."""
+        return Rule(self.kind, tuple(map(f, self.heads)), tuple(map(f, self.pos)),
+                    tuple(map(f, self.neg)), self.bound, self.weights)
 
-Rule = Union[BasicRule, CardinalityRule, ChoiceRule, WeightRule,
-             MinimizeStatement, DisjunctiveRule]
+
+def BasicRule(head, pos=(), neg=()) -> Rule:
+    """Wire type 1: ``head <- pos, not neg``."""
+    return Rule(BASIC, (head,), pos, neg)
+
+
+def CardinalityRule(head, bound, pos=(), neg=()) -> Rule:
+    """Wire type 2: ``head <- bound <= #{pos, not neg}`` (lower bound only)."""
+    return Rule(CARDINALITY, (head,), pos, neg, bound)
+
+
+def ChoiceRule(heads, pos=(), neg=()) -> Rule:
+    """Wire type 3: ``{heads} <- pos, not neg``."""
+    return Rule(CHOICE, heads, pos, neg)
+
+
+def WeightRule(head, bound, pos=(), neg=(), weights=()) -> Rule:
+    """Wire type 5: ``head <- bound <= sum{..=w..}``, weights neg-then-pos."""
+    return Rule(WEIGHT, (head,), pos, neg, bound, weights)
+
+
+def MinimizeStatement(pos=(), neg=(), weights=()) -> Rule:
+    """Wire type 6: weighted literal sum to minimize, weights neg-then-pos."""
+    return Rule(MINIMIZE, (), pos, neg, None, weights)
+
+
+def DisjunctiveRule(heads, pos=(), neg=()) -> Rule:
+    """Wire type 8: ``h1 | ... | hk <- pos, not neg``."""
+    return Rule(DISJUNCTIVE, heads, pos, neg)
+
+
+class _Layout(NamedTuple):
+    """Where a wire type keeps its heads, bound and weights.
+
+    ``n_heads`` is 1 for a single head atom, 0 for minimize's constant 0
+    slot, and None for a counted head list.  ``bound`` is "before" or
+    "after" the two literal counts, or None.
+    """
+
+    n_heads: int | None
+    bound: str | None
+    weighted: bool
+
+
+_LAYOUTS = {
+    BASIC: _Layout(1, None, False),
+    CARDINALITY: _Layout(1, "after", False),
+    CHOICE: _Layout(None, None, False),
+    WEIGHT: _Layout(1, "before", True),
+    MINIMIZE: _Layout(0, None, True),
+    DISJUNCTIVE: _Layout(None, None, False),
+}
 
 
 @dataclass(frozen=True)
@@ -214,7 +176,7 @@ class GroundProgram:
         for r in self.rules:
             if 1 in r.pos or 1 in r.neg:
                 return None
-            if isinstance(r, (ChoiceRule, DisjunctiveRule)) and 1 in r.heads:
+            if r.kind in (CHOICE, DISJUNCTIVE) and 1 in r.heads:
                 return None
         return 1
 
@@ -258,7 +220,7 @@ def semantic_view(program: GroundProgram) -> SemanticProgram:
 
 
 def _int(tok: str, line_no: int) -> int:
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise ParseError(line_no, f"malformed integer {tok!r}")
     return int(tok)
 
@@ -298,72 +260,44 @@ class _Cursor:
 def _parse_rule(values: list[int], line_no: int) -> Rule:
     cur = _Cursor(values, line_no)
     kind = cur.take()
-    if kind == 1:
-        head = _atom(cur.take(), line_no)
-        nlit, nneg = cur.take(), cur.take()
-        if nneg > nlit:
-            raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        neg = cur.take_atoms(nneg)
-        pos = cur.take_atoms(nlit - nneg)
-        cur.finish()
-        return BasicRule(head, pos, neg)
-    if kind == 2:
-        head = _atom(cur.take(), line_no)
-        nlit, nneg, bound = cur.take(), cur.take(), cur.take()
-        if nneg > nlit:
-            raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        neg = cur.take_atoms(nneg)
-        pos = cur.take_atoms(nlit - nneg)
-        cur.finish()
-        return CardinalityRule(head, bound, pos, neg)
-    if kind in (3, 8):
-        nheads = cur.take()
-        heads = cur.take_atoms(nheads)
-        nlit, nneg = cur.take(), cur.take()
-        if nneg > nlit:
-            raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        neg = cur.take_atoms(nneg)
-        pos = cur.take_atoms(nlit - nneg)
-        cur.finish()
-        if kind == 3:
-            return ChoiceRule(heads, pos, neg)
-        return DisjunctiveRule(heads, pos, neg)
-    if kind == 5:
-        head = _atom(cur.take(), line_no)
-        bound = cur.take()
-        nlit, nneg = cur.take(), cur.take()
-        if nneg > nlit:
-            raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        neg = cur.take_atoms(nneg)
-        pos = cur.take_atoms(nlit - nneg)
-        if cur.remaining() != nlit:
-            raise ParseError(line_no,
-                             f"weight count mismatch: {nlit} literals, {cur.remaining()} weights")
-        weights = tuple(cur.take() for _ in range(nlit))
-        cur.finish()
-        return WeightRule(head, bound, pos, neg, weights)
-    if kind == 6:
+    layout = _LAYOUTS.get(kind)
+    if layout is None:
+        raise ParseError(line_no, f"unknown rule type {kind}")
+    if layout.n_heads is None:
+        heads = cur.take_atoms(cur.take())
+    elif layout.n_heads == 1:
+        heads = (_atom(cur.take(), line_no),)
+    else:
+        heads = ()
         zero = cur.take()
         if zero != 0:
             raise ParseError(line_no, f"minimize statement must carry a 0 head slot, got {zero}")
-        nlit, nneg = cur.take(), cur.take()
-        if nneg > nlit:
-            raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        neg = cur.take_atoms(nneg)
-        pos = cur.take_atoms(nlit - nneg)
+    bound = cur.take() if layout.bound == "before" else None
+    nlit, nneg = cur.take(), cur.take()
+    if layout.bound == "after":
+        bound = cur.take()
+    if nneg > nlit:
+        raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
+    neg = cur.take_atoms(nneg)
+    pos = cur.take_atoms(nlit - nneg)
+    weights = ()
+    if layout.weighted:
         if cur.remaining() != nlit:
             raise ParseError(line_no,
                              f"weight count mismatch: {nlit} literals, {cur.remaining()} weights")
         weights = tuple(cur.take() for _ in range(nlit))
-        cur.finish()
-        return MinimizeStatement(pos, neg, weights)
-    raise ParseError(line_no, f"unknown rule type {kind}")
+    cur.finish()
+    return Rule(kind, heads, pos, neg, bound, weights)
 
 
 def parse_program(text) -> GroundProgram:
     """Parse an smodels document from a string or byte stream."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode()
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(text.count(b"\n", 0, exc.start) + 1,
+                             f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
     lines = text.splitlines()
     pos = 0
 
@@ -435,27 +369,20 @@ def parse_program(text) -> GroundProgram:
 
 
 def _wire_line(rule: Rule) -> str:
-    if isinstance(rule, BasicRule):
-        parts = [1, rule.head, len(rule.pos) + len(rule.neg), len(rule.neg),
-                 *rule.neg, *rule.pos]
-    elif isinstance(rule, CardinalityRule):
-        parts = [2, rule.head, len(rule.pos) + len(rule.neg), len(rule.neg),
-                 rule.bound, *rule.neg, *rule.pos]
-    elif isinstance(rule, ChoiceRule):
-        parts = [3, len(rule.heads), *rule.heads,
-                 len(rule.pos) + len(rule.neg), len(rule.neg), *rule.neg, *rule.pos]
-    elif isinstance(rule, WeightRule):
-        parts = [5, rule.head, rule.bound, len(rule.pos) + len(rule.neg),
-                 len(rule.neg), *rule.neg, *rule.pos, *rule.weights]
-    elif isinstance(rule, MinimizeStatement):
-        parts = [6, 0, len(rule.pos) + len(rule.neg), len(rule.neg),
-                 *rule.neg, *rule.pos, *rule.weights]
-    elif isinstance(rule, DisjunctiveRule):
-        parts = [8, len(rule.heads), *rule.heads,
-                 len(rule.pos) + len(rule.neg), len(rule.neg), *rule.neg, *rule.pos]
-    else:
-        raise TypeError(f"not a rule: {rule!r}")
-    return " ".join(str(p) for p in parts)
+    layout = _LAYOUTS[rule.kind]
+    parts = [rule.kind]
+    if layout.n_heads is None:
+        parts.append(len(rule.heads))
+    parts += rule.heads
+    if layout.n_heads == 0:
+        parts.append(0)
+    if layout.bound == "before":
+        parts.append(rule.bound)
+    parts += (len(rule.pos) + len(rule.neg), len(rule.neg))
+    if layout.bound == "after":
+        parts.append(rule.bound)
+    parts += [*rule.neg, *rule.pos, *rule.weights]
+    return " ".join(map(str, parts))
 
 
 def write_program(program: GroundProgram) -> str:
@@ -486,19 +413,31 @@ def validate(program: GroundProgram) -> list[str]:
 
     for i, r in enumerate(program.rules, 1):
         where = f"rule {i}"
+        layout = _LAYOUTS.get(r.kind)
+        if layout is None:
+            out.append(f"{where}: unknown rule type {r.kind}")
+            continue
         for a in r.atoms():
             atom_ok(a, where)
-        if isinstance(r, (CardinalityRule, WeightRule)) and r.bound < 0:
+        if (r.bound is None) != (layout.bound is None):
+            out.append(f"{where}: type {r.kind} "
+                       + ("needs a bound" if r.bound is None else "takes no bound"))
+        elif r.bound is not None and r.bound < 0:
             out.append(f"{where}: bound {r.bound} must be >= 0")
-        if isinstance(r, (WeightRule, MinimizeStatement)):
+        if layout.weighted:
             nlit = len(r.pos) + len(r.neg)
             if len(r.weights) != nlit:
                 out.append(f"{where}: {nlit} literals but {len(r.weights)} weights")
             for w in r.weights:
                 if w < 0:
                     out.append(f"{where}: weight {w} must be >= 0")
-        if isinstance(r, (ChoiceRule, DisjunctiveRule)) and not r.heads:
+        elif r.weights:
+            out.append(f"{where}: type {r.kind} takes no weights")
+        if layout.n_heads is None and not r.heads:
             out.append(f"{where}: head list must not be empty")
+        elif layout.n_heads is not None and len(r.heads) != layout.n_heads:
+            out.append(f"{where}: type {r.kind} takes {layout.n_heads} head atom(s), "
+                       f"got {len(r.heads)}")
 
     names = Counter(program.symbols.values())
     for name, count in names.items():

@@ -16,9 +16,7 @@ from typing import NamedTuple
 from .automorphism import (GeneratorSearch, find_generators,
                            orbit_with_witnesses)
 from .encoding import ColoredGraph, fix_nodes
-from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
-                      GroundProgram, MinimizeStatement, WeightRule,
-                      semantic_view)
+from .smodels import GroundProgram, semantic_view
 
 
 @dataclass(frozen=True)
@@ -123,30 +121,6 @@ def restrict_to_atoms(graph: ColoredGraph, node_perm) -> AtomPermutation:
     return AtomPermutation(moved)
 
 
-def permute_rule(rule, perm: AtomPermutation):
-    """Apply an atom permutation to one rule."""
-    f = perm.image_of
-    if isinstance(rule, BasicRule):
-        return BasicRule(f(rule.head), tuple(map(f, rule.pos)), tuple(map(f, rule.neg)))
-    if isinstance(rule, CardinalityRule):
-        return CardinalityRule(f(rule.head), rule.bound,
-                               tuple(map(f, rule.pos)), tuple(map(f, rule.neg)))
-    if isinstance(rule, ChoiceRule):
-        return ChoiceRule(tuple(map(f, rule.heads)),
-                          tuple(map(f, rule.pos)), tuple(map(f, rule.neg)))
-    if isinstance(rule, WeightRule):
-        return WeightRule(f(rule.head), rule.bound,
-                          tuple(map(f, rule.pos)), tuple(map(f, rule.neg)),
-                          rule.weights)
-    if isinstance(rule, MinimizeStatement):
-        return MinimizeStatement(tuple(map(f, rule.pos)), tuple(map(f, rule.neg)),
-                                 rule.weights)
-    if isinstance(rule, DisjunctiveRule):
-        return DisjunctiveRule(tuple(map(f, rule.heads)),
-                               tuple(map(f, rule.pos)), tuple(map(f, rule.neg)))
-    raise TypeError(f"not a rule: {rule!r}")
-
-
 def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool:
     """True when the permuted program equals the original as a rule multiset.
 
@@ -161,7 +135,7 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
     if any(a < 1 or a > sem.max_atom for a in perm.support):
         return False
     base = Counter(r.key() for r in sem.rules)
-    mapped = Counter(permute_rule(r, perm).key() for r in sem.rules)
+    mapped = Counter(r.map_atoms(perm.image_of).key() for r in sem.rules)
     return base == mapped
 
 
@@ -197,11 +171,7 @@ class RowMatrix:
         return frozenset(a for r in self.rows for a in r)
 
     def row_swap(self, i: int, j: int) -> AtomPermutation:
-        moved = {}
-        for a, b in zip(self.rows[i], self.rows[j]):
-            moved[a] = b
-            moved[b] = a
-        return AtomPermutation(moved)
+        return AtomPermutation.from_cycles(*zip(self.rows[i], self.rows[j]))
 
     def adjacent_swap(self, i: int) -> AtomPermutation:
         return self.row_swap(i, i + 1)
@@ -225,14 +195,6 @@ class RowMatrix:
                 return None
             mapping[i] = j
         return mapping
-
-
-def _swap_of(row_a, row_b) -> AtomPermutation:
-    moved = {}
-    for a, b in zip(row_a, row_b):
-        moved[a] = b
-        moved[b] = a
-    return AtomPermutation(moved)
 
 
 def _canonical_matrix(rows) -> RowMatrix:
@@ -288,7 +250,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
                 image = tuple(cand.image_of(a) for a in row_one)
                 if len(set(image)) != len(image) or not used.isdisjoint(image):
                     continue
-                swap = _swap_of(rows[-1], image)
+                swap = AtomPermutation.from_cycles(*zip(rows[-1], image))
                 if is_syntactic_symmetry(program, swap):
                     rows.append(image)
                     used.update(image)

@@ -144,34 +144,8 @@ def random_program(rng: random.Random) -> GroundProgram:
         y = atoms[-1] + 1
         atoms.append(y)
 
-        def substitute(seq):
-            return tuple(y if a == x else a for a in seq)
-
-        mirrored = []
-        for r in rules:
-            if x not in set(r.atoms()):
-                continue
-            if isinstance(r, BasicRule):
-                mirrored.append(BasicRule(y if r.head == x else r.head,
-                                          substitute(r.pos), substitute(r.neg)))
-            elif isinstance(r, ChoiceRule):
-                mirrored.append(ChoiceRule(substitute(r.heads),
-                                           substitute(r.pos), substitute(r.neg)))
-            elif isinstance(r, CardinalityRule):
-                mirrored.append(CardinalityRule(y if r.head == x else r.head,
-                                                r.bound, substitute(r.pos),
-                                                substitute(r.neg)))
-            elif isinstance(r, WeightRule):
-                mirrored.append(WeightRule(y if r.head == x else r.head,
-                                           r.bound, substitute(r.pos),
-                                           substitute(r.neg), r.weights))
-            elif isinstance(r, MinimizeStatement):
-                mirrored.append(MinimizeStatement(substitute(r.pos),
-                                                  substitute(r.neg), r.weights))
-            elif isinstance(r, DisjunctiveRule):
-                mirrored.append(DisjunctiveRule(substitute(r.heads),
-                                                substitute(r.pos),
-                                                substitute(r.neg)))
+        mirrored = [r.map_atoms(lambda a: y if a == x else a)
+                    for r in rules if x in set(r.atoms())]
         rules.extend(mirrored)
         if rng.random() < 0.7:
             rules.append(ChoiceRule((x,)))
@@ -221,7 +195,7 @@ def reference_answer_sets(program: GroundProgram):
     programs, using the native choice reduct instead of shadow atoms."""
     from itertools import combinations
 
-    from symbreak import semantic_view
+    from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, semantic_view
 
     sem = semantic_view(program)
     false = sem.false_atom
@@ -231,12 +205,10 @@ def reference_answer_sets(program: GroundProgram):
         return all(a in interp for a in pos) and not any(b in interp for b in neg)
 
     def holds(rule, interp):
-        if isinstance(rule, BasicRule):
-            return rule.head in interp or not body_holds(interp, rule.pos, rule.neg)
-        if isinstance(rule, DisjunctiveRule):
+        if rule.kind in (BASIC, DISJUNCTIVE):
             return (any(h in interp for h in rule.heads)
                     or not body_holds(interp, rule.pos, rule.neg))
-        if isinstance(rule, (ChoiceRule, MinimizeStatement)):
+        if rule.kind in (CHOICE, MINIMIZE):
             return True
         raise TypeError(f"reference oracle cannot evaluate {rule!r}")
 
@@ -248,17 +220,14 @@ def reference_answer_sets(program: GroundProgram):
                 continue
             reduct = []
             for r in sem.rules:
-                if isinstance(r, BasicRule):
-                    if not any(b in interp for b in r.neg):
-                        reduct.append((frozenset((r.head,)), r.pos))
-                elif isinstance(r, ChoiceRule):
-                    if not any(b in interp for b in r.neg):
-                        for h in r.heads:
-                            if h in interp:
-                                reduct.append((frozenset((h,)), r.pos))
-                elif isinstance(r, DisjunctiveRule):
-                    if not any(b in interp for b in r.neg):
-                        reduct.append((frozenset(r.heads), r.pos))
+                if any(b in interp for b in r.neg):
+                    continue
+                if r.kind in (BASIC, DISJUNCTIVE):
+                    reduct.append((frozenset(r.heads), r.pos))
+                elif r.kind == CHOICE:
+                    for h in r.heads:
+                        if h in interp:
+                            reduct.append((frozenset((h,)), r.pos))
 
             def models(candidate):
                 return all(heads & candidate or not all(a in candidate for a in pos)

@@ -67,7 +67,7 @@ def test_criterion_3_soundness_sweep():
     for i in range(200):
         program = random_program(rng)
         assert program.max_atom <= 10 and len(program.rules) <= 12
-        kinds_seen.update(type(r).__name__ for r in program.rules)
+        kinds_seen.update(r.kind for r in program.rules)
         result = break_program(program)
         assert result.detection.rejected == 0, (i, program)
         for g in result.detection.generators:
@@ -81,8 +81,7 @@ def test_criterion_3_soundness_sweep():
         generators_seen += result.stats.generators
         if verdict.surviving_count < verdict.original_count:
             reduced += 1
-    assert kinds_seen == {"BasicRule", "CardinalityRule", "ChoiceRule",
-                          "WeightRule", "MinimizeStatement", "DisjunctiveRule"}
+    assert kinds_seen == {1, 2, 3, 5, 6, 8}  # every wire rule type
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     report(3, f"200 programs, {generators_seen} generators validated, "
@@ -103,7 +102,7 @@ def test_criterion_4_unsat_preservation():
     # the augmentation is constraint-only plus fresh-atom definitions,
     # which cannot create answer sets; the oracle confirms directly too
     for rule in broken_large.breaking.new_rules:
-        assert rule.head == large.false_atom or rule.head > large.max_atom
+        assert rule.heads[0] == large.false_atom or rule.heads[0] > large.max_atom
     assert answer_sets(broken_large.program) == []
     report(4, "pigeonhole(4,3) and pigeonhole(5,4): 0 answer sets before "
               "and after breaking")
@@ -180,7 +179,7 @@ def test_criterion_7_aux_budget_through_the_cli(tmp_path, capsys):
         if limit == 0:
             fresh = [r for r in augmented.rules
                      if r not in pigeonhole(3, 2).rules]
-            heads = {r.head for r in fresh}
+            heads = {r.heads[0] for r in fresh}
             assert heads <= {pigeonhole(3, 2).false_atom}
     capsys.readouterr()
 
@@ -193,14 +192,12 @@ def test_criterion_8_format_fidelity():
         program = parse_program(doc)
         assert write_program(program) == normalize_text(doc)
         assert parse_program(write_program(program)) == program
-        kinds.update(type(r).__name__ for r in program.rules)
+        kinds.update(r.kind for r in program.rules)
         if program.compute_plus:
             kinds.add("B+")
         if program.compute_minus:
             kinds.add("B-")
-    assert kinds >= {"BasicRule", "CardinalityRule", "ChoiceRule",
-                     "WeightRule", "MinimizeStatement", "DisjunctiveRule",
-                     "B+", "B-"}
+    assert kinds >= {1, 2, 3, 5, 6, 8, "B+", "B-"}
     report(8, f"{len(SMODELS_CORPUS)} documents round-trip byte-exactly, "
               "all six rule types and both compute blocks covered")
 

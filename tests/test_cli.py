@@ -77,6 +77,21 @@ def test_parse_error_exit_code(monkeypatch, capsys):
     assert out == ""
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    data = b"1 1 0 0\n\xb2\n0\n0\nB+\n0\nB-\n0\n1\n"
+    source = tmp_path / "bad.lp"
+    source.write_bytes(data)
+    assert main([str(source)]) == 1
+    from_file = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main([]) == 1
+    from_stdin = capsys.readouterr()
+    for captured in (from_file, from_stdin):
+        assert captured.out == ""
+        assert captured.err == ("symbreak: parse error: line 2: "
+                                "byte 0xb2 is not valid UTF-8\n")
+
+
 def test_invalid_program_exit_code(monkeypatch, capsys):
     text = "3 0 0 0\n0\n0\nB+\n0\nB-\n0\n1\n"  # choice rule without heads
     code, out, err = run_cli([], text, monkeypatch, capsys)
@@ -124,6 +139,24 @@ def test_verify_p1(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
     assert code == 0
     assert "verification passed" in err
+
+
+def test_verify_enumerates_each_program_once(monkeypatch, capsys):
+    from symbreak import cli, oracle
+    calls = []
+    real = oracle.answer_sets
+
+    def counting(program, budget=20):
+        calls.append(program)
+        return real(program, budget)
+
+    monkeypatch.setattr(oracle, "answer_sets", counting)
+    # count calls through a direct import in the cli module too
+    monkeypatch.setattr(cli, "answer_sets", counting, raising=False)
+    code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
+    assert code == 0
+    assert "answer sets 4 -> 3" in err
+    assert len(calls) == 2  # the input and the augmented program
 
 
 def test_verify_pigeonhole_unsat_preserved(monkeypatch, capsys):

@@ -31,7 +31,7 @@ def test_break_reuses_existing_false_atom():
     assert result.new_false is None
     assert result.program.compute_minus == p3().compute_minus
     for rule in result.breaking.new_rules:
-        assert rule.head == 1 or rule.head > p3().max_atom
+        assert rule.heads[0] == 1 or rule.heads[0] > p3().max_atom
 
 
 def test_break_is_sound_on_the_example_programs():
@@ -58,12 +58,12 @@ def test_appended_rules_are_constraints_or_fresh_definitions():
     result = break_program(php)
     head = php.false_atom
     for rule in result.breaking.new_rules:
-        assert rule.head == head or rule.head > php.max_atom
+        assert rule.heads[0] == head or rule.heads[0] > php.max_atom
 
 
 def test_every_aux_atom_is_defined():
     result = break_program(pigeonhole(4, 3))
-    heads = {r.head for r in result.breaking.new_rules}
+    heads = {r.heads[0] for r in result.breaking.new_rules}
     for aux in result.breaking.aux_atoms:
         assert aux in heads
 

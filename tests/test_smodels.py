@@ -2,8 +2,9 @@
 
 import pytest
 
-from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
-                      MinimizeStatement, ParseError, WeightRule, parse_program,
+from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
+                      GroundProgram, MinimizeStatement, ParseError, Rule,
+                      WeightRule, parse_program,
                       semantic_view, validate, write_program)
 from programs import SMODELS_CORPUS, normalize_text, p1, p3, p5
 
@@ -25,8 +26,7 @@ def test_parse_weight_rule_neg_then_pos():
     rule = p.rules[0]
     assert rule == WeightRule(head=2, bound=7, pos=(3, 5), neg=(4,),
                               weights=(3, 5, 6))
-    assert rule.neg_weights == (3,)
-    assert rule.pos_weights == (5, 6)
+    assert rule.pairs() == [(4, False, 3), (3, True, 5), (5, True, 6)]
 
 
 def test_parse_minimize_statement():
@@ -67,6 +67,7 @@ def test_round_trip_corpus(doc):
     ("1 2 1 0 3 9\n0\n0\nB+\n0\nB-\n0\n1\n", "trailing tokens"),
     ("1 2 1 0 3\n0\n0\n", "B+"),
     ("1 0 0 0\n0\n0\nB+\n0\nB-\n0\n1\n", "atom index 0"),
+    ("1 \u00b2 0 0\n0\n0\nB+\n0\nB-\n0\n1\n", "malformed integer"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -102,6 +103,36 @@ def test_validate_duplicate_names_and_bounds():
     problems = validate(bad)
     assert any("bound -2" in d for d in problems)
     assert any("'x' used 2 times" in d for d in problems)
+
+
+def test_validate_rule_shape():
+    bad = GroundProgram(rules=(Rule(1, (2, 3)), Rule(6, (2,)), Rule(7, (2,)),
+                               Rule(2, (2,)), Rule(1, (2,), bound=1),
+                               Rule(3, (2,), weights=(1,))))
+    assert validate(bad) == [
+        "rule 1: type 1 takes 1 head atom(s), got 2",
+        "rule 2: type 6 takes 0 head atom(s), got 1",
+        "rule 3: unknown rule type 7",
+        "rule 4: type 2 needs a bound",
+        "rule 5: type 1 takes no bound",
+        "rule 6: type 3 takes no weights",
+    ]
+
+
+def test_rule_kind_key_and_map_atoms():
+    assert [r.kind for r in (BasicRule(1), CardinalityRule(1, 0), ChoiceRule((1,)),
+                             WeightRule(1, 0), MinimizeStatement(),
+                             DisjunctiveRule((1,)))] == [1, 2, 3, 5, 6, 8]
+    assert ChoiceRule((1, 2), (3, 4)).key() == ChoiceRule((2, 1), (4, 3)).key()
+    assert ChoiceRule((1,)).key() != DisjunctiveRule((1,)).key()
+    # weighted literals compare as (literal, weight) multisets
+    assert (WeightRule(1, 2, (2, 3), (), (1, 2)).key()
+            == WeightRule(1, 2, (3, 2), (), (2, 1)).key())
+    assert (WeightRule(1, 2, (2, 3), (), (1, 2)).key()
+            != WeightRule(1, 2, (2, 3), (), (2, 1)).key())
+    swap = {2: 3, 3: 2}.get
+    rule = WeightRule(2, 4, (3,), (2,), (5, 6))
+    assert rule.map_atoms(lambda a: swap(a, a)) == WeightRule(3, 4, (2,), (3,), (5, 6))
 
 
 def test_false_atom_detected_for_constraints():
