@@ -62,7 +62,7 @@ class Rule(NamedTuple):
     def key(self):
         """Equal for rules that differ at most in literal order: heads and
         body compare as multisets, weighted literals with their weights."""
-        heads = self.heads if len(self.heads) < 2 else tuple(sorted(self.heads))
+        heads = tuple(sorted(self.heads))
         if self.kind in (WEIGHT, MINIMIZE):
             return (self.kind, heads, self.bound, tuple(sorted(self.pairs())))
         return (self.kind, heads, self.bound,
