@@ -8,9 +8,9 @@ oracle verifies every step at desk scale.
 
 from .automorphism import (GeneratorSearch, OrderedPartition,
                            brute_force_automorphisms, color_refine,
-                           find_generators, fix_nodes, orbit)
-from .breaking import (BreakingProgram, Fragment, FreshAtoms, assemble,
-                       binary_rules, break_rows, lex_leader_rules)
+                           find_generators, orbit)
+from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
+                       break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, color_census, encode_program
 from .oracle import (OracleBudgetError, SoundnessVerdict, answer_sets,
                      check_soundness, objective_value, reduct, satisfies)
@@ -26,15 +26,15 @@ from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
 
 __all__ = [
     "AtomOrder", "AtomPermutation", "BasicRule", "BreakConfig", "BreakResult",
-    "BreakingProgram", "CardinalityRule", "ChoiceRule", "ColoredGraph",
-    "Detection", "DisjunctiveRule", "Fragment", "FreshAtoms",
-    "GeneratorSearch", "GroundProgram", "MinimizeStatement",
+    "CardinalityRule", "ChoiceRule", "ColoredGraph", "Detection",
+    "DisjunctiveRule", "Fragment", "FreshAtoms", "GeneratorSearch",
+    "GroundProgram", "MinimizeStatement",
     "OracleBudgetError", "OrderedPartition", "ParseError", "RowMatrix",
     "Rule", "RunStats", "SoundnessVerdict", "WeightRule", "answer_sets",
     "assemble", "binary_rules", "break_program", "break_rows",
     "brute_force_automorphisms", "check_soundness", "choose_order",
     "color_census", "color_refine", "detect_rows", "detect_symmetries",
-    "encode_program", "find_generators", "fix_nodes", "is_syntactic_symmetry",
+    "encode_program", "find_generators", "is_syntactic_symmetry",
     "lex_leader_rules", "objective_value", "orbit", "parse_program", "reduct",
     "restrict_to_atoms", "satisfies", "semantic_view",
     "stabilizer_binary_symmetries", "validate", "write_program",

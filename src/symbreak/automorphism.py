@@ -21,14 +21,13 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .encoding import ColoredGraph, fix_nodes  # re-exported: fix_nodes
+from .encoding import ColoredGraph
 
 __all__ = [
     "OrderedPartition", "partition_by_colors", "color_refine",
     "GeneratorSearch", "find_generators", "brute_force_automorphisms",
-    "EnumerationBudgetError", "orbit", "orbit_with_witnesses",
-    "is_automorphism", "identity", "compose", "inverse", "group_closure",
-    "fix_nodes",
+    "EnumerationBudgetError", "orbit", "is_automorphism", "identity",
+    "compose", "group_closure",
 ]
 
 
@@ -106,13 +105,6 @@ def compose(f, g) -> tuple[int, ...]:
     return tuple(g[f[v]] for v in range(len(f)))
 
 
-def inverse(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for v, w in enumerate(p):
-        out[w] = v
-    return tuple(out)
-
-
 def is_automorphism(graph: ColoredGraph, perm) -> bool:
     """Check both conditions: colors preserved, edges mapped onto edges."""
     colors = graph.colors
@@ -137,20 +129,6 @@ def orbit(gens, seed: int) -> frozenset:
                 seen.add(w)
                 frontier.append(w)
     return frozenset(seen)
-
-
-def orbit_with_witnesses(gens, seed: int, n: int) -> dict:
-    """Orbit of seed with, per element, a group word mapping seed onto it."""
-    witness = {seed: identity(n)}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop(0)
-        for g in gens:
-            w = g[v]
-            if w not in witness:
-                witness[w] = compose(witness[v], g)
-                frontier.append(w)
-    return witness
 
 
 @dataclass(frozen=True)

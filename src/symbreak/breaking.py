@@ -46,16 +46,6 @@ class Fragment:
     aux_atoms: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class BreakingProgram:
-    """Everything appended by symmetry breaking, for reporting and tests."""
-
-    new_rules: tuple[Rule, ...]
-    aux_atoms: tuple[int, ...]
-    per_symmetry_aux_count: tuple[int, ...]
-    new_max_atom: int
-
-
 def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
                      alloc: FreshAtoms, constraint_head: int) -> Fragment:
     """Lex-leader fragment for one symmetry.

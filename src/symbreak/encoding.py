@@ -61,9 +61,6 @@ class ColoredGraph:
     def negation_node(self, atom: int) -> int:
         return 2 * self._atom_index[atom] + 1
 
-    def is_atom_node(self, node: int) -> bool:
-        return node < 2 * len(self.atoms) and node % 2 == 0
-
     def node_atom(self, node: int) -> int:
         """The atom owning a literal node (positive or negative)."""
         if node >= 2 * len(self.atoms):

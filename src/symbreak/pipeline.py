@@ -1,17 +1,19 @@
 """The full preprocessing pipeline: detect, post-process, break, assemble.
 
-Every automorphism coming out of the graph search is converted to an atom
-permutation and re-validated as a syntactic symmetry before anything is
-built from it; permutations failing the gate are dropped and counted, so
-a detection bug can only weaken the breaking, never corrupt it.
+The graph is searched once per program.  Every automorphism found is
+converted to an atom permutation and re-validated as a syntactic symmetry
+before anything is built from it; permutations failing the gate are
+dropped and counted, so a detection bug can only weaken the breaking,
+never corrupt it.  Binary clauses come from the stabilizer chain of the
+validated generators, and each pair's witness passes the same gate.
 """
 
 import time
 from dataclasses import dataclass
 
 from .automorphism import GeneratorSearch, find_generators
-from .breaking import (BreakingProgram, Fragment, FreshAtoms, assemble,
-                       binary_rules, break_rows, lex_leader_rules)
+from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
+                       break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
 from .smodels import GroundProgram, validate
 from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
@@ -57,7 +59,7 @@ class BreakResult:
     rows: list[RowMatrix]
     order: AtomOrder
     pairs: list[tuple[int, int]]
-    breaking: BreakingProgram
+    per_symmetry_aux: tuple[int, ...]
     new_false: int = None
 
 
@@ -93,10 +95,8 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
 
     pairs = []
     if config.binary_clauses:
-        for found in stabilizer_binary_symmetries(detection.graph, order,
-                                                  config.stabilizer_levels,
-                                                  config.search_budget,
-                                                  initial=detection.search):
+        for found in stabilizer_binary_symmetries(gens, order,
+                                                  config.stabilizer_levels):
             witness = found.witness
             if witness.is_identity or not is_syntactic_symmetry(program, witness):
                 continue
@@ -131,20 +131,13 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
         fragments.append(binary_rules(pairs, head))
 
     augmented = assemble(program, fragments, alloc, new_false)
-    appended = augmented.rules[len(program.rules):]
-    breaking = BreakingProgram(
-        new_rules=tuple(appended),
-        aux_atoms=tuple(range(program.max_atom + 1, augmented.max_atom + 1)),
-        per_symmetry_aux_count=tuple(per_symmetry_aux),
-        new_max_atom=augmented.max_atom,
-    )
     stats = RunStats(
         generators=len(gens),
-        rules=len(appended),
+        rules=len(augmented.rules) - len(program.rules),
         aux=alloc.count,
         seconds=time.perf_counter() - started,
         rows=len(rows),
         binpairs=len(pairs),
     )
     return BreakResult(augmented, stats, detection, rows, order, pairs,
-                       breaking, new_false)
+                       tuple(per_symmetry_aux), new_false)

@@ -5,7 +5,8 @@ syntactic symmetries (a hard gate: nothing unsound can flow into
 constraint synthesis), and post-processed for breaking power:
 row-interchangeability matrices whose full subgroup can be broken
 completely, an atom order that matches the generators, and binary
-prefix symmetries from a pointwise-stabilizer chain.
+prefix symmetries from the generators' pointwise-stabilizer chain,
+computed by Schreier-Sims without any further graph search.
 """
 
 from collections import Counter
@@ -13,9 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .automorphism import (GeneratorSearch, find_generators,
-                           orbit_with_witnesses)
-from .encoding import ColoredGraph, fix_nodes
+from .encoding import ColoredGraph
 from .smodels import GroundProgram, semantic_view
 
 
@@ -330,42 +329,85 @@ class BinarySymmetry(NamedTuple):
     witness: AtomPermutation
 
 
-def stabilizer_binary_symmetries(graph: ColoredGraph, order: AtomOrder,
-                                 levels: int = 5,
-                                 search_budget: int = 10 ** 6,
-                                 initial: GeneratorSearch = None) -> list[BinarySymmetry]:
+def _then(f, g) -> tuple[int, ...]:
+    """Dense permutation applying f, then g."""
+    return tuple(map(g.__getitem__, f))
+
+
+def stabilizer_binary_symmetries(gens, order: AtomOrder,
+                                 levels: int = 5) -> list[BinarySymmetry]:
     """Binary prefix symmetries from a pointwise-stabilizer chain.
 
-    At each level the minimum moved atom v (by the given order) is paired
-    with every other atom in its orbit, then v's node is fixed by
-    recoloring and the search repeats on the stabilizer.  Each pair
-    carries the orbit witness so callers can re-validate it as a
-    syntactic symmetry before use.
+    The chain of the group generated by ``gens`` comes from a deterministic,
+    incremental Schreier-Sims whose base is the moved atoms in ``order``;
+    no graph is searched.  At each of the first ``levels`` levels with a
+    nontrivial orbit, the base atom v is paired with every other atom w of
+    its orbit, in ascending atom index.  The witness is the transversal
+    element taking v to w; it fixes every earlier base atom, so it moves
+    nothing ranked below v.  Callers re-validate it before use all the same.
     """
+    base = order.sort_atoms({a for g in gens for a in g.support})
+    n = len(base)
+    point = {a: i for i, a in enumerate(base)}
+    # Level i fixes base points 0..i-1; ``strong[i]`` holds every strong
+    # generator that does, whatever level it was filed at, as the orbit of
+    # point i needs them all.  ``trans[i]`` maps each orbit point to an
+    # element taking point i there and its inverse; ``sifted[i]`` counts per
+    # orbit point the strong generators whose Schreier generator was sifted.
+    strong = [[] for _ in range(n)]
+    trans = [{i: (tuple(range(n)),) * 2} for i in range(n)]
+    orbits = [[i] for i in range(n)]
+    sifted = [{i: 0} for i in range(n)]
+
+    def sift(g, level):
+        """Sift g, which fixes the points below level; file a nontrivial
+        residue as a strong generator and return its level."""
+        for k in range(level, n):
+            if g[k] != k:
+                if g[k] not in trans[k]:
+                    add_strong(g, k)
+                    return k
+                g = _then(g, trans[k][g[k]][1])
+        return None
+
+    def add_strong(h, first):
+        for i in range(first + 1):
+            strong[i].append(h)
+            orbit, old = orbits[i], len(orbits[i])
+            for step, beta in enumerate(orbit):
+                for s in (h,) if step < old else strong[i]:
+                    gamma = s[beta]
+                    if gamma not in trans[i]:
+                        u = _then(trans[i][beta][0], s)
+                        trans[i][gamma] = u, tuple(sorted(range(n), key=u.__getitem__))
+                        orbit.append(gamma)
+                        sifted[i][gamma] = 0
+
+    def sift_pending(level):
+        """Sift the level's unsifted Schreier generators up to the first
+        that files a strong generator; return that one's level."""
+        t, done, here = trans[level], sifted[level], strong[level]
+        for beta in orbits[level]:
+            while done[beta] < len(here):
+                s = here[done[beta]]
+                done[beta] += 1
+                filed = sift(_then(_then(t[beta][0], s), t[s[beta]][1]), level + 1)
+                if filed is not None:
+                    return filed
+        return None
+
+    for g in gens:
+        sift(tuple(point[g.image_of(a)] for a in base), 0)
+    level = n - 1
+    while level >= 0:
+        filed = sift_pending(level)
+        level = level - 1 if filed is None else filed
+
     out = []
-    seen = set()
-    current = graph
-    result = initial if initial is not None else find_generators(current, search_budget)
-    for _ in range(levels):
-        gens = result.generators
-        moved = set()
-        for g in gens:
-            for i, a in enumerate(current.atoms):
-                if g[2 * i] != 2 * i:
-                    moved.add(a)
-        if not moved:
-            break
-        v = min(moved, key=order.key)
-        start = current.atom_node(v)
-        witnesses = orbit_with_witnesses(gens, start, current.n_nodes)
-        for node in sorted(witnesses):
-            if not current.is_atom_node(node):
-                continue
-            w = current.node_atom(node)
-            if w == v or (v, w) in seen:
-                continue
-            seen.add((v, w))
-            out.append(BinarySymmetry(v, w, restrict_to_atoms(current, witnesses[node])))
-        current = fix_nodes(current, [start])
-        result = find_generators(current, search_budget)
+    nontrivial = [i for i in range(n) if len(orbits[i]) > 1]
+    for i in nontrivial[:max(levels, 0)]:
+        for w in sorted(base[x] for x in orbits[i] if x != i):
+            u = trans[i][point[w]][0]
+            out.append(BinarySymmetry(base[i], w, AtomPermutation(
+                {base[x]: base[y] for x, y in enumerate(u) if x != y})))
     return out

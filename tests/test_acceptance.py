@@ -101,7 +101,7 @@ def test_criterion_4_unsat_preservation():
     broken_large = break_program(large)
     # the augmentation is constraint-only plus fresh-atom definitions,
     # which cannot create answer sets; the oracle confirms directly too
-    for rule in broken_large.breaking.new_rules:
+    for rule in broken_large.program.rules[len(large.rules):]:
         assert rule.heads[0] == large.false_atom or rule.heads[0] > large.max_atom
     assert answer_sets(broken_large.program) == []
     report(4, "pigeonhole(4,3) and pigeonhole(5,4): 0 answer sets before "
@@ -158,11 +158,10 @@ def test_criterion_7_aux_budget():
     for limit in (0, 3, 50):
         for program in suite:
             result = break_program(program, BreakConfig(aux_limit=limit))
-            assert all(n <= limit
-                       for n in result.breaking.per_symmetry_aux_count), \
+            assert all(n <= limit for n in result.per_symmetry_aux), \
                 (limit, program)
     defaults = break_program(pigeonhole(5, 4))
-    assert all(n <= 50 for n in defaults.breaking.per_symmetry_aux_count)
+    assert all(n <= 50 for n in defaults.per_symmetry_aux)
     report(7, "per-symmetry aux counts within limits 0, 3, 50 and the "
               "default 50 across the suite")
 

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from symbreak import (GroundProgram, brute_force_automorphisms, color_refine,
-                      encode_program, find_generators, fix_nodes, orbit)
+                      encode_program, find_generators, orbit)
 from symbreak.automorphism import (EnumerationBudgetError, OrderedPartition,
                                    group_closure, identity, is_automorphism,
                                    partition_by_colors)
-from symbreak.encoding import build_graph
+from symbreak.encoding import build_graph, fix_nodes
 from programs import p1, pigeonhole, place_atom, random_colored_graph
 
 

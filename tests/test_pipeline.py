@@ -3,14 +3,14 @@
 from symbreak import (BasicRule, BreakConfig, GroundProgram, answer_sets,
                       break_program, check_soundness, parse_program, validate,
                       write_program)
-from programs import p1, p2, p3, p4, p5, pigeonhole
+from programs import free_choice, p1, p2, p3, p4, p5, pigeonhole
 
 
 def test_break_p1_appends_single_constraint():
     result = break_program(p1())
     assert result.stats.generators == 1
     assert result.stats.rules == 1
-    assert result.breaking.new_rules == (BasicRule(3, (1,), (2,)),)
+    assert result.program.rules[len(p1().rules):] == (BasicRule(3, (1,), (2,)),)
     assert result.new_false == 3
     assert result.program.compute_minus == (3,)
     projected = {frozenset(a for a in s if a <= 2)
@@ -30,7 +30,7 @@ def test_break_reuses_existing_false_atom():
     result = break_program(p3())
     assert result.new_false is None
     assert result.program.compute_minus == p3().compute_minus
-    for rule in result.breaking.new_rules:
+    for rule in result.program.rules[len(p3().rules):]:
         assert rule.heads[0] == 1 or rule.heads[0] > p3().max_atom
 
 
@@ -57,14 +57,15 @@ def test_appended_rules_are_constraints_or_fresh_definitions():
     php = pigeonhole(4, 3)
     result = break_program(php)
     head = php.false_atom
-    for rule in result.breaking.new_rules:
+    for rule in result.program.rules[len(php.rules):]:
         assert rule.heads[0] == head or rule.heads[0] > php.max_atom
 
 
 def test_every_aux_atom_is_defined():
-    result = break_program(pigeonhole(4, 3))
-    heads = {r.heads[0] for r in result.breaking.new_rules}
-    for aux in result.breaking.aux_atoms:
+    php = pigeonhole(4, 3)
+    result = break_program(php)
+    heads = {r.heads[0] for r in result.program.rules[len(php.rules):]}
+    for aux in range(php.max_atom + 1, result.program.max_atom + 1):
         assert aux in heads
 
 
@@ -73,8 +74,7 @@ def test_aux_budget_respected():
         config = BreakConfig(aux_limit=limit)
         for program in (p1(), pigeonhole(3, 2), pigeonhole(4, 3)):
             result = break_program(program, config)
-            assert all(n <= limit
-                       for n in result.breaking.per_symmetry_aux_count)
+            assert all(n <= limit for n in result.per_symmetry_aux)
             assert answer_sets(result.program, budget=20) == [] or True
 
 
@@ -84,7 +84,7 @@ def test_row_generators_not_broken_twice():
     no_rows = break_program(php, BreakConfig(row_detection=False))
     assert default.stats.rows == 1 and no_rows.stats.rows == 0
     # with the matrix consumed, fewer per-generator fragments are needed
-    assert len(default.breaking.per_symmetry_aux_count) \
+    assert len(default.per_symmetry_aux) \
         < no_rows.stats.generators + default.stats.rows * 3
 
 
@@ -106,8 +106,27 @@ def test_augmented_program_round_trips():
 
 
 def test_stats_consistency():
-    result = break_program(pigeonhole(3, 3))
-    assert result.stats.rules == len(result.breaking.new_rules)
-    assert result.stats.aux == len(result.breaking.aux_atoms)
+    php = pigeonhole(3, 3)
+    result = break_program(php)
+    assert result.stats.rules == len(result.program.rules) - len(php.rules)
+    assert result.stats.aux == result.program.max_atom - php.max_atom
     assert result.stats.binpairs == len(result.pairs)
     assert result.stats.seconds >= 0.0
+
+
+def test_one_automorphism_search_per_run(monkeypatch):
+    from symbreak import automorphism, encoding, pipeline, symmetry
+    searches, fixes = [], []
+    real_search, real_fix = pipeline.find_generators, encoding.fix_nodes
+    monkeypatch.setattr(pipeline, "find_generators",
+                        lambda *args: searches.append(args) or real_search(*args))
+    for module in (automorphism, encoding, pipeline, symmetry):
+        if getattr(module, "fix_nodes", None) is real_fix:
+            monkeypatch.setattr(module, "fix_nodes",
+                                lambda *args: fixes.append(args) or real_fix(*args))
+    for program in (pigeonhole(4, 3), free_choice(range(1, 7))):
+        searches.clear()
+        result = break_program(program)
+        assert result.pairs
+        assert len(searches) == 1
+    assert fixes == []

@@ -1,15 +1,25 @@
 """Atom permutations, the syntactic-symmetry gate, rows, orders, stabilizers."""
 
+import random
+import time
+
 import pytest
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
-                      WeightRule, choose_order, detect_rows, encode_program,
-                      find_generators, is_syntactic_symmetry,
+                      WeightRule, break_program, choose_order, detect_rows,
+                      encode_program, find_generators, is_syntactic_symmetry,
                       restrict_to_atoms, stabilizer_binary_symmetries)
-from symbreak.automorphism import identity
+from symbreak.automorphism import (EnumerationBudgetError, compose,
+                                   group_closure, identity)
+from symbreak.encoding import fix_nodes
 from symbreak.pipeline import detect_symmetries
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
-from programs import p1, p2, p3, pigeonhole, place_atom
+from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, place_atom,
+                      random_program)
+
+CHAIN_CASES = [p1(), p2(), p3(), p4(), p5(), pigeonhole(3, 3), pigeonhole(4, 3),
+               free_choice(range(1, 7))]
+CHAIN_CASES += [random_program(random.Random(i)) for i in range(50)]
 
 
 def swap(a, b):
@@ -179,7 +189,7 @@ def test_choose_order_is_bijection():
 def test_stabilizer_pairs_p1():
     det = detect_symmetries(p1())
     order = choose_order(p1(), det.generators, [])
-    pairs = stabilizer_binary_symmetries(det.graph, order, initial=det.search)
+    pairs = stabilizer_binary_symmetries(det.generators, order)
     assert [(b.first, b.second) for b in pairs] == [(1, 2)]
     assert pairs[0].witness == swap(1, 2)
 
@@ -188,7 +198,7 @@ def test_stabilizer_pairs_trivial_group():
     p = GroundProgram(rules=(BasicRule(1, (2,)), BasicRule(2)))
     det = detect_symmetries(p)
     order = choose_order(p, [], [])
-    assert stabilizer_binary_symmetries(det.graph, order, initial=det.search) == []
+    assert stabilizer_binary_symmetries(det.generators, order) == []
 
 
 def test_stabilizer_pairs_pigeonhole_full_orbit():
@@ -196,8 +206,7 @@ def test_stabilizer_pairs_pigeonhole_full_orbit():
     det = detect_symmetries(php)
     rows = detect_rows(php, det.generators)
     order = choose_order(php, det.generators, rows)
-    pairs = stabilizer_binary_symmetries(det.graph, order, levels=2,
-                                         initial=det.search)
+    pairs = stabilizer_binary_symmetries(det.generators, order, levels=2)
     first_atom = order.sequence[0]
     level_one = {b.second for b in pairs if b.first == first_atom}
     placements = {place_atom(3, 3, p, h) for p in (1, 2, 3) for h in (1, 2, 3)}
@@ -206,6 +215,102 @@ def test_stabilizer_pairs_pigeonhole_full_orbit():
         assert is_syntactic_symmetry(php, b.witness)
         assert min(b.witness.support, key=order.key) == b.first
         assert b.witness.image_of(b.first) == b.second
+
+
+def research_pairs(program, order, levels=5):
+    """Reference binary pairs from repeated graph searches.
+
+    Each level fixes the previous base atom's node by recoloring and
+    searches the graph again; the base atom is the stabilizer's first
+    moved atom in ``order``, its orbit is a breadth-first search over node
+    permutations, and each pair's witness word must pass the pipeline's
+    gate (syntactic symmetry, nothing ranked below the base atom moved).
+    """
+    graph = encode_program(program)
+    gens = find_generators(graph).generators
+    pairs = []
+    for _ in range(levels):
+        moved = [graph.node_atom(v) for v in range(0, 2 * len(graph.atoms), 2)
+                 if any(g[v] != v for g in gens)]
+        if not moved:
+            break
+        v = min(moved, key=order.key)
+        start = graph.atom_node(v)
+        words = {start: identity(graph.n_nodes)}
+        frontier = [start]
+        for node in frontier:
+            for g in gens:
+                if g[node] not in words:
+                    words[g[node]] = compose(words[node], g)
+                    frontier.append(g[node])
+        for node in sorted(words):
+            if node == start:  # colors keep the orbit on positive atom nodes
+                continue
+            witness = restrict_to_atoms(graph, words[node])
+            if (is_syntactic_symmetry(program, witness)
+                    and min(witness.support, key=order.key) == v):
+                pairs.append((v, graph.node_atom(node)))
+        graph = fix_nodes(graph, [start])
+        gens = find_generators(graph).generators
+    return pairs
+
+
+def test_stabilizer_chain_pairs_match_graph_research():
+    for program in CHAIN_CASES:
+        result = break_program(program)
+        assert result.pairs == research_pairs(program, result.order), program
+
+
+def test_stabilizer_levels_match_brute_force_stabilizers():
+    """Each emitted level is the orbit of its base atom under the pointwise
+    stabilizer of all earlier moved atoms, and the levels emitted are the
+    first five with a nontrivial orbit."""
+    checked = 0
+    for program in CHAIN_CASES:
+        det = detect_symmetries(program)
+        order = choose_order(program, det.generators,
+                             detect_rows(program, det.generators))
+        n = program.max_atom + 1
+        dense = [tuple(g.image_of(a) for a in range(n)) for g in det.generators]
+        try:
+            group = group_closure(dense, n, cap=10 ** 5)
+        except EnumerationBudgetError:
+            continue
+        expected = {}
+        fixed = []
+        for v in order.sort_atoms({a for g in det.generators for a in g.support}):
+            stabilizer = [g for g in group if all(g[a] == a for a in fixed)]
+            orbit = {g[v] for g in stabilizer}
+            if len(orbit) > 1 and len(expected) < 5:
+                expected[v] = orbit
+            fixed.append(v)
+        levels = {}
+        for b in stabilizer_binary_symmetries(det.generators, order):
+            levels.setdefault(b.first, {b.first}).add(b.second)
+            assert b.witness.image_of(b.first) == b.second
+        assert levels == expected, program
+        checked += bool(expected)
+    assert checked >= 30
+
+
+def test_stabilizer_orbit_uses_deeper_strong_generators():
+    """The level-0 orbit of (1 2), (1 2 3 4) is all four atoms, and the
+    stabilizer of atom 1 is the full symmetric group on 2, 3, 4."""
+    gens = [AtomPermutation.from_cycles((1, 2)),
+            AtomPermutation.from_cycles((1, 2, 3, 4))]
+    pairs = stabilizer_binary_symmetries(gens, AtomOrder((1, 2, 3, 4)))
+    assert [(b.first, b.second) for b in pairs] == [
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def test_stabilizer_chain_of_s24_is_fast():
+    gens = [AtomPermutation.from_cycles((1, i)) for i in range(2, 25)]
+    started = time.perf_counter()
+    pairs = stabilizer_binary_symmetries(gens, AtomOrder(tuple(range(1, 25))))
+    assert time.perf_counter() - started < 2.0
+    assert len(pairs) == 23 + 22 + 21 + 20 + 19
+    assert [(b.first, b.second) for b in pairs] == [
+        (v, w) for v in range(1, 6) for w in range(v + 1, 25)]
 
 
 def test_pipeline_generators_all_pass_the_gate():
