@@ -6,12 +6,11 @@ search, and appends sound breaking constraints; an exact stable-model
 oracle verifies every step at desk scale.
 """
 
-from .automorphism import (GeneratorSearch, OrderedPartition,
-                           brute_force_automorphisms, color_refine,
+from .automorphism import (GeneratorSearch, OrderedPartition, color_refine,
                            find_generators, orbit)
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
-from .encoding import ColoredGraph, color_census, encode_program
+from .encoding import ColoredGraph, encode_program
 from .oracle import (OracleBudgetError, SoundnessVerdict, answer_sets,
                      check_soundness, objective_value, reduct, satisfies)
 from .pipeline import (BreakConfig, BreakResult, Detection, RunStats,
@@ -32,10 +31,10 @@ __all__ = [
     "OracleBudgetError", "OrderedPartition", "ParseError", "RowMatrix",
     "Rule", "RunStats", "SoundnessVerdict", "WeightRule", "answer_sets",
     "assemble", "binary_rules", "break_program", "break_rows",
-    "brute_force_automorphisms", "check_soundness", "choose_order",
-    "color_census", "color_refine", "detect_rows", "detect_symmetries",
-    "encode_program", "find_generators", "is_syntactic_symmetry",
-    "lex_leader_rules", "objective_value", "orbit", "parse_program", "reduct",
-    "restrict_to_atoms", "satisfies", "semantic_view",
-    "stabilizer_binary_symmetries", "validate", "write_program",
+    "check_soundness", "choose_order", "color_refine", "detect_rows",
+    "detect_symmetries", "encode_program", "find_generators",
+    "is_syntactic_symmetry", "lex_leader_rules", "objective_value", "orbit",
+    "parse_program", "reduct", "restrict_to_atoms", "satisfies",
+    "semantic_view", "stabilizer_binary_symmetries", "validate",
+    "write_program",
 ]

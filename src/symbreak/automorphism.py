@@ -4,35 +4,27 @@
 initial partition is the color classes, refined to the coarsest equitable
 partition; the first non-singleton cell is split on each of its vertices
 in turn, and discrete leaves are compared against the first leaf reached.
-Leaves with an equal certificate yield automorphisms, which also prune
-sibling branches (restricted to permutations fixing the current base
-pointwise).  Every emitted permutation is re-verified against the raw
-definition, so a bug here can lose symmetries but never invent one.
+Refinement works in rounds, and after the first round it rechecks only the
+cells adjacent to a cell that split in the round before; no other cell can
+split.  A leaf is compared with the first leaf by checking that the map
+between them is an automorphism, the same check that every emitted
+permutation must pass, so a bug here can lose symmetries but never invent
+one.  Found automorphisms prune sibling branches (restricted to
+permutations fixing the current base pointwise).
 
-`brute_force_automorphisms` is the independent oracle: a backtracking
-enumeration of all color-respecting bijections filtered by edge
-preservation, feasible for graphs of a dozen nodes.
-
-Permutations are dense image tuples over node ids; composition is
-left-to-right (apply ``f``, then ``g``).
+Permutations are dense image tuples over node ids.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 
 from .encoding import ColoredGraph
 
 __all__ = [
     "OrderedPartition", "partition_by_colors", "color_refine",
-    "GeneratorSearch", "find_generators", "brute_force_automorphisms",
-    "EnumerationBudgetError", "orbit", "is_automorphism", "identity",
-    "compose", "group_closure",
+    "GeneratorSearch", "find_generators", "orbit", "is_automorphism",
+    "identity",
 ]
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Brute-force candidate space larger than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -40,10 +32,6 @@ class OrderedPartition:
     """Ordered list of disjoint nonempty cells covering all nodes."""
 
     cells: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
 
     def first_split_cell(self):
         """Index of the first non-singleton cell, or None when discrete."""
@@ -67,42 +55,55 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition) -> OrderedPar
     into every cell.  Splits keep the host cell's position, sub-cells
     ordered by their neighborhood signature, so the result is both
     deterministic and invariant under relabeling.
+
+    Every round splits each cell against the partition the round started
+    from.  The first round checks every cell; later rounds check only the
+    cells holding a neighbor of a cell that split in the round before,
+    since the neighbor counts of every other cell are unchanged.  A cell
+    is labelled by the position of its first node in the concatenated
+    cells, so a split relabels only its own nodes, and the labels order
+    the cells as their positions do.
     """
-    cells = list(partition.cells)
     nbrs = graph.neighbors
-    while True:
-        index = {}
-        for i, cell in enumerate(cells):
-            for v in cell:
-                index[v] = i
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
+    index = [0] * graph.n_nodes
+    cells = {}
+    start = 0
+    for cell in partition.cells:
+        cells[start] = cell
+        for v in cell:
+            index[v] = start
+        start += len(cell)
+    pending = [s for s, cell in cells.items() if len(cell) > 1]
+    while pending:
+        splits = []
+        for s in pending:
             groups = {}
-            for v in cell:
-                sig = tuple(sorted(Counter(index[u] for u in nbrs[v]).items()))
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(sorted(groups[sig])))
-        cells = new_cells
-        if not changed:
-            return OrderedPartition(tuple(cells))
+            for v in cells[s]:
+                key = tuple(sorted(map(index.__getitem__, nbrs[v])))
+                groups.setdefault(key, []).append(v)
+            if len(groups) > 1:
+                # order sub-cells by the (cell, count) signature; the keys
+                # themselves sort into another order
+                ordered = sorted(groups.items(),
+                                 key=lambda kv: tuple(Counter(kv[0]).items()))
+                splits.append((s, [tuple(sorted(members)) for _, members in ordered]))
+        for s, fragments in splits:
+            for fragment in fragments:
+                cells[s] = fragment
+                for v in fragment:
+                    index[v] = s
+                s += len(fragment)
+        touched = set()
+        for s, fragments in splits:
+            for fragment in fragments:
+                for v in fragment:
+                    touched.update(map(index.__getitem__, nbrs[v]))
+        pending = [s for s in touched if len(cells[s]) > 1]
+    return OrderedPartition(tuple(cells[s] for s in sorted(cells)))
 
 
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
-
-
-def compose(f, g) -> tuple[int, ...]:
-    """Apply f, then g."""
-    return tuple(g[f[v]] for v in range(len(f)))
 
 
 def is_automorphism(graph: ColoredGraph, perm) -> bool:
@@ -160,16 +161,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     gens: list[tuple[int, ...]] = []
     gen_keys = set()
     ident = identity(n)
-    state = {"count": 0, "exhausted": False, "first_leaf": None, "first_cert": None}
-
-    def leaf_certificate(order):
-        position = [0] * n
-        for i, v in enumerate(order):
-            position[v] = i
-        cols = tuple(graph.colors[v] for v in order)
-        eds = frozenset((min(position[u], position[v]), max(position[u], position[v]))
-                        for u, v in graph.edges())
-        return cols, eds
+    state = {"count": 0, "exhausted": False, "first_leaf": None}
 
     def dfs(partition: OrderedPartition, base: tuple):
         state["count"] += 1
@@ -181,97 +173,42 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             order = tuple(c[0] for c in partition.cells)
             if state["first_leaf"] is None:
                 state["first_leaf"] = order
-                state["first_cert"] = leaf_certificate(order)
                 return
-            if leaf_certificate(order) == state["first_cert"]:
-                image = [0] * n
-                for a, b in zip(state["first_leaf"], order):
-                    image[a] = b
-                perm = tuple(image)
-                if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
-                    gens.append(perm)
-                    gen_keys.add(perm)
+            image = [0] * n
+            for a, b in zip(state["first_leaf"], order):
+                image[a] = b
+            perm = tuple(image)
+            if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
+                gens.append(perm)
+                gen_keys.add(perm)
             return
         cell = partition.cells[cell_index]
+        # skip v when a finished sibling reaches it under the found generators
+        # that fix the base; `reached` is rebuilt only when such a generator
+        # is new, and otherwise grows by the orbit of each finished sibling
         done = []
+        stabilizing = []
+        reached = set()
+        known = 0  # generators already filtered into `stabilizing`
+        covered = 0  # finished siblings whose orbits are in `reached`
         for v in sorted(cell):
             if state["exhausted"]:
                 return
-            if done:
-                stabilizing = [g for g in gens if all(g[b] == b for b in base)]
-                if stabilizing:
-                    reached = set()
-                    for w in done:
-                        reached |= orbit(stabilizing, w)
-                    if v in reached:
-                        continue
+            fresh = [g for g in gens[known:] if all(g[b] == b for b in base)]
+            known = len(gens)
+            if fresh:
+                stabilizing += fresh
+                reached = set()
+                covered = 0
+            for w in done[covered:]:
+                if w not in reached:
+                    reached |= orbit(stabilizing, w)
+            covered = len(done)
+            if v in reached:
+                continue
             child = color_refine(graph, _individualize(partition, cell_index, v))
             dfs(child, base + (v,))
             done.append(v)
 
     dfs(root, ())
     return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
-
-
-def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> list:
-    """All automorphisms by exhaustive color-respecting enumeration.
-
-    Independent of the refinement machinery: candidates are built node by
-    node inside color classes and filtered by edge preservation against
-    the already-mapped prefix.  The candidate space (product of color
-    class factorials) must fit the budget.
-    """
-    n = graph.n_nodes
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(graph.colors):
-        classes.setdefault(c, []).append(v)
-    space = 1
-    for members in classes.values():
-        space *= factorial(len(members))
-        if space > budget:
-            raise EnumerationBudgetError(
-                f"candidate space exceeds budget {budget}")
-    order = sorted(range(n), key=lambda v: (graph.colors[v], v))
-    adjacency = graph.adjacency
-    out = []
-    image = [None] * n
-    used = set()
-
-    def extend(i: int):
-        if i == n:
-            out.append(tuple(image))
-            return
-        v = order[i]
-        for w in classes[graph.colors[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in order[:i]:
-                if (u in adjacency[v]) != (image[u] in adjacency[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used.add(w)
-                extend(i + 1)
-                used.discard(w)
-                image[v] = None
-
-    extend(0)
-    return sorted(out)
-
-
-def group_closure(gens, n: int, cap: int = 10 ** 6) -> set:
-    """Every element of the group generated by gens (small groups only)."""
-    elements = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            k = compose(g, h)
-            if k not in elements:
-                if len(elements) >= cap:
-                    raise EnumerationBudgetError(f"group larger than {cap}")
-                elements.add(k)
-                frontier.append(k)
-    return elements

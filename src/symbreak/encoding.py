@@ -14,7 +14,6 @@ pins the false atom trivially and lets constraints only map onto other
 constraints.
 """
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -150,11 +149,6 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
         nbrs[v].append(u)
     return ColoredGraph(tuple(colors), tuple(tuple(sorted(ns)) for ns in nbrs),
                         atoms)
-
-
-def color_census(graph: ColoredGraph) -> dict[int, int]:
-    """Node count per color; values sum to the node count."""
-    return dict(Counter(graph.colors))
 
 
 def fix_nodes(graph: ColoredGraph, fixed) -> ColoredGraph:

@@ -8,14 +8,14 @@ import random
 import time
 
 from symbreak import (BreakConfig, answer_sets, break_program,
-                      brute_force_automorphisms, check_soundness,
-                      encode_program, find_generators, is_syntactic_symmetry,
-                      lex_leader_rules, parse_program, write_program)
-from symbreak.automorphism import group_closure
+                      check_soundness, encode_program, find_generators,
+                      is_syntactic_symmetry, lex_leader_rules, parse_program,
+                      write_program)
 from symbreak.breaking import FreshAtoms, assemble, break_rows
 from symbreak.cli import main
 from symbreak.pipeline import detect_symmetries
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
+from graph_oracles import brute_force_automorphisms, group_closure
 from programs import (SMODELS_CORPUS, free_choice, normalize_text, p1, p2, p3,
                       p4, p5, pigeonhole, random_program)
 

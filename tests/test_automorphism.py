@@ -1,16 +1,19 @@
 """Refinement, the search engine, the brute-force oracle, orbits, stabilizers."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from symbreak import (GroundProgram, brute_force_automorphisms, color_refine,
+from symbreak import (GroundProgram, automorphism, color_refine,
                       encode_program, find_generators, orbit)
-from symbreak.automorphism import (EnumerationBudgetError, OrderedPartition,
-                                   group_closure, identity, is_automorphism,
+from symbreak.automorphism import (OrderedPartition, identity, is_automorphism,
                                    partition_by_colors)
 from symbreak.encoding import build_graph, fix_nodes
-from programs import p1, pigeonhole, place_atom, random_colored_graph
+from graph_oracles import (EnumerationBudgetError, brute_force_automorphisms,
+                           group_closure, reference_color_refine)
+from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, place_atom,
+                      random_colored_graph, random_program)
 
 
 def triangle_tail_graph():
@@ -69,6 +72,62 @@ def test_refine_output_is_coarsest_equitable():
                 merged = [c for k, c in enumerate(cells) if k not in (i, j)]
                 merged.append(tuple(sorted(cells[i] + cells[j])))
                 assert not equitable(merged)
+
+
+def random_ordered_partition(rng, n):
+    """The nodes shuffled and cut into consecutive cells at random points."""
+    nodes = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    return OrderedPartition(tuple(tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+def assert_search_refines_match_reference(monkeypatch, graphs):
+    """Every partition find_generators refines, refined by both versions."""
+    calls = []
+
+    def recording(graph, partition):
+        result = color_refine(graph, partition)
+        calls.append((partition, result))
+        return result
+
+    monkeypatch.setattr(automorphism, "color_refine", recording)
+    for graph in graphs:
+        calls.clear()
+        find_generators(graph)
+        assert calls
+        for partition, result in calls:
+            assert result == reference_color_refine(graph, partition), partition
+
+
+def test_refine_matches_reference_on_search_calls(monkeypatch):
+    programs = [p1(), p2(), p3(), p4(), p5()]
+    programs += [pigeonhole(p, h) for p in range(3, 7) for h in range(3, min(p, 5) + 1)]
+    programs += [free_choice(range(1, k)) for k in range(2, 18)]
+    programs += [random_program(random.Random(i)) for i in range(100)]
+    assert_search_refines_match_reference(monkeypatch, map(encode_program, programs))
+
+
+def test_refine_matches_reference_on_fixed_node_graphs(monkeypatch):
+    rng = random.Random(41)
+    graphs = []
+    for program in [p1(), p4(), pigeonhole(4, 3), free_choice(range(1, 7))]:
+        g = encode_program(program)
+        literals = range(2 * len(g.atoms))
+        for k in (1, 2, 3):
+            graphs.append(fix_nodes(g, rng.sample(literals, k)))
+    for _ in range(30):
+        g = random_colored_graph(rng)
+        graphs.append(fix_nodes(g, rng.sample(range(g.n_nodes), rng.randint(1, 2))))
+    assert_search_refines_match_reference(monkeypatch, graphs)
+
+
+def test_refine_matches_reference_from_random_partitions():
+    rng = random.Random(43)
+    for _ in range(300):
+        g = random_colored_graph(rng, max_nodes=rng.choice((12, 30)))
+        start = random_ordered_partition(rng, g.n_nodes)
+        assert color_refine(g, start) == reference_color_refine(g, start), start
 
 
 def test_brute_force_single_edge():
@@ -134,6 +193,85 @@ def test_generated_group_matches_brute_force():
         brute = set(brute_force_automorphisms(g))
         gens = find_generators(g).generators
         assert group_closure(gens, g.n_nodes) == brute, (g.colors, sorted(g.edges()))
+
+
+def leaf_certificate(graph, order):
+    """The graph relabelled by position in the order: colors and edges."""
+    position = [0] * graph.n_nodes
+    for i, v in enumerate(order):
+        position[v] = i
+    colors = tuple(graph.colors[v] for v in order)
+    edges = frozenset(frozenset((position[u], position[v])) for u, v in graph.edges())
+    return colors, edges
+
+
+def test_leaf_certificates_agree_with_automorphism_check():
+    """Equal leaf certificates are exactly an automorphism between the leaves."""
+    rng = random.Random(47)
+    outcomes = Counter()
+    for _ in range(150):
+        g = random_colored_graph(rng)
+        n = g.n_nodes
+        autos = brute_force_automorphisms(g)
+        first = rng.sample(range(n), n)
+        for kind in ("automorphism", "color-preserving", "any"):
+            if kind == "automorphism":
+                sigma = rng.choice(autos)
+            elif kind == "color-preserving":
+                sigma = list(range(n))
+                for c in set(g.colors):
+                    members = [v for v in range(n) if g.colors[v] == c]
+                    for v, w in zip(members, rng.sample(members, len(members))):
+                        sigma[v] = w
+            else:
+                sigma = rng.sample(range(n), n)
+            second = [sigma[v] for v in first]
+            image = [0] * n
+            for a, b in zip(first, second):
+                image[a] = b
+            same = leaf_certificate(g, first) == leaf_certificate(g, second)
+            assert same == is_automorphism(g, tuple(image))
+            outcomes[kind, same] += 1
+    assert outcomes["color-preserving", True] and outcomes["color-preserving", False]
+    assert outcomes["any", False] and not outcomes["automorphism", False]
+
+
+def two_frucht_graphs():
+    """Two disjoint copies of the Frucht graph, nodes x and x + 12.
+
+    The Frucht graph is 3-regular with a trivial automorphism group, so
+    refinement leaves all 24 nodes in one cell while the group only swaps
+    the copies.  The swap is found at node 12, after every node of the
+    first copy was tried; it must then prune 13..23 through the orbits of
+    1..11, which were tried before it was known.
+    """
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = [(x, (x + 1) % 12) for x in range(12)]
+    edges += [(x, (x + d) % 12) for x, d in enumerate(lcf)]
+    return build_graph([1] * 24, [(u + k, v + k) for k in (0, 12) for u, v in edges])
+
+
+def test_search_tree_size_pinned():
+    """A change to pruning or refinement that alters the tree shows here."""
+    for graph, expected in [(encode_program(pigeonhole(6, 5)), (25, 113)),
+                            (encode_program(free_choice(range(1, 17))), (120, 696)),
+                            (two_frucht_graphs(), (1, 170))]:
+        search = find_generators(graph)
+        assert search.complete
+        assert (len(search.generators), search.tree_nodes) == expected
+
+
+def test_generators_pinned_on_small_programs():
+    expected = {
+        p1: ((2, 3, 0, 1, 6, 7, 4, 5),),
+        p2: ((2, 3, 0, 1, 4, 5, 6, 7, 10, 11, 8, 9),),
+        p3: ((2, 3, 0, 1, 4, 5, 8, 9, 6, 7),),
+        p4: ((2, 3, 0, 1, 4, 5, 8, 9, 6, 7),),
+        p5: ((2, 3, 0, 1, 6, 7, 4, 5),),
+    }
+    for build, generators in expected.items():
+        search = find_generators(encode_program(build()))
+        assert (search.generators, search.tree_nodes) == (generators, 3), build.__name__
 
 
 def test_pigeonhole_group_order():

@@ -6,12 +6,13 @@ from itertools import permutations
 import pytest
 
 from symbreak import (GroundProgram, MinimizeStatement, WeightRule,
-                      brute_force_automorphisms, color_census, encode_program,
-                      is_syntactic_symmetry, restrict_to_atoms, semantic_view)
+                      encode_program, is_syntactic_symmetry, restrict_to_atoms,
+                      semantic_view)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                HEAD_COLOR, MINIMIZE_COLOR, NEGATION_COLOR,
                                build_graph, dump_graph)
 from symbreak.symmetry import AtomPermutation
+from graph_oracles import brute_force_automorphisms, color_census
 from programs import p1, p3, p5, random_program
 
 
