@@ -6,8 +6,8 @@ standard output (or a file), so the tool drops into a
 ``grounder | symbreak | solver`` pipe unchanged.  Diagnostics and
 statistics go to standard error, never the output stream.
 
-Exit codes: 0 ok, 1 parse or validation failure, 2 budget exceeded in
-verify mode, 3 I/O failure, 4 verification found a violation.
+Exit codes: 0 ok, 1 parse or validation failure, 2 usage error or budget
+exceeded in verify mode, 3 I/O failure, 4 verification found a violation.
 """
 
 import argparse
@@ -42,6 +42,17 @@ def format_generator(perm: AtomPermutation, program: GroundProgram) -> str:
     )
 
 
+def _count(text: str) -> int:
+    """Argument type of the options that take a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symbreak",
@@ -56,11 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="break: write the augmented program; detect: only "
                              "print generators; verify: oracle-check the "
                              "pipeline on a small input")
-    parser.add_argument("--limit", type=int, default=50, metavar="N",
+    parser.add_argument("--limit", type=_count, default=50, metavar="N",
                         help="auxiliary atoms allowed per symmetry (default 50)")
-    parser.add_argument("--budget", type=int, default=10 ** 6, metavar="N",
+    parser.add_argument("--budget", type=_count, default=10 ** 6, metavar="N",
                         help="automorphism search tree node budget")
-    parser.add_argument("--stab-levels", type=int, default=5, metavar="N",
+    parser.add_argument("--stab-levels", type=_count, default=5, metavar="N",
                         help="pointwise-stabilizer chain depth for binary "
                              "clauses (default 5)")
     parser.add_argument("--no-rows", action="store_true",

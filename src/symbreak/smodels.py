@@ -180,6 +180,16 @@ class GroundProgram:
                 return None
         return 1
 
+    @cached_property
+    def rule_index(self) -> "RuleIndex":
+        """The semantic view indexed by atom, built on first use."""
+        view = semantic_view(self)
+        occurrences: dict[int, list[int]] = {}
+        for i, r in enumerate(view.rules):
+            for a in set(r.atoms()):
+                occurrences.setdefault(a, []).append(i)
+        return RuleIndex(view, tuple(r.key() for r in view.rules), occurrences)
+
     def name_of(self, atom: int) -> str:
         """Display name for an atom; hidden atoms print as ``_<index>``."""
         return self.symbols.get(atom, f"_{atom}")
@@ -204,6 +214,15 @@ class SemanticProgram:
     def atoms(self) -> tuple[int, ...]:
         return tuple(a for a in range(1, self.max_atom + 1)
                      if a != self.false_atom)
+
+
+class RuleIndex(NamedTuple):
+    """A semantic view with each rule's ``key()`` and, per atom, the
+    positions of the rules the atom occurs in, ascending."""
+
+    view: SemanticProgram
+    keys: tuple
+    occurrences: dict[int, list[int]]
 
 
 def semantic_view(program: GroundProgram) -> SemanticProgram:

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
-from .smodels import GroundProgram, semantic_view
+from .smodels import GroundProgram
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ class AtomPermutation:
         return bool(self.moved) and all(self.moved[b] == a
                                         for a, b in self.moved.items())
 
-    def compose(self, other: "AtomPermutation") -> "AtomPermutation":
-        """Apply self, then other."""
-        atoms = self.support | other.support
-        return AtomPermutation({a: other.image_of(self.image_of(a)) for a in atoms})
-
-    def inverse(self) -> "AtomPermutation":
-        return AtomPermutation({b: a for a, b in self.moved.items()})
-
     def apply_to_set(self, interp) -> frozenset[int]:
         return frozenset(self.image_of(a) for a in interp)
 
@@ -127,14 +119,20 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
     statements as multisets of (literal, weight) pairs plus the bound.
     Compute blocks take part through their constraint form, and a
     permutation moving the reserved false atom is never a symmetry.
+
+    Only the rules touching ``perm.support`` are compared, read off the
+    program's ``rule_index``: every other rule is its own image, so the
+    verdict is the one for the whole program.
     """
-    sem = semantic_view(program)
+    index = program.rule_index
+    sem = index.view
     if sem.false_atom is not None and perm.image_of(sem.false_atom) != sem.false_atom:
         return False
     if any(a < 1 or a > sem.max_atom for a in perm.support):
         return False
-    base = Counter(r.key() for r in sem.rules)
-    mapped = Counter(r.map_atoms(perm.image_of).key() for r in sem.rules)
+    touched = {i for a in perm.support for i in index.occurrences.get(a, ())}
+    base = Counter(index.keys[i] for i in touched)
+    mapped = Counter(sem.rules[i].map_atoms(perm.image_of).key() for i in touched)
     return base == mapped
 
 
@@ -208,30 +206,44 @@ def _canonical_matrix(rows) -> RowMatrix:
     return RowMatrix((first, *rest))
 
 
+def _row_images(row, gens):
+    """Distinct images of ``row`` other than itself, in first-appearance
+    order: g(row) for each generator g, then h(g(row)) for each pair."""
+    seen = {row}
+    firsts = []
+    for g in gens:
+        image = tuple(map(g.image_of, row))
+        if image not in seen:
+            seen.add(image)
+            firsts.append(image)
+            yield image
+    for first in firsts:
+        for h in gens:
+            image = tuple(map(h.image_of, first))
+            if image not in seen:
+                seen.add(image)
+                yield image
+
+
 def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     """Find row-interchangeability structure among validated generators.
 
     Seeds are generators that are involutions (disjoint 2-cycles read as
     two aligned rows); rows grow through images of the first row under
-    other generators and products of two.  Every appended row is admitted
+    the generators and products of two.  Every appended row is admitted
     only if the induced adjacent-row swap is itself a syntactic symmetry,
     so an unsound matrix cannot be produced.  Matrices need at least 3
     rows to beat plain per-generator breaking; overlapping candidates are
     resolved toward more atoms, then more rows.
-    """
-    pool = []
-    pool_keys = set()
-    for g in gens:
-        if not g.is_identity and g.key() not in pool_keys:
-            pool.append(g)
-            pool_keys.add(g.key())
-    for g in gens:
-        for h in gens:
-            prod = g.compose(h)
-            if not prod.is_identity and prod.key() not in pool_keys:
-                pool.append(prod)
-                pool_keys.add(prod.key())
 
+    One pass over the distinct images is exact.  The rows found so far are
+    pairwise disjoint and every adjacent swap among them is a symmetry, so
+    any two rows are interchangeable, and for an image X disjoint from
+    them swap(rows[-1], X) is a symmetry exactly when swap(row_one, X) is:
+    one is the other conjugated by swap(row_one, rows[-1]).  A rejected
+    image therefore stays rejected as rows grow, and neither a repeated
+    image nor a second pass could add a row.
+    """
     candidates = []
     seen_matrices = set()
     for seed in gens:
@@ -242,18 +254,13 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         row_two = tuple(b for _, b in pairs)
         rows = [row_one, row_two]
         used = set(row_one) | set(row_two)
-        grew = True
-        while grew:
-            grew = False
-            for cand in pool:
-                image = tuple(cand.image_of(a) for a in row_one)
-                if len(set(image)) != len(image) or not used.isdisjoint(image):
-                    continue
-                swap = AtomPermutation.from_cycles(*zip(rows[-1], image))
-                if is_syntactic_symmetry(program, swap):
-                    rows.append(image)
-                    used.update(image)
-                    grew = True
+        for image in _row_images(row_one, gens):
+            if len(set(image)) != len(image) or not used.isdisjoint(image):
+                continue
+            swap = AtomPermutation.from_cycles(*zip(rows[-1], image))
+            if is_syntactic_symmetry(program, swap):
+                rows.append(image)
+                used.update(image)
         if len(rows) < 3:
             continue
         matrix = _canonical_matrix(rows)

@@ -135,6 +135,19 @@ def test_break_warns_when_search_budget_exceeded(monkeypatch, capsys):
     parse_program(out)
 
 
+@pytest.mark.parametrize("option", ["--limit", "--budget", "--stab-levels"])
+def test_count_options_reject_negative_values(option, monkeypatch, capsys):
+    for bad in ("-1", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([option, bad], P1_TEXT, monkeypatch, capsys)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and option in err
+    code, out, err = run_cli([option, "0"], P1_TEXT, monkeypatch, capsys)
+    assert code == 0
+    parse_program(out)
+
+
 def test_verify_p1(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
     assert code == 0

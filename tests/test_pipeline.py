@@ -1,5 +1,7 @@
 """End-to-end behavior of the break pipeline."""
 
+import sys
+
 from symbreak import (BasicRule, BreakConfig, GroundProgram, answer_sets,
                       break_program, check_soundness, parse_program, validate,
                       write_program)
@@ -130,3 +132,20 @@ def test_one_automorphism_search_per_run(monkeypatch):
         assert result.pairs
         assert len(searches) == 1
     assert fixes == []
+
+
+def test_semantic_view_at_most_twice_per_run(monkeypatch):
+    """The encoding builds one view and the gate index one more, however
+    many permutations the gate checks."""
+    from symbreak import smodels
+    calls = []
+    real = smodels.semantic_view
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symbreak" and getattr(module, "semantic_view", None) is real:
+            monkeypatch.setattr(module, "semantic_view",
+                                lambda *args: calls.append(args) or real(*args))
+    for program in (pigeonhole(6, 5), free_choice(range(1, 17))):
+        calls.clear()
+        result = break_program(program)
+        assert result.rows and result.pairs
+        assert len(calls) <= 2

