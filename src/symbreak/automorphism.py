@@ -4,18 +4,42 @@
 initial partition is the color classes, refined to the coarsest equitable
 partition; the first non-singleton cell is split on each of its vertices
 in turn, and discrete leaves are compared against the first leaf reached.
-Refinement works in rounds, and after the first round it rechecks only the
-cells adjacent to a cell that split in the round before; no other cell can
-split.  A leaf is compared with the first leaf by checking that the map
-between them is an automorphism, the same check that every emitted
-permutation must pass, so a bug here can lose symmetries but never invent
-one.  Found automorphisms prune sibling branches (restricted to
-permutations fixing the current base pointwise).
+A leaf is compared with the first leaf by checking that the map between
+them is an automorphism, the same check that every emitted permutation
+must pass, so a bug here can lose symmetries but never invent one.  Found
+automorphisms prune sibling branches (restricted to permutations fixing
+the current base pointwise).
+
+`color_refine` works in rounds, and every round splits each cell against
+the partition the round started from.  So after a round every cell is
+equitable with respect to the partition that round started from: all its
+nodes have equal neighbor counts into each cell of it.  The savings below
+follow from this invariant; each skips only work whose outcome is known,
+so every round ends with the cells, in the order, of a refinement that
+rechecks every cell (``reference_color_refine`` in the tests).
+
+- Skip one fragment.  When a cell S splits, one fragment, the largest, is
+  left out when marking what to recheck.  A cell whose nodes see no node
+  of the other fragments had equal counts into S, so they have equal
+  counts into the fragment left out, and cannot split on S.  The next
+  round rechecks only cells holding a neighbor of a fragment not left out.
+- Key only marked nodes.  By the same argument, the nodes of a rechecked
+  cell that see none of those fragments share one key, so one of them is
+  keyed for all.
+- Seed the first round.  The search refines an equitable partition with
+  one vertex v split off its cell; {v} and the rest of the cell are the
+  fragments of a split equitable cell, with the rest left out.  Given
+  ``individualized=v``, the first round marks v's neighbors only.  Without
+  it (the root call, arbitrary partitions) the first round keys every node.
+- Cheaper group order.  Sub-cells are ordered by the (cell, count)
+  signature of their nodes' neighbor labels.  When no key in a splitting
+  cell repeats a label, that order is the order of the sorted key tuples
+  themselves; otherwise `_signature_order` gives it without building the
+  signature.
 
 Permutations are dense image tuples over node ids.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .encoding import ColoredGraph
@@ -48,7 +72,23 @@ def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
     return OrderedPartition(tuple(tuple(cells[c]) for c in sorted(cells)))
 
 
-def color_refine(graph: ColoredGraph, partition: OrderedPartition) -> OrderedPartition:
+def _signature_order(key: tuple, top: int) -> list:
+    """Sort key ordering sorted neighbor-label keys as their (cell, count)
+    signatures do.
+
+    Every repeat of a label becomes ``top``, which exceeds every label, so
+    a longer run of one label sorts after a shorter run of it followed by
+    anything else, exactly as the larger count does in the signature.
+    """
+    out = list(key)
+    for i in range(1, len(key)):
+        if key[i] == key[i - 1]:
+            out[i] = top
+    return out
+
+
+def color_refine(graph: ColoredGraph, partition: OrderedPartition,
+                 individualized: int = None) -> OrderedPartition:
     """Coarsest equitable refinement of the partition.
 
     Two nodes stay in one cell only while they have equal neighbor counts
@@ -57,15 +97,19 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition) -> OrderedPar
     deterministic and invariant under relabeling.
 
     Every round splits each cell against the partition the round started
-    from.  The first round checks every cell; later rounds check only the
-    cells holding a neighbor of a cell that split in the round before,
-    since the neighbor counts of every other cell are unchanged.  A cell
-    is labelled by the position of its first node in the concatenated
-    cells, so a split relabels only its own nodes, and the labels order
-    the cells as their positions do.
+    from.  The first round checks every cell, or, when ``individualized``
+    names a vertex v and the partition is an equitable one with v split
+    off into a singleton cell, only the cells holding a neighbor of v.
+    Later rounds check only the cells holding a neighbor of a fragment,
+    other than the largest one, of a cell that split in the round before.
+    Only those neighbors are keyed one by one (the module docstring says
+    why this is exact).  A cell is labelled by the position of its first
+    node in the concatenated cells, so a split relabels only its own
+    nodes, and the labels order the cells as their positions do.
     """
     nbrs = graph.neighbors
-    index = [0] * graph.n_nodes
+    n = graph.n_nodes
+    index = [0] * n
     cells = {}
     start = 0
     for cell in partition.cells:
@@ -73,19 +117,35 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition) -> OrderedPar
         for v in cell:
             index[v] = start
         start += len(cell)
-    pending = [s for s, cell in cells.items() if len(cell) > 1]
+    if individualized is None:
+        marked = None  # every node of a pending cell is keyed
+        pending = [s for s, cell in cells.items() if len(cell) > 1]
+    else:
+        marked = set(nbrs[individualized])
+        pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
     while pending:
         splits = []
         for s in pending:
             groups = {}
+            rest = []
             for v in cells[s]:
-                key = tuple(sorted(map(index.__getitem__, nbrs[v])))
-                groups.setdefault(key, []).append(v)
+                if marked is None or v in marked:
+                    key = tuple(sorted(map(index.__getitem__, nbrs[v])))
+                    groups.setdefault(key, []).append(v)
+                else:
+                    rest.append(v)
+            if rest:
+                # unmarked nodes share one key
+                key = tuple(sorted(map(index.__getitem__, nbrs[rest[0]])))
+                groups.setdefault(key, []).extend(rest)
             if len(groups) > 1:
-                # order sub-cells by the (cell, count) signature; the keys
-                # themselves sort into another order
-                ordered = sorted(groups.items(),
-                                 key=lambda kv: tuple(Counter(kv[0]).items()))
+                if all(len(set(key)) == len(key) for key in groups):
+                    ordered = sorted(groups.items())
+                else:
+                    # order sub-cells by the (cell, count) signature; keys
+                    # that repeat a label sort into another order
+                    ordered = sorted(groups.items(),
+                                     key=lambda kv: _signature_order(kv[0], n))
                 splits.append((s, [tuple(sorted(members)) for _, members in ordered]))
         for s, fragments in splits:
             for fragment in fragments:
@@ -93,12 +153,14 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition) -> OrderedPar
                 for v in fragment:
                     index[v] = s
                 s += len(fragment)
-        touched = set()
-        for s, fragments in splits:
+        marked = set()
+        for _, fragments in splits:
+            skipped = max(fragments, key=len)
             for fragment in fragments:
-                for v in fragment:
-                    touched.update(map(index.__getitem__, nbrs[v]))
-        pending = [s for s in touched if len(cells[s]) > 1]
+                if fragment is not skipped:
+                    for v in fragment:
+                        marked.update(nbrs[v])
+        pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
     return OrderedPartition(tuple(cells[s] for s in sorted(cells)))
 
 
@@ -206,7 +268,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             covered = len(done)
             if v in reached:
                 continue
-            child = color_refine(graph, _individualize(partition, cell_index, v))
+            child = color_refine(graph, _individualize(partition, cell_index, v), v)
             dfs(child, base + (v,))
             done.append(v)
 

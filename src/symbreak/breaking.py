@@ -155,7 +155,11 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms,
     out = GroundProgram(program.rules + tuple(appended), dict(program.symbols),
                         program.compute_plus, compute_minus,
                         program.model_count, program.max_atom + alloc.count)
-    problems = validate(out)
+    # the input's rules keep the input's cached verdict: they were checked
+    # against its max atom, and the output's max atom is no smaller
+    if program.problems:
+        raise ValueError(f"input program is invalid: {list(program.problems)}")
+    problems = validate(out, len(program.rules))
     if problems:
         raise ValueError(f"assembled program is invalid: {problems}")
     return out

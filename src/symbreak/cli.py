@@ -16,7 +16,7 @@ import sys
 from .encoding import dump_graph
 from .oracle import OracleBudgetError, check_soundness
 from .pipeline import BreakConfig, RunStats, break_program, detect_symmetries
-from .smodels import GroundProgram, ParseError, parse_program, validate, write_program
+from .smodels import GroundProgram, ParseError, parse_program, write_program
 from .symmetry import AtomPermutation
 
 
@@ -94,11 +94,19 @@ def _read_input(path: str):
 
 
 def _write_output(path: str, text: str):
+    """Write UTF-8 bytes, the input's encoding, whatever the locale's."""
+    data = text.encode()
     if path == "-":
-        sys.stdout.write(text)
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            stream.write(data)
+            stream.flush()
     else:
-        with open(path, "w") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
 
 
 def _verify(program: GroundProgram, config: BreakConfig) -> int:
@@ -155,9 +163,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"symbreak: parse error: {exc}", file=sys.stderr)
         return 1
-    problems = validate(program)
-    if problems:
-        for p in problems:
+    if program.problems:
+        for p in program.problems:
             print(f"symbreak: invalid program: {p}", file=sys.stderr)
         return 1
 

@@ -93,14 +93,13 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     """Encode a validated program (compute blocks become constraints)."""
     sem = semantic_view(program)
     atoms = sem.atoms
-    index = {a: i for i, a in enumerate(atoms)}
-    colors = []
-    for _ in atoms:
-        colors.append(ATOM_COLOR)
-        colors.append(NEGATION_COLOR)
-    edges = set()
-    for i in range(len(atoms)):
-        edges.add((2 * i, 2 * i + 1))
+    false = sem.false_atom
+    # node[a] is atom a's positive node; its negative node is node[a] + 1
+    node = [None] * (sem.max_atom + 1)
+    for i, a in enumerate(atoms):
+        node[a] = 2 * i
+    colors = [ATOM_COLOR, NEGATION_COLOR] * len(atoms)
+    nbrs = [[i ^ 1] for i in range(len(colors))]
 
     values = set()
     for r in sem.rules:
@@ -109,45 +108,48 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
         values.update(r.weights)
     value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
 
-    def new_node(color: int) -> int:
-        colors.append(color)
-        return len(colors) - 1
-
-    def pos_node(a: int) -> int:
-        return 2 * index[a]
-
-    def neg_node(a: int) -> int:
-        return 2 * index[a] + 1
-
-    def connect(u: int, v: int):
-        edges.add((min(u, v), max(u, v)))
-
+    # append both ends of every edge; repeated atoms repeat edges, which
+    # the per-node dedupe below drops
     for r in sem.rules:
-        if r.kind == MINIMIZE:
-            bn = new_node(MINIMIZE_COLOR)
+        kind = r.kind
+        bn = len(colors)
+        if kind == MINIMIZE:
+            colors.append(MINIMIZE_COLOR)
+            body = []
+            nbrs.append(body)
         else:
-            hn = new_node(CHOICE_HEAD_COLOR if r.kind == CHOICE else HEAD_COLOR)
-            bn = new_node(BODY_COLOR if r.bound is None else value_color[r.bound])
-            connect(hn, bn)
+            hn = bn
+            bn += 1
+            colors.append(CHOICE_HEAD_COLOR if kind == CHOICE else HEAD_COLOR)
+            colors.append(BODY_COLOR if r.bound is None else value_color[r.bound])
+            head = [bn]
+            body = [hn]
+            nbrs.append(head)
+            nbrs.append(body)
             for h in r.heads:
-                if h != sem.false_atom:
-                    connect(hn, pos_node(h))
-        if r.kind in (WEIGHT, MINIMIZE):
+                if h != false:
+                    u = node[h]
+                    head.append(u)
+                    nbrs[u].append(hn)
+        if kind in (WEIGHT, MINIMIZE):
             for a, is_pos, w in r.pairs():
-                tn = new_node(value_color[w])
-                connect(tn, pos_node(a) if is_pos else neg_node(a))
-                connect(tn, bn)
+                tn = len(colors)
+                u = node[a] if is_pos else node[a] + 1
+                colors.append(value_color[w])
+                nbrs.append([u, bn])
+                nbrs[u].append(tn)
+                body.append(tn)
         else:
             for a in r.pos:
-                connect(bn, pos_node(a))
+                u = node[a]
+                body.append(u)
+                nbrs[u].append(bn)
             for b in r.neg:
-                connect(bn, neg_node(b))
+                u = node[b] + 1
+                body.append(u)
+                nbrs[u].append(bn)
 
-    nbrs = [[] for _ in range(len(colors))]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return ColoredGraph(tuple(colors), tuple(tuple(sorted(ns)) for ns in nbrs),
+    return ColoredGraph(tuple(colors), tuple(tuple(sorted(set(ns))) for ns in nbrs),
                         atoms)
 
 

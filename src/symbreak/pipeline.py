@@ -15,7 +15,7 @@ from .automorphism import GeneratorSearch, find_generators
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
-from .smodels import GroundProgram, validate
+from .smodels import GroundProgram
 from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
                        detect_rows, is_syntactic_symmetry, restrict_to_atoms,
                        stabilizer_binary_symmetries)
@@ -83,9 +83,8 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
 def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakResult:
     config = config or BreakConfig()
     started = time.perf_counter()
-    problems = validate(program)
-    if problems:
-        raise ValueError(f"invalid program: {problems}")
+    if program.problems:
+        raise ValueError(f"invalid program: {list(program.problems)}")
 
     detection = detect_symmetries(program, config)
     gens = detection.generators

@@ -181,6 +181,11 @@ class GroundProgram:
         return 1
 
     @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """``validate``'s diagnostics for this program, computed once."""
+        return tuple(validate(self))
+
+    @cached_property
     def rule_index(self) -> "RuleIndex":
         """The semantic view indexed by atom, built on first use."""
         view = semantic_view(self)
@@ -250,63 +255,88 @@ def _atom(v: int, line_no: int) -> int:
     return v
 
 
-class _Cursor:
-    """Token cursor over one rule line with truncation checks."""
-
-    def __init__(self, values: list[int], line_no: int):
-        self.values = values
-        self.i = 0
-        self.line_no = line_no
-
-    def take(self) -> int:
-        if self.i >= len(self.values):
-            raise ParseError(self.line_no, "truncated rule")
-        v = self.values[self.i]
-        self.i += 1
-        return v
-
-    def take_atoms(self, n: int) -> tuple[int, ...]:
-        return tuple(_atom(self.take(), self.line_no) for _ in range(n))
-
-    def remaining(self) -> int:
-        return len(self.values) - self.i
-
-    def finish(self):
-        if self.i != len(self.values):
-            raise ParseError(self.line_no, "unexpected trailing tokens on rule line")
-
-
-def _parse_rule(values: list[int], line_no: int) -> Rule:
-    cur = _Cursor(values, line_no)
-    kind = cur.take()
-    layout = _LAYOUTS.get(kind)
-    if layout is None:
-        raise ParseError(line_no, f"unknown rule type {kind}")
-    if layout.n_heads is None:
-        heads = cur.take_atoms(cur.take())
-    elif layout.n_heads == 1:
-        heads = (_atom(cur.take(), line_no),)
-    else:
-        heads = ()
-        zero = cur.take()
-        if zero != 0:
-            raise ParseError(line_no, f"minimize statement must carry a 0 head slot, got {zero}")
-    bound = cur.take() if layout.bound == "before" else None
-    nlit, nneg = cur.take(), cur.take()
-    if layout.bound == "after":
-        bound = cur.take()
-    if nneg > nlit:
-        raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-    neg = cur.take_atoms(nneg)
-    pos = cur.take_atoms(nlit - nneg)
+def _decode_rule(values: list[int]) -> Rule | None:
+    """The rule on a line of non-negative integers, or None when the line
+    is malformed in any way."""
+    try:
+        layout = _LAYOUTS[values[0]]
+        if layout.n_heads is None:
+            i = 2 + values[1]
+            heads = tuple(values[2:i])
+        elif layout.n_heads == 1:
+            i = 2
+            heads = (values[1],)
+        elif values[1] == 0:
+            i = 2
+            heads = ()
+        else:
+            return None
+        bound = None
+        if layout.bound == "before":
+            bound = values[i]
+            i += 1
+        nlit, nneg = values[i], values[i + 1]
+        i += 2
+        if layout.bound == "after":
+            bound = values[i]
+            i += 1
+    except (KeyError, IndexError):
+        return None
+    split, end = i + nneg, i + nlit
     weights = ()
     if layout.weighted:
-        if cur.remaining() != nlit:
-            raise ParseError(line_no,
-                             f"weight count mismatch: {nlit} literals, {cur.remaining()} weights")
-        weights = tuple(cur.take() for _ in range(nlit))
-    cur.finish()
-    return Rule(kind, heads, pos, neg, bound, weights)
+        weights = tuple(values[end:end + nlit])
+        end += nlit
+    neg, pos = tuple(values[i:split]), tuple(values[split:i + nlit])
+    if end != len(values) or nneg > nlit or 0 in heads or 0 in neg or 0 in pos:
+        return None
+    return Rule(values[0], heads, pos, neg, bound, weights)
+
+
+def _rule_error(values: list[int], line_no: int) -> ParseError:
+    """What is wrong with a rule line `_decode_rule` rejected: the first
+    fault met walking its integers in wire order."""
+    i = 0
+
+    def take() -> int:
+        nonlocal i
+        if i >= len(values):
+            raise ParseError(line_no, "truncated rule")
+        i += 1
+        return values[i - 1]
+
+    def take_atoms(n: int):
+        for _ in range(n):
+            _atom(take(), line_no)
+
+    try:
+        kind = take()
+        layout = _LAYOUTS.get(kind)
+        if layout is None:
+            return ParseError(line_no, f"unknown rule type {kind}")
+        if layout.n_heads is None:
+            take_atoms(take())
+        elif layout.n_heads == 1:
+            take_atoms(1)
+        else:
+            zero = take()
+            if zero != 0:
+                return ParseError(line_no, "minimize statement must carry a 0 head "
+                                           f"slot, got {zero}")
+        if layout.bound == "before":
+            take()
+        nlit, nneg = take(), take()
+        if layout.bound == "after":
+            take()
+        if nneg > nlit:
+            return ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
+        take_atoms(nlit)
+    except ParseError as exc:
+        return exc
+    if layout.weighted and len(values) - i != nlit:
+        return ParseError(line_no, f"weight count mismatch: {nlit} literals, "
+                                   f"{len(values) - i} weights")
+    return ParseError(line_no, "unexpected trailing tokens on rule line")
 
 
 def parse_program(text) -> GroundProgram:
@@ -330,13 +360,22 @@ def parse_program(text) -> GroundProgram:
         raise ParseError(len(lines) + 1, f"unexpected end of input, expected {what}")
 
     rules = []
+    top = 0  # the largest atom so far
     while True:
         line, line_no = next_line("a rule or the rules terminator 0")
         toks = line.split()
-        values = [_int(t, line_no) for t in toks]
+        digits = "".join(toks)
+        if not (digits.isascii() and digits.isdigit()):
+            for tok in toks:
+                _int(tok, line_no)  # raises, naming the malformed token
+        values = list(map(int, toks))
         if values == [0]:
             break
-        rules.append(_parse_rule(values, line_no))
+        rule = _decode_rule(values)
+        if rule is None:
+            raise _rule_error(values, line_no)
+        rules.append(rule)
+        top = max((top, *rule.heads, *rule.pos, *rule.neg))
 
     symbols: dict[int, str] = {}
     names_seen = set()
@@ -384,7 +423,8 @@ def parse_program(text) -> GroundProgram:
             raise ParseError(pos + 1, "unexpected content after the model count")
         pos += 1
 
-    return GroundProgram(tuple(rules), symbols, plus, minus, models)
+    top = max((top, *symbols, *plus, *minus))
+    return GroundProgram(tuple(rules), symbols, plus, minus, models, top)
 
 
 def _wire_line(rule: Rule) -> str:
@@ -420,8 +460,14 @@ def write_program(program: GroundProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate(program: GroundProgram) -> list[str]:
-    """Check every structural invariant; one diagnostic string per violation."""
+def validate(program: GroundProgram, first_rule: int = 0) -> list[str]:
+    """Check every structural invariant; one diagnostic string per violation.
+
+    Rules before position ``first_rule`` are skipped, for a program whose
+    leading rules passed this check against a ``max_atom`` no larger than
+    its own; the symbol table, compute blocks and model count are always
+    checked.
+    """
     out = []
 
     def atom_ok(a, where):
@@ -430,7 +476,7 @@ def validate(program: GroundProgram) -> list[str]:
         elif a > program.max_atom:
             out.append(f"{where}: atom index {a} exceeds max atom {program.max_atom}")
 
-    for i, r in enumerate(program.rules, 1):
+    for i, r in enumerate(program.rules[first_rule:], first_rule + 1):
         where = f"rule {i}"
         layout = _LAYOUTS.get(r.kind)
         if layout is None:

@@ -8,6 +8,9 @@ bijections; `group_closure` lists every element of a small group.
 `reference_is_syntactic_symmetry` compares the whole permuted program,
 and `reference_detect_rows` grows rows from a pool of every generator and
 every product of two, rescanned until no row is added.
+`reference_encode_program` builds the graph from a global edge set, and
+`reference_parse_program` walks every token of every line through the
+checks that name a malformed one.
 
 Graph permutations are dense image tuples over node ids; composition is
 left-to-right (apply ``f``, then ``g``).
@@ -17,8 +20,11 @@ from collections import Counter
 from math import factorial
 
 from symbreak.automorphism import OrderedPartition, identity
-from symbreak.encoding import ColoredGraph
-from symbreak.smodels import GroundProgram, semantic_view
+from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
+                               FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
+                               NEGATION_COLOR, ColoredGraph)
+from symbreak.smodels import (_LAYOUTS, CHOICE, MINIMIZE, WEIGHT, GroundProgram,
+                              ParseError, Rule, _atom, _int, semantic_view)
 from symbreak.symmetry import AtomPermutation, RowMatrix, _canonical_matrix
 
 
@@ -209,3 +215,205 @@ def reference_detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
             chosen.append(m)
             taken |= m.atoms
     return chosen
+
+
+def reference_encode_program(program: GroundProgram) -> ColoredGraph:
+    """`encode_program` through a global set of edge tuples, one closure
+    call per edge."""
+    sem = semantic_view(program)
+    atoms = sem.atoms
+    index = {a: i for i, a in enumerate(atoms)}
+    colors = []
+    for _ in atoms:
+        colors.append(ATOM_COLOR)
+        colors.append(NEGATION_COLOR)
+    edges = set()
+    for i in range(len(atoms)):
+        edges.add((2 * i, 2 * i + 1))
+
+    values = set()
+    for r in sem.rules:
+        if r.bound is not None:
+            values.add(r.bound)
+        values.update(r.weights)
+    value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
+
+    def new_node(color: int) -> int:
+        colors.append(color)
+        return len(colors) - 1
+
+    def pos_node(a: int) -> int:
+        return 2 * index[a]
+
+    def neg_node(a: int) -> int:
+        return 2 * index[a] + 1
+
+    def connect(u: int, v: int):
+        edges.add((min(u, v), max(u, v)))
+
+    for r in sem.rules:
+        if r.kind == MINIMIZE:
+            bn = new_node(MINIMIZE_COLOR)
+        else:
+            hn = new_node(CHOICE_HEAD_COLOR if r.kind == CHOICE else HEAD_COLOR)
+            bn = new_node(BODY_COLOR if r.bound is None else value_color[r.bound])
+            connect(hn, bn)
+            for h in r.heads:
+                if h != sem.false_atom:
+                    connect(hn, pos_node(h))
+        if r.kind in (WEIGHT, MINIMIZE):
+            for a, is_pos, w in r.pairs():
+                tn = new_node(value_color[w])
+                connect(tn, pos_node(a) if is_pos else neg_node(a))
+                connect(tn, bn)
+        else:
+            for a in r.pos:
+                connect(bn, pos_node(a))
+            for b in r.neg:
+                connect(bn, neg_node(b))
+
+    nbrs = [[] for _ in range(len(colors))]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return ColoredGraph(tuple(colors), tuple(tuple(sorted(ns)) for ns in nbrs),
+                        atoms)
+
+
+class _Cursor:
+    """Token cursor over one rule line with truncation checks."""
+
+    def __init__(self, values: list[int], line_no: int):
+        self.values = values
+        self.i = 0
+        self.line_no = line_no
+
+    def take(self) -> int:
+        if self.i >= len(self.values):
+            raise ParseError(self.line_no, "truncated rule")
+        v = self.values[self.i]
+        self.i += 1
+        return v
+
+    def take_atoms(self, n: int) -> tuple[int, ...]:
+        return tuple(_atom(self.take(), self.line_no) for _ in range(n))
+
+    def remaining(self) -> int:
+        return len(self.values) - self.i
+
+    def finish(self):
+        if self.i != len(self.values):
+            raise ParseError(self.line_no, "unexpected trailing tokens on rule line")
+
+
+def _reference_parse_rule(values: list[int], line_no: int) -> Rule:
+    cur = _Cursor(values, line_no)
+    kind = cur.take()
+    layout = _LAYOUTS.get(kind)
+    if layout is None:
+        raise ParseError(line_no, f"unknown rule type {kind}")
+    if layout.n_heads is None:
+        heads = cur.take_atoms(cur.take())
+    elif layout.n_heads == 1:
+        heads = (_atom(cur.take(), line_no),)
+    else:
+        heads = ()
+        zero = cur.take()
+        if zero != 0:
+            raise ParseError(line_no, f"minimize statement must carry a 0 head slot, got {zero}")
+    bound = cur.take() if layout.bound == "before" else None
+    nlit, nneg = cur.take(), cur.take()
+    if layout.bound == "after":
+        bound = cur.take()
+    if nneg > nlit:
+        raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
+    neg = cur.take_atoms(nneg)
+    pos = cur.take_atoms(nlit - nneg)
+    weights = ()
+    if layout.weighted:
+        if cur.remaining() != nlit:
+            raise ParseError(line_no,
+                             f"weight count mismatch: {nlit} literals, {cur.remaining()} weights")
+        weights = tuple(cur.take() for _ in range(nlit))
+    cur.finish()
+    return Rule(kind, heads, pos, neg, bound, weights)
+
+
+def reference_parse_program(text) -> GroundProgram:
+    """`parse_program` token by token: every token through `_int`, every
+    rule through a cursor that checks each take, `max_atom` left to
+    `GroundProgram` to compute."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(text.count(b"\n", 0, exc.start) + 1,
+                             f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line(what: str) -> tuple[str, int]:
+        nonlocal pos
+        while pos < len(lines):
+            line = lines[pos]
+            pos += 1
+            if line.strip():
+                return line.strip(), pos
+        raise ParseError(len(lines) + 1, f"unexpected end of input, expected {what}")
+
+    rules = []
+    while True:
+        line, line_no = next_line("a rule or the rules terminator 0")
+        toks = line.split()
+        values = [_int(t, line_no) for t in toks]
+        if values == [0]:
+            break
+        rules.append(_reference_parse_rule(values, line_no))
+
+    symbols: dict[int, str] = {}
+    names_seen = set()
+    while True:
+        line, line_no = next_line("a symbol or the symbol terminator 0")
+        if line == "0":
+            break
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise ParseError(line_no, "symbol line must be '<atom> <name>'")
+        atom = _atom(_int(parts[0], line_no), line_no)
+        name = parts[1].strip()
+        if name in names_seen:
+            raise ParseError(line_no, f"duplicate symbol name {name!r}")
+        if atom in symbols:
+            raise ParseError(line_no, f"atom {atom} already has a name")
+        names_seen.add(name)
+        symbols[atom] = name
+
+    def compute_block(header: str) -> tuple[int, ...]:
+        line, line_no = next_line(f"the {header} header")
+        if line != header:
+            raise ParseError(line_no, f"expected {header} section header, got {line!r}")
+        atoms = []
+        while True:
+            line, line_no = next_line(f"an atom or the {header} terminator 0")
+            if line == "0":
+                return tuple(atoms)
+            toks = line.split()
+            if len(toks) != 1:
+                raise ParseError(line_no, f"{header} lines carry one atom each")
+            atoms.append(_atom(_int(toks[0], line_no), line_no))
+
+    plus = compute_block("B+")
+    minus = compute_block("B-")
+
+    line, line_no = next_line("the model count")
+    toks = line.split()
+    if len(toks) != 1:
+        raise ParseError(line_no, "model count line carries one integer")
+    models = _int(toks[0], line_no)
+
+    while pos < len(lines):
+        if lines[pos].strip():
+            raise ParseError(pos + 1, "unexpected content after the model count")
+        pos += 1
+
+    return GroundProgram(tuple(rules), symbols, plus, minus, models)

@@ -12,6 +12,7 @@ import random
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, WeightRule)
+from symbreak.smodels import CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
 
 
 def p1() -> GroundProgram:
@@ -153,6 +154,30 @@ def random_program(rng: random.Random) -> GroundProgram:
 
     symbols = {a: f"a{a}" for a in atoms if rng.random() < 0.7}
     return GroundProgram(tuple(rules), symbols)
+
+
+def corpus() -> list[GroundProgram]:
+    """The golden inputs and more: p1-p5, pigeonhole p×h for h ≤ p ≤ 6,
+    free_choice(range(1, k)) for k ≤ 12, random_program(Random(i)) for
+    i < 300."""
+    programs = [p1(), p2(), p3(), p4(), p5()]
+    programs += [pigeonhole(p, h) for p in range(1, 7) for h in range(1, p + 1)]
+    programs += [free_choice(range(1, k)) for k in range(2, 13)]
+    programs += [random_program(random.Random(i)) for i in range(300)]
+    return programs
+
+
+def with_repeated_atoms(program: GroundProgram) -> GroundProgram:
+    """The program with the first head, positive and negative atom of every
+    unweighted rule written twice, so literals repeat within one rule."""
+    rules = []
+    for r in program.rules:
+        if r.kind not in (WEIGHT, MINIMIZE):
+            heads = r.heads + r.heads[:1] if r.kind in (CHOICE, DISJUNCTIVE) else r.heads
+            r = r._replace(heads=heads, pos=r.pos + r.pos[:1], neg=r.neg + r.neg[:1])
+        rules.append(r)
+    return GroundProgram(tuple(rules), program.symbols, program.compute_plus,
+                         program.compute_minus, program.model_count)
 
 
 def random_colored_graph(rng: random.Random, max_nodes: int = 12):

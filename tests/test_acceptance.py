@@ -168,11 +168,11 @@ def test_criterion_7_aux_budget():
 
 def test_criterion_7_aux_budget_through_the_cli(tmp_path, capsys):
     source = tmp_path / "php.lp"
-    source.write_text(write_program(pigeonhole(3, 2)))
+    source.write_text(write_program(pigeonhole(3, 2)), encoding="utf-8")
     for limit in (0, 3, 50):
         out = tmp_path / f"out{limit}.lp"
         assert main([str(source), "-o", str(out), "--limit", str(limit)]) == 0
-        augmented = parse_program(out.read_text())
+        augmented = parse_program(out.read_text(encoding="utf-8"))
         # with limit 0 no chain atoms may appear: every fresh atom is
         # the false head, which only heads constraints
         if limit == 0:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from symbreak import (BasicRule, GroundProgram, answer_sets, assemble,
+from symbreak import (BasicRule, GroundProgram, Rule, answer_sets, assemble,
                       binary_rules, break_rows, lex_leader_rules)
-from symbreak.breaking import FreshAtoms
+from symbreak.breaking import Fragment, FreshAtoms
+from symbreak.smodels import BASIC, CARDINALITY
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from programs import free_choice, p1
 
@@ -199,3 +200,27 @@ def test_assemble_round_trips_through_the_wire_format():
     out = assemble(base, [frag], alloc, head)
     assert validate(out) == []
     assert parse_program(write_program(out)) == out
+
+
+@pytest.mark.parametrize("rule", [
+    BasicRule(3, (0,), (1,)),                     # atom 0
+    BasicRule(3, (1,), (4,)),                     # past the new max atom 3
+    Rule(BASIC, (3,), (1,), (2,), None, (1, 1)),  # weights on a basic rule
+    Rule(CARDINALITY, (3,), (1, 2), ()),          # cardinality without bound
+], ids=["atom-0", "past-max-atom", "basic-weights", "unbounded-cardinality"])
+def test_assemble_rejects_corrupt_fragment(rule):
+    """The output check covers appended rules, though it reuses the
+    input's cached verdict for the input's own rules."""
+    base = free_choice([1, 2])
+    alloc = FreshAtoms(3)
+    head = alloc.fresh()
+    with pytest.raises(ValueError, match="assembled program is invalid"):
+        assemble(base, [Fragment((rule,))], alloc, head)
+    valid = BasicRule(3, (1,), (2,))
+    assert assemble(base, [Fragment((valid,))], alloc, head).rules[-1] == valid
+
+
+def test_assemble_rejects_an_invalid_input():
+    bad = GroundProgram(rules=(BasicRule(2, (9,), ()),), max_atom=5)
+    with pytest.raises(ValueError, match="input program is invalid"):
+        assemble(bad, [], FreshAtoms(6), None)

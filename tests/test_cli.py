@@ -1,6 +1,7 @@
 """Command line behavior: modes, streams, exit codes."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -35,10 +36,10 @@ def test_break_p1_via_stdin(monkeypatch, capsys):
 def test_break_writes_files(tmp_path, monkeypatch, capsys):
     src = tmp_path / "in.lp"
     dst = tmp_path / "out.lp"
-    src.write_text(P1_TEXT)
+    src.write_text(P1_TEXT, encoding="utf-8")
     code = main([str(src), "-o", str(dst)])
     assert code == 0
-    assert len(parse_program(dst.read_text()).rules) == 3
+    assert len(parse_program(dst.read_text(encoding="utf-8")).rules) == 3
     assert capsys.readouterr().out == ""
 
 
@@ -83,7 +84,7 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, monkeypatch, capsys):
     source.write_bytes(data)
     assert main([str(source)]) == 1
     from_file = capsys.readouterr()
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert main([]) == 1
     from_stdin = capsys.readouterr()
     for captured in (from_file, from_stdin):
@@ -192,3 +193,53 @@ def test_pipe_composability_subprocess():
     assert proc.returncode == 0
     assert len(parse_program(proc.stdout.decode()).rules) == 3
     assert b"generators=1" in proc.stderr
+
+
+UNICODE_TEXT = "3 1 2 0 0\n3 1 3 0 0\n0\n2 p\u03c0\n3 q\n0\nB+\n0\nB-\n0\n1\n"
+
+
+@pytest.mark.parametrize("mode", ["break", "detect"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("environment,flags", [
+    ({"PYTHONIOENCODING": "ascii"}, []),
+    ({"LC_ALL": "C", "PYTHONUTF8": "0"}, ["-X", "utf8=0"]),
+], ids=["ascii-io", "c-locale"])
+def test_non_ascii_names_are_written_as_utf8(mode, to_file, environment, flags, tmp_path):
+    """Output goes out in the input's encoding, UTF-8, whatever the locale's."""
+    source = tmp_path / "u.sm"
+    source.write_bytes(UNICODE_TEXT.encode())
+    target = tmp_path / "out.sm"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
+    env.update(environment)
+    args = [sys.executable, *flags, "-m", "symbreak", "--mode", mode, str(source)]
+    proc = subprocess.run(args + (["-o", str(target)] if to_file else []),
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = target.read_bytes() if to_file else proc.stdout
+    assert "p\u03c0".encode() in out
+    if mode == "break":
+        assert parse_program(out).symbols[2] == "p\u03c0"
+
+
+def test_cli_break_validates_the_input_once(monkeypatch, capsys):
+    """The CLI, break_program and assemble's output check share one walk
+    over the input's rules."""
+    from symbreak import smodels
+    text = write_program(pigeonhole(4, 3))
+    n_rules = len(parse_program(text).rules)
+    walks = []
+    real = smodels.validate
+
+    def counting(program, *first_rule):
+        if not first_rule or first_rule[0] < n_rules:
+            walks.append(program)
+        return real(program, *first_rule)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symbreak" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    code, out, err = run_cli([], text, monkeypatch, capsys)
+    assert code == 0
+    assert len(parse_program(out).rules) > n_rules
+    assert len(walks) == 1

@@ -6,14 +6,16 @@ from itertools import permutations
 import pytest
 
 from symbreak import (GroundProgram, MinimizeStatement, WeightRule,
-                      encode_program, is_syntactic_symmetry, restrict_to_atoms,
-                      semantic_view)
+                      encode_program, is_syntactic_symmetry, parse_program,
+                      restrict_to_atoms, semantic_view)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                HEAD_COLOR, MINIMIZE_COLOR, NEGATION_COLOR,
                                build_graph, dump_graph)
 from symbreak.symmetry import AtomPermutation
-from graph_oracles import brute_force_automorphisms, color_census
-from programs import p1, p3, p5, random_program
+from graph_oracles import (brute_force_automorphisms, color_census,
+                           reference_encode_program)
+from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
+                      with_repeated_atoms)
 
 
 def test_empty_program_gives_empty_graph():
@@ -149,3 +151,16 @@ def test_automorphism_restrictions_are_exactly_the_syntactic_symmetries():
         assert restrictions == syntactic, program
         checked += 1
     assert checked >= 40
+
+
+def test_encode_matches_reference():
+    """The same graph as the edge-set encoder on the corpus, on the wire
+    corpus, and with literals repeated within a rule."""
+    programs = corpus() + [parse_program(doc) for doc in SMODELS_CORPUS]
+    programs += [with_repeated_atoms(program) for program in programs]
+    repeats = 0
+    for program in programs:
+        graph = encode_program(program)
+        assert graph == reference_encode_program(program), program
+        repeats += any(len(set(r.pos)) < len(r.pos) for r in program.rules)
+    assert repeats > 100

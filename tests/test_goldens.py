@@ -44,7 +44,7 @@ def render(program) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
-    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert render(CASES[name]()) == expected
 
 
@@ -68,4 +68,4 @@ def test_goldens_cover_every_rule_type():
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, build in CASES.items():
-        (GOLDEN_DIR / f"{name}.txt").write_text(render(build()))
+        (GOLDEN_DIR / f"{name}.txt").write_text(render(build()), encoding="utf-8")

@@ -1,12 +1,15 @@
 """Format reading, writing, validation, and the false-atom convention."""
 
+import random
+
 import pytest
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, ParseError, Rule,
                       WeightRule, parse_program,
                       semantic_view, validate, write_program)
-from programs import SMODELS_CORPUS, normalize_text, p1, p3, p5
+from graph_oracles import reference_parse_program
+from programs import SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5
 
 
 def test_parse_basic_rule_with_symbol():
@@ -177,3 +180,61 @@ def test_semantic_view_skips_false_atom_in_b_minus():
     sem = semantic_view(GroundProgram(rules=(BasicRule(1, (2,)),),
                                       compute_minus=(1,)))
     assert sem.rules == (BasicRule(1, (2,)),)
+
+
+def spellings(doc: str) -> list:
+    """The document as written and with other whitespace between tokens."""
+    return [doc, doc.replace(" ", "\t"), doc.replace(" ", "  ").replace("\n", "\n \n"),
+            doc.replace("\n", "\r\n"), " " + doc.replace(" ", "\u00a0"),
+            doc.encode()]
+
+
+def parse_outcome(parse, text):
+    """The parsed program, or the parse error's message and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def test_parse_matches_reference():
+    docs = [write_program(program) for program in corpus()] + SMODELS_CORPUS
+    for doc in docs:
+        for text in spellings(doc):
+            assert parse_program(text) == reference_parse_program(text), text
+
+
+def mutated_rule_lines(rng, doc):
+    """Documents with one rule line truncated, a token replaced by a bad one
+    or raised, or tokens appended."""
+    lines = doc.split("\n")
+    end = lines.index("0")
+    for i in rng.sample(range(end), min(end, 2)):
+        toks = lines[i].split()
+        variants = [toks[:k] for k in range(1, len(toks))]
+        for j in range(len(toks)):
+            variants.append(toks[:j] + [rng.choice(("0", "-1", "x", "\u00b2", "1.5"))]
+                            + toks[j + 1:])
+            variants.append(toks[:j] + [str(int(toks[j]) + rng.choice((1, 2, 5)))]
+                            + toks[j + 1:])
+        variants += [toks + ["1"], toks + ["0", "3"]]
+        for variant in variants:
+            yield "\n".join(lines[:i] + [" ".join(variant)] + lines[i + 1:])
+
+
+def test_parse_errors_match_reference():
+    """Every error message and line number of the token-by-token parse."""
+    rng = random.Random(11)
+    docs = SMODELS_CORPUS + [write_program(program) for program in corpus()[:120]]
+    messages = set()
+    mutants = 0
+    for doc in docs:
+        for text in mutated_rule_lines(rng, doc):
+            mutants += 1
+            outcome = parse_outcome(parse_program, text)
+            assert outcome == parse_outcome(reference_parse_program, text), text
+            if isinstance(outcome, tuple):
+                messages.add(outcome[0].split(": ", 1)[1].split(" ")[0])
+    assert mutants >= 2000
+    assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
+            "negative", "minimize"} <= messages

@@ -19,8 +19,8 @@ from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from graph_oracles import (EnumerationBudgetError, compose, compose_atoms,
                            group_closure, reference_detect_rows,
                            reference_is_syntactic_symmetry)
-from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, place_atom,
-                      random_program)
+from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
+                      place_atom, random_program)
 
 CHAIN_CASES = [p1(), p2(), p3(), p4(), p5(), pigeonhole(3, 3), pigeonhole(4, 3),
                free_choice(range(1, 7))]
@@ -110,11 +110,7 @@ def test_is_syntactic_symmetry_respects_compute_blocks():
 @pytest.fixture(scope="module")
 def reference_corpus():
     """The golden inputs and more, each with its validated generators."""
-    programs = [p1(), p2(), p3(), p4(), p5()]
-    programs += [pigeonhole(p, h) for p in range(1, 7) for h in range(1, p + 1)]
-    programs += [free_choice(range(1, k)) for k in range(2, 13)]
-    programs += [random_program(random.Random(i)) for i in range(300)]
-    return [(program, detect_symmetries(program).generators) for program in programs]
+    return [(program, detect_symmetries(program).generators) for program in corpus()]
 
 
 def gate_probes(rng, program, gens):
