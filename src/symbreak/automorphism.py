@@ -10,6 +10,16 @@ must pass, so a bug here can lose symmetries but never invent one.  Found
 automorphisms prune sibling branches (restricted to permutations fixing
 the current base pointwise).
 
+Each tree node costs work in proportion to what it changes.  The search
+is depth first over an explicit stack of the inner nodes on the current
+path, so no depth hits the recursion limit.  A node keeps the labelled
+partition refinement works on (``OrderedPartition.labels`` and
+``by_label``); a child copies both lists and relabels only the cell its
+vertex was split off, and `color_refine` refines a copy of that.  A child
+also inherits its parent's list of generators that fix the base, filtered
+by the one new base point, so only generators found since are tested
+against the whole base.
+
 `color_refine` works in rounds, and every round splits each cell against
 the partition the round started from.  So after a round every cell is
 equitable with respect to the partition that round started from: all its
@@ -51,18 +61,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OrderedPartition:
-    """Ordered list of disjoint nonempty cells covering all nodes."""
+    """Ordered list of disjoint nonempty cells covering all nodes.
 
-    cells: tuple[tuple[int, ...], ...]
+    Refinement works on a labelling of the cells: ``labels[v]`` is the
+    label of v's cell, the position of that cell's first node in the
+    concatenated cells, and ``by_label[s]`` is the cell labelled s (None
+    at positions that label no cell), so both are lists over nodes.  A
+    partition built from cells gets its labelling when it is refined; one
+    built from a labelling gets its cells when ``cells`` is first read.
+    Neither is changed after construction.  Equality goes by the cells.
+    """
 
-    def first_split_cell(self):
-        """Index of the first non-singleton cell, or None when discrete."""
-        for i, c in enumerate(self.cells):
-            if len(c) > 1:
-                return i
-        return None
+    __slots__ = ("_cells", "labels", "by_label")
+
+    def __init__(self, cells: tuple = None, labels: list = None, by_label: list = None):
+        self._cells = cells
+        self.labels = labels
+        self.by_label = by_label
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        if self._cells is None:
+            self._cells = tuple(filter(None, self.by_label))
+        return self._cells
+
+    def labelling(self) -> tuple[list, list]:
+        """Fresh copies of the node -> label and label -> cell lists."""
+        if self.labels is not None:
+            return self.labels.copy(), self.by_label.copy()
+        labels = [0] * sum(map(len, self.cells))
+        by_label = [None] * len(labels)
+        start = 0
+        for cell in self.cells:
+            by_label[start] = cell
+            for v in cell:
+                labels[v] = start
+            start += len(cell)
+        return labels, by_label
+
+    def __eq__(self, other):
+        if not isinstance(other, OrderedPartition):
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self):
+        return hash(self.cells)
+
+    def __repr__(self):
+        return f"OrderedPartition({self.cells!r})"
 
 
 def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
@@ -105,21 +152,16 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     Only those neighbors are keyed one by one (the module docstring says
     why this is exact).  A cell is labelled by the position of its first
     node in the concatenated cells, so a split relabels only its own
-    nodes, and the labels order the cells as their positions do.
+    nodes, and the labels order the cells as their positions do.  The
+    refinement works on a copy of the partition's labelling, never on the
+    partition itself, and the result carries the refined labelling.
     """
     nbrs = graph.neighbors
     n = graph.n_nodes
-    index = [0] * n
-    cells = {}
-    start = 0
-    for cell in partition.cells:
-        cells[start] = cell
-        for v in cell:
-            index[v] = start
-        start += len(cell)
+    index, cells = partition.labelling()
     if individualized is None:
         marked = None  # every node of a pending cell is keyed
-        pending = [s for s, cell in cells.items() if len(cell) > 1]
+        pending = [s for s in set(index) if len(cells[s]) > 1]
     else:
         marked = set(nbrs[individualized])
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
@@ -161,7 +203,7 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                     for v in fragment:
                         marked.update(nbrs[v])
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
-    return OrderedPartition(tuple(cells[s] for s in sorted(cells)))
+    return OrderedPartition(labels=index, by_label=cells)
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -208,69 +250,114 @@ class GeneratorSearch:
     tree_nodes: int
 
 
-def _individualize(partition: OrderedPartition, cell_index: int, v: int) -> OrderedPartition:
-    cells = list(partition.cells)
-    cell = cells[cell_index]
-    rest = tuple(w for w in cell if w != v)
-    cells[cell_index:cell_index + 1] = [(v,), rest]
-    return OrderedPartition(tuple(cells))
+class _Node:
+    """An inner node of the search tree: its partition, the label of its
+    first non-singleton cell, its base, and the loop over that cell."""
+
+    __slots__ = ("partition", "label", "base", "todo", "current", "done",
+                 "stabilizing", "known", "reached", "covered")
+
+    def __init__(self, partition, label, base, stabilizing, known):
+        self.partition = partition
+        self.label = label
+        self.base = base
+        self.todo = iter(sorted(partition.by_label[label]))
+        self.current = None  # the vertex whose subtree is being searched
+        self.done = []  # the vertices whose subtrees are finished
+        self.stabilizing = stabilizing  # the found generators fixing the base
+        self.known = known  # generators already filtered into `stabilizing`
+        self.reached = set()
+        self.covered = 0  # finished vertices whose orbits are in `reached`
+
+    def next_vertex(self, gens):
+        """The next vertex of the cell to individualize, or None when done.
+
+        A vertex is skipped when a finished sibling reaches it under the
+        found generators that fix the base.  Only generators found since
+        the last call are tested against the base; `reached` is rebuilt
+        when one of them fixes it, and otherwise grows by the orbit of
+        each newly finished sibling.
+        """
+        if self.current is not None:
+            self.done.append(self.current)
+            self.current = None
+        base = self.base
+        for v in self.todo:
+            fresh = [g for g in gens[self.known:] if all(g[b] == b for b in base)]
+            self.known = len(gens)
+            if fresh:
+                self.stabilizing += fresh
+                self.reached = set()
+                self.covered = 0
+            for w in self.done[self.covered:]:
+                if w not in self.reached:
+                    self.reached |= orbit(self.stabilizing, w)
+            self.covered = len(self.done)
+            if v not in self.reached:
+                self.current = v
+                return v
+        return None
+
+    def child(self, v: int) -> OrderedPartition:
+        """The partition with v split off its cell, before refinement."""
+        labels = self.partition.labels.copy()
+        by_label = self.partition.by_label.copy()
+        s = self.label
+        rest = tuple(w for w in by_label[s] if w != v)
+        by_label[s] = (v,)
+        by_label[s + 1] = rest
+        for w in rest:
+            labels[w] = s + 1
+        return OrderedPartition(labels=labels, by_label=by_label)
 
 
 def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> GeneratorSearch:
-    """Generators of the automorphism group via individualization-refinement."""
+    """Generators of the automorphism group via individualization-refinement.
+
+    Depth first, with the inner nodes of the current path on an explicit
+    stack, so the depth of the tree is bounded by memory, not by the
+    recursion limit.  A child inherits its parent's generators that fix
+    the base, filtered by its own base point.  Each tree node costs one
+    ``color_refine`` call, the one that made its partition, and counts
+    against ``max_tree_nodes`` when it is entered.
+    """
     n = graph.n_nodes
-    root = color_refine(graph, partition_by_colors(graph))
+    ident = identity(n)
     gens: list[tuple[int, ...]] = []
     gen_keys = set()
-    ident = identity(n)
-    state = {"count": 0, "exhausted": False, "first_leaf": None}
-
-    def dfs(partition: OrderedPartition, base: tuple):
-        state["count"] += 1
-        if state["count"] > max_tree_nodes:
-            state["exhausted"] = True
-            return
-        cell_index = partition.first_split_cell()
-        if cell_index is None:
-            order = tuple(c[0] for c in partition.cells)
-            if state["first_leaf"] is None:
-                state["first_leaf"] = order
-                return
-            image = [0] * n
-            for a, b in zip(state["first_leaf"], order):
-                image[a] = b
-            perm = tuple(image)
+    first_leaf = None  # node -> position in the first leaf reached
+    path: list[_Node] = []  # the inner nodes above the current one
+    partition = color_refine(graph, partition_by_colors(graph))
+    v = None  # the vertex the current partition individualized
+    tree_nodes = 0
+    while True:
+        tree_nodes += 1
+        if tree_nodes > max_tree_nodes:
+            return GeneratorSearch(tuple(gens), False, tree_nodes)
+        by_label = partition.by_label
+        # the cells up to the parent's individualized vertex are singletons
+        s = path[-1].label + 1 if path else 0
+        while s < n and len(by_label[s]) == 1:
+            s += 1
+        if s < n:
+            if path:
+                parent = path[-1]
+                stabilizing = [g for g in parent.stabilizing if g[v] == v]
+                path.append(_Node(partition, s, parent.base + (v,), stabilizing, parent.known))
+            else:
+                path.append(_Node(partition, s, (), [], 0))
+        elif first_leaf is None:
+            first_leaf = partition.labels
+        else:
+            perm = tuple([by_label[p][0] for p in first_leaf])
             if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
                 gens.append(perm)
                 gen_keys.add(perm)
-            return
-        cell = partition.cells[cell_index]
-        # skip v when a finished sibling reaches it under the found generators
-        # that fix the base; `reached` is rebuilt only when such a generator
-        # is new, and otherwise grows by the orbit of each finished sibling
-        done = []
-        stabilizing = []
-        reached = set()
-        known = 0  # generators already filtered into `stabilizing`
-        covered = 0  # finished siblings whose orbits are in `reached`
-        for v in sorted(cell):
-            if state["exhausted"]:
-                return
-            fresh = [g for g in gens[known:] if all(g[b] == b for b in base)]
-            known = len(gens)
-            if fresh:
-                stabilizing += fresh
-                reached = set()
-                covered = 0
-            for w in done[covered:]:
-                if w not in reached:
-                    reached |= orbit(stabilizing, w)
-            covered = len(done)
-            if v in reached:
-                continue
-            child = color_refine(graph, _individualize(partition, cell_index, v), v)
-            dfs(child, base + (v,))
-            done.append(v)
-
-    dfs(root, ())
-    return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
+        while path:
+            v = path[-1].next_vertex(gens)
+            if v is not None:
+                break
+            path.pop()
+        else:
+            return GeneratorSearch(tuple(gens), True, tree_nodes)
+        partition = color_refine(graph, path[-1].child(v), v)

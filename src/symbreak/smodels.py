@@ -163,22 +163,32 @@ class GroundProgram:
     def false_atom(self):
         """The reserved constraint-head atom, or None.
 
-        An atom named ``_false`` wins; otherwise atom 1 qualifies when it
-        is unnamed and referenced only in single-head positions (where it
-        can never be derived, making the rule a constraint) or in the B-
-        block, which is how grounders reserve it.
+        An atom qualifies when it is referenced only in single-head
+        positions (where it can never be derived, making the rule a
+        constraint) or in the B- block, which is how grounders reserve it.
+        The atom named ``_false`` is taken when it qualifies, otherwise
+        atom 1 when it is unnamed and qualifies.
         """
         for a, name in self.symbols.items():
             if name == "_false":
-                return a
-        if self.max_atom < 1 or 1 in self.symbols or 1 in self.compute_plus:
+                if self._heads_only(a):
+                    return a
+                break
+        if self.max_atom < 1 or 1 in self.symbols:
             return None
+        return 1 if self._heads_only(1) else None
+
+    def _heads_only(self, atom: int) -> bool:
+        """Whether the atom occurs in no body, no choice or disjunctive
+        head and not in B+."""
+        if atom in self.compute_plus:
+            return False
         for r in self.rules:
-            if 1 in r.pos or 1 in r.neg:
-                return None
-            if r.kind in (CHOICE, DISJUNCTIVE) and 1 in r.heads:
-                return None
-        return 1
+            if atom in r.pos or atom in r.neg:
+                return False
+            if r.kind in (CHOICE, DISJUNCTIVE) and atom in r.heads:
+                return False
+        return True
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -246,7 +256,10 @@ def semantic_view(program: GroundProgram) -> SemanticProgram:
 def _int(tok: str, line_no: int) -> int:
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(line_no, f"malformed integer {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(line_no, f"integer of {len(tok)} digits is too long") from None
 
 
 def _atom(v: int, line_no: int) -> int:
@@ -365,10 +378,12 @@ def parse_program(text) -> GroundProgram:
         line, line_no = next_line("a rule or the rules terminator 0")
         toks = line.split()
         digits = "".join(toks)
-        if not (digits.isascii() and digits.isdigit()):
-            for tok in toks:
-                _int(tok, line_no)  # raises, naming the malformed token
-        values = list(map(int, toks))
+        try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            values = list(map(int, toks))
+        except ValueError:  # a malformed or over-long token; _int names it
+            values = [_int(tok, line_no) for tok in toks]
         if values == [0]:
             break
         rule = _decode_rule(values)

@@ -3,7 +3,11 @@
 None of these is used by the package: they are simple, slow and
 independent of the search engine.  `reference_color_refine` is the plain
 round-synchronous refinement that recomputes every cell's signature in
-every round; `brute_force_automorphisms` enumerates all color-respecting
+every round; `reference_find_generators` is the recursive search that
+rebuilds each node's partition from cell tuples and refilters its
+stabilizer from scratch (it refines with the package's `color_refine`,
+which the tests hold to `reference_color_refine`);
+`brute_force_automorphisms` enumerates all color-respecting
 bijections; `group_closure` lists every element of a small group.
 `reference_is_syntactic_symmetry` compares the whole permuted program,
 and `reference_detect_rows` grows rows from a pool of every generator and
@@ -19,7 +23,9 @@ left-to-right (apply ``f``, then ``g``).
 from collections import Counter
 from math import factorial
 
-from symbreak.automorphism import OrderedPartition, identity
+from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refine,
+                                   identity, is_automorphism, orbit,
+                                   partition_by_colors)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
@@ -66,6 +72,72 @@ def reference_color_refine(graph: ColoredGraph,
         cells = new_cells
         if not changed:
             return OrderedPartition(tuple(cells))
+
+
+def reference_find_generators(graph: ColoredGraph,
+                              max_tree_nodes: int = 10 ** 6) -> GeneratorSearch:
+    """The individualization-refinement search as a plain recursion.
+
+    Every node rebuilds its partition from cell tuples, and every sibling
+    re-filters all generators found so far against the node's whole base.
+    The package search must visit the same tree, with the same budget
+    cutoff, and return the same generators in the same order.
+    """
+    n = graph.n_nodes
+    root = color_refine(graph, partition_by_colors(graph))
+    gens: list[tuple[int, ...]] = []
+    gen_keys = set()
+    ident = identity(n)
+    state = {"count": 0, "exhausted": False, "first_leaf": None}
+
+    def dfs(partition: OrderedPartition, base: tuple):
+        state["count"] += 1
+        if state["count"] > max_tree_nodes:
+            state["exhausted"] = True
+            return
+        cell_index = next((i for i, c in enumerate(partition.cells) if len(c) > 1), None)
+        if cell_index is None:
+            order = tuple(c[0] for c in partition.cells)
+            if state["first_leaf"] is None:
+                state["first_leaf"] = order
+                return
+            image = [0] * n
+            for a, b in zip(state["first_leaf"], order):
+                image[a] = b
+            perm = tuple(image)
+            if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
+                gens.append(perm)
+                gen_keys.add(perm)
+            return
+        cell = partition.cells[cell_index]
+        done = []
+        stabilizing = []
+        reached = set()
+        known = 0  # generators already filtered into `stabilizing`
+        covered = 0  # finished siblings whose orbits are in `reached`
+        for v in sorted(cell):
+            if state["exhausted"]:
+                return
+            fresh = [g for g in gens[known:] if all(g[b] == b for b in base)]
+            known = len(gens)
+            if fresh:
+                stabilizing += fresh
+                reached = set()
+                covered = 0
+            for w in done[covered:]:
+                if w not in reached:
+                    reached |= orbit(stabilizing, w)
+            covered = len(done)
+            if v in reached:
+                continue
+            cells = list(partition.cells)
+            cells[cell_index:cell_index + 1] = [(v,), tuple(w for w in cell if w != v)]
+            child = color_refine(graph, OrderedPartition(tuple(cells)), v)
+            dfs(child, base + (v,))
+            done.append(v)
+
+    dfs(root, ())
+    return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
 
 
 def compose(f, g) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Refinement, the search engine, the brute-force oracle, orbits, stabilizers."""
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -12,9 +13,10 @@ from symbreak.automorphism import (OrderedPartition, identity, is_automorphism,
                                    partition_by_colors)
 from symbreak.encoding import build_graph, fix_nodes
 from graph_oracles import (EnumerationBudgetError, brute_force_automorphisms,
-                           group_closure, reference_color_refine)
-from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, place_atom,
-                      random_colored_graph, random_program)
+                           group_closure, reference_color_refine,
+                           reference_find_generators)
+from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
+                      place_atom, random_colored_graph, random_program)
 
 
 def triangle_tail_graph():
@@ -180,6 +182,83 @@ def test_search_neighbour_reads_bounded():
         search = find_generators(counted)
         assert CountingNeighbors.reads <= bound
         assert (len(search.generators), search.tree_nodes) == expected
+
+
+def test_refine_leaves_its_argument_unchanged():
+    """Refining a labelled partition works on a copy of its labelling."""
+    rng = random.Random(49)
+    for _ in range(100):
+        g = random_colored_graph(rng, max_nodes=rng.choice((12, 30)))
+        start = random_ordered_partition(rng, g.n_nodes)
+        labels, by_label = start.labelling()
+        labelled = OrderedPartition(labels=labels, by_label=by_label)
+        refined = color_refine(g, labelled)
+        assert labelled.labelling() == (labels, by_label)
+        assert labelled.cells == start.cells
+        assert refined == color_refine(g, start)
+
+
+def assert_search_matches_reference(monkeypatch, graphs):
+    """Same generators, tree size and completeness as the recursive search
+    under budgets that cut it at several depths, one refinement per tree
+    node, none of which changes its argument."""
+    calls = 0
+
+    def counting(graph, partition, *individualized):
+        nonlocal calls
+        calls += 1
+        before = partition.labelling()
+        result = color_refine(graph, partition, *individualized)
+        assert partition.labelling() == before
+        return result
+
+    monkeypatch.setattr(automorphism, "color_refine", counting)
+    cut = 0
+    for graph in graphs:
+        for budget in (1, 2, 5, 17, 10 ** 6):
+            calls = 0
+            search = find_generators(graph, max_tree_nodes=budget)
+            assert search == reference_find_generators(graph, budget), budget
+            assert calls == search.tree_nodes
+            cut += not search.complete
+    assert cut
+
+
+def test_search_matches_reference_on_corpus(monkeypatch):
+    graphs = [encode_program(program) for program in corpus()]
+    assert_search_matches_reference(monkeypatch, graphs)
+
+
+def test_search_matches_reference_on_random_graphs(monkeypatch):
+    rng = random.Random(51)
+    graphs = [random_colored_graph(rng, max_nodes=rng.choice((12, 30))) for _ in range(250)]
+    assert_search_matches_reference(monkeypatch, graphs)
+
+
+def circulant_graph(n, steps):
+    """Node i joined to i ± s (mod n) for each step s."""
+    edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return build_graph([1] * n, sorted(edges))
+
+
+def test_search_matches_reference_on_circulant_graphs(monkeypatch):
+    """Refinement splits nothing in a vertex-transitive graph, and the
+    generators found move many nodes at once, so a child that inherits a
+    generator moving its own base point prunes a sibling it must visit."""
+    graphs = [circulant_graph(n, steps) for n in range(4, 13)
+              for k in range(1, n // 2 + 1)
+              for steps in itertools.combinations(range(1, n // 2 + 1), k)]
+    assert_search_matches_reference(monkeypatch, graphs)
+
+
+def test_deep_search_stops_at_the_budget():
+    """The first path alone is about 1,100 nodes deep; the search must stop
+    at the budget, not at the recursion limit."""
+    graph = encode_program(free_choice(range(1, 1101)))
+    search = find_generators(graph, max_tree_nodes=1500)
+    assert not search.complete
+    assert search.tree_nodes == 1501
+    assert all(is_automorphism(graph, g) for g in search.generators)
 
 
 def test_brute_force_single_edge():

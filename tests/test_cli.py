@@ -9,7 +9,7 @@ import pytest
 
 from symbreak import parse_program, write_program
 from symbreak.cli import main
-from programs import normalize_text, p1, p3, pigeonhole
+from programs import free_choice, normalize_text, p1, p3, pigeonhole
 
 
 P1_TEXT = write_program(p1())
@@ -134,6 +134,37 @@ def test_break_warns_when_search_budget_exceeded(monkeypatch, capsys):
     assert code == 0
     assert "warning" in err and "budget" in err
     parse_program(out)
+
+
+def test_deep_search_stops_at_the_budget(monkeypatch, capsys):
+    """The first path of the search is about 1,100 nodes deep."""
+    text = write_program(free_choice(range(1, 1101)))
+    code, out, err = run_cli(["--budget", "1500"], text, monkeypatch, capsys)
+    assert code == 0
+    assert "warning" in err and "budget" in err
+    assert len(parse_program(out).rules) > 1100
+
+
+def test_overlong_integer_exit_code(monkeypatch, capsys):
+    code, out, err = run_cli([], "1 2 1 0 " + "9" * 5000 + "\n0\n0\nB+\n0\nB-\n0\n1\n",
+                             monkeypatch, capsys)
+    assert code == 1
+    assert err == "symbreak: parse error: line 1: integer of 5000 digits is too long\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 1 0 1\n3 1 1 0 0\n0\n1 _false\n0\nB+\n0\nB-\n0\n1\n",
+    "1 2 1 0 1\n1 3 1 0 1\n3 1 1 0 0\n0\n1 _false\n0\nB+\n0\nB-\n0\n1\n",
+], ids=["body", "body-symmetric"])
+def test_false_name_used_in_a_body(text, monkeypatch, capsys):
+    rules = parse_program(text).rules
+    code, out, _ = run_cli([], text, monkeypatch, capsys)
+    assert code == 0
+    assert parse_program(out).rules[:len(rules)] == rules
+    code, _, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
+    assert code == 0
+    assert "verification passed" in err
 
 
 @pytest.mark.parametrize("option", ["--limit", "--budget", "--stab-levels"])

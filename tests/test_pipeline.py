@@ -1,11 +1,14 @@
 """End-to-end behavior of the break pipeline."""
 
+import random
 import sys
+from dataclasses import replace
 
 from symbreak import (BasicRule, BreakConfig, GroundProgram, answer_sets,
                       break_program, check_soundness, parse_program, validate,
                       write_program)
-from programs import free_choice, p1, p2, p3, p4, p5, pigeonhole
+from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole,
+                      random_program)
 
 
 def test_break_p1_appends_single_constraint():
@@ -149,3 +152,20 @@ def test_semantic_view_at_most_twice_per_run(monkeypatch):
         result = break_program(program)
         assert result.rows and result.pairs
         assert len(calls) <= 2
+
+
+def test_false_name_on_any_atom_breaks_soundly():
+    """Naming a random atom ``_false``, wherever the program uses it."""
+    rng = random.Random(20261018)
+    rejected = 0
+    for i in range(80):
+        program = random_program(rng)
+        atom = rng.randint(1, program.max_atom)
+        symbols = {a: name for a, name in program.symbols.items() if a != atom}
+        program = replace(program, symbols={**symbols, atom: "_false"})
+        rejected += program.false_atom != atom
+        result = break_program(program)
+        verdict = check_soundness(program, result.detection.generators,
+                                  result.program, budget=16)
+        assert verdict.ok, (i, program)
+    assert rejected

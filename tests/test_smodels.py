@@ -78,6 +78,23 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text,line_no", [
+    (f"1 2 1 0 {LONG}\n0\n0\nB+\n0\nB-\n0\n1\n", 1),
+    (f"1 2 0 0\n0\n{LONG} a\n0\nB+\n0\nB-\n0\n1\n", 3),
+    (f"1 2 0 0\n0\n0\nB+\n{LONG}\n0\nB-\n0\n1\n", 5),
+    (f"1 2 0 0\n0\n0\nB+\n0\nB-\n{LONG}\n0\n1\n", 7),
+    (f"1 2 0 0\n0\n0\nB+\n0\nB-\n0\n{LONG}\n", 8),
+], ids=["rule", "symbol", "B+", "B-", "model count"])
+def test_overlong_integer_is_a_parse_error(text, line_no):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert err.value.line_no == line_no
+    assert "5000 digits" in str(err.value)
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_program("1 1 0 0\n7 9\n0\n0\nB+\n0\nB-\n0\n1\n")
@@ -152,6 +169,25 @@ def test_false_atom_requires_heads_only_use():
 def test_false_atom_by_name():
     named = GroundProgram(rules=(BasicRule(4, (2,)),), symbols={4: "_false"})
     assert named.false_atom == 4
+
+
+def test_false_atom_name_requires_heads_only_use():
+    """A ``_false`` atom that a body, a choice head or B+ mentions is an
+    ordinary atom, as an unnamed atom 1 would be."""
+    body = parse_program("1 2 1 0 1\n3 1 1 0 0\n0\n1 _false\n0\nB+\n0\nB-\n0\n1\n")
+    assert body.false_atom is None
+    choice = GroundProgram(rules=(ChoiceRule((1,)), BasicRule(1, (2,))), symbols={1: "_false"})
+    assert choice.false_atom is None
+    plus = GroundProgram(rules=(BasicRule(1, (2,)),), symbols={1: "_false"},
+                         compute_plus=(1,))
+    assert plus.false_atom is None
+    minus = GroundProgram(rules=(BasicRule(4, (2,)),), symbols={4: "_false"},
+                          compute_minus=(4,))
+    assert minus.false_atom == 4
+    # a rejected name leaves an unnamed atom 1 its own test
+    fallback = GroundProgram(rules=(BasicRule(1, (2,)), BasicRule(2, (4,))),
+                             symbols={4: "_false"})
+    assert fallback.false_atom == 1
 
 
 def test_false_atom_unreferenced_reserve():
