@@ -12,9 +12,9 @@ from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
 from .oracle import (OracleBudgetError, SoundnessVerdict, answer_sets,
-                     check_soundness, objective_value, reduct, satisfies)
-from .pipeline import (BreakConfig, BreakResult, Detection, RunStats,
-                       break_program, detect_symmetries)
+                     check_soundness, objective_value, satisfies)
+from .pipeline import (BreakConfig, BreakResult, Detection, break_program,
+                       detect_symmetries)
 from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, ParseError, Rule,
                       WeightRule, parse_program, semantic_view, validate,
@@ -29,12 +29,12 @@ __all__ = [
     "DisjunctiveRule", "Fragment", "FreshAtoms", "GeneratorSearch",
     "GroundProgram", "MinimizeStatement",
     "OracleBudgetError", "OrderedPartition", "ParseError", "RowMatrix",
-    "Rule", "RunStats", "SoundnessVerdict", "WeightRule", "answer_sets",
+    "Rule", "SoundnessVerdict", "WeightRule", "answer_sets",
     "assemble", "binary_rules", "break_program", "break_rows",
     "check_soundness", "choose_order", "color_refine", "detect_rows",
     "detect_symmetries", "encode_program", "find_generators",
     "is_syntactic_symmetry", "lex_leader_rules", "objective_value", "orbit",
-    "parse_program", "reduct", "restrict_to_atoms", "satisfies",
+    "parse_program", "restrict_to_atoms", "satisfies",
     "semantic_view", "stabilizer_binary_symmetries", "validate",
     "write_program",
 ]

@@ -12,22 +12,25 @@ exceeded in verify mode, 3 I/O failure, 4 verification found a violation.
 
 import argparse
 import sys
+import time
 
 from .encoding import dump_graph
 from .oracle import OracleBudgetError, check_soundness
-from .pipeline import BreakConfig, RunStats, break_program, detect_symmetries
+from .pipeline import BreakConfig, BreakResult, break_program, detect_symmetries
 from .smodels import GroundProgram, ParseError, parse_program, write_program
 from .symmetry import AtomPermutation
 
 
-def emit_stats(stats: RunStats) -> str:
+def emit_stats(program: GroundProgram, result: BreakResult, seconds: float) -> str:
+    """The ``--stats`` lines of a run that took ``seconds`` to break
+    ``program`` into ``result``."""
     lines = [
-        f"generators={stats.generators}",
-        f"rules={stats.rules}",
-        f"aux={stats.aux}",
-        f"seconds={stats.seconds:.3f}",
-        f"rows={stats.rows}",
-        f"binpairs={stats.binpairs}",
+        f"generators={len(result.detection.generators)}",
+        f"rules={len(result.program.rules) - len(program.rules)}",
+        f"aux={result.program.max_atom - program.max_atom}",
+        f"seconds={seconds:.3f}",
+        f"rows={len(result.rows)}",
+        f"binpairs={len(result.pairs)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -77,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-rows", action="store_true",
                         help="disable row-interchangeability detection")
     parser.add_argument("--no-binary", action="store_true",
-                        help="disable binary prefix clauses")
+                        help="disable binary prefix clauses: --stab-levels 0, "
+                             "overriding any --stab-levels")
     parser.add_argument("--stats", action="store_true",
                         help="print statistics on standard error")
     parser.add_argument("--dump-graph", action="store_true",
@@ -120,7 +124,7 @@ def _verify(program: GroundProgram, config: BreakConfig) -> int:
         return 2
     try:
         verdict = check_soundness(program, result.detection.generators,
-                                  result.program, config.oracle_budget)
+                                  result.program)
     except OracleBudgetError as exc:
         print(f"symbreak: {exc}", file=sys.stderr)
         return 2
@@ -149,9 +153,8 @@ def main(argv=None) -> int:
     config = BreakConfig(
         aux_limit=args.limit,
         search_budget=args.budget,
-        stabilizer_levels=args.stab_levels,
+        stabilizer_levels=0 if args.no_binary else args.stab_levels,
         row_detection=not args.no_rows,
-        binary_clauses=not args.no_binary,
     )
     try:
         text = _read_input(args.input)
@@ -168,40 +171,35 @@ def main(argv=None) -> int:
             print(f"symbreak: invalid program: {p}", file=sys.stderr)
         return 1
 
-    if args.mode == "detect":
-        detection = detect_symmetries(program, config)
-        if args.dump_graph:
-            sys.stderr.write(dump_graph(detection.graph))
-        if not detection.search.complete:
-            print("symbreak: warning: search budget exceeded, "
-                  "generator list may be incomplete", file=sys.stderr)
-        out = "".join(format_generator(g, program) + "\n"
-                      for g in detection.generators)
-        try:
-            _write_output(args.output, out)
-        except OSError as exc:
-            print(f"symbreak: cannot write output: {exc}", file=sys.stderr)
-            return 3
-        if args.stats:
-            print(f"generators={len(detection.generators)}", file=sys.stderr)
-        return 0
-
     if args.mode == "verify":
         return _verify(program, config)
+    if args.mode == "detect":
+        detection = detect_symmetries(program, config)
+        out = "".join(format_generator(g, program) + "\n"
+                      for g in detection.generators)
+        stats = f"generators={len(detection.generators)}\n"
+        incomplete = "generator list may be incomplete"
+    else:
+        started = time.perf_counter()
+        result = break_program(program, config)
+        seconds = time.perf_counter() - started
+        detection = result.detection
+        out = write_program(result.program)
+        stats = emit_stats(program, result, seconds)
+        incomplete = "breaking may be incomplete"
 
-    result = break_program(program, config)
     if args.dump_graph:
-        sys.stderr.write(dump_graph(result.detection.graph))
-    if not result.detection.search.complete:
-        print("symbreak: warning: search budget exceeded, "
-              "breaking may be incomplete", file=sys.stderr)
+        sys.stderr.write(dump_graph(detection.graph))
+    if not detection.search.complete:
+        print(f"symbreak: warning: search budget exceeded, {incomplete}",
+              file=sys.stderr)
     try:
-        _write_output(args.output, write_program(result.program))
+        _write_output(args.output, out)
     except OSError as exc:
         print(f"symbreak: cannot write output: {exc}", file=sys.stderr)
         return 3
     if args.stats:
-        sys.stderr.write(emit_stats(result.stats))
+        sys.stderr.write(stats)
     return 0
 
 

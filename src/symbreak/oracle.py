@@ -47,24 +47,6 @@ def satisfies(interp, rule) -> bool:
     return not _body_holds(interp, rule.pos, rule.neg)
 
 
-def reduct(program: GroundProgram, interp) -> GroundProgram:
-    """Gelfond-Lifschitz reduct of a desugared program.
-
-    Rules with a negated atom true in ``interp`` are dropped; the
-    survivors keep only their positive bodies.  Only basic and
-    disjunctive rules are accepted: desugar first.
-    """
-    rules = []
-    for r in program.rules:
-        if r.kind not in (BASIC, DISJUNCTIVE):
-            raise ValueError("reduct expects a desugared program "
-                             "(basic and disjunctive rules only)")
-        if not any(b in interp for b in r.neg):
-            rules.append(Rule(r.kind, r.heads, r.pos))
-    return GroundProgram(tuple(rules), dict(program.symbols), (), (),
-                         program.model_count, program.max_atom)
-
-
 def _minimal_cardinality_bodies(lits, bound, budget):
     """Minimal sub-multisets of literal occurrences meeting the count bound."""
     if bound <= 0:

@@ -8,7 +8,6 @@ never corrupt it.  Binary clauses come from the stabilizer chain of the
 validated generators, and each pair's witness passes the same gate.
 """
 
-import time
 from dataclasses import dataclass
 
 from .automorphism import GeneratorSearch, find_generators
@@ -23,22 +22,12 @@ from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
 
 @dataclass
 class BreakConfig:
+    """Run settings; ``stabilizer_levels=0`` turns binary clauses off."""
+
     aux_limit: int = 50
     search_budget: int = 10 ** 6
     stabilizer_levels: int = 5
     row_detection: bool = True
-    binary_clauses: bool = True
-    oracle_budget: int = 20
-
-
-@dataclass
-class RunStats:
-    generators: int = 0
-    rules: int = 0
-    aux: int = 0
-    seconds: float = 0.0
-    rows: int = 0
-    binpairs: int = 0
 
 
 @dataclass
@@ -54,13 +43,11 @@ class Detection:
 @dataclass
 class BreakResult:
     program: GroundProgram
-    stats: RunStats
     detection: Detection
     rows: list[RowMatrix]
     order: AtomOrder
     pairs: list[tuple[int, int]]
     per_symmetry_aux: tuple[int, ...]
-    new_false: int = None
 
 
 def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Detection:
@@ -82,7 +69,6 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
 
 def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakResult:
     config = config or BreakConfig()
-    started = time.perf_counter()
     if program.problems:
         raise ValueError(f"invalid program: {list(program.problems)}")
 
@@ -93,7 +79,7 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     order = choose_order(program, gens, rows)
 
     pairs = []
-    if config.binary_clauses:
+    if config.stabilizer_levels:
         for found in stabilizer_binary_symmetries(gens, order,
                                                   config.stabilizer_levels):
             witness = found.witness
@@ -130,13 +116,5 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
         fragments.append(binary_rules(pairs, head))
 
     augmented = assemble(program, fragments, alloc, new_false)
-    stats = RunStats(
-        generators=len(gens),
-        rules=len(augmented.rules) - len(program.rules),
-        aux=alloc.count,
-        seconds=time.perf_counter() - started,
-        rows=len(rows),
-        binpairs=len(pairs),
-    )
-    return BreakResult(augmented, stats, detection, rows, order, pairs,
-                       tuple(per_symmetry_aux), new_false)
+    return BreakResult(augmented, detection, rows, order, pairs,
+                       tuple(per_symmetry_aux))

@@ -268,88 +268,60 @@ def _atom(v: int, line_no: int) -> int:
     return v
 
 
-def _decode_rule(values: list[int]) -> Rule | None:
-    """The rule on a line of non-negative integers, or None when the line
-    is malformed in any way."""
+def _decode_rule(values: list[int], line_no: int) -> Rule:
+    """The rule on a line of non-negative integers.
+
+    A malformed line raises the ParseError of its first fault in wire
+    order: the type, the heads, the bound and counts, the literal atoms,
+    then the weights and any trailing tokens.
+    """
     try:
-        layout = _LAYOUTS[values[0]]
-        if layout.n_heads is None:
+        n_heads, bound_at, weighted = _LAYOUTS[values[0]]
+    except KeyError:
+        raise ParseError(line_no, f"unknown rule type {values[0]}") from None
+    try:
+        if n_heads is None:
             i = 2 + values[1]
             heads = tuple(values[2:i])
-        elif layout.n_heads == 1:
+        elif n_heads:
             i = 2
             heads = (values[1],)
-        elif values[1] == 0:
+        elif values[1]:
+            raise ParseError(line_no, "minimize statement must carry a 0 head "
+                                      f"slot, got {values[1]}")
+        else:
             i = 2
             heads = ()
-        else:
-            return None
+        if 0 in heads:
+            raise ParseError(line_no, "atom index 0 must be >= 1")
         bound = None
-        if layout.bound == "before":
+        if bound_at == "before":
             bound = values[i]
             i += 1
         nlit, nneg = values[i], values[i + 1]
         i += 2
-        if layout.bound == "after":
+        if bound_at == "after":
             bound = values[i]
             i += 1
-    except (KeyError, IndexError):
-        return None
+    except IndexError:
+        raise ParseError(line_no, "truncated rule") from None
+    if nneg > nlit:
+        raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
     split, end = i + nneg, i + nlit
+    neg, pos = tuple(values[i:split]), tuple(values[split:end])
+    if 0 in neg or 0 in pos:
+        raise ParseError(line_no, "atom index 0 must be >= 1")
+    if end > len(values):
+        raise ParseError(line_no, "truncated rule")
     weights = ()
-    if layout.weighted:
-        weights = tuple(values[end:end + nlit])
-        end += nlit
-    neg, pos = tuple(values[i:split]), tuple(values[split:i + nlit])
-    if end != len(values) or nneg > nlit or 0 in heads or 0 in neg or 0 in pos:
-        return None
+    if weighted:
+        weights = tuple(values[end:])
+        if len(weights) != nlit:
+            raise ParseError(line_no, f"weight count mismatch: {nlit} literals, "
+                                      f"{len(weights)} weights")
+    elif end != len(values):
+        raise ParseError(line_no, "unexpected trailing tokens on rule line")
     return Rule(values[0], heads, pos, neg, bound, weights)
-
-
-def _rule_error(values: list[int], line_no: int) -> ParseError:
-    """What is wrong with a rule line `_decode_rule` rejected: the first
-    fault met walking its integers in wire order."""
-    i = 0
-
-    def take() -> int:
-        nonlocal i
-        if i >= len(values):
-            raise ParseError(line_no, "truncated rule")
-        i += 1
-        return values[i - 1]
-
-    def take_atoms(n: int):
-        for _ in range(n):
-            _atom(take(), line_no)
-
-    try:
-        kind = take()
-        layout = _LAYOUTS.get(kind)
-        if layout is None:
-            return ParseError(line_no, f"unknown rule type {kind}")
-        if layout.n_heads is None:
-            take_atoms(take())
-        elif layout.n_heads == 1:
-            take_atoms(1)
-        else:
-            zero = take()
-            if zero != 0:
-                return ParseError(line_no, "minimize statement must carry a 0 head "
-                                           f"slot, got {zero}")
-        if layout.bound == "before":
-            take()
-        nlit, nneg = take(), take()
-        if layout.bound == "after":
-            take()
-        if nneg > nlit:
-            return ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
-        take_atoms(nlit)
-    except ParseError as exc:
-        return exc
-    if layout.weighted and len(values) - i != nlit:
-        return ParseError(line_no, f"weight count mismatch: {nlit} literals, "
-                                   f"{len(values) - i} weights")
-    return ParseError(line_no, "unexpected trailing tokens on rule line")
 
 
 def parse_program(text) -> GroundProgram:
@@ -386,9 +358,7 @@ def parse_program(text) -> GroundProgram:
             values = [_int(tok, line_no) for tok in toks]
         if values == [0]:
             break
-        rule = _decode_rule(values)
-        if rule is None:
-            raise _rule_error(values, line_no)
+        rule = _decode_rule(values, line_no)
         rules.append(rule)
         top = max((top, *rule.heads, *rule.pos, *rule.neg))
 

@@ -78,7 +78,7 @@ def test_criterion_3_soundness_sweep():
         # conservativeness: survivors are answer sets of the input
         survivors = project(program, answer_sets(result.program, budget=16))
         assert survivors <= set(answer_sets(program, budget=16)), (i, program)
-        generators_seen += result.stats.generators
+        generators_seen += len(result.detection.generators)
         if verdict.surviving_count < verdict.original_count:
             reduced += 1
     assert kinds_seen == {1, 2, 3, 5, 6, 8}  # every wire rule type

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from symbreak import parse_program, write_program
+from symbreak import break_program, parse_program, write_program
 from symbreak.cli import main
 from programs import free_choice, normalize_text, p1, p3, pigeonhole
 
@@ -127,6 +127,41 @@ def test_stats_report_row_matrices(monkeypatch, capsys):
     assert code == 0
     rows = next(line for line in err.splitlines() if line.startswith("rows="))
     assert int(rows.split("=")[1]) >= 1
+
+
+def stats_of(err: str) -> dict[str, str]:
+    """The ``key=value`` lines of a ``--stats`` report, in report order."""
+    return dict(line.split("=", 1) for line in err.splitlines() if "=" in line)
+
+
+def test_stats_lines_match_the_result(monkeypatch, capsys):
+    for program in (pigeonhole(3, 3), p1()):
+        code, out, err = run_cli(["--stats"], write_program(program),
+                                 monkeypatch, capsys)
+        assert code == 0
+        result = break_program(program)
+        stats = stats_of(err)
+        assert list(stats) == ["generators", "rules", "aux", "seconds",
+                               "rows", "binpairs"]
+        assert int(stats["generators"]) == len(result.detection.generators)
+        assert int(stats["rules"]) == len(result.program.rules) - len(program.rules)
+        assert int(stats["aux"]) == result.program.max_atom - program.max_atom
+        assert int(stats["rows"]) == len(result.rows)
+        assert int(stats["binpairs"]) == len(result.pairs)
+        assert float(stats["seconds"]) >= 0.0
+        assert out == write_program(result.program)
+
+
+def test_no_binary_wins_over_stab_levels(monkeypatch, capsys):
+    text = write_program(pigeonhole(3, 2))
+    for args in (["--no-binary", "--stab-levels", "2"],
+                 ["--stab-levels", "2", "--no-binary"]):
+        code, out, err = run_cli(["--stats", *args], text, monkeypatch, capsys)
+        assert code == 0
+        assert stats_of(err)["binpairs"] == "0", args
+    code, out, err = run_cli(["--stats"], text, monkeypatch, capsys)
+    assert code == 0
+    assert int(stats_of(err)["binpairs"]) > 0
 
 
 def test_break_warns_when_search_budget_exceeded(monkeypatch, capsys):

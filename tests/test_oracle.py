@@ -1,13 +1,12 @@
-"""Stable-model oracle: satisfaction, reduct, enumeration, soundness checks."""
+"""Stable-model oracle: satisfaction, enumeration, soundness checks."""
 
 import random
 
 import pytest
 
-from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
-                      GroundProgram, MinimizeStatement, OracleBudgetError,
-                      WeightRule, answer_sets, check_soundness, objective_value,
-                      reduct, satisfies)
+from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
+                      MinimizeStatement, OracleBudgetError, WeightRule,
+                      answer_sets, check_soundness, objective_value, satisfies)
 from symbreak.smodels import CARDINALITY, WEIGHT
 from symbreak.symmetry import AtomPermutation
 from programs import (p1, p2, p3, p4, p5, pigeonhole, random_program,
@@ -42,23 +41,6 @@ def test_satisfies_cardinality_counts_occurrences():
 def test_satisfies_choice_and_minimize_always():
     assert satisfies(set(), ChoiceRule((1,), (2,)))
     assert satisfies({2}, MinimizeStatement((2,), (), (5,)))
-
-
-def test_reduct_drops_negation():
-    p = GroundProgram(rules=(BasicRule(1, (), (2,)),))
-    assert reduct(p, set()).rules == (BasicRule(1, (), ()),)
-    assert reduct(p, {2}).rules == ()
-
-
-def test_reduct_positive_program_unchanged():
-    p = GroundProgram(rules=(BasicRule(1, (2,)), DisjunctiveRule((3, 4), (1,))))
-    for interp in (set(), {1}, {1, 2, 3, 4}):
-        assert reduct(p, interp).rules == p.rules
-
-
-def test_reduct_rejects_sugared_rules():
-    with pytest.raises(ValueError):
-        reduct(GroundProgram(rules=(ChoiceRule((1,)),)), set())
 
 
 def test_answer_sets_facts():
