@@ -113,8 +113,9 @@ def _write_output(path: str, text: str):
             handle.write(data)
 
 
-def _verify(program: GroundProgram, config: BreakConfig) -> int:
-    result = break_program(program, config)
+def _verify(program: GroundProgram, result: BreakResult) -> int:
+    """Oracle-check the break of ``program`` into ``result``; print the
+    verdict lines and return the exit status."""
     violations = []
     if result.detection.rejected:
         violations.append(f"{result.detection.rejected} automorphism(s) failed "
@@ -171,8 +172,6 @@ def main(argv=None) -> int:
             print(f"symbreak: invalid program: {p}", file=sys.stderr)
         return 1
 
-    if args.mode == "verify":
-        return _verify(program, config)
     if args.mode == "detect":
         detection = detect_symmetries(program, config)
         out = "".join(format_generator(g, program) + "\n"
@@ -184,12 +183,17 @@ def main(argv=None) -> int:
         result = break_program(program, config)
         seconds = time.perf_counter() - started
         detection = result.detection
-        out = write_program(result.program)
+        out = write_program(result.program) if args.mode == "break" else ""
         stats = emit_stats(program, result, seconds)
         incomplete = "breaking may be incomplete"
 
     if args.dump_graph:
         sys.stderr.write(dump_graph(detection.graph))
+    if args.mode == "verify":
+        status = _verify(program, result)
+        if args.stats:
+            sys.stderr.write(stats)
+        return status
     if not detection.search.complete:
         print(f"symbreak: warning: search budget exceeded, {incomplete}",
               file=sys.stderr)

@@ -16,6 +16,7 @@ everything downstream of parsing.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 
@@ -59,14 +60,28 @@ class Rule(NamedTuple):
         out += [(a, True, w) for a, w in zip(self.pos, self.weights[len(self.neg):])]
         return out
 
-    def key(self):
+    def key(self, image=None):
         """Equal for rules that differ at most in literal order: heads and
-        body compare as multisets, weighted literals with their weights."""
-        heads = tuple(sorted(self.heads))
-        if self.kind in (WEIGHT, MINIMIZE):
-            return (self.kind, heads, self.bound, tuple(sorted(self.pairs())))
-        return (self.kind, heads, self.bound,
-                tuple(sorted(self.pos)), tuple(sorted(self.neg)))
+        body compare as multisets, weighted literals with their weights.
+        The key is one flat tuple: kind, bound, the part lengths, then each
+        part sorted.
+
+        With a dict ``image``, the key of the rule with every atom ``a``
+        replaced by ``image.get(a, a)``, built without the mapped rule.
+        """
+        kind, heads, pos, neg, bound, weights = self
+        if image:
+            get = image.get
+            heads, pos, neg = map(get, heads, heads), map(get, pos, pos), map(get, neg, neg)
+        heads = sorted(heads)
+        if kind == WEIGHT or kind == MINIMIZE:
+            body = [*zip(neg, repeat(False), weights),
+                    *zip(pos, repeat(True), weights[len(self.neg):])]
+            body.sort()
+            return (kind, bound, len(heads), *heads, *body)
+        pos = sorted(pos)
+        neg = sorted(neg)
+        return (kind, bound, len(heads), len(pos), *heads, *pos, *neg)
 
     def map_atoms(self, f) -> "Rule":
         """The same rule with every atom a replaced by f(a)."""

@@ -7,6 +7,10 @@ row-interchangeability matrices whose full subgroup can be broken
 completely, an atom order that matches the generators, and binary
 prefix symmetries from the generators' pointwise-stabilizer chain,
 computed by Schreier-Sims without any further graph search.
+
+The gate compares the keys of the rules a permutation touches with the
+keys of their images, both from ``Rule.key``; row detection asks it once
+per distinct swap within a call.
 """
 
 from collections import Counter
@@ -122,18 +126,20 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
 
     Only the rules touching ``perm.support`` are compared, read off the
     program's ``rule_index``: every other rule is its own image, so the
-    verdict is the one for the whole program.
+    verdict is the one for the whole program.  Index keys and image keys
+    both come from ``Rule.key``, the latter as ``key(perm.moved)``.
     """
     index = program.rule_index
     sem = index.view
-    if sem.false_atom is not None and perm.image_of(sem.false_atom) != sem.false_atom:
+    moved = perm.moved
+    if sem.false_atom in moved:
         return False
-    if any(a < 1 or a > sem.max_atom for a in perm.support):
+    if any(a < 1 or a > sem.max_atom for a in moved):
         return False
-    touched = {i for a in perm.support for i in index.occurrences.get(a, ())}
-    base = Counter(index.keys[i] for i in touched)
-    mapped = Counter(sem.rules[i].map_atoms(perm.image_of).key() for i in touched)
-    return base == mapped
+    touched = {i for a in moved for i in index.occurrences.get(a, ())}
+    keys, rules = index.keys, sem.rules
+    return (Counter(keys[i] for i in touched)
+            == Counter(rules[i].key(moved) for i in touched))
 
 
 @dataclass(frozen=True)
@@ -183,12 +189,11 @@ class RowMatrix:
         if not perm.support <= self.atoms:
             return None
         first_col = {row[0]: i for i, row in enumerate(self.rows)}
+        get = perm.moved.get
         mapping = {}
         for i, row in enumerate(self.rows):
-            j = first_col.get(perm.image_of(row[0]))
-            if j is None:
-                return None
-            if any(perm.image_of(a) != b for a, b in zip(row, self.rows[j])):
+            j = first_col.get(get(row[0], row[0]))
+            if j is None or tuple(map(get, row, row)) != self.rows[j]:
                 return None
             mapping[i] = j
         return mapping
@@ -212,14 +217,14 @@ def _row_images(row, gens):
     seen = {row}
     firsts = []
     for g in gens:
-        image = tuple(map(g.image_of, row))
+        image = tuple(map(g.moved.get, row, row))
         if image not in seen:
             seen.add(image)
             firsts.append(image)
             yield image
     for first in firsts:
         for h in gens:
-            image = tuple(map(h.image_of, first))
+            image = tuple(map(h.moved.get, first, first))
             if image not in seen:
                 seen.add(image)
                 yield image
@@ -243,7 +248,19 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     one is the other conjugated by swap(row_one, rows[-1]).  A rejected
     image therefore stays rejected as rows grow, and neither a repeated
     image nor a second pass could add a row.
+
+    Seeds often grow the same rows, and a matrix's adjacent swaps are
+    mostly swaps already admitted while growing it, so each distinct swap
+    goes to the gate once per call; the verdicts are dropped on return.
     """
+    verdicts = {}
+
+    def is_symmetry(perm):
+        key = perm.key()
+        if key not in verdicts:
+            verdicts[key] = is_syntactic_symmetry(program, perm)
+        return verdicts[key]
+
     candidates = []
     seen_matrices = set()
     for seed in gens:
@@ -258,7 +275,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
             if len(set(image)) != len(image) or not used.isdisjoint(image):
                 continue
             swap = AtomPermutation.from_cycles(*zip(rows[-1], image))
-            if is_syntactic_symmetry(program, swap):
+            if is_symmetry(swap):
                 rows.append(image)
                 used.update(image)
         if len(rows) < 3:
@@ -266,7 +283,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         matrix = _canonical_matrix(rows)
         if matrix.rows in seen_matrices:
             continue
-        if all(is_syntactic_symmetry(program, matrix.adjacent_swap(i))
+        if all(is_symmetry(matrix.adjacent_swap(i))
                for i in range(matrix.n_rows - 1)):
             seen_matrices.add(matrix.rows)
             candidates.append(matrix)

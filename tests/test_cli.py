@@ -9,6 +9,7 @@ import pytest
 
 from symbreak import break_program, parse_program, write_program
 from symbreak.cli import main
+from symbreak.encoding import dump_graph
 from programs import free_choice, normalize_text, p1, p3, pigeonhole
 
 
@@ -219,6 +220,34 @@ def test_verify_p1(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
     assert code == 0
     assert "verification passed" in err
+
+
+def test_verify_prints_the_stats_of_the_break_it_checks(monkeypatch, capsys):
+    program = pigeonhole(3, 2)
+    code, out, err = run_cli(["--mode", "verify", "--stats"], write_program(program),
+                             monkeypatch, capsys)
+    assert code == 0 and out == ""
+    result = break_program(program)
+    lines = err.splitlines()
+    assert lines[:2] == ["symbreak: answer sets 0 -> 0 (unsat preserved)",
+                         "symbreak: verification passed"]
+    stats = stats_of(err)
+    assert list(stats) == ["generators", "rules", "aux", "seconds", "rows", "binpairs"]
+    assert int(stats["generators"]) == len(result.detection.generators)
+    assert int(stats["rules"]) == len(result.program.rules) - len(program.rules)
+    assert int(stats["aux"]) == result.program.max_atom - program.max_atom
+    assert int(stats["rows"]) == len(result.rows) == 1
+    assert int(stats["binpairs"]) == len(result.pairs)
+    assert float(stats["seconds"]) >= 0.0
+
+
+def test_verify_dumps_the_graph_it_searched(monkeypatch, capsys):
+    code, out, err = run_cli(["--mode", "verify", "--dump-graph"], P1_TEXT,
+                             monkeypatch, capsys)
+    assert code == 0 and out == ""
+    graph = dump_graph(break_program(p1()).detection.graph)
+    assert err == graph + ("symbreak: answer sets 4 -> 3\n"
+                           "symbreak: verification passed\n")
 
 
 def test_verify_enumerates_each_program_once(monkeypatch, capsys):

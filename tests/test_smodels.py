@@ -8,8 +8,10 @@ from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, ParseError, Rule,
                       WeightRule, parse_program,
                       semantic_view, validate, write_program)
+from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
 from graph_oracles import reference_parse_program
-from programs import SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5
+from programs import (SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5,
+                      with_repeated_atoms)
 
 
 def test_parse_basic_rule_with_symbol():
@@ -153,6 +155,40 @@ def test_rule_kind_key_and_map_atoms():
     swap = {2: 3, 3: 2}.get
     rule = WeightRule(2, 4, (3,), (2,), (5, 6))
     assert rule.map_atoms(lambda a: swap(a, a)) == WeightRule(3, 4, (2,), (3,), (5, 6))
+
+
+def with_repeated_weighted_literal(rule: Rule) -> Rule:
+    """A weight rule or minimize statement with its first negative and
+    first positive literal written twice, each with its weight."""
+    n, w = len(rule.neg), rule.weights
+    return rule._replace(neg=rule.neg + rule.neg[:1], pos=rule.pos + rule.pos[:1],
+                         weights=w[:n] + w[:min(n, 1)] + w[n:] + w[n:n + 1])
+
+
+def test_rule_key_with_image_matches_map_atoms():
+    rules = {}  # a dict keeps first-seen order, so the maps drawn are fixed
+    for program in corpus():
+        rules.update(dict.fromkeys(program.rules + with_repeated_atoms(program).rules))
+    rules.update(dict.fromkeys(with_repeated_weighted_literal(r) for r in list(rules)
+                               if r.kind in (WEIGHT, MINIMIZE)))
+    repeated = {r.kind for r in rules if len(set(r.atoms())) < len(list(r.atoms()))}
+    assert {WEIGHT, MINIMIZE, BASIC, CHOICE, DISJUNCTIVE} <= repeated
+    rng = random.Random(3)
+    checked = 0
+    for rule in rules:
+        atoms = sorted(set(rule.atoms()))
+        top = max(atoms, default=0)
+        shuffled = rng.sample(atoms, len(atoms))
+        maps = [
+            {},
+            {top + 1: top + 2, top + 2: top + 1},  # moves only atoms it lacks
+            dict(zip(atoms, shuffled)) | {top + 1: top + 3},
+            {a: rng.randint(1, top + 2) for a in atoms if rng.random() < 0.7},
+        ]
+        for m in maps:
+            assert rule.key(m) == rule.map_atoms(lambda a: m.get(a, a)).key(), (rule, m)
+            checked += 1
+    assert checked > 4000
 
 
 def test_false_atom_detected_for_constraints():

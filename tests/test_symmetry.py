@@ -230,6 +230,29 @@ def test_detect_rows_matches_pool_reference(reference_corpus, monkeypatch):
         assert verdict == reference_is_syntactic_symmetry(program, perm)
 
 
+def test_detect_rows_asks_each_permutation_once(monkeypatch):
+    """Within one call every distinct swap goes to the gate once; a second
+    call asks again, as no verdict outlives the call."""
+    asked = []
+    real_gate = symmetry.is_syntactic_symmetry
+
+    def recorded(program, perm):
+        asked.append(perm.key())
+        return real_gate(program, perm)
+
+    monkeypatch.setattr(symmetry, "is_syntactic_symmetry", recorded)
+    for program in (pigeonhole(6, 5), free_choice(range(1, 17))):
+        gens = detect_symmetries(program).generators
+        calls = []
+        for _ in range(2):
+            asked.clear()
+            rows = detect_rows(program, gens)
+            assert len(asked) == len(set(asked)), program
+            calls.append(sorted(asked))
+        assert calls[0] == calls[1] and len(calls[0]) >= 10
+        assert rows == reference_detect_rows(program, gens)
+
+
 def test_detect_rows_reaches_rows_through_products_of_two():
     """Row (3,) is the image of row (1,) under (1 2) then (2 3 4); row (4,)
     needs three generators and stays out."""
