@@ -10,6 +10,23 @@ must pass, so a bug here can lose symmetries but never invent one.  Found
 automorphisms prune sibling branches (restricted to permutations fixing
 the current base pointwise).
 
+The search backjumps to the first path (the path to the first leaf).  A
+leaf off it lies below the deepest first-path node whose child w is being
+searched, with first child v.  Refinement is invariant under relabelling,
+so an automorphism g taking the first leaf to this leaf fixes the base of
+that node and takes v to w: every leaf below w is the image under g of a
+leaf below v, so the search jumps back to the node and goes on with its
+next child.  First-path nodes finish deepest first, so every generator
+found so far fixes the base of the node being searched, and w was not in
+the orbit of v under them, or it would have been pruned.  So each
+generator joins two orbits of the group found so far: at most n-1 are
+found, no leaf repeats a known one, and they generate the group with the
+first path as a base (bliss: Junttila & Kaski, ALENEX 2007).  Orbit
+pruning stays exact at every node.  On the first path it prunes only
+images of finished siblings.  Off it, a finished sibling held no leaf
+equivalent to the first leaf, or the search would have jumped, so
+neither does any image of it.
+
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
 path, so no depth hits the recursion limit.  A node keeps the labelled
@@ -319,12 +336,12 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     recursion limit.  A child inherits its parent's generators that fix
     the base, filtered by its own base point.  Each tree node costs one
     ``color_refine`` call, the one that made its partition, and counts
-    against ``max_tree_nodes`` when it is entered.
+    against ``max_tree_nodes`` when it is entered.  A leaf off the first
+    path that gives an automorphism ends the search below the deepest
+    first-path node (the module docstring says why this is exact).
     """
     n = graph.n_nodes
-    ident = identity(n)
     gens: list[tuple[int, ...]] = []
-    gen_keys = set()
     first_leaf = None  # node -> position in the first leaf reached
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
@@ -350,9 +367,11 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             first_leaf = partition.labels
         else:
             perm = tuple([by_label[p][0] for p in first_leaf])
-            if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
+            if is_automorphism(graph, perm):
                 gens.append(perm)
-                gen_keys.add(perm)
+                # back to the deepest node on the first path: its current
+                # child's subtree is covered by the new generator
+                del path[next(i for i, node in enumerate(path) if node.done) + 1:]
         while path:
             v = path[-1].next_vertex(gens)
             if v is not None:

@@ -5,7 +5,8 @@ converted to an atom permutation and re-validated as a syntactic symmetry
 before anything is built from it; permutations failing the gate are
 dropped and counted, so a detection bug can only weaken the breaking,
 never corrupt it.  Binary clauses come from the stabilizer chain of the
-validated generators, and each pair's witness passes the same gate.
+validated generators, and each pair's witness passes the same gate,
+unless it is one of the generators that already passed it.
 """
 
 from dataclasses import dataclass
@@ -80,10 +81,12 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
 
     pairs = []
     if config.stabilizer_levels:
+        validated = set(gens)  # these passed the gate in detect_symmetries
         for found in stabilizer_binary_symmetries(gens, order,
                                                   config.stabilizer_levels):
             witness = found.witness
-            if witness.is_identity or not is_syntactic_symmetry(program, witness):
+            if witness.is_identity or (witness not in validated
+                                       and not is_syntactic_symmetry(program, witness)):
                 continue
             if min(witness.support, key=order.key) != found.first:
                 continue

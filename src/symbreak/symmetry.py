@@ -211,43 +211,26 @@ def _canonical_matrix(rows) -> RowMatrix:
     return RowMatrix((first, *rest))
 
 
-def _row_images(row, gens):
-    """Distinct images of ``row`` other than itself, in first-appearance
-    order: g(row) for each generator g, then h(g(row)) for each pair."""
-    seen = {row}
-    firsts = []
-    for g in gens:
-        image = tuple(map(g.moved.get, row, row))
-        if image not in seen:
-            seen.add(image)
-            firsts.append(image)
-            yield image
-    for first in firsts:
-        for h in gens:
-            image = tuple(map(h.moved.get, first, first))
-            if image not in seen:
-                seen.add(image)
-                yield image
-
-
 def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     """Find row-interchangeability structure among validated generators.
 
     Seeds are generators that are involutions (disjoint 2-cycles read as
-    two aligned rows); rows grow through images of the first row under
-    the generators and products of two.  Every appended row is admitted
-    only if the induced adjacent-row swap is itself a syntactic symmetry,
-    so an unsound matrix cannot be produced.  Matrices need at least 3
-    rows to beat plain per-generator breaking; overlapping candidates are
-    resolved toward more atoms, then more rows.
+    two aligned rows); rows grow through the images of every accepted row
+    under the generators, in one pass over the row list as it grows.
+    Every appended row is admitted only if the induced adjacent-row swap
+    is itself a syntactic symmetry, so an unsound matrix cannot be
+    produced.  Matrices need at least 3 rows to beat plain per-generator
+    breaking; overlapping candidates are resolved toward more atoms, then
+    more rows.
 
     One pass over the distinct images is exact.  The rows found so far are
     pairwise disjoint and every adjacent swap among them is a symmetry, so
     any two rows are interchangeable, and for an image X disjoint from
     them swap(rows[-1], X) is a symmetry exactly when swap(row_one, X) is:
     one is the other conjugated by swap(row_one, rows[-1]).  A rejected
-    image therefore stays rejected as rows grow, and neither a repeated
-    image nor a second pass could add a row.
+    image therefore stays rejected as rows grow, an image that meets a row
+    keeps meeting it, and neither a repeated image nor a second pass could
+    add a row.
 
     Seeds often grow the same rows, and a matrix's adjacent swaps are
     mostly swaps already admitted while growing it, so each distinct swap
@@ -271,13 +254,17 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         row_two = tuple(b for _, b in pairs)
         rows = [row_one, row_two]
         used = set(row_one) | set(row_two)
-        for image in _row_images(row_one, gens):
-            if len(set(image)) != len(image) or not used.isdisjoint(image):
-                continue
-            swap = AtomPermutation.from_cycles(*zip(rows[-1], image))
-            if is_symmetry(swap):
-                rows.append(image)
-                used.update(image)
+        seen = set(rows)
+        for row in rows:
+            for g in gens:
+                image = tuple(map(g.moved.get, row, row))
+                if image in seen:
+                    continue
+                seen.add(image)
+                if used.isdisjoint(image) and is_symmetry(
+                        AtomPermutation.from_cycles(*zip(rows[-1], image))):
+                    rows.append(image)
+                    used.update(image)
         if len(rows) < 3:
             continue
         matrix = _canonical_matrix(rows)

@@ -8,7 +8,8 @@ rebuilds each node's partition from cell tuples and refilters its
 stabilizer from scratch (it refines with the package's `color_refine`,
 which the tests hold to `reference_color_refine`);
 `brute_force_automorphisms` enumerates all color-respecting
-bijections; `group_closure` lists every element of a small group.
+bijections; `group_closure` lists every element of a small group, and
+`group_order` counts the elements of a larger one.
 `reference_is_syntactic_symmetry` compares the whole permuted program,
 and `reference_detect_rows` grows rows from a pool of every generator and
 every product of two, rescanned until no row is added.
@@ -80,8 +81,8 @@ def reference_find_generators(graph: ColoredGraph,
 
     Every node rebuilds its partition from cell tuples, and every sibling
     re-filters all generators found so far against the node's whole base.
-    The package search must visit the same tree, with the same budget
-    cutoff, and return the same generators in the same order.
+    It never backjumps, so it visits a larger tree than the package search
+    and may return more generators; the two must generate the same group.
     """
     n = graph.n_nodes
     root = color_refine(graph, partition_by_colors(graph))
@@ -212,6 +213,78 @@ def group_closure(gens, n: int, cap: int = 10 ** 6) -> set:
                 elements.add(k)
                 frontier.append(k)
     return elements
+
+
+def inverse(g) -> tuple[int, ...]:
+    inv = [0] * len(g)
+    for v, w in enumerate(g):
+        inv[w] = v
+    return tuple(inv)
+
+
+def group_order(gens, n: int) -> int:
+    """Order of the group gens generate, by a plain Schreier-Sims.
+
+    Each residue that sifts through the chain is filed as a strong
+    generator at the level where it stopped, and at every shallower one;
+    a new level takes the residue's first moved point as its base point.
+    Levels are checked deepest first; a level is checked by sifting every
+    Schreier generator into the levels below it, with its transversal
+    rebuilt from scratch whenever a strong generator is filed there.
+    """
+    ident = identity(n)
+    base, strong, trans = [], [], []
+
+    def rebuild(i):
+        t = {base[i]: (ident, ident)}
+        frontier = [base[i]]
+        for x in frontier:
+            for s in strong[i]:
+                if s[x] not in t:
+                    u = compose(t[x][0], s)
+                    t[s[x]] = (u, inverse(u))
+                    frontier.append(s[x])
+        trans[i] = t
+
+    def sift(g, start):
+        for i in range(start, len(base)):
+            u = trans[i].get(g[base[i]])
+            if u is None:
+                return g, i
+            g = compose(g, u[1])
+        return g, len(base)
+
+    def file(g, level):
+        if level == len(base):
+            base.append(next(x for x in range(n) if g[x] != x))
+            strong.append([])
+            trans.append(None)
+        for i in range(level + 1):
+            strong[i].append(g)
+            rebuild(i)
+
+    def check(i):
+        """The level of the first strong generator filed, or None."""
+        for x, (u, _) in list(trans[i].items()):
+            for s in strong[i]:
+                residue, j = sift(compose(compose(u, s), trans[i][s[x]][1]), i + 1)
+                if residue != ident:
+                    file(residue, j)
+                    return j
+        return None
+
+    for g in gens:
+        residue, j = sift(tuple(g), 0)
+        if residue != ident:
+            file(residue, j)
+    level = len(base) - 1
+    while level >= 0:
+        filed = check(level)
+        level = level - 1 if filed is None else filed
+    order = 1
+    for t in trans:
+        order *= len(t)
+    return order
 
 
 def compose_atoms(g: AtomPermutation, h: AtomPermutation) -> AtomPermutation:

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -13,7 +15,7 @@ from symbreak.automorphism import (OrderedPartition, identity, is_automorphism,
                                    partition_by_colors)
 from symbreak.encoding import build_graph, fix_nodes
 from graph_oracles import (EnumerationBudgetError, brute_force_automorphisms,
-                           group_closure, reference_color_refine,
+                           group_closure, group_order, reference_color_refine,
                            reference_find_generators)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       place_atom, random_colored_graph, random_program)
@@ -172,10 +174,11 @@ class CountingNeighbors(tuple):
 
 
 def test_search_neighbour_reads_bounded():
-    """Seeded refinement and skipping the largest fragment read fewer
-    neighbor lists for the same search (52,762 and 36,366 reads before)."""
-    for program, bound, expected in [(pigeonhole(6, 5), 30000, (25, 113)),
-                                     (free_choice(range(1, 17)), 20000, (120, 696))]:
+    """Seeded refinement, skipping the largest fragment and backjumping
+    read fewer neighbor lists (52,762 and 36,366 reads with none of them,
+    16,977 and 7,014 without backjumping, 8,473 and 1,414 with all)."""
+    for program, bound, expected in [(pigeonhole(6, 5), 10000, (9, 53)),
+                                     (free_choice(range(1, 17)), 2000, (15, 136))]:
         graph = encode_program(program)
         counted = replace(graph, neighbors=CountingNeighbors(graph.neighbors))
         CountingNeighbors.reads = 0
@@ -199,9 +202,11 @@ def test_refine_leaves_its_argument_unchanged():
 
 
 def assert_search_matches_reference(monkeypatch, graphs):
-    """Same generators, tree size and completeness as the recursive search
-    under budgets that cut it at several depths, one refinement per tree
-    node, none of which changes its argument."""
+    """Under budgets that cut the search at several depths, every generator
+    is an automorphism, the tree stays within the budget, and each tree
+    node costs one refinement, none of which changes its argument.  Given
+    the whole budget, the generators span the group of the recursive
+    search's, and each joins two orbits of the group found before it."""
     calls = 0
 
     def counting(graph, partition, *individualized):
@@ -215,12 +220,24 @@ def assert_search_matches_reference(monkeypatch, graphs):
     monkeypatch.setattr(automorphism, "color_refine", counting)
     cut = 0
     for graph in graphs:
+        n = graph.n_nodes
         for budget in (1, 2, 5, 17, 10 ** 6):
             calls = 0
             search = find_generators(graph, max_tree_nodes=budget)
-            assert search == reference_find_generators(graph, budget), budget
+            assert all(is_automorphism(graph, g) for g in search.generators)
             assert calls == search.tree_nodes
-            cut += not search.complete
+            if search.complete:
+                assert search.tree_nodes <= budget
+            else:
+                assert search.tree_nodes == budget + 1
+                cut += 1
+        assert search.complete
+        reference = reference_find_generators(graph).generators
+        order = group_order(reference, n)
+        assert group_order(search.generators, n) == order
+        assert group_order(search.generators + reference, n) == order
+        orbits = {orbit(search.generators, v) for v in range(n)}
+        assert len(search.generators) <= n - len(orbits)
     assert cut
 
 
@@ -324,6 +341,7 @@ def test_generated_group_matches_brute_force():
         brute = set(brute_force_automorphisms(g))
         gens = find_generators(g).generators
         assert group_closure(gens, g.n_nodes) == brute, (g.colors, sorted(g.edges()))
+        assert group_order(gens, g.n_nodes) == len(brute)
 
 
 def leaf_certificate(graph, order):
@@ -384,12 +402,27 @@ def two_frucht_graphs():
 
 def test_search_tree_size_pinned():
     """A change to pruning or refinement that alters the tree shows here."""
-    for graph, expected in [(encode_program(pigeonhole(6, 5)), (25, 113)),
-                            (encode_program(free_choice(range(1, 17))), (120, 696)),
-                            (two_frucht_graphs(), (1, 170))]:
+    for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 53)),
+                            (encode_program(free_choice(range(1, 17))), (15, 136)),
+                            (two_frucht_graphs(), (1, 159))]:
         search = find_generators(graph)
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == expected
+
+
+def test_symmetric_group_gets_n_minus_one_generators():
+    """n interchangeable choice atoms give S_n: n - 1 generators, order n!,
+    and S40 stays fast."""
+    for k in range(2, 13):
+        graph = encode_program(free_choice(range(1, k + 1)))
+        gens = find_generators(graph).generators
+        assert len(gens) == k - 1
+        assert group_order(gens, graph.n_nodes) == factorial(k)
+    graph = encode_program(free_choice(range(1, 41)))
+    started = time.perf_counter()
+    search = find_generators(graph)
+    assert time.perf_counter() - started < 1.0
+    assert search.complete and len(search.generators) <= 39
 
 
 def test_generators_pinned_on_small_programs():

@@ -207,9 +207,14 @@ def test_detect_rows_every_pairwise_swap_is_symmetric():
             assert is_syntactic_symmetry(php, matrix.row_swap(i, j))
 
 
-def test_detect_rows_matches_pool_reference(reference_corpus, monkeypatch):
-    """Same matrices as the g-squared pool, and every gate call it makes
-    gets the whole-program verdict."""
+def matrix_atoms(rows) -> int:
+    return sum(len(m.atoms) for m in rows)
+
+
+def test_detect_rows_covers_pool_reference(reference_corpus, monkeypatch):
+    """At least the atoms of the g-squared pool's matrices, more on some
+    programs, and every gate call it makes gets the whole-program
+    verdict."""
     calls = []
     real_gate = symmetry.is_syntactic_symmetry
 
@@ -219,12 +224,14 @@ def test_detect_rows_matches_pool_reference(reference_corpus, monkeypatch):
         return verdict
 
     monkeypatch.setattr(symmetry, "is_syntactic_symmetry", recorded)
-    tall = 0
+    tall = more = 0
     for program, gens in reference_corpus:
         rows = detect_rows(program, gens)
-        assert rows == reference_detect_rows(program, gens), program
+        covered = matrix_atoms(reference_detect_rows(program, gens))
+        assert matrix_atoms(rows) >= covered, program
+        more += matrix_atoms(rows) > covered
         tall += any(m.n_rows > 3 for m in rows)
-    assert tall >= 10
+    assert tall >= 10 and more >= 10
     assert calls
     for program, perm, verdict in calls:
         assert verdict == reference_is_syntactic_symmetry(program, perm)
@@ -250,17 +257,16 @@ def test_detect_rows_asks_each_permutation_once(monkeypatch):
             assert len(asked) == len(set(asked)), program
             calls.append(sorted(asked))
         assert calls[0] == calls[1] and len(calls[0]) >= 10
-        assert rows == reference_detect_rows(program, gens)
+        assert matrix_atoms(rows) >= matrix_atoms(reference_detect_rows(program, gens))
 
 
-def test_detect_rows_reaches_rows_through_products_of_two():
-    """Row (3,) is the image of row (1,) under (1 2) then (2 3 4); row (4,)
-    needs three generators and stays out."""
+def test_detect_rows_grows_from_every_accepted_row():
+    """(2 3 4) takes the accepted row (2,) to (3,), and (3,) to (4,); the
+    pool of products of two stops at (3,)."""
     program = free_choice(range(1, 5))
     gens = [swap(1, 2), AtomPermutation.from_cycles((2, 3, 4))]
-    expected = [RowMatrix(((1,), (2,), (3,)))]
-    assert reference_detect_rows(program, gens) == expected
-    assert detect_rows(program, gens) == expected
+    assert reference_detect_rows(program, gens) == [RowMatrix(((1,), (2,), (3,)))]
+    assert detect_rows(program, gens) == [RowMatrix(((1,), (2,), (3,), (4,)))]
 
 
 def test_detect_rows_of_s24_is_fast():
