@@ -12,7 +12,7 @@ from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
 from .oracle import (OracleBudgetError, SoundnessVerdict, answer_sets,
-                     check_soundness, objective_value, satisfies)
+                     check_soundness)
 from .pipeline import (BreakConfig, BreakResult, Detection, break_program,
                        detect_symmetries)
 from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
@@ -33,8 +33,7 @@ __all__ = [
     "assemble", "binary_rules", "break_program", "break_rows",
     "check_soundness", "choose_order", "color_refine", "detect_rows",
     "detect_symmetries", "encode_program", "find_generators",
-    "is_syntactic_symmetry", "lex_leader_rules", "objective_value", "orbit",
-    "parse_program", "restrict_to_atoms", "satisfies",
-    "semantic_view", "stabilizer_binary_symmetries", "validate",
-    "write_program",
+    "is_syntactic_symmetry", "lex_leader_rules", "orbit",
+    "parse_program", "restrict_to_atoms", "semantic_view",
+    "stabilizer_binary_symmetries", "validate", "write_program",
 ]

@@ -31,11 +31,27 @@ Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
 path, so no depth hits the recursion limit.  A node keeps the labelled
 partition refinement works on (``OrderedPartition.labels`` and
-``by_label``); a child copies both lists and relabels only the cell its
-vertex was split off, and `color_refine` refines a copy of that.  A child
-also inherits its parent's list of generators that fix the base, filtered
-by the one new base point, so only generators found since are tested
-against the whole base.
+``by_label``); `color_refine` copies both lists once, splits the child's
+vertex off its cell on the copy and relabels only that cell.
+
+Orbit pruning at a node uses the generators found so far that fix its
+base pointwise.  Backjumping decides in advance which those are:
+
+- (I1) every first-path node is made before the first leaf is reached,
+  so before the first generator is found;
+- (I2) every generator found while a first-path node is on the path
+  fixes that node's base: it maps the first leaf to a leaf below the
+  node, and both leaves keep each base vertex in the singleton cell it
+  was split into;
+- (I3) a node off the first path is popped by the first generator found
+  below it, and while it is on the path every leaf reached is below it.
+
+So no generator is ever tested against a base.  By (I1) a first-path
+node has nothing to inherit from its parent, and by (I2) it can prune
+with every generator, so first-path nodes share the live list of them.
+By (I3) an off-path node never sees a generator it was not made with: it
+keeps the snapshot of its parent's list that fixes its own vertex, taken
+when it is made, and nodes need not store their bases.
 
 `color_refine` works in rounds, and every round splits each cell against
 the partition the round started from.  So after a round every cell is
@@ -54,10 +70,11 @@ rechecks every cell (``reference_color_refine`` in the tests).
   cell that see none of those fragments share one key, so one of them is
   keyed for all.
 - Seed the first round.  The search refines an equitable partition with
-  one vertex v split off its cell; {v} and the rest of the cell are the
-  fragments of a split equitable cell, with the rest left out.  Given
-  ``individualized=v``, the first round marks v's neighbors only.  Without
-  it (the root call, arbitrary partitions) the first round keys every node.
+  one vertex v split off its cell: given ``individualized=v``,
+  `color_refine` splits v off first, on its copy.  {v} and the rest of
+  the cell are the fragments of a split equitable cell, with the rest
+  left out, so the first round marks v's neighbors only.  Without it
+  (the root call, arbitrary partitions) the first round keys every node.
 - Cheaper group order.  Sub-cells are ordered by the (cell, count)
   signature of their nodes' neighbor labels.  When no key in a splitting
   cell repeats a label, that order is the order of the sorted key tuples
@@ -74,7 +91,6 @@ from .encoding import ColoredGraph
 __all__ = [
     "OrderedPartition", "partition_by_colors", "color_refine",
     "GeneratorSearch", "find_generators", "orbit", "is_automorphism",
-    "identity",
 ]
 
 
@@ -160,18 +176,21 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     ordered by their neighborhood signature, so the result is both
     deterministic and invariant under relabeling.
 
+    When ``individualized`` names a vertex v of an equitable partition, v
+    is first split off its cell into a singleton cell just before the rest
+    of it, which is nothing to do when v is a singleton already.
+
     Every round splits each cell against the partition the round started
-    from.  The first round checks every cell, or, when ``individualized``
-    names a vertex v and the partition is an equitable one with v split
-    off into a singleton cell, only the cells holding a neighbor of v.
-    Later rounds check only the cells holding a neighbor of a fragment,
-    other than the largest one, of a cell that split in the round before.
-    Only those neighbors are keyed one by one (the module docstring says
-    why this is exact).  A cell is labelled by the position of its first
-    node in the concatenated cells, so a split relabels only its own
-    nodes, and the labels order the cells as their positions do.  The
-    refinement works on a copy of the partition's labelling, never on the
-    partition itself, and the result carries the refined labelling.
+    from.  The first round checks every cell, or, given ``individualized``,
+    only the cells holding a neighbor of v.  Later rounds check only the
+    cells holding a neighbor of a fragment, other than the largest one, of
+    a cell that split in the round before.  Only those neighbors are keyed
+    one by one (the module docstring says why this is exact).  A cell is
+    labelled by the position of its first node in the concatenated cells,
+    so a split relabels only its own nodes, and the labels order the cells
+    as their positions do.  The split and the refinement work on one copy
+    of the partition's labelling, never on the partition itself, and the
+    result carries the refined labelling.
     """
     nbrs = graph.neighbors
     n = graph.n_nodes
@@ -180,7 +199,15 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
         marked = None  # every node of a pending cell is keyed
         pending = [s for s in set(index) if len(cells[s]) > 1]
     else:
-        marked = set(nbrs[individualized])
+        v = individualized
+        s = index[v]
+        rest = tuple(w for w in cells[s] if w != v)
+        if rest:
+            cells[s] = (v,)
+            cells[s + 1] = rest
+            for w in rest:
+                index[w] = s + 1
+        marked = set(nbrs[v])
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
     while pending:
         splits = []
@@ -221,10 +248,6 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                         marked.update(nbrs[v])
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
     return OrderedPartition(labels=index, by_label=cells)
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
 
 
 def is_automorphism(graph: ColoredGraph, perm) -> bool:
@@ -269,41 +292,38 @@ class GeneratorSearch:
 
 class _Node:
     """An inner node of the search tree: its partition, the label of its
-    first non-singleton cell, its base, and the loop over that cell."""
+    first non-singleton cell, and the loop over that cell."""
 
-    __slots__ = ("partition", "label", "base", "todo", "current", "done",
+    __slots__ = ("partition", "label", "todo", "current", "done",
                  "stabilizing", "known", "reached", "covered")
 
-    def __init__(self, partition, label, base, stabilizing, known):
+    def __init__(self, partition, label, stabilizing):
         self.partition = partition
         self.label = label
-        self.base = base
         self.todo = iter(sorted(partition.by_label[label]))
         self.current = None  # the vertex whose subtree is being searched
         self.done = []  # the vertices whose subtrees are finished
-        self.stabilizing = stabilizing  # the found generators fixing the base
-        self.known = known  # generators already filtered into `stabilizing`
+        # the found generators fixing the base: the search's own list on
+        # the first path, a fixed snapshot off it
+        self.stabilizing = stabilizing
+        self.known = len(stabilizing)  # generators `reached` was built with
         self.reached = set()
         self.covered = 0  # finished vertices whose orbits are in `reached`
 
-    def next_vertex(self, gens):
+    def next_vertex(self):
         """The next vertex of the cell to individualize, or None when done.
 
         A vertex is skipped when a finished sibling reaches it under the
-        found generators that fix the base.  Only generators found since
-        the last call are tested against the base; `reached` is rebuilt
-        when one of them fixes it, and otherwise grows by the orbit of
-        each newly finished sibling.
+        found generators that fix the base.  `reached` is rebuilt when
+        generators were found since the last call, and otherwise grows by
+        the orbit of each newly finished sibling.
         """
         if self.current is not None:
             self.done.append(self.current)
             self.current = None
-        base = self.base
         for v in self.todo:
-            fresh = [g for g in gens[self.known:] if all(g[b] == b for b in base)]
-            self.known = len(gens)
-            if fresh:
-                self.stabilizing += fresh
+            if self.known < len(self.stabilizing):
+                self.known = len(self.stabilizing)
                 self.reached = set()
                 self.covered = 0
             for w in self.done[self.covered:]:
@@ -315,28 +335,17 @@ class _Node:
                 return v
         return None
 
-    def child(self, v: int) -> OrderedPartition:
-        """The partition with v split off its cell, before refinement."""
-        labels = self.partition.labels.copy()
-        by_label = self.partition.by_label.copy()
-        s = self.label
-        rest = tuple(w for w in by_label[s] if w != v)
-        by_label[s] = (v,)
-        by_label[s + 1] = rest
-        for w in rest:
-            labels[w] = s + 1
-        return OrderedPartition(labels=labels, by_label=by_label)
-
 
 def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> GeneratorSearch:
     """Generators of the automorphism group via individualization-refinement.
 
     Depth first, with the inner nodes of the current path on an explicit
     stack, so the depth of the tree is bounded by memory, not by the
-    recursion limit.  A child inherits its parent's generators that fix
-    the base, filtered by its own base point.  Each tree node costs one
-    ``color_refine`` call, the one that made its partition, and counts
-    against ``max_tree_nodes`` when it is entered.  A leaf off the first
+    recursion limit.  Nodes on the first path prune with every generator
+    found; a node off it with the generators that fixed its base when it
+    was made.  Each tree node costs one ``color_refine`` call, which splits
+    the node's vertex off its parent's partition and refines the result,
+    and counts against ``max_tree_nodes`` when it is entered.  A leaf off the first
     path that gives an automorphism ends the search below the deepest
     first-path node (the module docstring says why this is exact).
     """
@@ -357,12 +366,11 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
         while s < n and len(by_label[s]) == 1:
             s += 1
         if s < n:
-            if path:
-                parent = path[-1]
-                stabilizing = [g for g in parent.stabilizing if g[v] == v]
-                path.append(_Node(partition, s, parent.base + (v,), stabilizing, parent.known))
+            if first_leaf is None:
+                path.append(_Node(partition, s, gens))
             else:
-                path.append(_Node(partition, s, (), [], 0))
+                stabilizing = [g for g in path[-1].stabilizing if g[v] == v]
+                path.append(_Node(partition, s, stabilizing))
         elif first_leaf is None:
             first_leaf = partition.labels
         else:
@@ -373,10 +381,10 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
                 # child's subtree is covered by the new generator
                 del path[next(i for i, node in enumerate(path) if node.done) + 1:]
         while path:
-            v = path[-1].next_vertex(gens)
+            v = path[-1].next_vertex()
             if v is not None:
                 break
             path.pop()
         else:
             return GeneratorSearch(tuple(gens), True, tree_nodes)
-        partition = color_refine(graph, path[-1].child(v), v)
+        partition = color_refine(graph, path[-1].partition, v)

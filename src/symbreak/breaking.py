@@ -107,15 +107,9 @@ def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
 
 
 def binary_rules(pairs, constraint_head: int) -> Fragment:
-    """One constraint ``<- v, not w`` per (v, w) pair, deduplicated."""
-    seen = set()
-    rules = []
-    for v, w in pairs:
-        if (v, w) in seen:
-            continue
-        seen.add((v, w))
-        rules.append(BasicRule(constraint_head, (v,), (w,)))
-    return Fragment(tuple(rules))
+    """One constraint ``<- v, not w`` per (v, w) pair; `assemble` drops
+    repeats."""
+    return Fragment(tuple(BasicRule(constraint_head, (v,), (w,)) for v, w in pairs))
 
 
 def assemble(program: GroundProgram, fragments, alloc: FreshAtoms,

@@ -50,16 +50,6 @@ class ColoredGraph:
     def adjacency(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(ns) for ns in self.neighbors)
 
-    @cached_property
-    def _atom_index(self) -> dict[int, int]:
-        return {a: i for i, a in enumerate(self.atoms)}
-
-    def atom_node(self, atom: int) -> int:
-        return 2 * self._atom_index[atom]
-
-    def negation_node(self, atom: int) -> int:
-        return 2 * self._atom_index[atom] + 1
-
     def node_atom(self, node: int) -> int:
         """The atom owning a literal node (positive or negative)."""
         if node >= 2 * len(self.atoms):
@@ -71,22 +61,6 @@ class ColoredGraph:
             for v in ns:
                 if u < v:
                     yield u, v
-
-
-def build_graph(colors, edges, atoms=()) -> ColoredGraph:
-    """Construct a graph from an edge list, checking it is simple."""
-    colors = tuple(colors)
-    n = len(colors)
-    nbrs = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self loop on node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return ColoredGraph(colors, tuple(tuple(sorted(ns)) for ns in nbrs),
-                        tuple(atoms))
 
 
 def encode_program(program: GroundProgram) -> ColoredGraph:

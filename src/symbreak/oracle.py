@@ -14,37 +14,12 @@ an explicit subset-minimality check.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .smodels import (BASIC, CARDINALITY, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT,
-                      BasicRule, GroundProgram, Rule, semantic_view)
+from .smodels import (BASIC, CARDINALITY, CHOICE, DISJUNCTIVE, WEIGHT, BasicRule,
+                      GroundProgram, Rule, semantic_view)
 
 
 class OracleBudgetError(RuntimeError):
     """The candidate space is too large for exhaustive enumeration."""
-
-
-def _body_holds(interp, pos, neg) -> bool:
-    return all(a in interp for a in pos) and not any(b in interp for b in neg)
-
-
-def satisfies(interp, rule) -> bool:
-    """Classical satisfaction of one rule by a set of true atoms.
-
-    Choice rules and minimize statements are satisfied by every
-    interpretation; their effect lives in stability and in the objective.
-    """
-    if rule.kind in (CHOICE, MINIMIZE):
-        return True
-    if any(h in interp for h in rule.heads):
-        return True
-    if rule.kind == CARDINALITY:
-        count = sum(1 for a in rule.pos if a in interp)
-        count += sum(1 for b in rule.neg if b not in interp)
-        return count < rule.bound
-    if rule.kind == WEIGHT:
-        total = sum(w for a, is_pos, w in rule.pairs()
-                    if (a in interp) == is_pos)
-        return total < rule.bound
-    return not _body_holds(interp, rule.pos, rule.neg)
 
 
 def _minimal_cardinality_bodies(lits, bound, budget):
@@ -233,8 +208,7 @@ def _answer_sets_full(d: Desugared, budget: int):
         raise OracleBudgetError(
             f"{len(free)} enumeration atoms exceed the oracle budget {budget}")
     basic = _compile_rules(d.basic)
-    disj = [(_or_bits(r.heads), _or_bits(r.pos), _or_bits(r.neg))
-            for r in d.disjunctive]
+    disj = _compile_rules(d.disjunctive)
     project_mask = _or_bits(a for a in range(1, d.project_max + 1)
                             if a != d.false_atom)
     found = set()
@@ -283,16 +257,6 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
     else:
         found = _answer_sets_fixpoint(d, budget)
     return sorted(found, key=lambda s: tuple(sorted(s)))
-
-
-def objective_value(program: GroundProgram, interp) -> int:
-    """Sum of minimize-statement weights whose literal holds in interp."""
-    total = 0
-    for r in program.rules:
-        if r.kind == MINIMIZE:
-            total += sum(w for a, is_pos, w in r.pairs()
-                         if (a in interp) == is_pos)
-    return total
 
 
 @dataclass(frozen=True)

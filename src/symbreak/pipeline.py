@@ -48,7 +48,6 @@ class BreakResult:
     rows: list[RowMatrix]
     order: AtomOrder
     pairs: list[tuple[int, int]]
-    per_symmetry_aux: tuple[int, ...]
 
 
 def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Detection:
@@ -100,24 +99,18 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     head = program.false_atom if new_false is None else new_false
 
     fragments: list[Fragment] = []
-    per_symmetry_aux: list[int] = []
     consumed = set()
     for matrix in rows:
-        for frag in break_rows(matrix, order, config.aux_limit, alloc, head):
-            fragments.append(frag)
-            per_symmetry_aux.append(len(frag.aux_atoms))
+        fragments += break_rows(matrix, order, config.aux_limit, alloc, head)
         for i, g in enumerate(gens):
             if matrix.row_map_of(g) is not None:
                 consumed.add(i)
     for i, g in enumerate(gens):
         if i in consumed:
             continue
-        frag = lex_leader_rules(g, order, config.aux_limit, alloc, head)
-        fragments.append(frag)
-        per_symmetry_aux.append(len(frag.aux_atoms))
+        fragments.append(lex_leader_rules(g, order, config.aux_limit, alloc, head))
     if pairs:
         fragments.append(binary_rules(pairs, head))
 
     augmented = assemble(program, fragments, alloc, new_false)
-    return BreakResult(augmented, detection, rows, order, pairs,
-                       tuple(per_symmetry_aux))
+    return BreakResult(augmented, detection, rows, order, pairs)

@@ -17,6 +17,11 @@ every product of two, rescanned until no row is added.
 `reference_parse_program` walks every token of every line through the
 checks that name a malformed one.
 
+The fixtures at the top were part of the package until only tests used
+them: `identity`, `build_graph` (a graph from an edge list),
+`atom_node` and `negation_node` (an encoded atom's literal nodes), and
+`satisfies` (classical satisfaction of one rule).
+
 Graph permutations are dense image tuples over node ids; composition is
 left-to-right (apply ``f``, then ``g``).
 """
@@ -25,14 +30,69 @@ from collections import Counter
 from math import factorial
 
 from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refine,
-                                   identity, is_automorphism, orbit,
-                                   partition_by_colors)
+                                   is_automorphism, orbit, partition_by_colors)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
-from symbreak.smodels import (_LAYOUTS, CHOICE, MINIMIZE, WEIGHT, GroundProgram,
-                              ParseError, Rule, _atom, _int, semantic_view)
+from symbreak.smodels import (_LAYOUTS, CARDINALITY, CHOICE, MINIMIZE, WEIGHT,
+                              GroundProgram, ParseError, Rule, _atom, _int,
+                              semantic_view)
 from symbreak.symmetry import AtomPermutation, RowMatrix, _canonical_matrix
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def build_graph(colors, edges, atoms=()) -> ColoredGraph:
+    """Construct a graph from an edge list, checking it is simple."""
+    colors = tuple(colors)
+    n = len(colors)
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return ColoredGraph(colors, tuple(tuple(sorted(ns)) for ns in nbrs),
+                        tuple(atoms))
+
+
+def atom_node(graph: ColoredGraph, atom: int) -> int:
+    """The positive literal node of an encoded atom."""
+    return 2 * graph.atoms.index(atom)
+
+
+def negation_node(graph: ColoredGraph, atom: int) -> int:
+    """The negative literal node of an encoded atom."""
+    return 2 * graph.atoms.index(atom) + 1
+
+
+def _body_holds(interp, pos, neg) -> bool:
+    return all(a in interp for a in pos) and not any(b in interp for b in neg)
+
+
+def satisfies(interp, rule) -> bool:
+    """Classical satisfaction of one rule by a set of true atoms.
+
+    Choice rules and minimize statements are satisfied by every
+    interpretation; their effect lives in stability and in the objective.
+    """
+    if rule.kind in (CHOICE, MINIMIZE):
+        return True
+    if any(h in interp for h in rule.heads):
+        return True
+    if rule.kind == CARDINALITY:
+        count = sum(1 for a in rule.pos if a in interp)
+        count += sum(1 for b in rule.neg if b not in interp)
+        return count < rule.bound
+    if rule.kind == WEIGHT:
+        total = sum(w for a, is_pos, w in rule.pairs()
+                    if (a in interp) == is_pos)
+        return total < rule.bound
+    return not _body_holds(interp, rule.pos, rule.neg)
 
 
 class EnumerationBudgetError(RuntimeError):

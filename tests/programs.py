@@ -184,8 +184,7 @@ def random_colored_graph(rng: random.Random, max_nodes: int = 12):
     """A random simple colored graph with a brute-forceable color partition."""
     from math import factorial
 
-    from symbreak import ColoredGraph
-    from symbreak.encoding import build_graph
+    from graph_oracles import build_graph
 
     n = rng.randint(2, max_nodes)
     n_colors = rng.randint(1, 3)
@@ -272,6 +271,32 @@ def reference_answer_sets(program: GroundProgram):
             if minimal:
                 out.add(frozenset(a for a in interp if a <= program.max_atom))
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def record_fragment_aux(monkeypatch) -> list[int]:
+    """Wrap the pipeline's fragment builders for the rest of the test.
+
+    The returned list gets the aux-atom count of every fragment built for
+    a row swap or a generator, in the order they are built.
+    """
+    from symbreak import pipeline
+
+    counts = []
+    real_lex, real_rows = pipeline.lex_leader_rules, pipeline.break_rows
+
+    def lex(*args):
+        frag = real_lex(*args)
+        counts.append(len(frag.aux_atoms))
+        return frag
+
+    def rows(*args):
+        frags = real_rows(*args)
+        counts.extend(len(frag.aux_atoms) for frag in frags)
+        return frags
+
+    monkeypatch.setattr(pipeline, "lex_leader_rules", lex)
+    monkeypatch.setattr(pipeline, "break_rows", rows)
+    return counts
 
 
 def normalize_text(text: str) -> str:

@@ -17,7 +17,7 @@ from symbreak.pipeline import detect_symmetries
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from graph_oracles import brute_force_automorphisms, group_closure
 from programs import (SMODELS_CORPUS, free_choice, normalize_text, p1, p2, p3,
-                      p4, p5, pigeonhole, random_program)
+                      p4, p5, pigeonhole, random_program, record_fragment_aux)
 
 
 def report(criterion, text):
@@ -149,19 +149,21 @@ def test_criterion_6_engine_matches_brute_force():
               f"search = brute force in {elapsed:.1f}s")
 
 
-def test_criterion_7_aux_budget():
+def test_criterion_7_aux_budget(monkeypatch):
     """Per-symmetry auxiliary counts respect the default and --limit N."""
     suite = [p1(), p2(), p3(), p4(), p5(),
              pigeonhole(3, 2), pigeonhole(3, 3), pigeonhole(4, 3)]
     rng = random.Random(777)
     suite += [random_program(rng) for _ in range(40)]
+    aux = record_fragment_aux(monkeypatch)
     for limit in (0, 3, 50):
         for program in suite:
-            result = break_program(program, BreakConfig(aux_limit=limit))
-            assert all(n <= limit for n in result.per_symmetry_aux), \
-                (limit, program)
-    defaults = break_program(pigeonhole(5, 4))
-    assert all(n <= 50 for n in defaults.per_symmetry_aux)
+            aux.clear()
+            break_program(program, BreakConfig(aux_limit=limit))
+            assert all(n <= limit for n in aux), (limit, program)
+    aux.clear()
+    break_program(pigeonhole(5, 4))
+    assert all(n <= 50 for n in aux)
     report(7, "per-symmetry aux counts within limits 0, 3, 50 and the "
               "default 50 across the suite")
 

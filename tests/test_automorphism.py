@@ -11,12 +11,13 @@ import pytest
 
 from symbreak import (GroundProgram, automorphism, color_refine,
                       encode_program, find_generators, orbit)
-from symbreak.automorphism import (OrderedPartition, identity, is_automorphism,
+from symbreak.automorphism import (OrderedPartition, is_automorphism,
                                    partition_by_colors)
-from symbreak.encoding import build_graph, fix_nodes
-from graph_oracles import (EnumerationBudgetError, brute_force_automorphisms,
-                           group_closure, group_order, reference_color_refine,
-                           reference_find_generators)
+from symbreak.encoding import fix_nodes
+from graph_oracles import (EnumerationBudgetError, atom_node,
+                           brute_force_automorphisms, build_graph,
+                           group_closure, group_order, identity,
+                           reference_color_refine, reference_find_generators)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       place_atom, random_colored_graph, random_program)
 
@@ -87,12 +88,26 @@ def random_ordered_partition(rng, n):
     return OrderedPartition(tuple(tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:])))
 
 
+def split_off(partition, v):
+    """The partition with v split off its cell, just before the rest of it."""
+    cells = []
+    for cell in partition.cells:
+        if v in cell and len(cell) > 1:
+            cells += [(v,), tuple(w for w in cell if w != v)]
+        else:
+            cells.append(cell)
+    return OrderedPartition(tuple(cells))
+
+
 def assert_search_refines_match_reference(monkeypatch, graphs):
-    """Every partition find_generators refines, refined by both versions."""
+    """Every partition find_generators refines, refined by both versions;
+    the reference gets it with the individualized vertex split off."""
     calls = []
 
     def recording(graph, partition, *individualized):
         result = color_refine(graph, partition, *individualized)
+        for v in individualized:
+            partition = split_off(partition, v)
         calls.append((partition, result))
         return result
 
@@ -138,7 +153,8 @@ def test_refine_matches_reference_from_random_partitions():
 def test_refine_matches_reference_on_individualized_partitions():
     """Seeded refinement from random individualizations, down to a
     discrete partition: the vertex's singleton cell goes before or after
-    the rest of its cell, in a random non-singleton cell."""
+    the rest of its cell, in a random non-singleton cell.  The same vertex
+    individualized on the partition before the split is split off first."""
     rng = random.Random(45)
     graphs = [encode_program(random_program(random.Random(i))) for i in range(150)]
     graphs += [encode_program(pigeonhole(4, 3)), encode_program(free_choice(range(1, 9)))]
@@ -157,6 +173,8 @@ def test_refine_matches_reference_on_individualized_partitions():
             cells = list(partition.cells)
             cells[i:i + 1] = split
             start = OrderedPartition(tuple(cells))
+            unsplit = color_refine(g, partition, v)
+            assert unsplit == reference_color_refine(g, split_off(partition, v)), (partition, v)
             partition = color_refine(g, start, v)
             assert partition == reference_color_refine(g, start), (start, v)
             seeded += 1
@@ -304,7 +322,7 @@ def test_find_generators_p1():
     assert result.complete
     assert len(result.generators) == 1
     gen = result.generators[0]
-    assert gen[g.atom_node(1)] == g.atom_node(2)
+    assert gen[atom_node(g, 1)] == atom_node(g, 2)
 
 
 def test_find_generators_asymmetric_graph():
@@ -400,11 +418,32 @@ def two_frucht_graphs():
     return build_graph([1] * 24, [(u + k, v + k) for k in (0, 12) for u, v in edges])
 
 
+def rook_and_shrikhande_graphs():
+    """The 4x4 rook's graph (nodes 4i + j) beside the Shrikhande graph
+    (nodes 16 + 4a + b), both strongly regular with parameters (16, 6, 2, 2)
+    and in one color.
+
+    Refinement splits nothing.  The first leaf lies in the rook's graph,
+    and the two graphs are not isomorphic, so no leaf below a Shrikhande
+    vertex gives an automorphism: those subtrees are searched to the end,
+    and only orbit pruning off the first path keeps them small.  The
+    Shrikhande graph is the Cayley graph of Z4 x Z4 on +-(0, 1), +-(1, 0)
+    and +-(1, 1).
+    """
+    edges = [(u, v) for u in range(16) for v in range(u + 1, 16)
+             if u // 4 == v // 4 or u % 4 == v % 4]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    edges += [(16 + u, 16 + v) for u in range(16) for v in range(u + 1, 16)
+              if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps]
+    return build_graph([1] * 32, edges)
+
+
 def test_search_tree_size_pinned():
     """A change to pruning or refinement that alters the tree shows here."""
     for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 53)),
                             (encode_program(free_choice(range(1, 17))), (15, 136)),
-                            (two_frucht_graphs(), (1, 159))]:
+                            (two_frucht_graphs(), (1, 159)),
+                            (rook_and_shrikhande_graphs(), (10, 62))]:
         search = find_generators(graph)
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == expected
@@ -450,16 +489,16 @@ def test_orbit_trivial_and_p1():
     assert orbit([], 3) == frozenset({3})
     g = encode_program(p1())
     gens = find_generators(g).generators
-    assert orbit(gens, g.atom_node(1)) == {g.atom_node(1), g.atom_node(2)}
+    assert orbit(gens, atom_node(g, 1)) == {atom_node(g, 1), atom_node(g, 2)}
 
 
 def test_orbit_pigeonhole_covers_all_placements():
     php = pigeonhole(3, 2)
     g = encode_program(php)
     gens = find_generators(g).generators
-    seed = g.atom_node(place_atom(3, 2, 1, 1))
+    seed = atom_node(g, place_atom(3, 2, 1, 1))
     reached = orbit(gens, seed)
-    placements = {g.atom_node(place_atom(3, 2, p, h))
+    placements = {atom_node(g, place_atom(3, 2, p, h))
                   for p in (1, 2, 3) for h in (1, 2)}
     assert placements <= reached
     assert reached <= set(range(2 * len(g.atoms)))  # literal nodes only
@@ -478,5 +517,5 @@ def test_fix_nodes_empty_is_identity():
 
 def test_fix_nodes_kills_p1_swap():
     g = encode_program(p1())
-    pinned = fix_nodes(g, [g.atom_node(1)])
+    pinned = fix_nodes(g, [atom_node(g, 1)])
     assert find_generators(pinned).generators == ()

@@ -146,8 +146,8 @@ def test_break_rows_two_rows_single_fragment():
     assert frags[0].rules == (BasicRule(9, (1,), (2,)),)
 
 
-def test_binary_rules_and_dedup():
-    frag = binary_rules([(1, 2), (1, 2), (2, 3)], 9)
+def test_binary_rules():
+    frag = binary_rules([(1, 2), (2, 3)], 9)
     assert frag.rules == (BasicRule(9, (1,), (2,)), BasicRule(9, (2,), (3,)))
     assert frag.aux_atoms == ()
     assert binary_rules([], 9).rules == ()
@@ -180,6 +180,13 @@ def test_assemble_dedupes_constraints_across_fragments():
     binary = make_binary([(1, 2)], head)
     out = assemble(base, [lex, binary], alloc, head)
     assert len(out.rules) == len(base.rules) + 1
+    # and within one fragment, keeping the first occurrence
+    base = free_choice([1, 2, 3])
+    alloc = FreshAtoms(4)
+    head = alloc.fresh()
+    out = assemble(base, [make_binary([(1, 2), (1, 2), (2, 3)], head)], alloc, head)
+    assert out.rules[len(base.rules):] == (BasicRule(head, (1,), (2,)),
+                                           BasicRule(head, (2,), (3,)))
 
 
 def test_assemble_detects_allocator_misuse():

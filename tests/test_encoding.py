@@ -10,9 +10,10 @@ from symbreak import (GroundProgram, MinimizeStatement, WeightRule,
                       restrict_to_atoms, semantic_view)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                HEAD_COLOR, MINIMIZE_COLOR, NEGATION_COLOR,
-                               build_graph, dump_graph)
+                               dump_graph)
 from symbreak.symmetry import AtomPermutation
-from graph_oracles import (brute_force_automorphisms, color_census,
+from graph_oracles import (atom_node, brute_force_automorphisms, build_graph,
+                           color_census, negation_node,
                            reference_encode_program)
 from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
                       with_repeated_atoms)
@@ -30,7 +31,7 @@ def test_p1_graph_structure():
     assert color_census(g) == {ATOM_COLOR: 2, NEGATION_COLOR: 2,
                                BODY_COLOR: 2, CHOICE_HEAD_COLOR: 2}
     # atom nodes pair with their negations
-    assert g.negation_node(1) in g.adjacency[g.atom_node(1)]
+    assert negation_node(g, 1) in g.adjacency[atom_node(g, 1)]
     autos = brute_force_automorphisms(g)
     assert len(autos) == 2
     swaps = [restrict_to_atoms(g, a) for a in autos]
@@ -38,8 +39,8 @@ def test_p1_graph_structure():
     # negation consistency: the image of an atom node fixes its negation
     for auto in autos:
         for atom in (1, 2):
-            image = g.node_atom(auto[g.atom_node(atom)])
-            assert auto[g.negation_node(atom)] == g.negation_node(image)
+            image = g.node_atom(auto[atom_node(g, atom)])
+            assert auto[negation_node(g, atom)] == negation_node(g, image)
 
 
 def test_p5_facts_get_head_and_body_nodes():
@@ -79,7 +80,7 @@ def test_weight_rule_term_nodes():
     assert census[7] == 1 and census[8] == 1 and census[9] == 1
     # term node for weight 6 connects literal 2's positive node and the body
     term = g.colors.index(9)
-    assert g.atom_node(2) in g.adjacency[term]
+    assert atom_node(g, 2) in g.adjacency[term]
 
 
 def test_shared_value_color_for_bound_and_weight():

@@ -6,9 +6,10 @@ import pytest
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
                       MinimizeStatement, OracleBudgetError, WeightRule,
-                      answer_sets, check_soundness, objective_value, satisfies)
+                      answer_sets, check_soundness)
 from symbreak.smodels import CARDINALITY, WEIGHT
 from symbreak.symmetry import AtomPermutation
+from graph_oracles import satisfies
 from programs import (p1, p2, p3, p4, p5, pigeonhole, random_program,
                       reference_answer_sets)
 
@@ -111,20 +112,6 @@ def test_pigeonhole_sat_and_unsat():
     assert len(answer_sets(pigeonhole(2, 2))) == 2  # the two matchings
     assert answer_sets(pigeonhole(3, 2)) == []
     assert answer_sets(pigeonhole(4, 3)) == []
-
-
-def test_objective_value():
-    assert objective_value(p1(), {1}) == 0
-    single = GroundProgram(rules=(MinimizeStatement((1,), (), (3,)),))
-    assert objective_value(single, {1}) == 3
-    mixed = GroundProgram(rules=(MinimizeStatement((1,), (2,), (2, 3)),))
-    assert objective_value(mixed, {1}) == 5
-
-
-def test_objective_value_sums_statements():
-    p = GroundProgram(rules=(MinimizeStatement((1,), (), (3,)),
-                             MinimizeStatement((2,), (), (4,))))
-    assert objective_value(p, {1, 2}) == 7
 
 
 def test_check_soundness_trivial_and_adversarial():

@@ -1,14 +1,19 @@
 """End-to-end behavior of the break pipeline."""
 
+import io
 import random
 import sys
 from dataclasses import replace
 
-from symbreak import (BasicRule, BreakConfig, GroundProgram, answer_sets,
-                      break_program, check_soundness, parse_program, validate,
+from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
+                      answer_sets, break_program, check_soundness,
+                      detect_symmetries, parse_program, pipeline, validate,
                       write_program)
+from symbreak.cli import main
+from symbreak.symmetry import AtomPermutation, BinarySymmetry
+from graph_oracles import atom_node
 from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      random_program)
+                      random_program, record_fragment_aux)
 
 
 def test_break_p1_appends_single_constraint():
@@ -75,26 +80,30 @@ def test_every_aux_atom_is_defined():
         assert aux in heads
 
 
-def test_aux_budget_respected():
+def test_aux_budget_respected(monkeypatch):
+    aux = record_fragment_aux(monkeypatch)
     for limit in (0, 3, 50):
         config = BreakConfig(aux_limit=limit)
         for program, unsat in ((p1(), False), (pigeonhole(3, 2), True),
                                (pigeonhole(4, 3), True)):
+            aux.clear()
             result = break_program(program, config)
-            assert all(n <= limit for n in result.per_symmetry_aux)
+            assert all(n <= limit for n in aux)
             assert check_soundness(program, result.detection.generators,
                                    result.program).ok, (limit, program)
             if unsat:
                 assert answer_sets(result.program) == [], (limit, program)
 
 
-def test_row_generators_not_broken_twice():
+def test_row_generators_not_broken_twice(monkeypatch):
     php = pigeonhole(4, 3)
+    default_aux = record_fragment_aux(monkeypatch)
     default = break_program(php)
+    default_fragments = len(default_aux)
     no_rows = break_program(php, BreakConfig(row_detection=False))
     assert len(default.rows) == 1 and len(no_rows.rows) == 0
     # with the matrix consumed, fewer per-generator fragments are needed
-    assert len(default.per_symmetry_aux) \
+    assert default_fragments \
         < len(no_rows.detection.generators) + len(default.rows) * 3
 
 
@@ -165,3 +174,55 @@ def test_false_name_on_any_atom_breaks_soundly():
                                   result.program, budget=16)
         assert verdict.ok, (i, program)
     assert rejected
+
+
+def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys):
+    """A search that also returns the swap of p and r in P2, which is no
+    symmetry (r is derived from p and q), loses it at the gate: the break
+    is the honest one and verify names the rejection."""
+    honest = break_program(p2())
+    real = pipeline.find_generators
+
+    def faulty(graph, *args):
+        search = real(graph, *args)
+        perm = list(range(graph.n_nodes))
+        p, r = atom_node(graph, 1), atom_node(graph, 3)
+        perm[p], perm[r], perm[p + 1], perm[r + 1] = r, p, r + 1, p + 1
+        return replace(search, generators=search.generators + (tuple(perm),))
+
+    monkeypatch.setattr(pipeline, "find_generators", faulty)
+    detection = detect_symmetries(p2())
+    assert detection.rejected == 1
+    assert detection.generators == honest.detection.generators
+    result = break_program(p2())
+    assert result.program == honest.program
+    assert check_soundness(p2(), result.detection.generators, result.program).ok
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_program(p2())))
+    assert main(["--mode", "verify"]) == 4
+    err = capsys.readouterr().err
+    assert "VIOLATION: 1 automorphism(s) failed the syntactic symmetry check" in err
+
+
+def test_gate_drops_bad_stabilizer_witnesses(monkeypatch):
+    """Of the witnesses the chain hands over, one that is no symmetry, one
+    that moves an atom ranked below its first atom and the identity give
+    no pair; one equal to a validated generator gives its pair without a
+    gate call."""
+    program = GroundProgram(rules=(ChoiceRule((1,)), ChoiceRule((2,)), ChoiceRule((3,)),
+                                   BasicRule(4, (1, 2, 3))))
+    generator = AtomPermutation.from_cycles((1, 2))
+    no_symmetry = AtomPermutation.from_cycles((1, 4))
+    below_first = AtomPermutation.from_cycles((1, 2, 3))  # moves 1, pairs 2 with 3
+    witnesses = [BinarySymmetry(1, 4, no_symmetry), BinarySymmetry(2, 3, below_first),
+                 BinarySymmetry(3, 4, AtomPermutation({})), BinarySymmetry(1, 2, generator)]
+    monkeypatch.setattr(pipeline, "stabilizer_binary_symmetries", lambda *args: witnesses)
+    gated = []
+    real_gate = pipeline.is_syntactic_symmetry
+    monkeypatch.setattr(pipeline, "is_syntactic_symmetry",
+                        lambda program, perm: gated.append(perm) or real_gate(program, perm))
+    result = break_program(program)
+    detection = result.detection
+    assert generator in detection.generators and below_first not in detection.generators
+    searched = len(detection.generators) + detection.rejected
+    assert gated[searched:] == [no_symmetry, below_first]
+    assert result.pairs == [(1, 2)]

@@ -4,9 +4,10 @@ import random
 
 from symbreak import (CardinalityRule, ChoiceRule, GroundProgram, WeightRule,
                       answer_sets, assemble, break_program, lex_leader_rules,
-                      satisfies, semantic_view, write_program)
+                      semantic_view, write_program)
 from symbreak.breaking import FreshAtoms
 from symbreak.symmetry import AtomOrder, AtomPermutation
+from graph_oracles import satisfies
 from programs import free_choice, pigeonhole, random_program
 
 

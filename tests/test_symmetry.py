@@ -11,13 +11,13 @@ from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
                       WeightRule, break_program, choose_order, detect_rows,
                       encode_program, find_generators, is_syntactic_symmetry,
                       restrict_to_atoms, stabilizer_binary_symmetries, symmetry)
-from symbreak.automorphism import identity
 from symbreak.encoding import fix_nodes
 from symbreak.pipeline import detect_symmetries
 from symbreak.smodels import semantic_view
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
-from graph_oracles import (EnumerationBudgetError, compose, compose_atoms,
-                           group_closure, reference_detect_rows,
+from graph_oracles import (EnumerationBudgetError, atom_node, compose,
+                           compose_atoms, group_closure, identity,
+                           reference_detect_rows,
                            reference_is_syntactic_symmetry)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       place_atom, random_program)
@@ -356,7 +356,7 @@ def research_pairs(program, order, levels=5):
         if not moved:
             break
         v = min(moved, key=order.key)
-        start = graph.atom_node(v)
+        start = atom_node(graph, v)
         words = {start: identity(graph.n_nodes)}
         frontier = [start]
         for node in frontier:
