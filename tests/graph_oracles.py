@@ -17,8 +17,8 @@ every product of two, rescanned until no row is added.
 `reference_parse_program` walks every token of every line through the
 checks that name a malformed one.
 
-The fixtures at the top were part of the package until only tests used
-them: `identity`, `build_graph` (a graph from an edge list),
+The fixtures at the top serve the tests only, so the package does not
+ship them: `identity`, `build_graph` (a graph from an edge list),
 `atom_node` and `negation_node` (an encoded atom's literal nodes), and
 `satisfies` (classical satisfaction of one rule).
 
