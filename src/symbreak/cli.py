@@ -116,10 +116,8 @@ def _write_output(path: str, text: str):
 def _verify(program: GroundProgram, result: BreakResult) -> int:
     """Oracle-check the break of ``program`` into ``result``; print the
     verdict lines and return the exit status."""
-    violations = []
-    if result.detection.rejected:
-        violations.append(f"{result.detection.rejected} automorphism(s) failed "
-                          "the syntactic symmetry check")
+    violations = [f"automorphism {format_generator(perm, program)} failed the "
+                  "syntactic symmetry check" for perm in result.detection.rejected]
     if not result.detection.search.complete:
         print("symbreak: search budget exceeded", file=sys.stderr)
         return 2

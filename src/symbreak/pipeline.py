@@ -3,7 +3,7 @@
 The graph is searched once per program.  Every automorphism found is
 converted to an atom permutation and re-validated as a syntactic symmetry
 before anything is built from it; permutations failing the gate are
-dropped and counted, so a detection bug can only weaken the breaking,
+dropped and kept aside, so a detection bug can only weaken the breaking,
 never corrupt it.  Binary clauses come from the stabilizer chain of the
 validated generators, and each pair's witness passes the same gate,
 unless it is one of the generators that already passed it.
@@ -33,12 +33,13 @@ class BreakConfig:
 
 @dataclass
 class Detection:
-    """Validated symmetries of one program."""
+    """Validated symmetries of one program, and the atom permutations of
+    the search that failed the gate."""
 
     graph: ColoredGraph
     search: GeneratorSearch
     generators: list[AtomPermutation]
-    rejected: int
+    rejected: list[AtomPermutation]
 
 
 @dataclass
@@ -55,7 +56,7 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
     graph = encode_program(program)
     search = find_generators(graph, config.search_budget)
     generators = []
-    rejected = 0
+    rejected = []
     for node_perm in search.generators:
         perm = restrict_to_atoms(graph, node_perm)
         if perm.is_identity:
@@ -63,7 +64,7 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
         if is_syntactic_symmetry(program, perm):
             generators.append(perm)
         else:
-            rejected += 1
+            rejected.append(perm)
     return Detection(graph, search, generators, rejected)
 
 
@@ -82,7 +83,8 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     if config.stabilizer_levels:
         validated = set(gens)  # these passed the gate in detect_symmetries
         for found in stabilizer_binary_symmetries(gens, order,
-                                                  config.stabilizer_levels):
+                                                  config.stabilizer_levels,
+                                                  detection.search.order):
             witness = found.witness
             if witness.is_identity or (witness not in validated
                                        and not is_syntactic_symmetry(program, witness)):

@@ -11,11 +11,28 @@ computed by Schreier-Sims without any further graph search.
 The gate compares the keys of the rules a permutation touches with the
 keys of their images, both from ``Rule.key``; row detection asks it once
 per distinct swap within a call.
+
+The chain stops at the group order the graph search reports.  The
+validated atom permutations generate an image of a subgroup of the
+graph's automorphism group, so that order bounds their group's order.
+Each level's orbit is closed under strong generators fixing the earlier
+base points, a subgroup of the level's true stabilizer, so each partial
+orbit lies inside the true one and the product of their sizes is at most
+the atom group's order.  Once the product reaches the bound, every orbit
+is complete; transversal entries are only ever added, never changed, so
+the pairs and witnesses equal those of the full run.  When the atom
+group is smaller than the graph group (a graph automorphism that fixes
+every atom, or a generator the gate rejects), or the search ran out of
+budget and knows no order, the loop runs to the end.  A wrong order can
+only stop it early, with orbits cut short: the pairs are then some of
+the full chain's, and every witness is still a product of validated
+generators that passes the gate.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
@@ -230,7 +247,9 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     one is the other conjugated by swap(row_one, rows[-1]).  A rejected
     image therefore stays rejected as rows grow, an image that meets a row
     keeps meeting it, and neither a repeated image nor a second pass could
-    add a row.
+    add a row.  So a row visits only the generators that move its first
+    atom, in generator order: the image under any other holds that atom,
+    so it meets the row itself.
 
     Seeds often grow the same rows, and a matrix's adjacent swaps are
     mostly swaps already admitted while growing it, so each distinct swap
@@ -244,6 +263,11 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
             verdicts[key] = is_syntactic_symmetry(program, perm)
         return verdicts[key]
 
+    movers = {}  # atom -> the generators moving it, in generator order
+    for g in gens:
+        for a in g.support:
+            movers.setdefault(a, []).append(g)
+
     candidates = []
     seen_matrices = set()
     for seed in gens:
@@ -256,7 +280,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         used = set(row_one) | set(row_two)
         seen = set(rows)
         for row in rows:
-            for g in gens:
+            for g in movers.get(row[0], ()):
                 image = tuple(map(g.moved.get, row, row))
                 if image in seen:
                     continue
@@ -345,8 +369,8 @@ def _then(f, g) -> tuple[int, ...]:
     return tuple(map(g.__getitem__, f))
 
 
-def stabilizer_binary_symmetries(gens, order: AtomOrder,
-                                 levels: int = 5) -> list[BinarySymmetry]:
+def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5,
+                                 group_order: int = None) -> list[BinarySymmetry]:
     """Binary prefix symmetries from a pointwise-stabilizer chain.
 
     The chain of the group generated by ``gens`` comes from a deterministic,
@@ -356,6 +380,15 @@ def stabilizer_binary_symmetries(gens, order: AtomOrder,
     its orbit, in ascending atom index.  The witness is the transversal
     element taking v to w; it fixes every earlier base atom, so it moves
     nothing ranked below v.  Callers re-validate it before use all the same.
+
+    ``group_order``, an upper bound on the order of the group ``gens``
+    generate, stops Schreier-Sims as soon as the product of the basic
+    orbit sizes reaches it.  Each level's orbit is closed under strong
+    generators that fix the earlier base points, so it lies inside the
+    true basic orbit, and the product is at most the group order; when it
+    reaches the bound, every orbit is complete.  Transversal entries are
+    only ever added, so the pairs and the witnesses are those of the full
+    run.  A product that never reaches the bound runs the loop to the end.
     """
     base = order.sort_atoms({a for g in gens for a in g.support})
     n = len(base)
@@ -407,12 +440,26 @@ def stabilizer_binary_symmetries(gens, order: AtomOrder,
                     return filed
         return None
 
-    for g in gens:
-        sift(tuple(point[g.image_of(a)] for a in base), 0)
-    level = n - 1
-    while level >= 0:
-        filed = sift_pending(level)
-        level = level - 1 if filed is None else filed
+    def filings():
+        """Sift the generators, then every level's Schreier generators,
+        deepest level first; yield the level of each strong generator
+        filed, and go on from that level."""
+        for g in gens:
+            filed = sift(tuple(point[g.image_of(a)] for a in base), 0)
+            if filed is not None:
+                yield filed
+        level = n - 1
+        while level >= 0:
+            filed = sift_pending(level)
+            if filed is None:
+                level -= 1
+            else:
+                yield filed
+                level = filed
+
+    for _ in filings():
+        if prod(map(len, orbits)) == group_order:
+            break
 
     out = []
     nontrivial = [i for i in range(n) if len(orbits[i]) > 1]

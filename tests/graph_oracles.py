@@ -143,13 +143,17 @@ def reference_find_generators(graph: ColoredGraph,
     re-filters all generators found so far against the node's whole base.
     It never backjumps, so it visits a larger tree than the package search
     and may return more generators; the two must generate the same group.
+    The order is the product, over the nodes on the path to the first
+    leaf, of the first child's orbit under every generator found by the
+    time the node finishes that fixes the node's base, each orbit a fresh
+    closure.
     """
     n = graph.n_nodes
     root = color_refine(graph, partition_by_colors(graph))
     gens: list[tuple[int, ...]] = []
     gen_keys = set()
     ident = identity(n)
-    state = {"count": 0, "exhausted": False, "first_leaf": None}
+    state = {"count": 0, "exhausted": False, "first_leaf": None, "order": 1}
 
     def dfs(partition: OrderedPartition, base: tuple):
         state["count"] += 1
@@ -171,6 +175,7 @@ def reference_find_generators(graph: ColoredGraph,
                 gen_keys.add(perm)
             return
         cell = partition.cells[cell_index]
+        on_first_path = state["first_leaf"] is None
         done = []
         stabilizing = []
         reached = set()
@@ -196,9 +201,14 @@ def reference_find_generators(graph: ColoredGraph,
             child = color_refine(graph, OrderedPartition(tuple(cells)), v)
             dfs(child, base + (v,))
             done.append(v)
+        if on_first_path and not state["exhausted"]:
+            fixing = [g for g in gens if all(g[b] == b for b in base)]
+            state["order"] *= len(orbit(fixing, done[0]))
 
     dfs(root, ())
-    return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
+    complete = not state["exhausted"]
+    return GeneratorSearch(tuple(gens), complete, state["count"],
+                           state["order"] if complete else None)
 
 
 def compose(f, g) -> tuple[int, ...]:

@@ -8,10 +8,12 @@ P1..P5 are the small interchangeable-atom programs used throughout:
   P5: p. q.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
-                      GroundProgram, MinimizeStatement, WeightRule)
+                      GroundProgram, MinimizeStatement, WeightRule, parse_program)
 from symbreak.smodels import CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
 
 
@@ -165,6 +167,17 @@ def corpus() -> list[GroundProgram]:
     programs += [free_choice(range(1, k)) for k in range(2, 13)]
     programs += [random_program(random.Random(i)) for i in range(300)]
     return programs
+
+
+def workload_instances(seeds) -> list[GroundProgram]:
+    """The benchmark's timed instance of every workload for each seed, as
+    ``perfbench/workloads.py`` writes it, parsed back."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_program(workloads.build(name, seed).instance)
+            for seed in seeds for name in workloads.WORKLOADS]
 
 
 def with_repeated_atoms(program: GroundProgram) -> GroundProgram:

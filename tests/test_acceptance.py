@@ -36,7 +36,7 @@ def test_criterion_1_example_programs_detection():
         detection = detect_symmetries(program)
         swap = AtomPermutation({a: b, b: a})
         assert swap in detection.generators, program
-        assert detection.rejected == 0
+        assert len(detection.rejected) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     report(1, f"P1-P5 all detect the (p q) transposition in {elapsed:.3f}s")
@@ -69,7 +69,7 @@ def test_criterion_3_soundness_sweep():
         assert program.max_atom <= 10 and len(program.rules) <= 12
         kinds_seen.update(r.kind for r in program.rules)
         result = break_program(program)
-        assert result.detection.rejected == 0, (i, program)
+        assert len(result.detection.rejected) == 0, (i, program)
         for g in result.detection.generators:
             assert is_syntactic_symmetry(program, g), (i, program, g)
         verdict = check_soundness(program, result.detection.generators,

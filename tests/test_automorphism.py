@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from symbreak import (GroundProgram, automorphism, color_refine,
+from symbreak import (BasicRule, GroundProgram, automorphism, color_refine,
                       encode_program, find_generators, orbit)
 from symbreak.automorphism import (OrderedPartition, is_automorphism,
                                    partition_by_colors)
@@ -19,7 +19,8 @@ from graph_oracles import (EnumerationBudgetError, atom_node,
                            group_closure, group_order, identity,
                            reference_color_refine, reference_find_generators)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      place_atom, random_colored_graph, random_program)
+                      place_atom, random_colored_graph, random_program,
+                      workload_instances)
 
 
 def triangle_tail_graph():
@@ -248,12 +249,14 @@ def assert_search_matches_reference(monkeypatch, graphs):
                 assert search.tree_nodes <= budget
             else:
                 assert search.tree_nodes == budget + 1
+                assert search.order is None
                 cut += 1
         assert search.complete
-        reference = reference_find_generators(graph).generators
-        order = group_order(reference, n)
+        reference = reference_find_generators(graph)
+        order = group_order(reference.generators, n)
+        assert search.order == reference.order == order
         assert group_order(search.generators, n) == order
-        assert group_order(search.generators + reference, n) == order
+        assert group_order(search.generators + reference.generators, n) == order
         orbits = {orbit(search.generators, v) for v in range(n)}
         assert len(search.generators) <= n - len(orbits)
     assert cut
@@ -284,6 +287,35 @@ def test_search_matches_reference_on_circulant_graphs(monkeypatch):
               for k in range(1, n // 2 + 1)
               for steps in itertools.combinations(range(1, n // 2 + 1), k)]
     assert_search_matches_reference(monkeypatch, graphs)
+
+
+def test_search_reports_the_group_order():
+    """The order the search keeps, first-path orbit sizes read off a
+    union-find, is the order of the group its generators span."""
+    rng = random.Random(52)
+    graphs = [random_colored_graph(rng, max_nodes=rng.choice((12, 30))) for _ in range(400)]
+    graphs += [circulant_graph(n, steps) for n in range(3, 16)
+               for k in range(1, n // 2 + 1)
+               for steps in itertools.combinations(range(1, n // 2 + 1), k)]
+    graphs += [two_frucht_graphs(), rook_and_shrikhande_graphs()]
+    graphs += [encode_program(program) for program in corpus()]
+    for graph in graphs:
+        search = find_generators(graph)
+        assert search.order == group_order(search.generators, graph.n_nodes)
+
+
+def test_search_order_pinned():
+    """No order under a budget that runs out; 1 without symmetry; n! for
+    n interchangeable choices; p! h! for p pigeons and h holes (the
+    benchmark's instances for seed 1: php 6x5, S16 and asym-large)."""
+    graph = encode_program(free_choice(range(1, 41)))
+    assert find_generators(graph, max_tree_nodes=10).order is None
+    asymmetric = GroundProgram(rules=(BasicRule(1, (2,)), BasicRule(2)))
+    assert find_generators(encode_program(asymmetric)).order == 1
+    php, choices, asym = workload_instances([1])
+    assert find_generators(encode_program(choices)).order == factorial(16)
+    assert find_generators(encode_program(php)).order == factorial(6) * factorial(5)
+    assert find_generators(encode_program(asym)).order == 1
 
 
 def test_deep_search_stops_at_the_budget():

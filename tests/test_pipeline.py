@@ -192,7 +192,7 @@ def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys
 
     monkeypatch.setattr(pipeline, "find_generators", faulty)
     detection = detect_symmetries(p2())
-    assert detection.rejected == 1
+    assert len(detection.rejected) == 1
     assert detection.generators == honest.detection.generators
     result = break_program(p2())
     assert result.program == honest.program
@@ -200,7 +200,25 @@ def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys
     monkeypatch.setattr("sys.stdin", io.StringIO(write_program(p2())))
     assert main(["--mode", "verify"]) == 4
     err = capsys.readouterr().err
-    assert "VIOLATION: 1 automorphism(s) failed the syntactic symmetry check" in err
+    assert "VIOLATION: automorphism (p r) failed the syntactic symmetry check" in err
+
+
+def test_break_with_a_wrong_group_order_stays_sound(monkeypatch):
+    """A search reporting too small an order stops the chain early: the
+    break loses pairs but keeps a representative of every orbit."""
+    real = pipeline.find_generators
+    for program, wrong in ((free_choice(range(1, 9)), (2, 6, 24, 120, 720)),
+                           (pigeonhole(4, 3), (2, 6, 12, 24))):
+        honest = break_program(program).pairs
+        fewer = 0
+        for bound in wrong:
+            monkeypatch.setattr(pipeline, "find_generators",
+                                lambda graph, *args: replace(real(graph, *args), order=bound))
+            result = break_program(program)
+            fewer += len(result.pairs) < len(honest)
+            verdict = check_soundness(program, result.detection.generators, result.program)
+            assert verdict.ok and verdict.surviving <= set(verdict.original), (program, bound)
+        assert fewer
 
 
 def test_gate_drops_bad_stabilizer_witnesses(monkeypatch):
@@ -223,6 +241,6 @@ def test_gate_drops_bad_stabilizer_witnesses(monkeypatch):
     result = break_program(program)
     detection = result.detection
     assert generator in detection.generators and below_first not in detection.generators
-    searched = len(detection.generators) + detection.rejected
+    searched = len(detection.generators) + len(detection.rejected)
     assert gated[searched:] == [no_symmetry, below_first]
     assert result.pairs == [(1, 2)]

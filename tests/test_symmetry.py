@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
+from math import factorial, prod
 
 import pytest
 
@@ -20,7 +21,7 @@ from graph_oracles import (EnumerationBudgetError, atom_node, compose,
                            reference_detect_rows,
                            reference_is_syntactic_symmetry)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      place_atom, random_program)
+                      place_atom, random_program, workload_instances)
 
 CHAIN_CASES = [p1(), p2(), p3(), p4(), p5(), pigeonhole(3, 3), pigeonhole(4, 3),
                free_choice(range(1, 7))]
@@ -434,9 +435,74 @@ def test_stabilizer_chain_of_s24_is_fast():
         (v, w) for v in range(1, 6) for w in range(v + 1, 25)]
 
 
+def chain_input(program):
+    """The validated generators, their search and the atom order the
+    pipeline hands to the chain."""
+    det = detect_symmetries(program)
+    order = choose_order(program, det.generators, detect_rows(program, det.generators))
+    return det.generators, det.search, order
+
+
+def test_chain_stopped_at_the_search_order_is_exact(monkeypatch):
+    """Stopping once the orbit sizes multiply to the search's group order
+    gives the pairs and witnesses of the run that sifts every Schreier
+    generator, and on S_k it skips most of that run's work."""
+    programs = [*corpus(), *workload_instances(range(1, 5)),
+                *(free_choice(range(1, k + 1)) for k in range(2, 41)),
+                *(pigeonhole(p, h) for p in range(1, 8) for h in range(1, p + 1))]
+    for program in programs:
+        gens, search, order = chain_input(program)
+        assert search.order is not None
+        assert (stabilizer_binary_symmetries(gens, order, 5, search.order)
+                == stabilizer_binary_symmetries(gens, order)), program
+    # adjacent transpositions: the full runs on the star (1 i) take ~50 s
+    for k in range(2, 41):
+        gens = [AtomPermutation.from_cycles((i, i + 1)) for i in range(1, k)]
+        order = AtomOrder(tuple(range(1, k + 1)))
+        assert (stabilizer_binary_symmetries(gens, order, 5, factorial(k))
+                == stabilizer_binary_symmetries(gens, order)), k
+    products = 0
+    real_then = symmetry._then
+
+    def counting(f, g):
+        nonlocal products
+        products += 1
+        return real_then(f, g)
+
+    monkeypatch.setattr(symmetry, "_then", counting)
+    stabilizer_binary_symmetries(gens, order, 5, factorial(40))
+    early, products = products, 0
+    stabilizer_binary_symmetries(gens, order)
+    assert early * 10 < products
+
+
+def test_chain_stopped_at_a_wrong_order_stays_sound(monkeypatch):
+    """Every orbit-size product the chain passes below the group order,
+    given as the order, stops it with orbits cut short.  Each pair, with
+    its witness, is then one the full chain gives when it emits every
+    level, not only the first five: a level left trivial lets a deeper one
+    in among them.  Each witness passes the pipeline's checks."""
+    for program in (pigeonhole(5, 4), free_choice(range(1, 9))):
+        gens, search, order = chain_input(program)
+        sizes = []
+        with monkeypatch.context() as patched:
+            patched.setattr(symmetry, "prod",
+                            lambda orbits: sizes.append(prod(orbits)) or sizes[-1])
+            everything = set(stabilizer_binary_symmetries(gens, order, len(order.sequence), 0))
+        wrong = sorted({size for size in sizes if size < search.order})
+        assert len(wrong) >= 5
+        for bound in wrong:
+            found = stabilizer_binary_symmetries(gens, order, 5, bound)
+            assert set(found) <= everything
+            for first, second, witness in found:
+                assert is_syntactic_symmetry(program, witness)
+                assert witness.image_of(first) == second
+                assert min(witness.support, key=order.key) == first
+
+
 def test_pipeline_generators_all_pass_the_gate():
     for program in (p1(), p2(), p3(), pigeonhole(3, 2)):
         det = detect_symmetries(program)
-        assert det.rejected == 0
+        assert len(det.rejected) == 0
         for g in det.generators:
             assert is_syntactic_symmetry(program, g)
