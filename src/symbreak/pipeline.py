@@ -4,14 +4,17 @@ The graph is searched once per program.  Every automorphism found is
 converted to an atom permutation and re-validated as a syntactic symmetry
 before anything is built from it; permutations failing the gate are
 dropped and kept aside, so a detection bug can only weaken the breaking,
-never corrupt it.  Binary clauses come from the stabilizer chain of the
-validated generators, and each pair's witness passes the same gate,
-unless it is one of the generators that already passed it.
+never corrupt it.  Binary clauses pair each emitted level's base atom v
+of the validated generators' stabilizer chain with the rest of its orbit
+under the level's strong generators that move no atom ranked below v and
+are validated generators or pass the same gate.  Syntactic symmetries
+form a group, so every orbit point is reached by a symmetry that fixes
+everything ranked below v, whatever the chain computed.
 """
 
 from dataclasses import dataclass
 
-from .automorphism import GeneratorSearch, find_generators
+from .automorphism import GeneratorSearch, find_generators, orbit
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
@@ -81,17 +84,20 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
 
     pairs = []
     if config.stabilizer_levels:
-        validated = set(gens)  # these passed the gate in detect_symmetries
-        for found in stabilizer_binary_symmetries(gens, order,
-                                                  config.stabilizer_levels,
-                                                  detection.search.order):
-            witness = found.witness
-            if witness.is_identity or (witness not in validated
-                                       and not is_syntactic_symmetry(program, witness)):
-                continue
-            if min(witness.support, key=order.key) != found.first:
-                continue
-            pairs.append((found.first, found.second))
+        passed = dict.fromkeys(gens, True)  # these passed the gate in detect_symmetries
+        rank = order.rank
+        for v, strong in stabilizer_binary_symmetries(gens, order,
+                                                      config.stabilizer_levels,
+                                                      detection.search.order):
+            kept = []
+            for s in strong:
+                if any(rank.get(a, -1) < rank[v] for a in s.support):
+                    continue
+                if s not in passed:
+                    passed[s] = is_syntactic_symmetry(program, s)
+                if passed[s]:
+                    kept.append(s)
+            pairs += [(v, w) for w in sorted(orbit(kept, v) - {v})]
 
     alloc = FreshAtoms(program.max_atom + 1)
     new_false = None

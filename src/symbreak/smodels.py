@@ -83,11 +83,6 @@ class Rule(NamedTuple):
         neg = sorted(neg)
         return (kind, bound, len(heads), len(pos), *heads, *pos, *neg)
 
-    def map_atoms(self, f) -> "Rule":
-        """The same rule with every atom a replaced by f(a)."""
-        return Rule(self.kind, tuple(map(f, self.heads)), tuple(map(f, self.pos)),
-                    tuple(map(f, self.neg)), self.bound, self.weights)
-
 
 def BasicRule(head, pos=(), neg=()) -> Rule:
     """Wire type 1: ``head <- pos, not neg``."""

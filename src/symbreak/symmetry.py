@@ -4,9 +4,11 @@ Node automorphisms get restricted to atom permutations, validated as
 syntactic symmetries (a hard gate: nothing unsound can flow into
 constraint synthesis), and post-processed for breaking power:
 row-interchangeability matrices whose full subgroup can be broken
-completely, an atom order that matches the generators, and binary
-prefix symmetries from the generators' pointwise-stabilizer chain,
-computed by Schreier-Sims without any further graph search.
+completely, an atom order that matches the generators, and the levels of
+the generators' pointwise-stabilizer chain, computed by Schreier-Sims
+without any further graph search.  Each level is a base atom with the
+strong generators the chain holds there; the pipeline takes binary
+clauses from the base atom's orbit under those that pass its checks.
 
 The gate compares the keys of the rules a permutation touches with the
 keys of their images, both from ``Rule.key``; row detection asks it once
@@ -18,22 +20,19 @@ graph's automorphism group, so that order bounds their group's order.
 Each level's orbit is closed under strong generators fixing the earlier
 base points, a subgroup of the level's true stabilizer, so each partial
 orbit lies inside the true one and the product of their sizes is at most
-the atom group's order.  Once the product reaches the bound, every orbit
-is complete; transversal entries are only ever added, never changed, so
-the pairs and witnesses equal those of the full run.  When the atom
-group is smaller than the graph group (a graph automorphism that fixes
-every atom, or a generator the gate rejects), or the search ran out of
-budget and knows no order, the loop runs to the end.  A wrong order can
-only stop it early, with orbits cut short: the pairs are then some of
-the full chain's, and every witness is still a product of validated
-generators that passes the gate.
+the atom group's order.  Once the product reaches the bound, every level
+of the chain is complete and no later sift files a strong generator, so
+the levels equal those of the full run.  When the atom group is smaller
+than the graph group (a graph automorphism that fixes every atom, or a
+generator the gate rejects), or the search ran out of budget and knows
+no order, the loop runs to the end.  A wrong order can only stop it
+early, with fewer strong generators and orbits cut short.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import NamedTuple
 
 from .encoding import ColoredGraph
 from .smodels import GroundProgram
@@ -69,6 +68,8 @@ class AtomPermutation:
 
     def image_of(self, atom: int) -> int:
         return self.moved.get(atom, atom)
+
+    __getitem__ = image_of  # lets ``automorphism.orbit`` take atom permutations
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition; cycles sorted by and starting at their minimum."""
@@ -319,9 +320,6 @@ class AtomOrder:
     def rank(self) -> dict[int, int]:
         return {a: i for i, a in enumerate(self.sequence)}
 
-    def key(self, atom: int) -> int:
-        return self.rank[atom]
-
     def sort_atoms(self, atoms) -> list[int]:
         return sorted(atoms, key=self.rank.__getitem__)
 
@@ -355,40 +353,34 @@ def choose_order(program: GroundProgram, gens, rows) -> AtomOrder:
     return AtomOrder(tuple(sequence))
 
 
-class BinarySymmetry(NamedTuple):
-    """A pair (first, second) plus a witnessing symmetry mapping first to
-    second while moving nothing ranked below first."""
-
-    first: int
-    second: int
-    witness: AtomPermutation
-
-
 def _then(f, g) -> tuple[int, ...]:
     """Dense permutation applying f, then g."""
     return tuple(map(g.__getitem__, f))
 
 
 def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5,
-                                 group_order: int = None) -> list[BinarySymmetry]:
-    """Binary prefix symmetries from a pointwise-stabilizer chain.
+                                 group_order: int = None
+                                 ) -> list[tuple[int, list[AtomPermutation]]]:
+    """The first nontrivial levels of a pointwise-stabilizer chain.
 
     The chain of the group generated by ``gens`` comes from a deterministic,
     incremental Schreier-Sims whose base is the moved atoms in ``order``;
-    no graph is searched.  At each of the first ``levels`` levels with a
-    nontrivial orbit, the base atom v is paired with every other atom w of
-    its orbit, in ascending atom index.  The witness is the transversal
-    element taking v to w; it fixes every earlier base atom, so it moves
-    nothing ranked below v.  Callers re-validate it before use all the same.
+    no graph is searched.  For each of the first ``levels`` levels with a
+    nontrivial orbit, the result holds the base atom v and the strong
+    generators the chain holds there, which fix every earlier base atom and
+    so move nothing ranked below v; v's orbit under them is the level's
+    basic orbit.  Binary clauses pair v with the other atoms of that orbit.
+    Callers check the strong generators before use all the same.  The name
+    is kept for ``perfbench/tracer.py``, which looks the function up by it.
 
     ``group_order``, an upper bound on the order of the group ``gens``
     generate, stops Schreier-Sims as soon as the product of the basic
     orbit sizes reaches it.  Each level's orbit is closed under strong
     generators that fix the earlier base points, so it lies inside the
     true basic orbit, and the product is at most the group order; when it
-    reaches the bound, every orbit is complete.  Transversal entries are
-    only ever added, so the pairs and the witnesses are those of the full
-    run.  A product that never reaches the bound runs the loop to the end.
+    reaches the bound, every level is complete, so no later sift would
+    file a strong generator and the levels are those of the full run.  A
+    product that never reaches the bound runs the loop to the end.
     """
     base = order.sort_atoms({a for g in gens for a in g.support})
     n = len(base)
@@ -461,11 +453,8 @@ def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5,
         if prod(map(len, orbits)) == group_order:
             break
 
-    out = []
+    def atoms(s):
+        return AtomPermutation({base[x]: base[y] for x, y in enumerate(s) if x != y})
+
     nontrivial = [i for i in range(n) if len(orbits[i]) > 1]
-    for i in nontrivial[:max(levels, 0)]:
-        for w in sorted(base[x] for x in orbits[i] if x != i):
-            u = trans[i][point[w]][0]
-            out.append(BinarySymmetry(base[i], w, AtomPermutation(
-                {base[x]: base[y] for x, y in enumerate(u) if x != y})))
-    return out
+    return [(base[i], list(map(atoms, strong[i]))) for i in nontrivial[:max(levels, 0)]]

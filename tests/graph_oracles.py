@@ -19,8 +19,9 @@ checks that name a malformed one.
 
 The fixtures at the top serve the tests only, so the package does not
 ship them: `identity`, `build_graph` (a graph from an edge list),
-`atom_node` and `negation_node` (an encoded atom's literal nodes), and
-`satisfies` (classical satisfaction of one rule).
+`atom_node` and `negation_node` (an encoded atom's literal nodes),
+`satisfies` (classical satisfaction of one rule) and `map_atoms` (a rule
+with its atoms renamed).
 
 Graph permutations are dense image tuples over node ids; composition is
 left-to-right (apply ``f``, then ``g``).
@@ -93,6 +94,12 @@ def satisfies(interp, rule) -> bool:
                     if (a in interp) == is_pos)
         return total < rule.bound
     return not _body_holds(interp, rule.pos, rule.neg)
+
+
+def map_atoms(rule: Rule, f) -> Rule:
+    """The same rule with every atom a replaced by f(a)."""
+    return Rule(rule.kind, tuple(map(f, rule.heads)), tuple(map(f, rule.pos)),
+                tuple(map(f, rule.neg)), rule.bound, rule.weights)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -371,7 +378,7 @@ def reference_is_syntactic_symmetry(program: GroundProgram,
     if any(a < 1 or a > sem.max_atom for a in perm.support):
         return False
     base = Counter(r.key() for r in sem.rules)
-    mapped = Counter(r.map_atoms(perm.image_of).key() for r in sem.rules)
+    mapped = Counter(map_atoms(r, perm.image_of).key() for r in sem.rules)
     return base == mapped
 
 

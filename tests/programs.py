@@ -147,7 +147,13 @@ def random_program(rng: random.Random) -> GroundProgram:
         y = atoms[-1] + 1
         atoms.append(y)
 
-        mirrored = [r.map_atoms(lambda a: y if a == x else a)
+        # renamed in place rather than by graph_oracles.map_atoms: the
+        # benchmark builds its instances with this module, and loading the
+        # oracles there would add to its peak memory
+        def twin(part):
+            return tuple(y if a == x else a for a in part)
+
+        mirrored = [r._replace(heads=twin(r.heads), pos=twin(r.pos), neg=twin(r.neg))
                     for r in rules if x in set(r.atoms())]
         rules.extend(mirrored)
         if rng.random() < 0.7:

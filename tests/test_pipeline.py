@@ -7,13 +7,13 @@ from dataclasses import replace
 
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
-                      detect_symmetries, parse_program, pipeline, validate,
-                      write_program)
+                      detect_symmetries, is_syntactic_symmetry, parse_program,
+                      pipeline, validate, write_program)
 from symbreak.cli import main
-from symbreak.symmetry import AtomPermutation, BinarySymmetry
+from symbreak.symmetry import AtomPermutation
 from graph_oracles import atom_node
 from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      random_program, record_fragment_aux)
+                      random_program, record_fragment_aux, workload_instances)
 
 
 def test_break_p1_appends_single_constraint():
@@ -221,26 +221,46 @@ def test_break_with_a_wrong_group_order_stays_sound(monkeypatch):
         assert fewer
 
 
-def test_gate_drops_bad_stabilizer_witnesses(monkeypatch):
-    """Of the witnesses the chain hands over, one that is no symmetry, one
-    that moves an atom ranked below its first atom and the identity give
-    no pair; one equal to a validated generator gives its pair without a
-    gate call."""
+def test_pairs_come_only_from_certified_strong_generators(monkeypatch):
+    """Of the strong generators a mutant chain hands over for atom 2, one
+    that is no symmetry, one that moves atom 1 (ranked below 2), the
+    identity and one that moves an atom outside 1..max_atom add nothing to
+    the orbit; only the validated generator (2 3) gives a pair, and it
+    passes without a gate call."""
     program = GroundProgram(rules=(ChoiceRule((1,)), ChoiceRule((2,)), ChoiceRule((3,)),
                                    BasicRule(4, (1, 2, 3))))
-    generator = AtomPermutation.from_cycles((1, 2))
-    no_symmetry = AtomPermutation.from_cycles((1, 4))
-    below_first = AtomPermutation.from_cycles((1, 2, 3))  # moves 1, pairs 2 with 3
-    witnesses = [BinarySymmetry(1, 4, no_symmetry), BinarySymmetry(2, 3, below_first),
-                 BinarySymmetry(3, 4, AtomPermutation({})), BinarySymmetry(1, 2, generator)]
-    monkeypatch.setattr(pipeline, "stabilizer_binary_symmetries", lambda *args: witnesses)
+    generator = AtomPermutation.from_cycles((2, 3))
+    no_symmetry = AtomPermutation.from_cycles((2, 4))
+    below_first = AtomPermutation.from_cycles((1, 2, 3))  # a symmetry, but it moves 1
+    outside = AtomPermutation.from_cycles((2, 9))
+    strong = [no_symmetry, below_first, AtomPermutation({}), outside, generator]
+    monkeypatch.setattr(pipeline, "stabilizer_binary_symmetries", lambda *args: [(2, strong)])
     gated = []
     real_gate = pipeline.is_syntactic_symmetry
     monkeypatch.setattr(pipeline, "is_syntactic_symmetry",
                         lambda program, perm: gated.append(perm) or real_gate(program, perm))
     result = break_program(program)
     detection = result.detection
-    assert generator in detection.generators and below_first not in detection.generators
+    assert generator in detection.generators and result.order.sequence[:2] == (1, 2)
+    assert is_syntactic_symmetry(program, below_first)
     searched = len(detection.generators) + len(detection.rejected)
-    assert gated[searched:] == [no_symmetry, below_first]
-    assert result.pairs == [(1, 2)]
+    assert no_symmetry in gated[searched:]
+    assert not {generator, below_first, outside} & set(gated[searched:])
+    assert result.pairs == [(2, 3)]
+
+
+def test_stabilizer_pairs_cost_no_gate_call(monkeypatch):
+    """On the benchmark's php and free-choice instances (seed 1) every
+    strong generator at an emitted level is a validated generator, so the
+    pipeline asks the gate only about the search's permutations."""
+    php, free, _ = workload_instances([1])
+    gated = []
+    real_gate = pipeline.is_syntactic_symmetry
+    monkeypatch.setattr(pipeline, "is_syntactic_symmetry",
+                        lambda program, perm: gated.append(perm) or real_gate(program, perm))
+    for program, calls in ((php, 9), (free, 15)):
+        gated.clear()
+        result = break_program(program)
+        detection = result.detection
+        assert len(gated) == len(detection.generators) + len(detection.rejected) == calls
+        assert result.pairs

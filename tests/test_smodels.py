@@ -9,7 +9,7 @@ from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       WeightRule, parse_program,
                       semantic_view, validate, write_program)
 from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
-from graph_oracles import reference_parse_program
+from graph_oracles import map_atoms, reference_parse_program
 from programs import (SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5,
                       with_repeated_atoms)
 
@@ -154,7 +154,7 @@ def test_rule_kind_key_and_map_atoms():
             != WeightRule(1, 2, (2, 3), (), (2, 1)).key())
     swap = {2: 3, 3: 2}.get
     rule = WeightRule(2, 4, (3,), (2,), (5, 6))
-    assert rule.map_atoms(lambda a: swap(a, a)) == WeightRule(3, 4, (2,), (3,), (5, 6))
+    assert map_atoms(rule, lambda a: swap(a, a)) == WeightRule(3, 4, (2,), (3,), (5, 6))
 
 
 def with_repeated_weighted_literal(rule: Rule) -> Rule:
@@ -186,7 +186,7 @@ def test_rule_key_with_image_matches_map_atoms():
             {a: rng.randint(1, top + 2) for a in atoms if rng.random() < 0.7},
         ]
         for m in maps:
-            assert rule.key(m) == rule.map_atoms(lambda a: m.get(a, a)).key(), (rule, m)
+            assert rule.key(m) == map_atoms(rule, lambda a: m.get(a, a)).key(), (rule, m)
             checked += 1
     assert checked > 4000
 

@@ -11,7 +11,8 @@ import pytest
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
                       WeightRule, break_program, choose_order, detect_rows,
                       encode_program, find_generators, is_syntactic_symmetry,
-                      restrict_to_atoms, stabilizer_binary_symmetries, symmetry)
+                      orbit, restrict_to_atoms, stabilizer_binary_symmetries,
+                      symmetry)
 from symbreak.encoding import fix_nodes
 from symbreak.pipeline import detect_symmetries
 from symbreak.smodels import semantic_view
@@ -30,6 +31,21 @@ CHAIN_CASES += [random_program(random.Random(i)) for i in range(50)]
 
 def swap(a, b):
     return AtomPermutation({a: b, b: a})
+
+
+def level_pairs(levels):
+    """Each level's base atom paired with the rest of its orbit under the
+    level's strong generators, in ascending atom order."""
+    return [(v, w) for v, strong in levels for w in sorted(orbit(strong, v) - {v})]
+
+
+def assert_certifiable(program, order, levels):
+    """Every strong generator of a level passes the gate and fixes every
+    atom ranked below the level's base atom, earlier base atoms included."""
+    for v, strong in levels:
+        for s in strong:
+            assert is_syntactic_symmetry(program, s), (v, s)
+            assert all(order.rank[a] >= order.rank[v] for a in s.support), (v, s)
 
 
 def test_atom_permutation_rejects_non_bijection():
@@ -311,9 +327,9 @@ def test_choose_order_is_bijection():
 def test_stabilizer_pairs_p1():
     det = detect_symmetries(p1())
     order = choose_order(p1(), det.generators, [])
-    pairs = stabilizer_binary_symmetries(det.generators, order)
-    assert [(b.first, b.second) for b in pairs] == [(1, 2)]
-    assert pairs[0].witness == swap(1, 2)
+    levels = stabilizer_binary_symmetries(det.generators, order)
+    assert levels == [(1, [swap(1, 2)])]
+    assert level_pairs(levels) == [(1, 2)]
 
 
 def test_stabilizer_pairs_trivial_group():
@@ -328,15 +344,13 @@ def test_stabilizer_pairs_pigeonhole_full_orbit():
     det = detect_symmetries(php)
     rows = detect_rows(php, det.generators)
     order = choose_order(php, det.generators, rows)
-    pairs = stabilizer_binary_symmetries(det.generators, order, levels=2)
+    levels = stabilizer_binary_symmetries(det.generators, order, levels=2)
     first_atom = order.sequence[0]
-    level_one = {b.second for b in pairs if b.first == first_atom}
+    level_one = {w for v, w in level_pairs(levels) if v == first_atom}
     placements = {place_atom(3, 3, p, h) for p in (1, 2, 3) for h in (1, 2, 3)}
     assert level_one == placements - {first_atom}
-    for b in pairs:
-        assert is_syntactic_symmetry(php, b.witness)
-        assert min(b.witness.support, key=order.key) == b.first
-        assert b.witness.image_of(b.first) == b.second
+    assert len(levels) == 2
+    assert_certifiable(php, order, levels)
 
 
 def research_pairs(program, order, levels=5):
@@ -356,7 +370,7 @@ def research_pairs(program, order, levels=5):
                  if any(g[v] != v for g in gens)]
         if not moved:
             break
-        v = min(moved, key=order.key)
+        v = min(moved, key=order.rank.__getitem__)
         start = atom_node(graph, v)
         words = {start: identity(graph.n_nodes)}
         frontier = [start]
@@ -370,7 +384,7 @@ def research_pairs(program, order, levels=5):
                 continue
             witness = restrict_to_atoms(graph, words[node])
             if (is_syntactic_symmetry(program, witness)
-                    and min(witness.support, key=order.key) == v):
+                    and min(witness.support, key=order.rank.__getitem__) == v):
                 pairs.append((v, graph.node_atom(node)))
         graph = fix_nodes(graph, [start])
         gens = find_generators(graph).generators
@@ -378,9 +392,16 @@ def research_pairs(program, order, levels=5):
 
 
 def test_stabilizer_chain_pairs_match_graph_research():
+    """The pipeline's pairs equal the graph re-search's, and every strong
+    generator of the levels they come from passes the pipeline's checks."""
     for program in CHAIN_CASES:
         result = break_program(program)
         assert result.pairs == research_pairs(program, result.order), program
+        gens = result.detection.generators
+        levels = stabilizer_binary_symmetries(gens, result.order, 5,
+                                              result.detection.search.order)
+        assert level_pairs(levels) == result.pairs, program
+        assert_certifiable(program, result.order, levels)
 
 
 def test_stabilizer_levels_match_brute_force_stabilizers():
@@ -402,14 +423,15 @@ def test_stabilizer_levels_match_brute_force_stabilizers():
         fixed = []
         for v in order.sort_atoms({a for g in det.generators for a in g.support}):
             stabilizer = [g for g in group if all(g[a] == a for a in fixed)]
-            orbit = {g[v] for g in stabilizer}
-            if len(orbit) > 1 and len(expected) < 5:
-                expected[v] = orbit
+            images = {g[v] for g in stabilizer}
+            if len(images) > 1 and len(expected) < 5:
+                expected[v] = images
             fixed.append(v)
         levels = {}
-        for b in stabilizer_binary_symmetries(det.generators, order):
-            levels.setdefault(b.first, {b.first}).add(b.second)
-            assert b.witness.image_of(b.first) == b.second
+        for v, strong in stabilizer_binary_symmetries(det.generators, order):
+            levels[v] = set(orbit(strong, v))
+            for s in strong:
+                assert tuple(s.image_of(a) for a in range(n)) in group, (program, s)
         assert levels == expected, program
         checked += bool(expected)
     assert checked >= 30
@@ -420,18 +442,18 @@ def test_stabilizer_orbit_uses_deeper_strong_generators():
     stabilizer of atom 1 is the full symmetric group on 2, 3, 4."""
     gens = [AtomPermutation.from_cycles((1, 2)),
             AtomPermutation.from_cycles((1, 2, 3, 4))]
-    pairs = stabilizer_binary_symmetries(gens, AtomOrder((1, 2, 3, 4)))
-    assert [(b.first, b.second) for b in pairs] == [
+    pairs = level_pairs(stabilizer_binary_symmetries(gens, AtomOrder((1, 2, 3, 4))))
+    assert pairs == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_stabilizer_chain_of_s24_is_fast():
     gens = [AtomPermutation.from_cycles((1, i)) for i in range(2, 25)]
     started = time.perf_counter()
-    pairs = stabilizer_binary_symmetries(gens, AtomOrder(tuple(range(1, 25))))
+    pairs = level_pairs(stabilizer_binary_symmetries(gens, AtomOrder(tuple(range(1, 25)))))
     assert time.perf_counter() - started < 2.0
     assert len(pairs) == 23 + 22 + 21 + 20 + 19
-    assert [(b.first, b.second) for b in pairs] == [
+    assert pairs == [
         (v, w) for v in range(1, 6) for w in range(v + 1, 25)]
 
 
@@ -445,8 +467,8 @@ def chain_input(program):
 
 def test_chain_stopped_at_the_search_order_is_exact(monkeypatch):
     """Stopping once the orbit sizes multiply to the search's group order
-    gives the pairs and witnesses of the run that sifts every Schreier
-    generator, and on S_k it skips most of that run's work."""
+    gives the base atoms and strong generators of the run that sifts every
+    Schreier generator, and on S_k it skips most of that run's work."""
     programs = [*corpus(), *workload_instances(range(1, 5)),
                 *(free_choice(range(1, k + 1)) for k in range(2, 41)),
                 *(pigeonhole(p, h) for p in range(1, 8) for h in range(1, p + 1))]
@@ -478,26 +500,28 @@ def test_chain_stopped_at_the_search_order_is_exact(monkeypatch):
 
 def test_chain_stopped_at_a_wrong_order_stays_sound(monkeypatch):
     """Every orbit-size product the chain passes below the group order,
-    given as the order, stops it with orbits cut short.  Each pair, with
-    its witness, is then one the full chain gives when it emits every
-    level, not only the first five: a level left trivial lets a deeper one
-    in among them.  Each witness passes the pipeline's checks."""
+    given as the order, stops it with orbits cut short.  Each level's
+    strong generators are then a prefix of those the full chain holds at
+    the same base atom when it emits every level, not only the first five:
+    a level left trivial lets a deeper one in among them.  So each pair is
+    one of the full chain's, and each strong generator passes the
+    pipeline's checks."""
     for program in (pigeonhole(5, 4), free_choice(range(1, 9))):
         gens, search, order = chain_input(program)
         sizes = []
         with monkeypatch.context() as patched:
             patched.setattr(symmetry, "prod",
                             lambda orbits: sizes.append(prod(orbits)) or sizes[-1])
-            everything = set(stabilizer_binary_symmetries(gens, order, len(order.sequence), 0))
+            full = stabilizer_binary_symmetries(gens, order, len(order.sequence), 0)
+        everything = dict(full)
         wrong = sorted({size for size in sizes if size < search.order})
         assert len(wrong) >= 5
         for bound in wrong:
             found = stabilizer_binary_symmetries(gens, order, 5, bound)
-            assert set(found) <= everything
-            for first, second, witness in found:
-                assert is_syntactic_symmetry(program, witness)
-                assert witness.image_of(first) == second
-                assert min(witness.support, key=order.key) == first
+            for v, strong in found:
+                assert strong == everything[v][:len(strong)], (program, bound, v)
+            assert set(level_pairs(found)) <= set(level_pairs(full))
+            assert_certifiable(program, order, found)
 
 
 def test_pipeline_generators_all_pass_the_gate():
