@@ -91,14 +91,34 @@ rechecks every cell (``reference_color_refine`` in the tests).
   left out, so the first round marks v's neighbors only.  Without it
   (the root call, arbitrary partitions) the first round keys every node.
 - Cheaper group order.  Sub-cells are ordered by the (cell, count)
-  signature of their nodes' neighbor labels.  When no key in a splitting
-  cell repeats a label, that order is the order of the sorted key tuples
-  themselves; otherwise `_signature_order` gives it without building the
-  signature.
+  signature of their nodes' neighbor labels.  `_signature_order` turns a
+  sorted key into a tuple that sorts as its signature does, and that form
+  is one-to-one, so nodes are grouped by it and the groups sorted by it
+  without building a signature.  A key without repeats is its own form,
+  so only a key that repeats a label is rebuilt, and a key of degree 2 is
+  made in that form by the comparison that orders its two labels.
+- Key low degrees directly.  A node of degree at most 2 gets its key
+  from a comparison, not from a sort.
+- The rest is a group of its own.  Every marked node of a rechecked cell
+  sees a node of a fragment not left out, which is a cell of the round's
+  partition, and no unmarked node does, so their keys differ.
+- Fragments come in order.  A group's members arrive in the order of the
+  cell, so a fragment of an ascending cell ascends as it is.  Color classes
+  ascend, a fragment ascends, and splitting an individualized vertex off
+  keeps the order of the rest, so every cell the search refines ascends.
+  A partition not known to ascend (``OrderedPartition.ascending``) sorts
+  every fragment, since its unsplit cells may not.
+- Relabel and mark in one pass.  Marking reads neighbor lists, not
+  labels, so each split relabels and marks its fragments together, and
+  the first fragment keeps the cell's label, so its nodes keep theirs.
+- Start labelled.  `partition_by_colors` builds the labelling of the
+  color classes itself, so the root call copies two lists instead of
+  labelling cells node by node.
 
 Permutations are dense image tuples over node ids.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .encoding import ColoredGraph
@@ -118,15 +138,19 @@ class OrderedPartition:
     at positions that label no cell), so both are lists over nodes.  A
     partition built from cells gets its labelling when it is refined; one
     built from a labelling gets its cells when ``cells`` is first read.
-    Neither is changed after construction.  Equality goes by the cells.
+    ``ascending`` is True only when every cell is known to list its nodes
+    in ascending order.  Nothing is changed after construction.  Equality
+    goes by the cells.
     """
 
-    __slots__ = ("_cells", "labels", "by_label")
+    __slots__ = ("_cells", "labels", "by_label", "ascending")
 
-    def __init__(self, cells: tuple = None, labels: list = None, by_label: list = None):
+    def __init__(self, cells: tuple = None, labels: list = None, by_label: list = None,
+                 ascending: bool = False):
         self._cells = cells
         self.labels = labels
         self.by_label = by_label
+        self.ascending = ascending
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
@@ -161,25 +185,35 @@ class OrderedPartition:
 
 
 def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
-    cells = {}
-    for v, c in enumerate(graph.colors):
-        cells.setdefault(c, []).append(v)
-    return OrderedPartition(tuple(tuple(cells[c]) for c in sorted(cells)))
+    """The color classes by ascending color, each listing its nodes in
+    ascending order, as a labelled partition."""
+    colors = graph.colors
+    by_color = sorted(range(len(colors)), key=colors.__getitem__)  # stable
+    by_label = [None] * len(colors)
+    first = {}
+    start = 0
+    for c, size in sorted(Counter(colors).items()):
+        first[c] = start
+        by_label[start] = tuple(by_color[start:start + size])
+        start += size
+    return OrderedPartition(labels=[first[c] for c in colors], by_label=by_label,
+                            ascending=True)
 
 
-def _signature_order(key: tuple, top: int) -> list:
+def _signature_order(key: tuple, top: int) -> tuple:
     """Sort key ordering sorted neighbor-label keys as their (cell, count)
     signatures do.
 
     Every repeat of a label becomes ``top``, which exceeds every label, so
     a longer run of one label sorts after a shorter run of it followed by
-    anything else, exactly as the larger count does in the signature.
+    anything else, exactly as the larger count does in the signature.  A
+    key without repeats is its own sort key, and no two keys share one.
     """
     out = list(key)
     for i in range(1, len(key)):
         if key[i] == key[i - 1]:
             out[i] = top
-    return out
+    return tuple(out)
 
 
 def color_refine(graph: ColoredGraph, partition: OrderedPartition,
@@ -200,16 +234,17 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     only the cells holding a neighbor of v.  Later rounds check only the
     cells holding a neighbor of a fragment, other than the largest one, of
     a cell that split in the round before.  Only those neighbors are keyed
-    one by one (the module docstring says why this is exact).  A cell is
-    labelled by the position of its first node in the concatenated cells,
-    so a split relabels only its own nodes, and the labels order the cells
-    as their positions do.  The split and the refinement work on one copy
-    of the partition's labelling, never on the partition itself, and the
-    result carries the refined labelling.
+    one by one (the module docstring says why this and the other shortcuts
+    are exact).  A cell is labelled by the position of its first node in
+    the concatenated cells, so a split relabels only its own nodes, and the
+    labels order the cells as their positions do.  The split and the
+    refinement work on one copy of the partition's labelling, never on the
+    partition itself, and the result carries the refined labelling.
     """
     nbrs = graph.neighbors
     n = graph.n_nodes
     index, cells = partition.labelling()
+    ascending = partition.ascending
     if individualized is None:
         marked = None  # every node of a pending cell is keyed
         pending = [s for s in set(index) if len(cells[s]) > 1]
@@ -227,42 +262,75 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     while pending:
         splits = []
         for s in pending:
+            cell = cells[s]
+            rest = None
+            if marked is None:
+                keyed = cell
+            else:
+                keyed = [v for v in cell if v in marked]
+                if len(keyed) < len(cell):
+                    # unmarked nodes share one key: key the first of them
+                    rest = [v for v in cell if v not in marked]
+                    keyed.append(rest[0])
+            # keys are the nodes' sorted neighbor labels in their
+            # _signature_order form, so they sort as the signatures do
             groups = {}
-            rest = []
-            for v in cells[s]:
-                if marked is None or v in marked:
-                    key = tuple(sorted(map(index.__getitem__, nbrs[v])))
-                    groups.setdefault(key, []).append(v)
+            for v in keyed:
+                ns = nbrs[v]
+                d = len(ns)
+                if d == 2:
+                    a = index[ns[0]]
+                    b = index[ns[1]]
+                    if a < b:
+                        key = (a, b)
+                    elif a > b:
+                        key = (b, a)
+                    else:
+                        key = (a, n)
+                elif d > 2:
+                    key = tuple(sorted(map(index.__getitem__, ns)))
+                    if len(set(key)) < d:
+                        key = _signature_order(key, n)
+                elif d:
+                    key = (index[ns[0]],)
                 else:
-                    rest.append(v)
-            if rest:
-                # unmarked nodes share one key
-                key = tuple(sorted(map(index.__getitem__, nbrs[rest[0]])))
-                groups.setdefault(key, []).extend(rest)
-            if len(groups) > 1:
-                if all(len(set(key)) == len(key) for key in groups):
-                    ordered = sorted(groups.items())
+                    key = ()
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [v]
                 else:
-                    # order sub-cells by the (cell, count) signature; keys
-                    # that repeat a label sort into another order
-                    ordered = sorted(groups.items(),
-                                     key=lambda kv: _signature_order(kv[0], n))
-                splits.append((s, [tuple(sorted(members)) for _, members in ordered]))
+                    group.append(v)
+            if len(groups) == 1:
+                continue
+            if rest is not None:
+                # ``key`` is the first unmarked node's, and no marked node's
+                groups[key] = rest
+            members = map(groups.__getitem__, sorted(groups))
+            splits.append((s, list(map(tuple, members if ascending else map(sorted, members)))))
+        # relabel and mark in one pass per split; the first fragment keeps
+        # the cell's label, so its nodes keep theirs
+        marked = set()
+        mark = marked.update
         for s, fragments in splits:
+            skipped = max(fragments, key=len)
+            first = fragments[0]
             for fragment in fragments:
                 cells[s] = fragment
-                for v in fragment:
+                if len(fragment) == 1:
+                    v = fragment[0]
                     index[v] = s
-                s += len(fragment)
-        marked = set()
-        for _, fragments in splits:
-            skipped = max(fragments, key=len)
-            for fragment in fragments:
-                if fragment is not skipped:
+                    if fragment is not skipped:
+                        mark(nbrs[v])
+                elif fragment is not skipped:
                     for v in fragment:
-                        marked.update(nbrs[v])
+                        index[v] = s
+                        mark(nbrs[v])
+                elif fragment is not first:
+                    for v in fragment:
+                        index[v] = s
+                s += len(fragment)
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
-    return OrderedPartition(labels=index, by_label=cells)
+    return OrderedPartition(labels=index, by_label=cells, ascending=ascending)
 
 
 def is_automorphism(graph: ColoredGraph, perm) -> bool:

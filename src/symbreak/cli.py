@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .encoding import dump_graph
+from .encoding import dump_graph, encode_program
 from .oracle import OracleBudgetError, check_soundness
 from .pipeline import BreakConfig, BreakResult, break_program, detect_symmetries
 from .smodels import GroundProgram, ParseError, parse_program, write_program
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         incomplete = "breaking may be incomplete"
 
     if args.dump_graph:
-        sys.stderr.write(dump_graph(detection.graph))
+        sys.stderr.write(dump_graph(encode_program(program)))
     if args.mode == "verify":
         status = _verify(program, result)
         if args.stats:

@@ -82,49 +82,62 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
         values.update(r.weights)
     value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
 
-    # append both ends of every edge; repeated atoms repeat edges, which
-    # the per-node dedupe below drops
+    # a literal node's list ascends, as rule nodes are numbered in rule
+    # order; a rule node joins it once, however often the atom repeats in
+    # the rule.  A rule node's tuple is made when its rule is done.
     for r in sem.rules:
         kind = r.kind
         bn = len(colors)
         if kind == MINIMIZE:
             colors.append(MINIMIZE_COLOR)
+            nbrs.append(None)
             body = []
-            nbrs.append(body)
         else:
             hn = bn
             bn += 1
             colors.append(CHOICE_HEAD_COLOR if kind == CHOICE else HEAD_COLOR)
             colors.append(BODY_COLOR if r.bound is None else value_color[r.bound])
             head = [bn]
-            body = [hn]
-            nbrs.append(head)
-            nbrs.append(body)
             for h in r.heads:
                 if h != false:
                     u = node[h]
                     head.append(u)
-                    nbrs[u].append(hn)
+                    ns = nbrs[u]
+                    if ns[-1] != hn:
+                        ns.append(hn)
+            nbrs.append(tuple(sorted(set(head))))
+            nbrs.append(None)
+            body = [hn]
         if kind in (WEIGHT, MINIMIZE):
+            # one node per literal and weight; the body node's list
+            # ascends, as these are numbered after the head node
             for a, is_pos, w in r.pairs():
                 tn = len(colors)
                 u = node[a] if is_pos else node[a] + 1
                 colors.append(value_color[w])
-                nbrs.append([u, bn])
+                nbrs.append((u, bn))
                 nbrs[u].append(tn)
                 body.append(tn)
+            nbrs[bn] = tuple(body)
         else:
             for a in r.pos:
                 u = node[a]
                 body.append(u)
-                nbrs[u].append(bn)
+                ns = nbrs[u]
+                if ns[-1] != bn:
+                    ns.append(bn)
             for b in r.neg:
                 u = node[b] + 1
                 body.append(u)
-                nbrs[u].append(bn)
+                ns = nbrs[u]
+                if ns[-1] != bn:
+                    ns.append(bn)
+            nbrs[bn] = tuple(sorted(set(body)))
 
-    return ColoredGraph(tuple(colors), tuple(tuple(sorted(set(ns))) for ns in nbrs),
-                        atoms)
+    # in place, so that no list outlives its tuple
+    for u in range(2 * len(atoms)):
+        nbrs[u] = tuple(nbrs[u])
+    return ColoredGraph(tuple(colors), tuple(nbrs), atoms)
 
 
 def fix_nodes(graph: ColoredGraph, fixed) -> ColoredGraph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .automorphism import GeneratorSearch, find_generators, orbit
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
-from .encoding import ColoredGraph, encode_program
+from .encoding import encode_program
 from .smodels import GroundProgram
 from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
                        detect_rows, is_syntactic_symmetry, restrict_to_atoms,
@@ -37,9 +37,9 @@ class BreakConfig:
 @dataclass
 class Detection:
     """Validated symmetries of one program, and the atom permutations of
-    the search that failed the gate."""
+    the search that failed the gate.  The searched graph is not kept:
+    ``encode_program`` gives it again."""
 
-    graph: ColoredGraph
     search: GeneratorSearch
     generators: list[AtomPermutation]
     rejected: list[AtomPermutation]
@@ -68,7 +68,7 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
             generators.append(perm)
         else:
             rejected.append(perm)
-    return Detection(graph, search, generators, rejected)
+    return Detection(search, generators, rejected)
 
 
 def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakResult:

@@ -11,8 +11,9 @@ strong generators the chain holds there; the pipeline takes binary
 clauses from the base atom's orbit under those that pass its checks.
 
 The gate compares the keys of the rules a permutation touches with the
-keys of their images, both from ``Rule.key``; row detection asks it once
-per distinct swap within a call.
+keys of their images, both from ``Rule.key``; row detection asks it at
+most once per distinct swap within a call, and not about swaps of rows
+an earlier seed grew.
 
 The chain stops at the group order the graph search reports.  The
 validated atom permutations generate an image of a subgroup of the
@@ -252,9 +253,14 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     atom, in generator order: the image under any other holds that atom,
     so it meets the row itself.
 
-    Seeds often grow the same rows, and a matrix's adjacent swaps are
-    mostly swaps already admitted while growing it, so each distinct swap
-    goes to the gate once per call; the verdicts are dropped on return.
+    Seeds often grow the same rows, so a growth query whose two rows were
+    both grown by one earlier seed is answered without the gate: that
+    seed's rows are pairwise disjoint, and any two of them are
+    interchangeable, since each swap of two of its consecutive rows is the
+    seed itself or was admitted, and the other swaps are products of
+    these.  The gate is exact, so it would give the same answer.  A new
+    matrix's adjacent swaps still go to the gate, which sees each distinct
+    swap once per call; the verdicts are dropped on return.
     """
     verdicts = {}
 
@@ -269,9 +275,10 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         for a in g.support:
             movers.setdefault(a, []).append(g)
 
+    grown = {}  # row -> the first seed whose rows hold it
     candidates = []
     seen_matrices = set()
-    for seed in gens:
+    for number, seed in enumerate(gens):
         if not seed.is_involution():
             continue
         pairs = sorted(seed.cycles())
@@ -286,10 +293,15 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
                 if image in seen:
                     continue
                 seen.add(image)
-                if used.isdisjoint(image) and is_symmetry(
-                        AtomPermutation.from_cycles(*zip(rows[-1], image))):
+                if not used.isdisjoint(image):
+                    continue
+                known = grown.get(image)
+                if ((known is not None and known == grown.get(rows[-1]))
+                        or is_symmetry(AtomPermutation.from_cycles(*zip(rows[-1], image)))):
                     rows.append(image)
                     used.update(image)
+        for row in rows:
+            grown.setdefault(row, number)
         if len(rows) < 3:
             continue
         matrix = _canonical_matrix(rows)

@@ -9,11 +9,12 @@ from math import factorial
 
 import pytest
 
-from symbreak import (BasicRule, GroundProgram, automorphism, color_refine,
-                      encode_program, find_generators, orbit)
+from symbreak import (BasicRule, ChoiceRule, GroundProgram, MinimizeStatement,
+                      automorphism, color_refine, encode_program,
+                      find_generators, orbit)
 from symbreak.automorphism import (OrderedPartition, is_automorphism,
                                    partition_by_colors)
-from symbreak.encoding import fix_nodes
+from symbreak.encoding import MINIMIZE_COLOR, fix_nodes
 from graph_oracles import (EnumerationBudgetError, atom_node,
                            brute_force_automorphisms, build_graph,
                            group_closure, group_order, identity,
@@ -149,6 +150,53 @@ def test_refine_matches_reference_from_random_partitions():
         g = random_colored_graph(rng, max_nodes=rng.choice((12, 30)))
         start = random_ordered_partition(rng, g.n_nodes)
         assert color_refine(g, start) == reference_color_refine(g, start), start
+
+
+@pytest.mark.parametrize("neighbors, cells", [
+    # round 2 keys the marked 1 and 3 as (1, 4), and the unmarked 4 as
+    # (1, 1): only the rest's key repeats a label, and by signature the
+    # rest's group sorts last, against the order of the raw keys
+    (((1, 2, 3), (0, 4), (0,), (0, 4), (1, 3)), ((0, 1, 2, 3, 4),)),
+    # the same with a rest key of degree 3
+    (((2, 3, 5), (2, 3, 4), (0, 1, 5), (0, 1, 5), (1,), (0, 2, 3)),
+     ((1, 3, 5), (0, 2, 4))),
+])
+def test_refine_orders_by_the_rest_key_that_repeats_a_label(neighbors, cells):
+    edges = {(u, v) for u, ns in enumerate(neighbors) for v in ns if u < v}
+    g = build_graph([1] * len(neighbors), sorted(edges))
+    assert g.neighbors == neighbors
+    start = OrderedPartition(cells)
+    assert color_refine(g, start) == reference_color_refine(g, start)
+
+
+def test_refine_sorts_an_unsorted_cell_that_splits_in_a_later_round():
+    """(4, 1, 0) sees one node of (2, 3) from each of its nodes, so it
+    splits only after (2, 3) does; its fragments ascend, as the
+    reference's do, and a cell that never splits keeps its order."""
+    g = build_graph([1] * 6, [(0, 2), (1, 3), (2, 4)])
+    start = OrderedPartition(((4, 1, 0), (2, 3), (5,)))
+    refined = color_refine(g, start)
+    assert refined == reference_color_refine(g, start)
+    assert (0, 4) in refined.cells
+    start = OrderedPartition(((5, 4, 1, 0), (2, 3)))
+    assert color_refine(g, start) == reference_color_refine(g, start)
+    start = OrderedPartition(((4, 0), (1,), (2,), (3,), (5,)))
+    assert color_refine(g, start).cells == start.cells
+
+
+def test_refine_keys_a_cell_of_mixed_degrees(monkeypatch):
+    """The minimize statements of an empty sum, a sum of one literal and a
+    sum of two literals whose nodes share a cell are one colour cell of
+    nodes of degree 0, 1 and 2; the last one's key repeats a label."""
+    program = GroundProgram(rules=(ChoiceRule((1, 2, 3)), MinimizeStatement(),
+                                   MinimizeStatement((1,), (), (1,)),
+                                   MinimizeStatement((2, 3), (), (1, 1))))
+    g = encode_program(program)
+    minimize = [v for v, c in enumerate(g.colors) if c == MINIMIZE_COLOR]
+    assert sorted(len(g.neighbors[v]) for v in minimize) == [0, 1, 2]
+    start = partition_by_colors(g)
+    assert color_refine(g, start) == reference_color_refine(g, start)
+    assert_search_refines_match_reference(monkeypatch, [g])
 
 
 def test_refine_matches_reference_on_individualized_partitions():

@@ -9,7 +9,7 @@ import pytest
 
 from symbreak import break_program, parse_program, write_program
 from symbreak.cli import main
-from symbreak.encoding import dump_graph
+from symbreak.encoding import dump_graph, encode_program
 from programs import free_choice, normalize_text, p1, p3, pigeonhole
 
 
@@ -245,7 +245,7 @@ def test_verify_dumps_the_graph_it_searched(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify", "--dump-graph"], P1_TEXT,
                              monkeypatch, capsys)
     assert code == 0 and out == ""
-    graph = dump_graph(break_program(p1()).detection.graph)
+    graph = dump_graph(encode_program(p1()))
     assert err == graph + ("symbreak: answer sets 4 -> 3\n"
                            "symbreak: verification passed\n")
 

@@ -277,6 +277,26 @@ def test_detect_rows_asks_each_permutation_once(monkeypatch):
         assert matrix_atoms(rows) >= matrix_atoms(reference_detect_rows(program, gens))
 
 
+@pytest.mark.parametrize("n", [16, 40])
+def test_detect_rows_gate_calls_stay_linear(monkeypatch, n):
+    """n interchangeable atoms: every involution seed regrows the first
+    seed's rows, whose swaps need no gate, so the gate sees at most 2n
+    swaps (n(n-1)/2 when each seed asked it again: 120 and 780)."""
+    calls = []
+    real_gate = symmetry.is_syntactic_symmetry
+
+    def counting(program, perm):
+        calls.append(perm)
+        return real_gate(program, perm)
+
+    program = free_choice(range(1, n + 1))
+    gens = detect_symmetries(program).generators
+    monkeypatch.setattr(symmetry, "is_syntactic_symmetry", counting)
+    rows = detect_rows(program, gens)
+    assert [m.rows for m in rows] == [tuple((a,) for a in range(1, n + 1))]
+    assert len(calls) <= 2 * n
+
+
 def test_detect_rows_grows_from_every_accepted_row():
     """(2 3 4) takes the accepted row (2,) to (3,), and (3,) to (4,); the
     pool of products of two stops at (3,)."""
