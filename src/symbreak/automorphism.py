@@ -102,24 +102,20 @@ rechecks every cell (``reference_color_refine`` in the tests).
 - The rest is a group of its own.  Every marked node of a rechecked cell
   sees a node of a fragment not left out, which is a cell of the round's
   partition, and no unmarked node does, so their keys differ.
-- Fragments come in order.  A group's members arrive in the order of the
-  cell, so a fragment of an ascending cell ascends as it is.  Color classes
-  ascend, a fragment ascends, and splitting an individualized vertex off
-  keeps the order of the rest, so every cell the search refines ascends.
-  A partition not known to ascend (``OrderedPartition.ascending``) sorts
-  every fragment, since its unsplit cells may not.
+- Fragments come in order.  Every cell ascends: color classes do,
+  `OrderedPartition.from_cells` sorts each cell, and a split keeps the
+  order of the cell, since a group's members and the rest of an
+  individualized vertex's cell arrive in it.  So fragments need no sort.
 - Relabel and mark in one pass.  Marking reads neighbor lists, not
   labels, so each split relabels and marks its fragments together, and
   the first fragment keeps the cell's label, so its nodes keep theirs.
-- Start labelled.  `partition_by_colors` builds the labelling of the
-  color classes itself, so the root call copies two lists instead of
-  labelling cells node by node.
 
 Permutations are dense image tuples over node ids.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encoding import ColoredGraph
 
@@ -129,59 +125,35 @@ __all__ = [
 ]
 
 
-class OrderedPartition:
-    """Ordered list of disjoint nonempty cells covering all nodes.
-
-    Refinement works on a labelling of the cells: ``labels[v]`` is the
-    label of v's cell, the position of that cell's first node in the
-    concatenated cells, and ``by_label[s]`` is the cell labelled s (None
-    at positions that label no cell), so both are lists over nodes.  A
-    partition built from cells gets its labelling when it is refined; one
-    built from a labelling gets its cells when ``cells`` is first read.
-    ``ascending`` is True only when every cell is known to list its nodes
-    in ascending order.  Nothing is changed after construction.  Equality
-    goes by the cells.
+class OrderedPartition(NamedTuple):
+    """Ordered list of disjoint nonempty cells covering all nodes, as a
+    labelling: ``labels[v]`` is the label of v's cell, the position of
+    that cell's first node in the concatenated cells, and ``by_label[s]``
+    is the cell labelled s (None at positions that label no cell), so both
+    are lists over nodes.  Every cell lists its nodes in ascending order,
+    so the labelling is unique to the cells and tuple equality is equality
+    of partitions.  Nothing is changed after construction.
     """
 
-    __slots__ = ("_cells", "labels", "by_label", "ascending")
+    labels: list
+    by_label: list
 
-    def __init__(self, cells: tuple = None, labels: list = None, by_label: list = None,
-                 ascending: bool = False):
-        self._cells = cells
-        self.labels = labels
-        self.by_label = by_label
-        self.ascending = ascending
-
-    @property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        if self._cells is None:
-            self._cells = tuple(filter(None, self.by_label))
-        return self._cells
-
-    def labelling(self) -> tuple[list, list]:
-        """Fresh copies of the node -> label and label -> cell lists."""
-        if self.labels is not None:
-            return self.labels.copy(), self.by_label.copy()
-        labels = [0] * sum(map(len, self.cells))
+    @classmethod
+    def from_cells(cls, cells) -> "OrderedPartition":
+        """The partition with the given cells in order, each sorted."""
+        labels = [0] * sum(map(len, cells))
         by_label = [None] * len(labels)
         start = 0
-        for cell in self.cells:
-            by_label[start] = cell
+        for cell in cells:
+            by_label[start] = tuple(sorted(cell))
             for v in cell:
                 labels[v] = start
             start += len(cell)
-        return labels, by_label
+        return cls(labels, by_label)
 
-    def __eq__(self, other):
-        if not isinstance(other, OrderedPartition):
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
-
-    def __repr__(self):
-        return f"OrderedPartition({self.cells!r})"
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(filter(None, self.by_label))
 
 
 def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
@@ -196,8 +168,7 @@ def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
         first[c] = start
         by_label[start] = tuple(by_color[start:start + size])
         start += size
-    return OrderedPartition(labels=[first[c] for c in colors], by_label=by_label,
-                            ascending=True)
+    return OrderedPartition([first[c] for c in colors], by_label)
 
 
 def _signature_order(key: tuple, top: int) -> tuple:
@@ -243,8 +214,8 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     """
     nbrs = graph.neighbors
     n = graph.n_nodes
-    index, cells = partition.labelling()
-    ascending = partition.ascending
+    index = partition.labels.copy()
+    cells = partition.by_label.copy()
     if individualized is None:
         marked = None  # every node of a pending cell is keyed
         pending = [s for s in set(index) if len(cells[s]) > 1]
@@ -305,8 +276,7 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
             if rest is not None:
                 # ``key`` is the first unmarked node's, and no marked node's
                 groups[key] = rest
-            members = map(groups.__getitem__, sorted(groups))
-            splits.append((s, list(map(tuple, members if ascending else map(sorted, members)))))
+            splits.append((s, list(map(tuple, map(groups.__getitem__, sorted(groups))))))
         # relabel and mark in one pass per split; the first fragment keeps
         # the cell's label, so its nodes keep theirs
         marked = set()
@@ -330,7 +300,7 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                         index[v] = s
                 s += len(fragment)
         pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
-    return OrderedPartition(labels=index, by_label=cells, ascending=ascending)
+    return OrderedPartition(index, cells)
 
 
 def is_automorphism(graph: ColoredGraph, perm) -> bool:
@@ -418,7 +388,7 @@ class _Node:
     def __init__(self, partition, label, stabilizing):
         self.partition = partition
         self.label = label
-        self.todo = iter(sorted(partition.by_label[label]))
+        self.todo = iter(partition.by_label[label])
         self.current = None  # the vertex whose subtree is being searched
         self.done = []  # the vertices whose subtrees are finished
         # the found generators fixing the base: the search's own list on

@@ -135,7 +135,8 @@ def _verify(program: GroundProgram, result: BreakResult) -> int:
     for g in result.detection.generators:
         mapped = {g.apply_to_set(interp) for interp in base}
         if mapped != base:
-            violations.append(f"generator {g} does not preserve the answer sets")
+            violations.append(f"generator {format_generator(g, program)} does not "
+                              "preserve the answer sets")
     print(f"symbreak: answer sets {verdict.original_count} -> {verdict.surviving_count}"
           + (" (unsat preserved)" if not base and not verdict.surviving else ""),
           file=sys.stderr)

@@ -22,24 +22,27 @@ class OracleBudgetError(RuntimeError):
     """The candidate space is too large for exhaustive enumeration."""
 
 
-def _minimal_cardinality_bodies(lits, bound, budget):
+EXPANSION_BUDGET = 1 << 16  # candidate sub-bodies one bounded body may expand to
+
+
+def _minimal_cardinality_bodies(lits, bound):
     """Minimal sub-multisets of literal occurrences meeting the count bound."""
     if bound <= 0:
         return [()]
     if bound > len(lits):
         return []
     from math import comb
-    if comb(len(lits), bound) > budget:
+    if comb(len(lits), bound) > EXPANSION_BUDGET:
         raise OracleBudgetError(
             f"cardinality body expansion over {len(lits)} literals exceeds budget")
     return list(combinations(lits, bound))
 
 
-def _minimal_weight_bodies(pairs, bound, budget):
+def _minimal_weight_bodies(pairs, bound):
     """Minimal sub-multisets of weighted occurrences meeting the sum bound."""
     if bound <= 0:
         return [()]
-    if 1 << len(pairs) > budget:
+    if 1 << len(pairs) > EXPANSION_BUDGET:
         raise OracleBudgetError(
             f"weight body expansion over {len(pairs)} literals exceeds budget")
     out = []
@@ -70,7 +73,7 @@ class Desugared:
     project_max: int
 
 
-def desugar(program: GroundProgram, expansion_budget: int = 1 << 16) -> Desugared:
+def desugar(program: GroundProgram) -> Desugared:
     """Rewrite to basic + disjunctive rules with compute blocks folded in."""
     sem = semantic_view(program)
     next_atom = sem.max_atom
@@ -95,9 +98,9 @@ def desugar(program: GroundProgram, expansion_budget: int = 1 << 16) -> Desugare
         elif r.kind in (CARDINALITY, WEIGHT):
             if r.kind == CARDINALITY:
                 lits = [(a, True) for a in r.pos] + [(b, False) for b in r.neg]
-                subs = _minimal_cardinality_bodies(lits, r.bound, expansion_budget)
+                subs = _minimal_cardinality_bodies(lits, r.bound)
             else:
-                subs = _minimal_weight_bodies(r.pairs(), r.bound, expansion_budget)
+                subs = _minimal_weight_bodies(r.pairs(), r.bound)
             for sub in subs:
                 basic.append(Rule(BASIC, r.heads,
                                   tuple(a for a, p in sub if p),

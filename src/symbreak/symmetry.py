@@ -112,12 +112,6 @@ class AtomPermutation:
     def __hash__(self):
         return hash(self.key())
 
-    def __str__(self):
-        if not self.moved:
-            return "()"
-        return "".join("(" + " ".join(str(a) for a in c) + ")"
-                       for c in self.cycles())
-
 
 def restrict_to_atoms(graph: ColoredGraph, node_perm) -> AtomPermutation:
     """Atom permutation induced by a graph automorphism.
@@ -183,10 +177,6 @@ class RowMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     @cached_property
     def atoms(self) -> frozenset[int]:

@@ -139,7 +139,7 @@ def reference_color_refine(graph: ColoredGraph,
                     new_cells.append(tuple(sorted(groups[sig])))
         cells = new_cells
         if not changed:
-            return OrderedPartition(tuple(cells))
+            return OrderedPartition.from_cells(cells)
 
 
 def reference_find_generators(graph: ColoredGraph,
@@ -205,7 +205,7 @@ def reference_find_generators(graph: ColoredGraph,
                 continue
             cells = list(partition.cells)
             cells[cell_index:cell_index + 1] = [(v,), tuple(w for w in cell if w != v)]
-            child = color_refine(graph, OrderedPartition(tuple(cells)), v)
+            child = color_refine(graph, OrderedPartition.from_cells(cells), v)
             dfs(child, base + (v,))
             done.append(v)
         if on_first_path and not state["exhausted"]:

@@ -47,7 +47,7 @@ def test_refine_idempotent_and_discrete_fixed():
     g = build_graph([1, 1, 1], [(0, 1), (1, 2)])
     once = color_refine(g, partition_by_colors(g))
     assert color_refine(g, once) == once
-    discrete = OrderedPartition(((0,), (1,), (2,)))
+    discrete = OrderedPartition.from_cells(((0,), (1,), (2,)))
     assert color_refine(g, discrete) == discrete
 
 
@@ -83,11 +83,12 @@ def test_refine_output_is_coarsest_equitable():
 
 
 def random_ordered_partition(rng, n):
-    """The nodes shuffled and cut into consecutive cells at random points."""
+    """The nodes shuffled and cut into consecutive cells at random points,
+    each cell then sorted."""
     nodes = rng.sample(range(n), n)
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
     bounds = [0] + cuts + [n]
-    return OrderedPartition(tuple(tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return OrderedPartition.from_cells([nodes[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def split_off(partition, v):
@@ -98,7 +99,7 @@ def split_off(partition, v):
             cells += [(v,), tuple(w for w in cell if w != v)]
         else:
             cells.append(cell)
-    return OrderedPartition(tuple(cells))
+    return OrderedPartition.from_cells(cells)
 
 
 def assert_search_refines_match_reference(monkeypatch, graphs):
@@ -165,22 +166,23 @@ def test_refine_orders_by_the_rest_key_that_repeats_a_label(neighbors, cells):
     edges = {(u, v) for u, ns in enumerate(neighbors) for v in ns if u < v}
     g = build_graph([1] * len(neighbors), sorted(edges))
     assert g.neighbors == neighbors
-    start = OrderedPartition(cells)
+    start = OrderedPartition.from_cells(cells)
     assert color_refine(g, start) == reference_color_refine(g, start)
 
 
 def test_refine_sorts_an_unsorted_cell_that_splits_in_a_later_round():
-    """(4, 1, 0) sees one node of (2, 3) from each of its nodes, so it
-    splits only after (2, 3) does; its fragments ascend, as the
-    reference's do, and a cell that never splits keeps its order."""
+    """(4, 1, 0), sorted when the partition is built, sees one node of
+    (2, 3) from each of its nodes, so it splits only after (2, 3) does;
+    its fragments ascend, as the reference's do, and a cell that never
+    splits is left as it is."""
     g = build_graph([1] * 6, [(0, 2), (1, 3), (2, 4)])
-    start = OrderedPartition(((4, 1, 0), (2, 3), (5,)))
+    start = OrderedPartition.from_cells(((4, 1, 0), (2, 3), (5,)))
     refined = color_refine(g, start)
     assert refined == reference_color_refine(g, start)
     assert (0, 4) in refined.cells
-    start = OrderedPartition(((5, 4, 1, 0), (2, 3)))
+    start = OrderedPartition.from_cells(((5, 4, 1, 0), (2, 3)))
     assert color_refine(g, start) == reference_color_refine(g, start)
-    start = OrderedPartition(((4, 0), (1,), (2,), (3,), (5,)))
+    start = OrderedPartition.from_cells(((4, 0), (1,), (2,), (3,), (5,)))
     assert color_refine(g, start).cells == start.cells
 
 
@@ -221,7 +223,7 @@ def test_refine_matches_reference_on_individualized_partitions():
             split = [(v,), rest] if rng.random() < 0.7 else [rest, (v,)]
             cells = list(partition.cells)
             cells[i:i + 1] = split
-            start = OrderedPartition(tuple(cells))
+            start = OrderedPartition.from_cells(cells)
             unsplit = color_refine(g, partition, v)
             assert unsplit == reference_color_refine(g, split_off(partition, v)), (partition, v)
             partition = color_refine(g, start, v)
@@ -255,17 +257,15 @@ def test_search_neighbour_reads_bounded():
 
 
 def test_refine_leaves_its_argument_unchanged():
-    """Refining a labelled partition works on a copy of its labelling."""
+    """Refining a partition works on a copy of its labelling."""
     rng = random.Random(49)
     for _ in range(100):
         g = random_colored_graph(rng, max_nodes=rng.choice((12, 30)))
         start = random_ordered_partition(rng, g.n_nodes)
-        labels, by_label = start.labelling()
-        labelled = OrderedPartition(labels=labels, by_label=by_label)
-        refined = color_refine(g, labelled)
-        assert labelled.labelling() == (labels, by_label)
-        assert labelled.cells == start.cells
-        assert refined == color_refine(g, start)
+        before = (start.labels.copy(), start.by_label.copy())
+        refined = color_refine(g, start)
+        assert start == before
+        assert refined == reference_color_refine(g, start)
 
 
 def assert_search_matches_reference(monkeypatch, graphs):
@@ -279,9 +279,9 @@ def assert_search_matches_reference(monkeypatch, graphs):
     def counting(graph, partition, *individualized):
         nonlocal calls
         calls += 1
-        before = partition.labelling()
+        before = (partition.labels.copy(), partition.by_label.copy())
         result = color_refine(graph, partition, *individualized)
-        assert partition.labelling() == before
+        assert partition == before
         return result
 
     monkeypatch.setattr(automorphism, "color_refine", counting)

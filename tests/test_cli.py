@@ -10,6 +10,7 @@ import pytest
 from symbreak import break_program, parse_program, write_program
 from symbreak.cli import main
 from symbreak.encoding import dump_graph, encode_program
+from symbreak.symmetry import AtomPermutation
 from programs import free_choice, normalize_text, p1, p3, pigeonhole
 
 
@@ -280,6 +281,25 @@ def test_verify_budget_exceeded(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
     assert code == 2
     assert "budget" in err
+
+
+def test_verify_names_a_generator_that_moves_answer_sets(monkeypatch, capsys):
+    """A generator that fails answer-set preservation is printed over atom
+    names, as a gate rejection is."""
+    from symbreak import cli
+    real = cli.break_program
+
+    def with_a_swap(program, config=None):
+        result = real(program, config)
+        result.detection.generators = [AtomPermutation.from_cycles((1, 2))]
+        return result
+
+    monkeypatch.setattr(cli, "break_program", with_a_swap)
+    text = "1 1 0 0\n3 1 2 0 0\n0\n1 a\n2 b\n0\nB+\n0\nB-\n0\n1\n"  # a. {b}.
+    code, out, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
+    assert code == 4
+    assert ("symbreak: VIOLATION: generator (a b) does not preserve the answer sets"
+            in err.splitlines())
 
 
 def test_pipe_composability_subprocess():

@@ -64,7 +64,6 @@ def test_atom_permutation_cycles_and_composition():
     assert perm.cycle_of(2) == (2, 3, 1)
     assert not perm.is_involution()
     assert swap(1, 2).is_involution()
-    assert str(swap(1, 2)) == "(1 2)"
 
 
 def test_restrict_to_atoms_p1_swap():
@@ -193,7 +192,7 @@ def test_detect_rows_pigeonhole_3_2():
     rows = detect_rows(php, detect_symmetries(php).generators)
     assert len(rows) == 1
     matrix = rows[0]
-    assert matrix.n_rows == 3 and matrix.n_cols == 2
+    assert matrix.n_rows == 3 and len(matrix.rows[0]) == 2
     expected = {frozenset(place_atom(3, 2, p, h) for h in (1, 2))
                 for p in (1, 2, 3)}
     assert {frozenset(r) for r in matrix.rows} == expected
