@@ -3,7 +3,7 @@
 For each program it hashes the bytes ``write_program`` prints for the
 broken program, the binary pairs of ``break_program``, ``dump_graph`` of
 the encoding, and what ``find_generators`` returns (generators, tree
-nodes, completeness, order) under budgets 1, 2, 5, 17 and 10**6.  The
+nodes, completeness) under budgets 1, 2, 5, 17 and 10**6.  The
 programs are ``corpus()``, the benchmark's workload instances for seeds
 1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and S2..S40 (``free_choice`` of
 2 to 40 atoms).
@@ -51,7 +51,7 @@ def digest_line(label: str, program) -> str:
     broken = short(write_program(result.program) + repr(result.pairs))
     graph = encode_program(program)
     searches = [find_generators(graph, budget) for budget in BUDGETS]
-    search = short(repr([(s.generators, s.tree_nodes, s.complete, s.order)
+    search = short(repr([(s.generators, s.tree_nodes, s.complete)
                          for s in searches]))
     return f"{label} break={broken} graph={short(dump_graph(graph))} search={search}"
 
