@@ -53,21 +53,6 @@ By (I3) an off-path node never sees a generator it was not made with: it
 keeps the snapshot of its parent's list that fixes its own vertex, taken
 when it is made, and nodes need not store their bases.
 
-The search also reports the group order, as nauty's ``grpsize`` does: the
-product, over the first-path nodes, of the orbit size of the node's first
-child v under the generators found by the time the node finishes.  Every
-generator found by then fixes the node's base, by (I1) and (I2).  A child
-w to which some automorphism fixing the base maps v is either pruned, as
-the image of a finished sibling in v's orbit, or searched, and then the
-first leaf's image lies below it, so a generator taking v to w is found.
-So v's orbit under those generators is its orbit under the pointwise
-stabilizer of the base, and the product along the first path is the
-group order by the orbit-stabilizer theorem: only the identity fixes
-every vertex of the first path, as the first leaf is discrete.  The
-orbits are a union-find over the moved nodes, joined as each generator
-is found, which costs O(generators x nodes log nodes) in all, not a
-closure per node.  A search cut by its budget has no order.
-
 `color_refine` works in rounds, and every round splits each cell against
 the partition the round started from.  So after a round every cell is
 equitable with respect to the partition that round started from: all its
@@ -335,47 +320,12 @@ class GeneratorSearch:
 
     ``complete`` is False when the tree-node budget ran out; the
     generators found so far are still genuine automorphisms, so anything
-    built from them stays sound, merely weaker.  ``order`` is the order of
-    the automorphism group, None when the budget ran out.
+    built from them stays sound, merely weaker.
     """
 
     generators: tuple[tuple[int, ...], ...]
     complete: bool
     tree_nodes: int
-    order: int | None
-
-
-class _Orbits:
-    """Orbits of the group generated by the permutations joined so far, as
-    a union-find by size.  Only moved nodes are stored: ``parent`` maps
-    each non-root to its parent, ``sizes`` each root of a nontrivial orbit
-    to its size, and any other node is an orbit of its own."""
-
-    __slots__ = ("parent", "sizes")
-
-    def __init__(self):
-        self.parent = {}
-        self.sizes = {}
-
-    def root(self, v: int) -> int:
-        parent = self.parent
-        while v in parent:
-            v = parent[v]
-        return v
-
-    def join(self, perm):
-        sizes = self.sizes
-        for v, w in enumerate(perm):
-            if v != w:
-                v, w = self.root(v), self.root(w)
-                if v != w:
-                    if sizes.get(v, 1) < sizes.get(w, 1):
-                        v, w = w, v
-                    self.parent[w] = v
-                    sizes[v] = sizes.get(v, 1) + sizes.pop(w, 1)
-
-    def size(self, v: int) -> int:
-        return self.sizes.get(self.root(v), 1)
 
 
 class _Node:
@@ -435,14 +385,10 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     the node's vertex off its parent's partition and refines the result,
     and counts against ``max_tree_nodes`` when it is entered.  A leaf off the first
     path that gives an automorphism ends the search below the deepest
-    first-path node (the module docstring says why this is exact).  The
-    group order is the product, over the first-path nodes, of the orbit
-    size of each one's first child when it finishes.
+    first-path node (the module docstring says why this is exact).
     """
     n = graph.n_nodes
     gens: list[tuple[int, ...]] = []
-    orbits = _Orbits()  # under the generators found so far
-    order = 1
     first_leaf = None  # node -> position in the first leaf reached
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
@@ -451,7 +397,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     while True:
         tree_nodes += 1
         if tree_nodes > max_tree_nodes:
-            return GeneratorSearch(tuple(gens), False, tree_nodes, None)
+            return GeneratorSearch(tuple(gens), False, tree_nodes)
         by_label = partition.by_label
         # the cells up to the parent's individualized vertex are singletons
         s = path[-1].label + 1 if path else 0
@@ -469,7 +415,6 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             perm = tuple([by_label[p][0] for p in first_leaf])
             if is_automorphism(graph, perm):
                 gens.append(perm)
-                orbits.join(perm)
                 # back to the deepest node on the first path: its current
                 # child's subtree is covered by the new generator
                 del path[next(i for i, node in enumerate(path) if node.done) + 1:]
@@ -477,9 +422,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             v = path[-1].next_vertex()
             if v is not None:
                 break
-            node = path.pop()
-            if node.stabilizing is gens:  # a first-path node
-                order *= orbits.size(node.done[0])
+            path.pop()
         else:
-            return GeneratorSearch(tuple(gens), True, tree_nodes, order)
+            return GeneratorSearch(tuple(gens), True, tree_nodes)
         partition = color_refine(graph, path[-1].partition, v)

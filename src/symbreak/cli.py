@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=_count, default=10 ** 6, metavar="N",
                         help="automorphism search tree node budget")
     parser.add_argument("--stab-levels", type=_count, default=5, metavar="N",
-                        help="pointwise-stabilizer chain depth for binary "
-                             "clauses (default 5)")
+                        help="binary clause levels: base atoms paired with "
+                             "their orbits (default 5)")
     parser.add_argument("--no-rows", action="store_true",
                         help="disable row-interchangeability detection")
     parser.add_argument("--no-binary", action="store_true",

@@ -5,11 +5,11 @@ converted to an atom permutation and re-validated as a syntactic symmetry
 before anything is built from it; permutations failing the gate are
 dropped and kept aside, so a detection bug can only weaken the breaking,
 never corrupt it.  Binary clauses pair each emitted level's base atom v
-of the validated generators' stabilizer chain with the rest of its orbit
-under the level's strong generators that move no atom ranked below v and
-are validated generators or pass the same gate.  Syntactic symmetries
-form a group, so every orbit point is reached by a symmetry that fixes
-everything ranked below v, whatever the chain computed.
+with the rest of its orbit under the level's generators, and a generator
+counts only if it is one of the validated ones and moves no atom ranked
+below v; anything else is dropped, never sent to the gate again.
+Syntactic symmetries form a group, so every orbit point is reached by a
+symmetry that fixes everything ranked below v.
 """
 
 from dataclasses import dataclass
@@ -84,19 +84,11 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
 
     pairs = []
     if config.stabilizer_levels:
-        passed = dict.fromkeys(gens, True)  # these passed the gate in detect_symmetries
+        validated = set(gens)  # these passed the gate in detect_symmetries
         rank = order.rank
-        for v, strong in stabilizer_binary_symmetries(gens, order,
-                                                      config.stabilizer_levels,
-                                                      detection.search.order):
-            kept = []
-            for s in strong:
-                if any(rank.get(a, -1) < rank[v] for a in s.support):
-                    continue
-                if s not in passed:
-                    passed[s] = is_syntactic_symmetry(program, s)
-                if passed[s]:
-                    kept.append(s)
+        for v, fixing in stabilizer_binary_symmetries(gens, order, config.stabilizer_levels):
+            kept = [s for s in fixing if s in validated
+                    and all(rank.get(a, -1) >= rank[v] for a in s.support)]
             pairs += [(v, w) for w in sorted(orbit(kept, v) - {v})]
 
     alloc = FreshAtoms(program.max_atom + 1)

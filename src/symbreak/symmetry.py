@@ -4,36 +4,21 @@ Node automorphisms get restricted to atom permutations, validated as
 syntactic symmetries (a hard gate: nothing unsound can flow into
 constraint synthesis), and post-processed for breaking power:
 row-interchangeability matrices whose full subgroup can be broken
-completely, an atom order that matches the generators, and the levels of
-the generators' pointwise-stabilizer chain, computed by Schreier-Sims
-without any further graph search.  Each level is a base atom with the
-strong generators the chain holds there; the pipeline takes binary
-clauses from the base atom's orbit under those that pass its checks.
+completely, an atom order that matches the generators, and the levels
+that give binary clauses, read off the validated generators without any
+further graph search or group computation.  Each level is a base atom v
+with the generators that move nothing ranked below v; the pipeline pairs
+v with the rest of its orbit under them.
 
 The gate compares the keys of the rules a permutation touches with the
 keys of their images, both from ``Rule.key``; row detection asks it at
 most once per distinct swap within a call, and not about swaps of rows
 an earlier seed grew.
-
-The chain stops at the group order the graph search reports.  The
-validated atom permutations generate an image of a subgroup of the
-graph's automorphism group, so that order bounds their group's order.
-Each level's orbit is closed under strong generators fixing the earlier
-base points, a subgroup of the level's true stabilizer, so each partial
-orbit lies inside the true one and the product of their sizes is at most
-the atom group's order.  Once the product reaches the bound, every level
-of the chain is complete and no later sift files a strong generator, so
-the levels equal those of the full run.  When the atom group is smaller
-than the graph group (a graph automorphism that fixes every atom, or a
-generator the gate rejects), or the search ran out of budget and knows
-no order, the loop runs to the end.  A wrong order can only stop it
-early, with fewer strong generators and orbits cut short.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .encoding import ColoredGraph
 from .smodels import GroundProgram
@@ -355,108 +340,29 @@ def choose_order(program: GroundProgram, gens, rows) -> AtomOrder:
     return AtomOrder(tuple(sequence))
 
 
-def _then(f, g) -> tuple[int, ...]:
-    """Dense permutation applying f, then g."""
-    return tuple(map(g.__getitem__, f))
-
-
-def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5,
-                                 group_order: int = None
+def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5
                                  ) -> list[tuple[int, list[AtomPermutation]]]:
-    """The first nontrivial levels of a pointwise-stabilizer chain.
+    """The first ``levels`` binary levels of the generators, in ``order``.
 
-    The chain of the group generated by ``gens`` comes from a deterministic,
-    incremental Schreier-Sims whose base is the moved atoms in ``order``;
-    no graph is searched.  For each of the first ``levels`` levels with a
-    nontrivial orbit, the result holds the base atom v and the strong
-    generators the chain holds there, which fix every earlier base atom and
-    so move nothing ranked below v; v's orbit under them is the level's
-    basic orbit.  Binary clauses pair v with the other atoms of that orbit.
-    Callers check the strong generators before use all the same.  The name
-    is kept for ``perfbench/tracer.py``, which looks the function up by it.
+    Walking the moved atoms in ``order``, the level of an atom v is v with
+    S, the generators that move no atom ranked below v, in generator
+    order; a level is emitted when some member of S moves v, which is
+    when v is the lowest-ranked atom some generator moves.  Binary clauses
+    pair v with the other atoms of its orbit under S.
 
-    ``group_order``, an upper bound on the order of the group ``gens``
-    generate, stops Schreier-Sims as soon as the product of the basic
-    orbit sizes reaches it.  Each level's orbit is closed under strong
-    generators that fix the earlier base points, so it lies inside the
-    true basic orbit, and the product is at most the group order; when it
-    reaches the bound, every level is complete, so no later sift would
-    file a strong generator and the levels are those of the full run.  A
-    product that never reaches the bound runs the loop to the end.
+    For validated generators the pairs are sound: each other atom of the
+    orbit is v's image under a product of members of S, a symmetry that
+    fixes every atom ranked below v.  With the moved atoms in ``order`` as
+    the base, S at the i-th base atom generates a subgroup of the
+    pointwise stabilizer of the earlier base atoms, so each orbit lies
+    inside the stabilizer chain's basic orbit, and the two are equal when
+    these S form a strong generating set for the base (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).  No group is computed.
+    The name is kept for ``perfbench/tracer.py``, which looks the function
+    up by it.
     """
-    base = order.sort_atoms({a for g in gens for a in g.support})
-    n = len(base)
-    point = {a: i for i, a in enumerate(base)}
-    # Level i fixes base points 0..i-1; ``strong[i]`` holds every strong
-    # generator that does, whatever level it was filed at, as the orbit of
-    # point i needs them all.  ``trans[i]`` maps each orbit point to an
-    # element taking point i there and its inverse; ``sifted[i]`` counts per
-    # orbit point the strong generators whose Schreier generator was sifted.
-    strong = [[] for _ in range(n)]
-    trans = [{i: (tuple(range(n)),) * 2} for i in range(n)]
-    orbits = [[i] for i in range(n)]
-    sifted = [{i: 0} for i in range(n)]
-
-    def sift(g, level):
-        """Sift g, which fixes the points below level; file a nontrivial
-        residue as a strong generator and return its level."""
-        for k in range(level, n):
-            if g[k] != k:
-                if g[k] not in trans[k]:
-                    add_strong(g, k)
-                    return k
-                g = _then(g, trans[k][g[k]][1])
-        return None
-
-    def add_strong(h, first):
-        for i in range(first + 1):
-            strong[i].append(h)
-            orbit, old = orbits[i], len(orbits[i])
-            for step, beta in enumerate(orbit):
-                for s in (h,) if step < old else strong[i]:
-                    gamma = s[beta]
-                    if gamma not in trans[i]:
-                        u = _then(trans[i][beta][0], s)
-                        trans[i][gamma] = u, tuple(sorted(range(n), key=u.__getitem__))
-                        orbit.append(gamma)
-                        sifted[i][gamma] = 0
-
-    def sift_pending(level):
-        """Sift the level's unsifted Schreier generators up to the first
-        that files a strong generator; return that one's level."""
-        t, done, here = trans[level], sifted[level], strong[level]
-        for beta in orbits[level]:
-            while done[beta] < len(here):
-                s = here[done[beta]]
-                done[beta] += 1
-                filed = sift(_then(_then(t[beta][0], s), t[s[beta]][1]), level + 1)
-                if filed is not None:
-                    return filed
-        return None
-
-    def filings():
-        """Sift the generators, then every level's Schreier generators,
-        deepest level first; yield the level of each strong generator
-        filed, and go on from that level."""
-        for g in gens:
-            filed = sift(tuple(point[g.image_of(a)] for a in base), 0)
-            if filed is not None:
-                yield filed
-        level = n - 1
-        while level >= 0:
-            filed = sift_pending(level)
-            if filed is None:
-                level -= 1
-            else:
-                yield filed
-                level = filed
-
-    for _ in filings():
-        if prod(map(len, orbits)) == group_order:
-            break
-
-    def atoms(s):
-        return AtomPermutation({base[x]: base[y] for x, y in enumerate(s) if x != y})
-
-    nontrivial = [i for i in range(n) if len(orbits[i]) > 1]
-    return [(base[i], list(map(atoms, strong[i]))) for i in nontrivial[:max(levels, 0)]]
+    rank = order.rank
+    gens = [g for g in gens if g.moved]
+    lowest = [min(map(rank.__getitem__, g.support)) for g in gens]
+    return [(order.sequence[r], [g for g, low in zip(gens, lowest) if low >= r])
+            for r in sorted(set(lowest))[:max(levels, 0)]]

@@ -150,17 +150,13 @@ def reference_find_generators(graph: ColoredGraph,
     re-filters all generators found so far against the node's whole base.
     It never backjumps, so it visits a larger tree than the package search
     and may return more generators; the two must generate the same group.
-    The order is the product, over the nodes on the path to the first
-    leaf, of the first child's orbit under every generator found by the
-    time the node finishes that fixes the node's base, each orbit a fresh
-    closure.
     """
     n = graph.n_nodes
     root = color_refine(graph, partition_by_colors(graph))
     gens: list[tuple[int, ...]] = []
     gen_keys = set()
     ident = identity(n)
-    state = {"count": 0, "exhausted": False, "first_leaf": None, "order": 1}
+    state = {"count": 0, "exhausted": False, "first_leaf": None}
 
     def dfs(partition: OrderedPartition, base: tuple):
         state["count"] += 1
@@ -182,7 +178,6 @@ def reference_find_generators(graph: ColoredGraph,
                 gen_keys.add(perm)
             return
         cell = partition.cells[cell_index]
-        on_first_path = state["first_leaf"] is None
         done = []
         stabilizing = []
         reached = set()
@@ -208,14 +203,9 @@ def reference_find_generators(graph: ColoredGraph,
             child = color_refine(graph, OrderedPartition.from_cells(cells), v)
             dfs(child, base + (v,))
             done.append(v)
-        if on_first_path and not state["exhausted"]:
-            fixing = [g for g in gens if all(g[b] == b for b in base)]
-            state["order"] *= len(orbit(fixing, done[0]))
 
     dfs(root, ())
-    complete = not state["exhausted"]
-    return GeneratorSearch(tuple(gens), complete, state["count"],
-                           state["order"] if complete else None)
+    return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
 
 
 def compose(f, g) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from symbreak.pipeline import detect_symmetries
 from symbreak.smodels import semantic_view
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from graph_oracles import (EnumerationBudgetError, atom_node, compose,
-                           compose_atoms, group_closure, identity,
+                           compose_atoms, group_closure, group_order, identity,
                            reference_detect_rows,
                            reference_is_syntactic_symmetry)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
@@ -35,13 +35,13 @@ def swap(a, b):
 
 def level_pairs(levels):
     """Each level's base atom paired with the rest of its orbit under the
-    level's strong generators, in ascending atom order."""
+    level's generators, in ascending atom order."""
     return [(v, w) for v, strong in levels for w in sorted(orbit(strong, v) - {v})]
 
 
 def assert_certifiable(program, order, levels):
-    """Every strong generator of a level passes the gate and fixes every
-    atom ranked below the level's base atom, earlier base atoms included."""
+    """Every generator of a level passes the gate and fixes every atom
+    ranked below the level's base atom, earlier base atoms included."""
     for v, strong in levels:
         for s in strong:
             assert is_syntactic_symmetry(program, s), (v, s)
@@ -417,8 +417,7 @@ def test_stabilizer_chain_pairs_match_graph_research():
         result = break_program(program)
         assert result.pairs == research_pairs(program, result.order), program
         gens = result.detection.generators
-        levels = stabilizer_binary_symmetries(gens, result.order, 5,
-                                              result.detection.search.order)
+        levels = stabilizer_binary_symmetries(gens, result.order, 5)
         assert level_pairs(levels) == result.pairs, program
         assert_certifiable(program, result.order, levels)
 
@@ -456,91 +455,68 @@ def test_stabilizer_levels_match_brute_force_stabilizers():
     assert checked >= 30
 
 
-def test_stabilizer_orbit_uses_deeper_strong_generators():
-    """The level-0 orbit of (1 2), (1 2 3 4) is all four atoms, and the
-    stabilizer of atom 1 is the full symmetric group on 2, 3, 4."""
+def test_stabilizer_levels_use_only_generators_fixing_earlier_atoms():
+    """Both generators (1 2) and (1 2 3 4) move atom 1, so the only level
+    is atom 1's, with orbit 1..4; no generator fixes atom 1, so atoms 2 to
+    4 give no level, though the stabilizer of atom 1 is all of S{2,3,4}."""
     gens = [AtomPermutation.from_cycles((1, 2)),
             AtomPermutation.from_cycles((1, 2, 3, 4))]
-    pairs = level_pairs(stabilizer_binary_symmetries(gens, AtomOrder((1, 2, 3, 4))))
-    assert pairs == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    levels = stabilizer_binary_symmetries(gens, AtomOrder((1, 2, 3, 4)))
+    assert levels == [(1, gens)]
+    assert level_pairs(levels) == [(1, 2), (1, 3), (1, 4)]
 
 
 def test_stabilizer_chain_of_s24_is_fast():
-    gens = [AtomPermutation.from_cycles((1, i)) for i in range(2, 25)]
+    """The star (1 i) of S24 gives one level, atom 1's; the path (i i+1)
+    is a strong generating set for the base 1..24, so its first five
+    levels are the stabilizer chain's, each base atom paired with every
+    later atom."""
+    order = AtomOrder(tuple(range(1, 25)))
+    star = [AtomPermutation.from_cycles((1, i)) for i in range(2, 25)]
+    path = [AtomPermutation.from_cycles((i, i + 1)) for i in range(1, 24)]
     started = time.perf_counter()
-    pairs = level_pairs(stabilizer_binary_symmetries(gens, AtomOrder(tuple(range(1, 25)))))
-    assert time.perf_counter() - started < 2.0
-    assert len(pairs) == 23 + 22 + 21 + 20 + 19
-    assert pairs == [
+    star_levels = stabilizer_binary_symmetries(star, order)
+    path_levels = stabilizer_binary_symmetries(path, order)
+    assert time.perf_counter() - started < 0.5
+    assert star_levels == [(1, star)]
+    assert level_pairs(star_levels) == [(1, w) for w in range(2, 25)]
+    assert path_levels == [(v, path[v - 1:]) for v in range(1, 6)]
+    assert level_pairs(path_levels) == [
         (v, w) for v in range(1, 6) for w in range(v + 1, 25)]
 
 
-def chain_input(program):
-    """The validated generators, their search and the atom order the
-    pipeline hands to the chain."""
+def pipeline_input(program):
+    """The validated generators and the atom order the pipeline hands to
+    ``stabilizer_binary_symmetries``."""
     det = detect_symmetries(program)
     order = choose_order(program, det.generators, detect_rows(program, det.generators))
-    return det.generators, det.search, order
+    return det.generators, order
 
 
-def test_chain_stopped_at_the_search_order_is_exact(monkeypatch):
-    """Stopping once the orbit sizes multiply to the search's group order
-    gives the base atoms and strong generators of the run that sifts every
-    Schreier generator, and on S_k it skips most of that run's work."""
-    programs = [*corpus(), *workload_instances(range(1, 5)),
-                *(free_choice(range(1, k + 1)) for k in range(2, 41)),
-                *(pigeonhole(p, h) for p in range(1, 8) for h in range(1, p + 1))]
-    for program in programs:
-        gens, search, order = chain_input(program)
-        assert search.order is not None
-        assert (stabilizer_binary_symmetries(gens, order, 5, search.order)
-                == stabilizer_binary_symmetries(gens, order)), program
-    # adjacent transpositions: the full runs on the star (1 i) take ~50 s
+def orbit_product(gens, order):
+    """The product of the orbit sizes of every level, not only the first
+    five."""
+    levels = stabilizer_binary_symmetries(gens, order, len(order.sequence))
+    return prod(len(orbit(fixing, v)) for v, fixing in levels)
+
+
+def test_levels_multiply_to_the_order_of_the_validated_group():
+    """Every level's orbit lies inside the stabilizer chain's basic orbit,
+    and the basic orbits multiply to the group's order, so a product equal
+    to that order makes every level the chain's: the generators fixing
+    the earlier atoms form a strong generating set for the base."""
+    for program in [*corpus(), *workload_instances(range(1, 5))]:
+        gens, order = pipeline_input(program)
+        n = program.max_atom + 1
+        dense = [tuple(g.image_of(a) for a in range(n)) for g in gens]
+        assert orbit_product(gens, order) == group_order(dense, n), program
     for k in range(2, 41):
-        gens = [AtomPermutation.from_cycles((i, i + 1)) for i in range(1, k)]
-        order = AtomOrder(tuple(range(1, k + 1)))
-        assert (stabilizer_binary_symmetries(gens, order, 5, factorial(k))
-                == stabilizer_binary_symmetries(gens, order)), k
-    products = 0
-    real_then = symmetry._then
-
-    def counting(f, g):
-        nonlocal products
-        products += 1
-        return real_then(f, g)
-
-    monkeypatch.setattr(symmetry, "_then", counting)
-    stabilizer_binary_symmetries(gens, order, 5, factorial(40))
-    early, products = products, 0
-    stabilizer_binary_symmetries(gens, order)
-    assert early * 10 < products
-
-
-def test_chain_stopped_at_a_wrong_order_stays_sound(monkeypatch):
-    """Every orbit-size product the chain passes below the group order,
-    given as the order, stops it with orbits cut short.  Each level's
-    strong generators are then a prefix of those the full chain holds at
-    the same base atom when it emits every level, not only the first five:
-    a level left trivial lets a deeper one in among them.  So each pair is
-    one of the full chain's, and each strong generator passes the
-    pipeline's checks."""
-    for program in (pigeonhole(5, 4), free_choice(range(1, 9))):
-        gens, search, order = chain_input(program)
-        sizes = []
-        with monkeypatch.context() as patched:
-            patched.setattr(symmetry, "prod",
-                            lambda orbits: sizes.append(prod(orbits)) or sizes[-1])
-            full = stabilizer_binary_symmetries(gens, order, len(order.sequence), 0)
-        everything = dict(full)
-        wrong = sorted({size for size in sizes if size < search.order})
-        assert len(wrong) >= 5
-        for bound in wrong:
-            found = stabilizer_binary_symmetries(gens, order, 5, bound)
-            for v, strong in found:
-                assert strong == everything[v][:len(strong)], (program, bound, v)
-            assert set(level_pairs(found)) <= set(level_pairs(full))
-            assert_certifiable(program, order, found)
+        gens, order = pipeline_input(free_choice(range(1, k + 1)))
+        assert orbit_product(gens, order) == factorial(k), k
+    for p in range(1, 8):
+        for h in range(1, p + 1):
+            gens, order = pipeline_input(pigeonhole(p, h))
+            assert orbit_product(gens, order) == factorial(p) * factorial(h), (p, h)
 
 
 def test_pipeline_generators_all_pass_the_gate():
