@@ -87,8 +87,8 @@ rechecks every cell (``reference_color_refine`` in the tests).
 - The rest is a group of its own.  Every marked node of a rechecked cell
   sees a node of a fragment not left out, which is a cell of the round's
   partition, and no unmarked node does, so their keys differ.
-- Fragments come in order.  Every cell ascends: color classes do,
-  `OrderedPartition.from_cells` sorts each cell, and a split keeps the
+- Fragments come in order.  Every cell ascends: color classes do, any
+  `OrderedPartition` does by its definition, and a split keeps the
   order of the cell, since a group's members and the rest of an
   individualized vertex's cell arrive in it.  So fragments need no sort.
 - Relabel and mark in one pass.  Marking reads neighbor lists, not
@@ -122,23 +122,6 @@ class OrderedPartition(NamedTuple):
 
     labels: list
     by_label: list
-
-    @classmethod
-    def from_cells(cls, cells) -> "OrderedPartition":
-        """The partition with the given cells in order, each sorted."""
-        labels = [0] * sum(map(len, cells))
-        by_label = [None] * len(labels)
-        start = 0
-        for cell in cells:
-            by_label[start] = tuple(sorted(cell))
-            for v in cell:
-                labels[v] = start
-            start += len(cell)
-        return cls(labels, by_label)
-
-    @property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(filter(None, self.by_label))
 
 
 def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:

@@ -137,7 +137,7 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms,
     for frag in fragments:
         for r in frag.rules:
             if r.heads == (constraint_head,):
-                key = (tuple(sorted(r.pos)), tuple(sorted(r.neg)))
+                key = r.key()
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)

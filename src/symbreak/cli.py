@@ -57,6 +57,7 @@ def _count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = BreakConfig()
     parser = argparse.ArgumentParser(
         prog="symbreak",
         description="Append symmetry breaking constraints to a ground "
@@ -70,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="break: write the augmented program; detect: only "
                              "print generators; verify: oracle-check the "
                              "pipeline on a small input")
-    parser.add_argument("--limit", type=_count, default=50, metavar="N",
-                        help="auxiliary atoms allowed per symmetry (default 50)")
-    parser.add_argument("--budget", type=_count, default=10 ** 6, metavar="N",
-                        help="automorphism search tree node budget")
-    parser.add_argument("--stab-levels", type=_count, default=5, metavar="N",
-                        help="binary clause levels: base atoms paired with "
-                             "their orbits (default 5)")
+    parser.add_argument("--limit", type=_count, default=defaults.aux_limit, metavar="N",
+                        help="auxiliary atoms allowed per symmetry (default %(default)s)")
+    parser.add_argument("--budget", type=_count, default=defaults.search_budget,
+                        metavar="N", help="automorphism search tree node budget")
+    parser.add_argument("--stab-levels", type=_count, default=defaults.stabilizer_levels,
+                        metavar="N", help="binary clause levels: base atoms paired "
+                                          "with their orbits (default %(default)s)")
     parser.add_argument("--no-rows", action="store_true",
                         help="disable row-interchangeability detection")
     parser.add_argument("--no-binary", action="store_true",
@@ -137,7 +138,7 @@ def _verify(program: GroundProgram, result: BreakResult) -> int:
         if mapped != base:
             violations.append(f"generator {format_generator(g, program)} does not "
                               "preserve the answer sets")
-    print(f"symbreak: answer sets {verdict.original_count} -> {verdict.surviving_count}"
+    print(f"symbreak: answer sets {len(verdict.original)} -> {len(verdict.surviving)}"
           + (" (unsat preserved)" if not base and not verdict.surviving else ""),
           file=sys.stderr)
     if violations:

@@ -17,7 +17,7 @@ constraints.
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .smodels import CHOICE, MINIMIZE, WEIGHT, GroundProgram, semantic_view
+from .smodels import CHOICE, MINIMIZE, WEIGHT, GroundProgram
 
 ATOM_COLOR = 1
 NEGATION_COLOR = 2
@@ -65,7 +65,7 @@ class ColoredGraph:
 
 def encode_program(program: GroundProgram) -> ColoredGraph:
     """Encode a validated program (compute blocks become constraints)."""
-    sem = semantic_view(program)
+    sem = program.view
     atoms = sem.atoms
     false = sem.false_atom
     # node[a] is atom a's positive node; its negative node is node[a] + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .smodels import (BASIC, CARDINALITY, CHOICE, DISJUNCTIVE, WEIGHT, BasicRule,
-                      GroundProgram, Rule, semantic_view)
+                      GroundProgram, Rule)
 
 
 class OracleBudgetError(RuntimeError):
@@ -61,7 +61,7 @@ class Desugared:
     ``shadows`` lists (shadow, head, body_pos, body_neg) for each choice
     head; in a stable model the shadow is true exactly when the body holds
     and the head was not chosen, which makes its value a function of the
-    original atoms.
+    original atoms; ``project_mask`` keeps an answer set's original atoms.
     """
 
     basic: tuple[Rule, ...]
@@ -70,12 +70,12 @@ class Desugared:
     false_atom: int  # or None
     shadows: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
     choice_body_atoms: frozenset[int]
-    project_max: int
+    project_mask: int
 
 
 def desugar(program: GroundProgram) -> Desugared:
     """Rewrite to basic + disjunctive rules with compute blocks folded in."""
-    sem = semantic_view(program)
+    sem = program.view
     next_atom = sem.max_atom
     basic = []
     disj = []
@@ -105,8 +105,9 @@ def desugar(program: GroundProgram) -> Desugared:
                 basic.append(Rule(BASIC, r.heads,
                                   tuple(a for a, p in sub if p),
                                   tuple(a for a, p in sub if not p)))
+    project = _or_bits(a for a in range(1, program.max_atom + 1) if a != sem.false_atom)
     return Desugared(tuple(basic), tuple(disj), next_atom, sem.false_atom,
-                     tuple(shadows), frozenset(choice_body), program.max_atom)
+                     tuple(shadows), frozenset(choice_body), project)
 
 
 def _bit(atom: int) -> int:
@@ -160,8 +161,6 @@ def _answer_sets_fixpoint(d: Desugared, budget: int):
     rel_mask = _or_bits(relevant)
     shadow_mask = _or_bits(shadow_atoms)
     rs_mask = rel_mask | shadow_mask
-    project_mask = _or_bits(a for a in range(1, d.project_max + 1)
-                            if a != d.false_atom)
 
     rules = _compile_rules(d.basic)
     # constraints over enumerated atoms only can veto a candidate up front
@@ -201,7 +200,7 @@ def _answer_sets_fixpoint(d: Desugared, budget: int):
         if dead:
             continue
         if derived & rs_mask == ext:
-            found.add(_mask_atoms(derived & project_mask))
+            found.add(_mask_atoms(derived & d.project_mask))
     return found
 
 
@@ -212,8 +211,6 @@ def _answer_sets_full(d: Desugared, budget: int):
             f"{len(free)} enumeration atoms exceed the oracle budget {budget}")
     basic = _compile_rules(d.basic)
     disj = _compile_rules(d.disjunctive)
-    project_mask = _or_bits(a for a in range(1, d.project_max + 1)
-                            if a != d.false_atom)
     found = set()
     for interp in _gray_subsets([_bit(a) for a in free]):
         ok = True
@@ -244,7 +241,7 @@ def _answer_sets_full(d: Desugared, budget: int):
                 minimal = False
                 break
         if minimal:
-            found.add(_mask_atoms(interp & project_mask))
+            found.add(_mask_atoms(interp & d.project_mask))
     return found
 
 
@@ -276,14 +273,6 @@ class SoundnessVerdict:
     original: tuple[frozenset[int], ...]
     surviving: frozenset[frozenset[int]]
 
-    @property
-    def original_count(self) -> int:
-        return len(self.original)
-
-    @property
-    def surviving_count(self) -> int:
-        return len(self.surviving)
-
 
 def check_soundness(program: GroundProgram, generators, augmented: GroundProgram,
                     budget: int = 20) -> SoundnessVerdict:
@@ -303,7 +292,7 @@ def check_soundness(program: GroundProgram, generators, augmented: GroundProgram
         while frontier:
             current = frontier.pop()
             for g in generators:
-                image = frozenset(g.image_of(a) for a in current)
+                image = g.apply_to_set(current)
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)

@@ -56,6 +56,8 @@ class BreakResult:
 
 def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Detection:
     config = config or BreakConfig()
+    if program.problems:
+        raise ValueError(f"invalid program: {list(program.problems)}")
     graph = encode_program(program)
     search = find_generators(graph, config.search_budget)
     generators = []
@@ -73,9 +75,6 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
 
 def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakResult:
     config = config or BreakConfig()
-    if program.problems:
-        raise ValueError(f"invalid program: {list(program.problems)}")
-
     detection = detect_symmetries(program, config)
     gens = detection.generators
 

@@ -8,9 +8,9 @@ and ``B-`` compute blocks, and a final model count.
 The wire format has no headless rule, so grounders emit integrity
 constraints as basic rules whose head is a reserved atom that can never be
 derived (conventionally atom 1, unnamed, placed in ``B-``).
-``GroundProgram.false_atom`` recovers that convention and
-``semantic_view`` folds the compute blocks into equivalent constraints for
-everything downstream of parsing.
+``GroundProgram.false_atom`` recovers that convention, and its ``view``
+(``semantic_view``, built once per program) folds the compute blocks into
+equivalent constraints for everything downstream of parsing.
 """
 
 from collections import Counter
@@ -206,14 +206,9 @@ class GroundProgram:
         return tuple(validate(self))
 
     @cached_property
-    def rule_index(self) -> "RuleIndex":
-        """The semantic view indexed by atom, built on first use."""
-        view = semantic_view(self)
-        occurrences: dict[int, list[int]] = {}
-        for i, r in enumerate(view.rules):
-            for a in set(r.atoms()):
-                occurrences.setdefault(a, []).append(i)
-        return RuleIndex(view, tuple(r.key() for r in view.rules), occurrences)
+    def view(self) -> "SemanticProgram":
+        """``semantic_view(self)``, built on first use."""
+        return semantic_view(self)
 
     def name_of(self, atom: int) -> str:
         """Display name for an atom; hidden atoms print as ``_<index>``."""
@@ -227,8 +222,9 @@ class SemanticProgram:
     ``false_atom`` is the constraint head, synthesized one past the
     original ``max_atom`` when the compute blocks need one and the input
     reserved none.  All downstream semantics (graph encoding, syntactic
-    symmetry checks, the oracle) work on this view; the wire-level
-    program keeps its compute blocks verbatim.
+    symmetry checks, the oracle) work on this view, ``GroundProgram.view``,
+    which also owns the gate's rule ``keys`` and atom ``occurrences``; the
+    wire-level program keeps its compute blocks verbatim.
     """
 
     rules: tuple[Rule, ...]
@@ -240,14 +236,19 @@ class SemanticProgram:
         return tuple(a for a in range(1, self.max_atom + 1)
                      if a != self.false_atom)
 
+    @cached_property
+    def keys(self) -> tuple:
+        """Each rule's ``Rule.key()``, in rule order."""
+        return tuple(r.key() for r in self.rules)
 
-class RuleIndex(NamedTuple):
-    """A semantic view with each rule's ``key()`` and, per atom, the
-    positions of the rules the atom occurs in, ascending."""
-
-    view: SemanticProgram
-    keys: tuple
-    occurrences: dict[int, list[int]]
+    @cached_property
+    def occurrences(self) -> dict[int, list[int]]:
+        """Per atom, the positions of the rules it occurs in, ascending."""
+        out: dict[int, list[int]] = {}
+        for i, r in enumerate(self.rules):
+            for a in set(r.atoms()):
+                out.setdefault(a, []).append(i)
+        return out
 
 
 def semantic_view(program: GroundProgram) -> SemanticProgram:

@@ -62,16 +62,10 @@ class AtomPermutation:
         seen = set()
         out = []
         for start in sorted(self.moved):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            a = self.moved[start]
-            while a != start:
-                cycle.append(a)
-                seen.add(a)
-                a = self.moved[a]
-            out.append(tuple(cycle))
+            if start not in seen:
+                cycle = self.cycle_of(start)
+                seen.update(cycle)
+                out.append(cycle)
         return out
 
     def cycle_of(self, atom: int) -> tuple[int, ...]:
@@ -122,20 +116,19 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
     Compute blocks take part through their constraint form, and a
     permutation moving the reserved false atom is never a symmetry.
 
-    Only the rules touching ``perm.support`` are compared, read off the
-    program's ``rule_index``: every other rule is its own image, so the
-    verdict is the one for the whole program.  Index keys and image keys
-    both come from ``Rule.key``, the latter as ``key(perm.moved)``.
+    Only the rules touching ``perm.support`` are compared, found through
+    the program view's ``occurrences``: every other rule is its own image,
+    so the verdict is the one for the whole program.  The view's ``keys``
+    and the image keys, ``key(perm.moved)``, both come from ``Rule.key``.
     """
-    index = program.rule_index
-    sem = index.view
+    sem = program.view
     moved = perm.moved
     if sem.false_atom in moved:
         return False
     if any(a < 1 or a > sem.max_atom for a in moved):
         return False
-    touched = {i for a in moved for i in index.occurrences.get(a, ())}
-    keys, rules = index.keys, sem.rules
+    touched = {i for a in moved for i in sem.occurrences.get(a, ())}
+    keys, rules = sem.keys, sem.rules
     return (Counter(keys[i] for i in touched)
             == Counter(rules[i].key(moved) for i in touched))
 

@@ -20,8 +20,9 @@ checks that name a malformed one.
 The fixtures at the top serve the tests only, so the package does not
 ship them: `identity`, `build_graph` (a graph from an edge list),
 `atom_node` and `negation_node` (an encoded atom's literal nodes),
-`satisfies` (classical satisfaction of one rule) and `map_atoms` (a rule
-with its atoms renamed).
+`satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
+with its atoms renamed), and `partition_from_cells` and `cells_of` (an
+`OrderedPartition` from its cells and back).
 
 Graph permutations are dense image tuples over node ids; composition is
 left-to-right (apply ``f``, then ``g``).
@@ -102,6 +103,24 @@ def map_atoms(rule: Rule, f) -> Rule:
                 tuple(map(f, rule.neg)), rule.bound, rule.weights)
 
 
+def partition_from_cells(cells) -> OrderedPartition:
+    """The partition with the given cells in order, each sorted."""
+    labels = [0] * sum(map(len, cells))
+    by_label = [None] * len(labels)
+    start = 0
+    for cell in cells:
+        by_label[start] = tuple(sorted(cell))
+        for v in cell:
+            labels[v] = start
+        start += len(cell)
+    return OrderedPartition(labels, by_label)
+
+
+def cells_of(partition: OrderedPartition) -> tuple[tuple[int, ...], ...]:
+    """The partition's cells in order."""
+    return tuple(filter(None, partition.by_label))
+
+
 class EnumerationBudgetError(RuntimeError):
     """Brute-force candidate space larger than the configured budget."""
 
@@ -114,7 +133,7 @@ def reference_color_refine(graph: ColoredGraph,
     count per cell, splits the cell by signature and orders the sub-cells
     by signature, keeping the host cell's position.
     """
-    cells = list(partition.cells)
+    cells = list(cells_of(partition))
     nbrs = graph.neighbors
     while True:
         index = {}
@@ -139,7 +158,7 @@ def reference_color_refine(graph: ColoredGraph,
                     new_cells.append(tuple(sorted(groups[sig])))
         cells = new_cells
         if not changed:
-            return OrderedPartition.from_cells(cells)
+            return partition_from_cells(cells)
 
 
 def reference_find_generators(graph: ColoredGraph,
@@ -163,9 +182,10 @@ def reference_find_generators(graph: ColoredGraph,
         if state["count"] > max_tree_nodes:
             state["exhausted"] = True
             return
-        cell_index = next((i for i, c in enumerate(partition.cells) if len(c) > 1), None)
+        cells = cells_of(partition)
+        cell_index = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if cell_index is None:
-            order = tuple(c[0] for c in partition.cells)
+            order = tuple(c[0] for c in cells)
             if state["first_leaf"] is None:
                 state["first_leaf"] = order
                 return
@@ -177,7 +197,7 @@ def reference_find_generators(graph: ColoredGraph,
                 gens.append(perm)
                 gen_keys.add(perm)
             return
-        cell = partition.cells[cell_index]
+        cell = cells[cell_index]
         done = []
         stabilizing = []
         reached = set()
@@ -198,9 +218,9 @@ def reference_find_generators(graph: ColoredGraph,
             covered = len(done)
             if v in reached:
                 continue
-            cells = list(partition.cells)
-            cells[cell_index:cell_index + 1] = [(v,), tuple(w for w in cell if w != v)]
-            child = color_refine(graph, OrderedPartition.from_cells(cells), v)
+            split = list(cells)
+            split[cell_index:cell_index + 1] = [(v,), tuple(w for w in cell if w != v)]
+            child = color_refine(graph, partition_from_cells(split), v)
             dfs(child, base + (v,))
             done.append(v)
 

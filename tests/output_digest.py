@@ -10,14 +10,20 @@ programs are ``corpus()``, the benchmark's workload instances for seeds
 
 It prints one line per program, the short hashes of its break, graph and
 search output, and a final total, so a ``diff`` of two runs names the
-programs whose output moved.  Compare two trees with
+programs whose output moved.  ``tests/output_digest.txt`` is the output of
+the committed tree, and CI diffs a run under each of two string-hash seeds
+against it:
 
-    PYTHONPATH=<parent>/src:<parent>/tests python tests/output_digest.py > parent.txt
-    PYTHONPATH=src:tests python tests/output_digest.py > change.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src:tests python tests/output_digest.py | diff tests/output_digest.txt -
 
-The program builders are imported from this file's own directory first,
-so both runs digest the same inputs; ``PYTHONPATH`` picks the package.
+A change allowed to move output regenerates that file, in a commit of its
+own that says which lines moved and why:
+
+    PYTHONPATH=src:tests python tests/output_digest.py > tests/output_digest.txt
+
+To compare with another tree, run it with that tree's ``src`` first on
+``PYTHONPATH``.  The program builders are imported from this file's own
+directory first, so both runs digest the same inputs.
 """
 
 import hashlib

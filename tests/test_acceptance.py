@@ -79,7 +79,7 @@ def test_criterion_3_soundness_sweep():
         survivors = project(program, answer_sets(result.program, budget=16))
         assert survivors <= set(answer_sets(program, budget=16)), (i, program)
         generators_seen += len(result.detection.generators)
-        if verdict.surviving_count < verdict.original_count:
+        if len(verdict.surviving) < len(verdict.original):
             reduced += 1
     assert kinds_seen == {1, 2, 3, 5, 6, 8}  # every wire rule type
     elapsed = time.perf_counter() - started

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from symbreak import break_program, parse_program, write_program
-from symbreak.cli import main
+from symbreak import BreakConfig, break_program, parse_program, write_program
+from symbreak.cli import build_parser, main
 from symbreak.encoding import dump_graph, encode_program
 from symbreak.symmetry import AtomPermutation
 from programs import free_choice, normalize_text, p1, p3, pigeonhole
@@ -267,6 +267,15 @@ def test_verify_enumerates_each_program_once(monkeypatch, capsys):
     assert code == 0
     assert "answer sets 4 -> 3" in err
     assert len(calls) == 2  # the input and the augmented program
+
+
+def test_option_defaults_are_the_break_config_defaults():
+    args = build_parser().parse_args([])
+    config = BreakConfig()
+    assert args.limit == config.aux_limit
+    assert args.budget == config.search_budget
+    assert args.stab_levels == config.stabilizer_levels
+    assert args.no_rows != config.row_detection
 
 
 def test_verify_pigeonhole_unsat_preserved(monkeypatch, capsys):

@@ -122,7 +122,7 @@ def test_check_soundness_trivial_and_adversarial():
                            compute_minus=(3,), max_atom=3)
     verdict = check_soundness(p1(), [swap], killed)
     assert not verdict.ok
-    assert verdict.surviving_count == 0
+    assert not verdict.surviving
 
 
 def test_oracle_agrees_with_reference_on_random_programs():

@@ -5,6 +5,8 @@ import random
 import sys
 from dataclasses import replace
 
+import pytest
+
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
                       detect_symmetries, is_syntactic_symmetry, parse_program,
@@ -142,21 +144,52 @@ def test_one_automorphism_search_per_run(monkeypatch):
     assert fixes == []
 
 
-def test_semantic_view_at_most_twice_per_run(monkeypatch):
-    """The encoding builds one view and the gate index one more, however
-    many permutations the gate checks."""
+def count_semantic_views(monkeypatch) -> list:
+    """The programs of every ``semantic_view`` call from now on, through
+    any ``symbreak`` module binding."""
     from symbreak import smodels
     calls = []
     real = smodels.semantic_view
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symbreak" and getattr(module, "semantic_view", None) is real:
             monkeypatch.setattr(module, "semantic_view",
-                                lambda *args: calls.append(args) or real(*args))
+                                lambda program: calls.append(program) or real(program))
+    return calls
+
+
+def test_one_semantic_view_per_break(monkeypatch):
+    """The encoding and the gate read the one view of the input, however
+    many permutations the gate checks."""
+    calls = count_semantic_views(monkeypatch)
     for program in (pigeonhole(6, 5), free_choice(range(1, 17))):
         calls.clear()
         result = break_program(program)
         assert result.rows and result.pairs
-        assert len(calls) <= 2
+        assert len(calls) == 1 and calls[0] is program
+
+
+def test_two_semantic_views_per_verify_run(monkeypatch, capsys):
+    """The break and the oracle share the input's view; the augmented
+    program gets the only other one."""
+    program = pigeonhole(3, 2)
+    augmented = break_program(program).program
+    calls = count_semantic_views(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_program(program)))
+    assert main(["--mode", "verify"]) == 0
+    assert "verification passed" in capsys.readouterr().err
+    assert calls == [program, augmented]
+
+
+def test_invalid_program_is_rejected_before_detection():
+    """An atom above ``max_atom`` would index past the encoding's node
+    table; detection and break refuse the program with one message."""
+    program = GroundProgram(rules=(BasicRule(5, (2,)),), max_atom=3)
+    with pytest.raises(ValueError) as detected:
+        detect_symmetries(program)
+    with pytest.raises(ValueError) as broken:
+        break_program(program)
+    assert str(detected.value) == str(broken.value) == (
+        "invalid program: ['rule 1: atom index 5 exceeds max atom 3']")
 
 
 def test_false_name_on_any_atom_breaks_soundly():

@@ -167,8 +167,8 @@ def test_gate_index_is_per_program():
     assert is_syntactic_symmetry(base, swap(1, 2))
     assert not is_syntactic_symmetry(broken, swap(1, 2))
     assert is_syntactic_symmetry(base, swap(1, 2))
-    assert base.rule_index is base.rule_index
-    assert base.rule_index is not broken.rule_index
+    assert base.view is base.view
+    assert base.view is not broken.view
 
 
 def test_row_matrix_validation():
