@@ -3,7 +3,8 @@
 The package reads a program in the lparse-smodels intermediate format,
 detects its syntactic symmetries through a colored-graph automorphism
 search, and appends sound breaking constraints; an exact stable-model
-oracle verifies every step at desk scale.
+oracle verifies every step at desk scale.  The oracle's names load on
+first use, so that breaking never imports it.
 """
 
 from .automorphism import (GeneratorSearch, OrderedPartition, color_refine,
@@ -11,8 +12,6 @@ from .automorphism import (GeneratorSearch, OrderedPartition, color_refine,
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
                        break_rows, lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
-from .oracle import (OracleBudgetError, SoundnessVerdict, answer_sets,
-                     check_soundness)
 from .pipeline import (BreakConfig, BreakResult, Detection, break_program,
                        detect_symmetries)
 from .smodels import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
@@ -37,3 +36,12 @@ __all__ = [
     "parse_program", "restrict_to_atoms", "semantic_view",
     "stabilizer_binary_symmetries", "validate", "write_program",
 ]
+
+_ORACLE_NAMES = {"OracleBudgetError", "SoundnessVerdict", "answer_sets", "check_soundness"}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

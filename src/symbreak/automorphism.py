@@ -99,7 +99,6 @@ Permutations are dense image tuples over node ids.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
@@ -297,8 +296,7 @@ def orbit(gens, seed: int) -> frozenset:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class GeneratorSearch:
+class GeneratorSearch(NamedTuple):
     """Result of an automorphism search.
 
     ``complete`` is False when the tree-node budget ran out; the

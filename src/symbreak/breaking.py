@@ -15,7 +15,7 @@ constraint needs it, which keeps an involution's fragment at half its
 naive size (a transposition becomes one bare constraint).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .smodels import BasicRule, GroundProgram, Rule, validate
 from .symmetry import AtomOrder, AtomPermutation, RowMatrix
@@ -38,8 +38,7 @@ class FreshAtoms:
         return self._next - self.first
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """Rules and fresh atoms generated for one broken symmetry."""
 
     rules: tuple[Rule, ...]

@@ -15,7 +15,6 @@ import sys
 import time
 
 from .encoding import dump_graph, encode_program
-from .oracle import OracleBudgetError, check_soundness
 from .pipeline import BreakConfig, BreakResult, break_program, detect_symmetries
 from .smodels import GroundProgram, ParseError, parse_program, write_program
 from .symmetry import AtomPermutation
@@ -114,20 +113,31 @@ def _write_output(path: str, text: str):
             handle.write(data)
 
 
+def _print_violations(violations) -> int:
+    """Print each violation; the exit status 4 if there is one, else 0."""
+    for v in violations:
+        print(f"symbreak: VIOLATION: {v}", file=sys.stderr)
+    return 4 if violations else 0
+
+
 def _verify(program: GroundProgram, result: BreakResult) -> int:
     """Oracle-check the break of ``program`` into ``result``; print the
-    verdict lines and return the exit status."""
+    verdict lines and return the exit status.  A search permutation that
+    failed the gate is a detection bug whatever the budgets, so it sets
+    status 4 even when a budget stops the check."""
+    from .oracle import OracleBudgetError, check_soundness  # verify alone needs it
+
     violations = [f"automorphism {format_generator(perm, program)} failed the "
                   "syntactic symmetry check" for perm in result.detection.rejected]
     if not result.detection.search.complete:
         print("symbreak: search budget exceeded", file=sys.stderr)
-        return 2
+        return _print_violations(violations) or 2
     try:
         verdict = check_soundness(program, result.detection.generators,
                                   result.program)
     except OracleBudgetError as exc:
         print(f"symbreak: {exc}", file=sys.stderr)
-        return 2
+        return _print_violations(violations) or 2
     base = set(verdict.original)
     if not verdict.surviving <= base:
         violations.append("augmented program admits a non-answer-set")
@@ -141,9 +151,7 @@ def _verify(program: GroundProgram, result: BreakResult) -> int:
     print(f"symbreak: answer sets {len(verdict.original)} -> {len(verdict.surviving)}"
           + (" (unsat preserved)" if not base and not verdict.surviving else ""),
           file=sys.stderr)
-    if violations:
-        for v in violations:
-            print(f"symbreak: VIOLATION: {v}", file=sys.stderr)
+    if _print_violations(violations):
         return 4
     print("symbreak: verification passed", file=sys.stderr)
     return 0

@@ -14,8 +14,8 @@ pins the false atom trivially and lets constraints only map onto other
 constraints.
 """
 
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .smodels import CHOICE, MINIMIZE, WEIGHT, GroundProgram
 
@@ -28,8 +28,9 @@ MINIMIZE_COLOR = 6
 FIRST_VALUE_COLOR = 7
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple("ColoredGraph", [
+        ("colors", tuple[int, ...]), ("neighbors", tuple[tuple[int, ...], ...]),
+        ("atoms", tuple[int, ...])])):
     """Undirected graph with integer node colors.
 
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
@@ -38,9 +39,8 @@ class ColoredGraph:
     nodes follow.
     """
 
-    colors: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    atoms: tuple[int, ...] = ()
+    def __new__(cls, colors, neighbors, atoms=()):
+        return super().__new__(cls, colors, neighbors, atoms)
 
     @property
     def n_nodes(self) -> int:
@@ -153,7 +153,7 @@ def fix_nodes(graph: ColoredGraph, fixed) -> ColoredGraph:
     fresh = max(colors) + 1
     for i, node in enumerate(fixed):
         colors[node] = fresh + i
-    return replace(graph, colors=tuple(colors))
+    return graph._replace(colors=tuple(colors))
 
 
 def dump_graph(graph: ColoredGraph) -> str:

@@ -11,8 +11,8 @@ part.  Programs with disjunctive heads fall back to full enumeration with
 an explicit subset-minimality check.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .smodels import (BASIC, CARDINALITY, CHOICE, DISJUNCTIVE, WEIGHT, BasicRule,
                       GroundProgram, Rule)
@@ -54,8 +54,7 @@ def _minimal_weight_bodies(pairs, bound):
     return out
 
 
-@dataclass(frozen=True)
-class Desugared:
+class Desugared(NamedTuple):
     """Basic/disjunctive form of a program plus its bookkeeping.
 
     ``shadows`` lists (shadow, head, body_pos, body_neg) for each choice
@@ -259,8 +258,7 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
-@dataclass(frozen=True)
-class SoundnessVerdict:
+class SoundnessVerdict(NamedTuple):
     """Outcome of the orbit check: every answer set of the input must have
     a symmetric image surviving in the augmented program.
 

@@ -12,7 +12,7 @@ Syntactic symmetries form a group, so every orbit point is reached by a
 symmetry that fixes everything ranked below v.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automorphism import GeneratorSearch, find_generators, orbit
 from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
@@ -24,8 +24,7 @@ from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
                        stabilizer_binary_symmetries)
 
 
-@dataclass
-class BreakConfig:
+class BreakConfig(NamedTuple):
     """Run settings; ``stabilizer_levels=0`` turns binary clauses off."""
 
     aux_limit: int = 50
@@ -34,8 +33,7 @@ class BreakConfig:
     row_detection: bool = True
 
 
-@dataclass
-class Detection:
+class Detection(NamedTuple):
     """Validated symmetries of one program, and the atom permutations of
     the search that failed the gate.  The searched graph is not kept:
     ``encode_program`` gives it again."""
@@ -45,8 +43,7 @@ class Detection:
     rejected: list[AtomPermutation]
 
 
-@dataclass
-class BreakResult:
+class BreakResult(NamedTuple):
     program: GroundProgram
     detection: Detection
     rows: list[RowMatrix]

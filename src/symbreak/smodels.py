@@ -14,7 +14,6 @@ equivalent constraints for everything downstream of parsing.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
@@ -137,37 +136,29 @@ _LAYOUTS = {
 }
 
 
-@dataclass(frozen=True)
-class GroundProgram:
+class GroundProgram(NamedTuple("GroundProgram", [
+        ("rules", tuple[Rule, ...]), ("symbols", dict[int, str]),
+        ("compute_plus", tuple[int, ...]), ("compute_minus", tuple[int, ...]),
+        ("model_count", int), ("max_atom", int)])):
     """A parsed smodels document.
 
     ``symbols`` maps visible atoms to their names in file order; atoms
     without an entry are hidden.  ``max_atom`` is the largest atom index
     in use and is computed from the contents when omitted.
+
+    Like every record of the package, a named tuple, so equality compares
+    the fields alone; this subclass adds the ``__dict__`` that its cached
+    properties fill.
     """
 
-    rules: tuple[Rule, ...] = ()
-    symbols: dict[int, str] = field(default_factory=dict)
-    compute_plus: tuple[int, ...] = ()
-    compute_minus: tuple[int, ...] = ()
-    model_count: int = 1
-    max_atom: int = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "compute_plus", tuple(self.compute_plus))
-        object.__setattr__(self, "compute_minus", tuple(self.compute_minus))
-        if self.max_atom is None:
-            seen = 0
-            for r in self.rules:
-                for a in r.atoms():
-                    if a > seen:
-                        seen = a
-            for a in self.symbols:
-                seen = max(seen, a)
-            for a in self.compute_plus + self.compute_minus:
-                seen = max(seen, a)
-            object.__setattr__(self, "max_atom", seen)
+    def __new__(cls, rules=(), symbols=None, compute_plus=(), compute_minus=(),
+                model_count=1, max_atom=None):
+        rules, plus, minus = tuple(rules), tuple(compute_plus), tuple(compute_minus)
+        symbols = {} if symbols is None else symbols
+        if max_atom is None:
+            max_atom = max((0, *symbols, *plus, *minus,
+                            *(a for r in rules for a in r.atoms())))
+        return super().__new__(cls, rules, symbols, plus, minus, model_count, max_atom)
 
     @cached_property
     def false_atom(self):
@@ -215,21 +206,18 @@ class GroundProgram:
         return self.symbols.get(atom, f"_{atom}")
 
 
-@dataclass(frozen=True)
-class SemanticProgram:
+class SemanticProgram(NamedTuple("SemanticProgram", [
+        ("rules", tuple[Rule, ...]), ("max_atom", int), ("false_atom", int)])):
     """A program with compute blocks folded into constraints.
 
     ``false_atom`` is the constraint head, synthesized one past the
     original ``max_atom`` when the compute blocks need one and the input
-    reserved none.  All downstream semantics (graph encoding, syntactic
-    symmetry checks, the oracle) work on this view, ``GroundProgram.view``,
-    which also owns the gate's rule ``keys`` and atom ``occurrences``; the
-    wire-level program keeps its compute blocks verbatim.
+    reserved none, and None when the program has no constraints at all.
+    All downstream semantics (graph encoding, syntactic symmetry checks,
+    the oracle) work on this view, ``GroundProgram.view``, which also owns
+    the gate's rule ``keys`` and atom ``occurrences``; the wire-level
+    program keeps its compute blocks verbatim.
     """
-
-    rules: tuple[Rule, ...]
-    max_atom: int
-    false_atom: int  # or None when the program has no constraints at all
 
     @property
     def atoms(self) -> tuple[int, ...]:

@@ -17,24 +17,21 @@ an earlier seed grew.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .encoding import ColoredGraph
 from .smodels import GroundProgram
 
 
-@dataclass(frozen=True)
-class AtomPermutation:
+class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])):
     """A permutation of atoms, stored by its non-fixed points only."""
 
-    moved: dict[int, int]
-
-    def __post_init__(self):
-        clean = {a: b for a, b in self.moved.items() if a != b}
+    def __new__(cls, moved):
+        clean = {a: b for a, b in moved.items() if a != b}
         if set(clean) != set(clean.values()):
             raise ValueError("not a bijection on its support")
-        object.__setattr__(self, "moved", clean)
+        return super().__new__(cls, clean)
 
     @classmethod
     def from_cycles(cls, *cycles) -> "AtomPermutation":
@@ -133,8 +130,7 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
             == Counter(rules[i].key(moved) for i in touched))
 
 
-@dataclass(frozen=True)
-class RowMatrix:
+class RowMatrix(NamedTuple("RowMatrix", [("rows", tuple[tuple[int, ...], ...])])):
     """Equal-length disjoint atom tuples whose rows may be swapped freely.
 
     Columns are aligned: exchanging two whole rows, position by position,
@@ -142,15 +138,13 @@ class RowMatrix:
     available for complete breaking.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+    def __new__(cls, rows):
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("rows must share one length")
-        flat = [a for r in self.rows for a in r]
+        flat = [a for r in rows for a in r]
         if len(set(flat)) != len(flat):
             raise ValueError("rows must be pairwise disjoint")
+        return super().__new__(cls, rows)
 
     @property
     def n_rows(self) -> int:
@@ -290,11 +284,8 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     return chosen
 
 
-@dataclass(frozen=True)
-class AtomOrder:
+class AtomOrder(NamedTuple("AtomOrder", [("sequence", tuple[int, ...])])):
     """Total order on atoms 1..max_atom, as the sequence of atoms by rank."""
-
-    sequence: tuple[int, ...]
 
     @cached_property
     def rank(self) -> dict[int, int]:

@@ -4,7 +4,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -246,7 +245,7 @@ def test_search_neighbour_reads_bounded():
     for program, bound, expected in [(pigeonhole(6, 5), 10000, (9, 53)),
                                      (free_choice(range(1, 17)), 2000, (15, 136))]:
         graph = encode_program(program)
-        counted = replace(graph, neighbors=CountingNeighbors(graph.neighbors))
+        counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
         CountingNeighbors.reads = 0
         search = find_generators(counted)
         assert CountingNeighbors.reads <= bound

@@ -4,9 +4,11 @@ import io
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import symbreak
 from symbreak import BreakConfig, break_program, parse_program, write_program
 from symbreak.cli import build_parser, main
 from symbreak.encoding import dump_graph, encode_program
@@ -252,7 +254,7 @@ def test_verify_dumps_the_graph_it_searched(monkeypatch, capsys):
 
 
 def test_verify_enumerates_each_program_once(monkeypatch, capsys):
-    from symbreak import cli, oracle
+    from symbreak import oracle
     calls = []
     real = oracle.answer_sets
 
@@ -260,9 +262,9 @@ def test_verify_enumerates_each_program_once(monkeypatch, capsys):
         calls.append(program)
         return real(program, budget)
 
+    # the cli imports the oracle only inside verify; patching the oracle
+    # module alone must reach the enumeration
     monkeypatch.setattr(oracle, "answer_sets", counting)
-    # count calls through a direct import in the cli module too
-    monkeypatch.setattr(cli, "answer_sets", counting, raising=False)
     code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
     assert code == 0
     assert "answer sets 4 -> 3" in err
@@ -300,8 +302,9 @@ def test_verify_names_a_generator_that_moves_answer_sets(monkeypatch, capsys):
 
     def with_a_swap(program, config=None):
         result = real(program, config)
-        result.detection.generators = [AtomPermutation.from_cycles((1, 2))]
-        return result
+        detection = result.detection._replace(
+            generators=[AtomPermutation.from_cycles((1, 2))])
+        return result._replace(detection=detection)
 
     monkeypatch.setattr(cli, "break_program", with_a_swap)
     text = "1 1 0 0\n3 1 2 0 0\n0\n1 a\n2 b\n0\nB+\n0\nB-\n0\n1\n"  # a. {b}.
@@ -317,6 +320,50 @@ def test_pipe_composability_subprocess():
     assert proc.returncode == 0
     assert len(parse_program(proc.stdout.decode()).rules) == 3
     assert b"generators=1" in proc.stderr
+
+
+EMPTY_TEXT = "0\n0\nB+\n0\nB-\n0\n1\n"
+SOURCE_ROOT = os.path.dirname(os.path.dirname(symbreak.__file__))
+
+
+def run_python(args, stdin_text=""):
+    """A fresh interpreter on this checkout's package, writing no bytecode,
+    as a pipe stage without a bytecode cache starts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SOURCE_ROOT,
+                                                       os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], input=stdin_text,
+                          capture_output=True, encoding="utf-8", env=env)
+
+
+def test_break_path_loads_neither_dataclasses_nor_the_oracle():
+    """A pipe stage pays for every module it loads, on every start."""
+    proc = run_python(["-X", "importtime", "-m", "symbreak"], EMPTY_TEXT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == EMPTY_TEXT
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "symbreak.cli" in imported
+    assert not {"dataclasses", "symbreak.oracle"} & imported
+
+
+def test_oracle_names_resolve_on_first_use():
+    """Every public name resolves, the oracle's ones by loading the oracle
+    when first asked for, and ``import *`` binds them all."""
+    proc = run_python(["-c", textwrap.dedent("""
+        import sys
+        import symbreak
+        assert "symbreak.oracle" not in sys.modules
+        names = {}
+        exec("from symbreak import *", names)
+        assert "symbreak.oracle" in sys.modules
+        from symbreak import oracle
+        for name in symbreak.__all__:
+            assert names[name] is getattr(symbreak, name), name
+        assert symbreak.answer_sets is oracle.answer_sets
+        assert not hasattr(symbreak, "no_such_name")
+        """)])
+    assert proc.returncode == 0, proc.stderr
 
 
 UNICODE_TEXT = "3 1 2 0 0\n3 1 3 0 0\n0\n2 p\u03c0\n3 q\n0\nB+\n0\nB-\n0\n1\n"

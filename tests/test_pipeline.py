@@ -3,7 +3,6 @@
 import io
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -200,7 +199,7 @@ def test_false_name_on_any_atom_breaks_soundly():
         program = random_program(rng)
         atom = rng.randint(1, program.max_atom)
         symbols = {a: name for a, name in program.symbols.items() if a != atom}
-        program = replace(program, symbols={**symbols, atom: "_false"})
+        program = program._replace(symbols={**symbols, atom: "_false"})
         rejected += program.false_atom != atom
         result = break_program(program)
         verdict = check_soundness(program, result.detection.generators,
@@ -209,21 +208,26 @@ def test_false_name_on_any_atom_breaks_soundly():
     assert rejected
 
 
-def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys):
+def swapping_p_and_r(find_generators):
     """A search that also returns the swap of p and r in P2, which is no
-    symmetry (r is derived from p and q), loses it at the gate: the break
-    is the honest one and verify names the rejection."""
-    honest = break_program(p2())
-    real = pipeline.find_generators
+    symmetry (r is derived from p and q)."""
 
     def faulty(graph, *args):
-        search = real(graph, *args)
+        search = find_generators(graph, *args)
         perm = list(range(graph.n_nodes))
         p, r = atom_node(graph, 1), atom_node(graph, 3)
         perm[p], perm[r], perm[p + 1], perm[r + 1] = r, p, r + 1, p + 1
-        return replace(search, generators=search.generators + (tuple(perm),))
+        return search._replace(generators=search.generators + (tuple(perm),))
 
-    monkeypatch.setattr(pipeline, "find_generators", faulty)
+    return faulty
+
+
+def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys):
+    """The swap of p and r in P2 loses at the gate: the break is the
+    honest one and verify names the rejection."""
+    honest = break_program(p2())
+    monkeypatch.setattr(pipeline, "find_generators",
+                        swapping_p_and_r(pipeline.find_generators))
     detection = detect_symmetries(p2())
     assert len(detection.rejected) == 1
     assert detection.generators == honest.detection.generators
@@ -234,6 +238,25 @@ def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys
     assert main(["--mode", "verify"]) == 4
     err = capsys.readouterr().err
     assert "VIOLATION: automorphism (p r) failed the syntactic symmetry check" in err
+
+
+def test_verify_names_a_rejection_when_the_search_runs_out(monkeypatch, capsys):
+    """A gate rejection is a detection bug whatever the budget, so verify
+    prints it and exits 4 even when the search budget ran out first."""
+    real = pipeline.find_generators
+    searches = []
+
+    def recording(graph, *args):
+        searches.append(real(graph, *args))
+        return searches[-1]
+
+    monkeypatch.setattr(pipeline, "find_generators", swapping_p_and_r(recording))
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_program(p2())))
+    assert main(["--mode", "verify", "--budget", "1"]) == 4
+    assert [s.complete for s in searches] == [False]
+    assert capsys.readouterr().err.splitlines() == [
+        "symbreak: search budget exceeded",
+        "symbreak: VIOLATION: automorphism (p r) failed the syntactic symmetry check"]
 
 
 def test_pairs_come_only_from_certified_strong_generators(monkeypatch):

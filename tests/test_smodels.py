@@ -305,7 +305,7 @@ def test_parse_errors_match_reference():
             mutants += 1
             outcome = parse_outcome(parse_program, text)
             assert outcome == parse_outcome(reference_parse_program, text), text
-            if isinstance(outcome, tuple):
+            if not isinstance(outcome, GroundProgram):  # a (message, line) pair
                 messages.add(outcome[0].split(": ", 1)[1].split(" ")[0])
     assert mutants >= 2000
     assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
