@@ -27,6 +27,9 @@ CASES = {
     "php5x4": lambda: pigeonhole(5, 4),
     "php6x5": lambda: pigeonhole(6, 5),
     "free_choice8": lambda: free_choice(range(1, 9)),
+    # compute blocks and no reserved false atom: the constraint head is fresh
+    "free_choice8_bplus": lambda: free_choice(range(1, 9))._replace(compute_plus=(1,)),
+    "free_choice8_bminus": lambda: free_choice(range(1, 9))._replace(compute_minus=(8,)),
 }
 CASES.update({f"random{i:02d}": (lambda i=i: random_program(random.Random(i)))
               for i in range(50)})
