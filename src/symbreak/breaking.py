@@ -13,6 +13,10 @@ image, the closing position is equal by transitivity, so its constraint
 could never fire.  The chain is only built as far as the last emitted
 constraint needs it, which keeps an involution's fragment at half its
 naive size (a transposition becomes one bare constraint).
+
+Every constraint is headed by the program view's false atom, which
+``FreshAtoms`` carries as ``head``; ``assemble`` declares it in B- when the
+input reserved none and a rule was appended.
 """
 
 from typing import NamedTuple
@@ -22,11 +26,13 @@ from .symmetry import AtomOrder, AtomPermutation, RowMatrix
 
 
 class FreshAtoms:
-    """Allocator handing out atom indices above the input program."""
+    """Allocator of atom indices above the input program; ``head`` is the
+    view's false atom, and aux atoms follow it when it is fresh."""
 
-    def __init__(self, first: int):
-        self.first = first
-        self._next = first
+    def __init__(self, program: GroundProgram):
+        self.first = program.max_atom + 1
+        self.head = program.view.false_atom
+        self._next = program.view.max_atom + 1
 
     def fresh(self) -> int:
         atom = self._next
@@ -46,7 +52,7 @@ class Fragment(NamedTuple):
 
 
 def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
-                     alloc: FreshAtoms, constraint_head: int) -> Fragment:
+                     alloc: FreshAtoms) -> Fragment:
     """Lex-leader fragment for one symmetry.
 
     Support atoms are laid out in ``order`` and truncated so at most
@@ -77,7 +83,7 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
         w = perm.image_of(v)
         if i in emit_at:
             body_pos = (v,) if chain is None else (chain, v)
-            rules.append(BasicRule(constraint_head, body_pos, (w,)))
+            rules.append(BasicRule(alloc.head, body_pos, (w,)))
         if i < last:
             e = alloc.fresh()
             aux.append(e)
@@ -92,7 +98,7 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
 
 
 def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
-               alloc: FreshAtoms, constraint_head: int) -> list[Fragment]:
+               alloc: FreshAtoms) -> list[Fragment]:
     """Complete breaking of a row-interchangeability matrix.
 
     One lex-leader fragment per adjacent-row swap; with the matrix atoms
@@ -100,58 +106,58 @@ def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
     ordering constraint between consecutive rows, and together they keep
     exactly one representative per multiset of row valuations.
     """
-    return [lex_leader_rules(matrix.adjacent_swap(i), order, aux_limit,
-                             alloc, constraint_head)
+    return [lex_leader_rules(matrix.adjacent_swap(i), order, aux_limit, alloc)
             for i in range(matrix.n_rows - 1)]
 
 
-def binary_rules(pairs, constraint_head: int) -> Fragment:
+def binary_rules(pairs, alloc: FreshAtoms) -> Fragment:
     """One constraint ``<- v, not w`` per (v, w) pair; `assemble` drops
     repeats."""
-    return Fragment(tuple(BasicRule(constraint_head, (v,), (w,)) for v, w in pairs))
+    return Fragment(tuple(BasicRule(alloc.head, (v,), (w,)) for v, w in pairs))
 
 
-def assemble(program: GroundProgram, fragments, alloc: FreshAtoms,
-             new_false: int = None) -> GroundProgram:
+def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProgram:
     """Append fragment rules to the program.
 
     Fresh atoms must be exactly the allocator's range above the input's
-    max atom.  Duplicate constraints across fragments collapse to one
-    occurrence.  When the input reserved no false atom and one had to be
-    allocated, it is declared in B- so that downstream solvers treat the
-    new constraint heads as underivable.
+    max atom, a fresh ``alloc.head`` included.  Duplicate constraints
+    across fragments collapse to one occurrence.  With nothing to append
+    the input comes back unchanged; otherwise a fresh head is declared in
+    B- so that downstream solvers treat it as underivable.
     """
-    if alloc.first != program.max_atom + 1:
-        raise ValueError("allocator does not start right above the program")
+    if (alloc.first, alloc.head) != (program.max_atom + 1, program.view.false_atom):
+        raise ValueError("allocator was made for another program")
+    if program.problems:
+        raise ValueError(f"input program is invalid: {list(program.problems)}")
+    fresh_head = program.false_atom is None
     allocated = set(range(alloc.first, alloc.first + alloc.count))
-    claimed = set() if new_false is None else {new_false}
+    claimed = {alloc.head} if fresh_head else set()
     for frag in fragments:
         claimed.update(frag.aux_atoms)
     if claimed != allocated:
         raise ValueError("aux atom indices collide or leave gaps")
 
-    constraint_head = new_false if new_false is not None else program.false_atom
     appended = []
     seen_constraints = set()
     for frag in fragments:
         for r in frag.rules:
-            if r.heads == (constraint_head,):
+            if r.heads == (alloc.head,):
                 key = r.key()
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)
             appended.append(r)
+    if not appended:
+        return program
 
     compute_minus = program.compute_minus
-    if new_false is not None:
-        compute_minus = compute_minus + (new_false,)
+    if fresh_head:
+        compute_minus = compute_minus + (alloc.head,)
     out = GroundProgram(program.rules + tuple(appended), dict(program.symbols),
                         program.compute_plus, compute_minus,
                         program.model_count, program.max_atom + alloc.count)
     # the input's rules keep the input's cached verdict: they were checked
     # against its max atom, and the output's max atom is no smaller
-    if program.problems:
-        raise ValueError(f"input program is invalid: {list(program.problems)}")
     problems = validate(out, len(program.rules))
     if problems:
         raise ValueError(f"assembled program is invalid: {problems}")

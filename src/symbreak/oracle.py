@@ -66,7 +66,7 @@ class Desugared(NamedTuple):
     basic: tuple[Rule, ...]
     disjunctive: tuple[Rule, ...]
     n_atoms: int
-    false_atom: int  # or None
+    false_atom: int
     shadows: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
     choice_body_atoms: frozenset[int]
     project_mask: int
@@ -145,7 +145,7 @@ def _or_bits(atoms) -> int:
 
 
 def _answer_sets_fixpoint(d: Desugared, budget: int):
-    false_mask = _bit(d.false_atom) if d.false_atom else 0
+    false_mask = _bit(d.false_atom)
     shadow_atoms = {s for s, _, _, _ in d.shadows}
     neg_atoms = set()
     for r in d.basic:

@@ -9,7 +9,8 @@ with the rest of its orbit under the level's generators, and a generator
 counts only if it is one of the validated ones and moves no atom ranked
 below v; anything else is dropped, never sent to the gate again.
 Syntactic symmetries form a group, so every orbit point is reached by a
-symmetry that fixes everything ranked below v.
+symmetry that fixes everything ranked below v.  The constraint head is
+not chosen here: ``FreshAtoms`` takes it from the program's view.
 """
 
 from typing import NamedTuple
@@ -87,26 +88,15 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
                     and all(rank.get(a, -1) >= rank[v] for a in s.support)]
             pairs += [(v, w) for w in sorted(orbit(kept, v) - {v})]
 
-    alloc = FreshAtoms(program.max_atom + 1)
-    new_false = None
-    will_emit = bool(gens or rows or pairs)
-    if will_emit and program.false_atom is None:
-        new_false = alloc.fresh()
-    head = program.false_atom if new_false is None else new_false
-
+    alloc = FreshAtoms(program)
     fragments: list[Fragment] = []
-    consumed = set()
     for matrix in rows:
-        fragments += break_rows(matrix, order, config.aux_limit, alloc, head)
-        for i, g in enumerate(gens):
-            if matrix.row_map_of(g) is not None:
-                consumed.add(i)
-    for i, g in enumerate(gens):
-        if i in consumed:
-            continue
-        fragments.append(lex_leader_rules(g, order, config.aux_limit, alloc, head))
+        fragments += break_rows(matrix, order, config.aux_limit, alloc)
+    for g in gens:
+        if all(matrix.row_map_of(g) is None for matrix in rows):
+            fragments.append(lex_leader_rules(g, order, config.aux_limit, alloc))
     if pairs:
-        fragments.append(binary_rules(pairs, head))
+        fragments.append(binary_rules(pairs, alloc))
 
-    augmented = assemble(program, fragments, alloc, new_false)
+    augmented = assemble(program, fragments, alloc)
     return BreakResult(augmented, detection, rows, order, pairs)

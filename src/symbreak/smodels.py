@@ -9,8 +9,9 @@ The wire format has no headless rule, so grounders emit integrity
 constraints as basic rules whose head is a reserved atom that can never be
 derived (conventionally atom 1, unnamed, placed in ``B-``).
 ``GroundProgram.false_atom`` recovers that convention, and its ``view``
-(``semantic_view``, built once per program) folds the compute blocks into
-equivalent constraints for everything downstream of parsing.
+(``semantic_view``, built once per program) names the one constraint head,
+reserved or fresh, and folds the compute blocks into equivalent
+constraints for everything downstream of parsing.
 """
 
 from collections import Counter
@@ -210,9 +211,9 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
         ("rules", tuple[Rule, ...]), ("max_atom", int), ("false_atom", int)])):
     """A program with compute blocks folded into constraints.
 
-    ``false_atom`` is the constraint head, synthesized one past the
-    original ``max_atom`` when the compute blocks need one and the input
-    reserved none, and None when the program has no constraints at all.
+    ``false_atom`` heads the folded compute blocks and every constraint
+    the breaking layer appends: the input's reserved atom, or else one
+    past its ``max_atom``, which the view's ``max_atom`` then counts.
     All downstream semantics (graph encoding, syntactic symmetry checks,
     the oracle) work on this view, ``GroundProgram.view``, which also owns
     the gate's rule ``keys`` and atom ``occurrences``; the wire-level
@@ -244,7 +245,7 @@ def semantic_view(program: GroundProgram) -> SemanticProgram:
     max_atom = program.max_atom
     plus = list(program.compute_plus)
     minus = [a for a in program.compute_minus if a != false]
-    if (plus or minus) and false is None:
+    if false is None:
         max_atom += 1
         false = max_atom
     extra = [BasicRule(false, (), (a,)) for a in plus]

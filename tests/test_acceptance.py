@@ -45,11 +45,10 @@ def test_criterion_1_example_programs_detection():
 def test_criterion_2_lex_leader_exactness_on_p1():
     """Breaking (p q) on P1 keeps exactly one representative per orbit."""
     program = p1()
-    alloc = FreshAtoms(3)
-    head = alloc.fresh()
+    alloc = FreshAtoms(program)
     frag = lex_leader_rules(AtomPermutation({1: 2, 2: 1}),
-                            AtomOrder((1, 2)), 50, alloc, head)
-    augmented = assemble(program, [frag], alloc, head)
+                            AtomOrder((1, 2)), 50, alloc)
+    augmented = assemble(program, [frag], alloc)
     before = set(answer_sets(program))
     after = project(program, answer_sets(augmented))
     assert len(before) == 4
@@ -117,10 +116,9 @@ def test_criterion_5_complete_row_breaking():
     ]:
         matrix = RowMatrix(rows)
         base = free_choice(base_atoms)
-        alloc = FreshAtoms(base.max_atom + 1)
-        head = alloc.fresh()
-        frags = break_rows(matrix, AtomOrder(tuple(base_atoms)), 50, alloc, head)
-        augmented = assemble(base, frags, alloc, head)
+        alloc = FreshAtoms(base)
+        frags = break_rows(matrix, AtomOrder(tuple(base_atoms)), 50, alloc)
+        augmented = assemble(base, frags, alloc)
         before = len(answer_sets(base))
         after = len(answer_sets(augmented))
         assert after == expected, (rows, before, after)

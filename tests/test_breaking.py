@@ -2,12 +2,12 @@
 
 import pytest
 
-from symbreak import (BasicRule, GroundProgram, Rule, answer_sets, assemble,
-                      binary_rules, break_rows, lex_leader_rules)
+from symbreak import (BasicRule, ChoiceRule, GroundProgram, Rule, answer_sets,
+                      assemble, binary_rules, break_rows, lex_leader_rules)
 from symbreak.breaking import Fragment, FreshAtoms
 from symbreak.smodels import BASIC, CARDINALITY
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
-from programs import free_choice, p1
+from programs import free_choice, p1, p3
 
 
 def natural_order(n):
@@ -24,37 +24,30 @@ def lex_leq(interp, perm, order):
 
 
 def augmented_with(program, perm, order, aux_limit=50):
-    alloc = FreshAtoms(program.max_atom + 1)
-    new_false = program.false_atom
-    if new_false is None:
-        new_false = alloc.fresh()
-        head = new_false
-    else:
-        head = new_false
-        new_false = None
-    frag = lex_leader_rules(perm, order, aux_limit, alloc, head)
-    return assemble(program, [frag], alloc, new_false), frag
+    alloc = FreshAtoms(program)
+    frag = lex_leader_rules(perm, order, aux_limit, alloc)
+    return assemble(program, [frag], alloc), frag
 
 
 def test_transposition_is_a_single_constraint():
-    alloc = FreshAtoms(3)
-    frag = lex_leader_rules(AtomPermutation({1: 2, 2: 1}), natural_order(2),
-                            50, alloc, 9)
-    assert frag.rules == (BasicRule(9, (1,), (2,)),)
+    alloc = FreshAtoms(p3())  # atom 1 is the reserved head
+    frag = lex_leader_rules(AtomPermutation({2: 3, 3: 2}), AtomOrder((2, 3)),
+                            50, alloc)
+    assert frag.rules == (BasicRule(1, (2,), (3,)),)
     assert frag.aux_atoms == ()
     assert alloc.count == 0
 
 
 def test_identity_gives_empty_fragment():
     frag = lex_leader_rules(AtomPermutation({}), natural_order(2), 50,
-                            FreshAtoms(3), 9)
+                            FreshAtoms(p1()))
     assert frag.rules == ()
 
 
 def test_three_cycle_fragment_structure():
     perm = AtomPermutation.from_cycles((1, 2, 3))
-    alloc = FreshAtoms(5)
-    frag = lex_leader_rules(perm, natural_order(3), 50, alloc, 4)
+    alloc = FreshAtoms(free_choice([1, 2, 3]))  # head 4, aux atoms from 5
+    frag = lex_leader_rules(perm, natural_order(3), 50, alloc)
     assert frag.rules == (
         BasicRule(4, (1,), (2,)),       # <- a, not b
         BasicRule(5, (1, 2), ()),       # e1 <- a, b
@@ -97,12 +90,13 @@ def test_lex_exactness_on_products_of_transpositions():
 
 def test_aux_budget_truncation():
     perm = AtomPermutation.from_cycles(tuple(range(1, 11)))
+    base = free_choice(range(1, 11))
     for limit in (0, 3, 50):
-        alloc = FreshAtoms(11)
-        frag = lex_leader_rules(perm, natural_order(10), limit, alloc, 99)
+        alloc = FreshAtoms(base)
+        frag = lex_leader_rules(perm, natural_order(10), limit, alloc)
         assert len(frag.aux_atoms) <= limit
-    zero = lex_leader_rules(perm, natural_order(10), 0, FreshAtoms(11), 99)
-    assert zero.rules == (BasicRule(99, (1,), (2,)),)
+    zero = lex_leader_rules(perm, natural_order(10), 0, FreshAtoms(base))
+    assert zero.rules == (BasicRule(11, (1,), (2,)),)
 
 
 def test_truncation_is_still_sound():
@@ -119,11 +113,10 @@ def test_truncation_is_still_sound():
 def test_break_rows_3x1_counts():
     matrix = RowMatrix(((1,), (2,), (3,)))
     base = free_choice([1, 2, 3])
-    alloc = FreshAtoms(4)
-    head = alloc.fresh()
-    frags = break_rows(matrix, natural_order(3), 50, alloc, head)
+    alloc = FreshAtoms(base)
+    frags = break_rows(matrix, natural_order(3), 50, alloc)
     assert len(frags) == 2
-    augmented = assemble(base, frags, alloc, head)
+    augmented = assemble(base, frags, alloc)
     assert len(answer_sets(base)) == 8
     assert len(answer_sets(augmented)) == 4
 
@@ -131,40 +124,39 @@ def test_break_rows_3x1_counts():
 def test_break_rows_3x2_counts():
     matrix = RowMatrix(((1, 2), (3, 4), (5, 6)))
     base = free_choice(range(1, 7))
-    alloc = FreshAtoms(7)
-    head = alloc.fresh()
-    frags = break_rows(matrix, natural_order(6), 50, alloc, head)
-    augmented = assemble(base, frags, alloc, head)
+    alloc = FreshAtoms(base)
+    frags = break_rows(matrix, natural_order(6), 50, alloc)
+    augmented = assemble(base, frags, alloc)
     assert len(answer_sets(base)) == 64
     assert len(answer_sets(augmented)) == 20
 
 
 def test_break_rows_two_rows_single_fragment():
     matrix = RowMatrix(((1,), (2,)))
-    frags = break_rows(matrix, natural_order(2), 50, FreshAtoms(3), 9)
+    frags = break_rows(matrix, natural_order(2), 50, FreshAtoms(p1()))
     assert len(frags) == 1
-    assert frags[0].rules == (BasicRule(9, (1,), (2,)),)
+    assert frags[0].rules == (BasicRule(3, (1,), (2,)),)
 
 
 def test_binary_rules():
-    frag = binary_rules([(1, 2), (2, 3)], 9)
-    assert frag.rules == (BasicRule(9, (1,), (2,)), BasicRule(9, (2,), (3,)))
+    alloc = FreshAtoms(free_choice([1, 2, 3]))  # head 4
+    frag = binary_rules([(1, 2), (2, 3)], alloc)
+    assert frag.rules == (BasicRule(4, (1,), (2,)), BasicRule(4, (2,), (3,)))
     assert frag.aux_atoms == ()
-    assert binary_rules([], 9).rules == ()
+    assert binary_rules([], alloc).rules == ()
 
 
 def test_assemble_no_fragments_is_identity():
-    out = assemble(p1(), [], FreshAtoms(3), None)
+    out = assemble(p1(), [], FreshAtoms(p1()))
     assert out == p1()
 
 
 def test_assemble_updates_max_atom_and_b_minus():
     base = free_choice([1, 2])
-    alloc = FreshAtoms(3)
-    head = alloc.fresh()
+    alloc = FreshAtoms(base)
     frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
-                            natural_order(2), 50, alloc, head)
-    out = assemble(base, [frag], alloc, head)
+                            natural_order(2), 50, alloc)
+    out = assemble(base, [frag], alloc)
     assert out.max_atom == 3
     assert out.compute_minus == (3,)
     assert out.symbols == {}
@@ -173,38 +165,46 @@ def test_assemble_updates_max_atom_and_b_minus():
 def test_assemble_dedupes_constraints_across_fragments():
     from symbreak import binary_rules as make_binary
     base = free_choice([1, 2])
-    alloc = FreshAtoms(3)
-    head = alloc.fresh()
+    alloc = FreshAtoms(base)
     lex = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
-                           natural_order(2), 50, alloc, head)
-    binary = make_binary([(1, 2)], head)
-    out = assemble(base, [lex, binary], alloc, head)
+                           natural_order(2), 50, alloc)
+    binary = make_binary([(1, 2)], alloc)
+    out = assemble(base, [lex, binary], alloc)
     assert len(out.rules) == len(base.rules) + 1
     # and within one fragment, keeping the first occurrence
     base = free_choice([1, 2, 3])
-    alloc = FreshAtoms(4)
-    head = alloc.fresh()
-    out = assemble(base, [make_binary([(1, 2), (1, 2), (2, 3)], head)], alloc, head)
-    assert out.rules[len(base.rules):] == (BasicRule(head, (1,), (2,)),
-                                           BasicRule(head, (2,), (3,)))
+    alloc = FreshAtoms(base)
+    out = assemble(base, [make_binary([(1, 2), (1, 2), (2, 3)], alloc)], alloc)
+    assert out.rules[len(base.rules):] == (BasicRule(alloc.head, (1,), (2,)),
+                                           BasicRule(alloc.head, (2,), (3,)))
 
 
 def test_assemble_detects_allocator_misuse():
-    base = free_choice([1, 2])
-    frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
-                            natural_order(2), 50, FreshAtoms(3), 7)
-    with pytest.raises(ValueError):
-        assemble(base, [frag], FreshAtoms(3), None)
+    """A fragment's chain atom from another allocator is not in the range
+    the assembling one handed out, and an allocator carries its own
+    program's head."""
+    base = free_choice([1, 2, 3])
+    frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2, 3)),
+                            natural_order(3), 50, FreshAtoms(base))
+    assert frag.aux_atoms == (5,)
+    with pytest.raises(ValueError, match="collide or leave gaps"):
+        assemble(base, [frag], FreshAtoms(base))
+    # both reserve a head and share max atom 4, which is a choice in p3_4
+    p3_4 = GroundProgram(p3().rules + (ChoiceRule((4,)),), p3().symbols)
+    other = GroundProgram(rules=(BasicRule(4, (2, 3)),), symbols={4: "_false"})
+    alloc = FreshAtoms(other)
+    frag = binary_rules([(2, 3)], alloc)
+    with pytest.raises(ValueError, match="made for another program"):
+        assemble(p3_4, [frag], alloc)
 
 
 def test_assemble_round_trips_through_the_wire_format():
     from symbreak import parse_program, validate, write_program
     base = p1()
-    alloc = FreshAtoms(3)
-    head = alloc.fresh()
+    alloc = FreshAtoms(base)
     frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
-                            natural_order(2), 50, alloc, head)
-    out = assemble(base, [frag], alloc, head)
+                            natural_order(2), 50, alloc)
+    out = assemble(base, [frag], alloc)
     assert validate(out) == []
     assert parse_program(write_program(out)) == out
 
@@ -219,15 +219,14 @@ def test_assemble_rejects_corrupt_fragment(rule):
     """The output check covers appended rules, though it reuses the
     input's cached verdict for the input's own rules."""
     base = free_choice([1, 2])
-    alloc = FreshAtoms(3)
-    head = alloc.fresh()
+    alloc = FreshAtoms(base)
     with pytest.raises(ValueError, match="assembled program is invalid"):
-        assemble(base, [Fragment((rule,))], alloc, head)
+        assemble(base, [Fragment((rule,))], alloc)
     valid = BasicRule(3, (1,), (2,))
-    assert assemble(base, [Fragment((valid,))], alloc, head).rules[-1] == valid
+    assert assemble(base, [Fragment((valid,))], alloc).rules[-1] == valid
 
 
 def test_assemble_rejects_an_invalid_input():
     bad = GroundProgram(rules=(BasicRule(2, (9,), ()),), max_atom=5)
     with pytest.raises(ValueError, match="input program is invalid"):
-        assemble(bad, [], FreshAtoms(6), None)
+        assemble(bad, [], FreshAtoms(bad))

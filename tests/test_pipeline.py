@@ -11,9 +11,10 @@ from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       detect_symmetries, is_syntactic_symmetry, parse_program,
                       pipeline, validate, write_program)
 from symbreak.cli import main
+from symbreak.smodels import BASIC
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import atom_node
-from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole,
+from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       random_program, record_fragment_aux, workload_instances)
 
 
@@ -66,11 +67,26 @@ def test_break_pigeonhole_unsat_preserved():
 
 
 def test_appended_rules_are_constraints_or_fresh_definitions():
-    php = pigeonhole(4, 3)
-    result = break_program(php)
-    head = php.false_atom
-    for rule in result.program.rules[len(php.rules):]:
-        assert rule.heads[0] == head or rule.heads[0] > php.max_atom
+    """On the corpus, and with B+ or B- added where no false atom is
+    reserved: each appended rule is a constraint headed by the view's
+    false atom or defines an aux atom above the view, and B- gains that
+    atom exactly when it is fresh and a rule was appended."""
+    programs = corpus()
+    programs += [variant for p in programs if p.false_atom is None
+                 for variant in (p._replace(compute_plus=(1,)),
+                                 p._replace(compute_minus=(p.max_atom,)))]
+    for program in programs:
+        head, top = program.view.false_atom, program.view.max_atom
+        out = break_program(program).program
+        appended = out.rules[len(program.rules):]
+        assert out.rules[:len(program.rules)] == program.rules
+        for rule in appended:
+            assert rule.kind == BASIC
+            assert rule.heads == (head,) or rule.heads[0] > top, (program, rule)
+        declared = (head,) if program.false_atom is None and appended else ()
+        assert out.compute_minus == program.compute_minus + declared
+        if not appended:
+            assert out == program
 
 
 def test_every_aux_atom_is_defined():

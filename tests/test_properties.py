@@ -40,10 +40,9 @@ def test_single_symmetry_exactness_random_sweep():
         rng.shuffle(sequence)
         order = AtomOrder(tuple(sequence))
         base = free_choice(atoms)
-        alloc = FreshAtoms(n + 1)
-        head = alloc.fresh()
-        frag = lex_leader_rules(perm, order, 50, alloc, head)
-        augmented = assemble(base, [frag], alloc, head)
+        alloc = FreshAtoms(base)
+        frag = lex_leader_rules(perm, order, 50, alloc)
+        augmented = assemble(base, [frag], alloc)
         projected = {frozenset(a for a in s if a <= n)
                      for s in answer_sets(augmented)}
         expected = {s for s in answer_sets(base) if lex_leq(s, perm, order)}
@@ -64,11 +63,10 @@ def test_sound_breaking_of_whole_random_groups():
         if not gens:
             continue
         base = free_choice(atoms)
-        alloc = FreshAtoms(n + 1)
-        head = alloc.fresh()
-        frags = [lex_leader_rules(g, AtomOrder(tuple(atoms)), 50, alloc, head)
+        alloc = FreshAtoms(base)
+        frags = [lex_leader_rules(g, AtomOrder(tuple(atoms)), 50, alloc)
                  for g in gens]
-        augmented = assemble(base, frags, alloc, head)
+        augmented = assemble(base, frags, alloc)
         survivors = {frozenset(a for a in s if a <= n)
                      for s in answer_sets(augmented)}
         for interp in answer_sets(base):

@@ -246,6 +246,7 @@ def test_semantic_view_synthesizes_false_atom():
     assert sem.false_atom == 2
     assert sem.max_atom == 2
     assert BasicRule(2, (), (1,)) in sem.rules
+    assert semantic_view(p1()).false_atom == p1().max_atom + 1  # no constraints
 
 
 def test_semantic_view_skips_false_atom_in_b_minus():
