@@ -3,13 +3,15 @@
 For each program it hashes the bytes ``write_program`` prints for the
 broken program, the binary pairs of ``break_program``, ``dump_graph`` of
 the encoding, and what ``find_generators`` returns (generators, tree
-nodes, completeness) under budgets 1, 2, 5, 17 and 10**6.  The
-programs are ``corpus()``, the benchmark's workload instances for seeds
+nodes, completeness) under budgets 1, 2, 5, 17 and 10**6, and the
+answer sets ``answer_sets`` finds at budget 14 for the program and for
+its break, with ``over-budget`` standing for a call that raises
+``OracleBudgetError``.  The programs are ``corpus()``, the benchmark's workload instances for seeds
 1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and S2..S40 (``free_choice`` of
 2 to 40 atoms).
 
-It prints one line per program, the short hashes of its break, graph and
-search output, and a final total, so a ``diff`` of two runs names the
+It prints one line per program, the short hashes of its break, graph,
+search and oracle output, and a final total, so a ``diff`` of two runs names the
 programs whose output moved.  ``tests/output_digest.txt`` is the output of
 the committed tree, and CI diffs a run under each of two string-hash seeds
 against it:
@@ -28,11 +30,13 @@ directory first, so both runs digest the same inputs.
 
 import hashlib
 
-from symbreak import break_program, encode_program, find_generators, write_program
+from symbreak import (OracleBudgetError, answer_sets, break_program, encode_program,
+                      find_generators, write_program)
 from symbreak.encoding import dump_graph
 from programs import corpus, free_choice, pigeonhole, workload_instances
 
 BUDGETS = (1, 2, 5, 17, 10 ** 6)
+ORACLE_BUDGET = 14
 
 
 def programs():
@@ -52,6 +56,13 @@ def short(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def oracle_output(program) -> str:
+    try:
+        return repr([sorted(s) for s in answer_sets(program, ORACLE_BUDGET)])
+    except OracleBudgetError:
+        return "over-budget"
+
+
 def digest_line(label: str, program) -> str:
     result = break_program(program)
     broken = short(write_program(result.program) + repr(result.pairs))
@@ -59,7 +70,9 @@ def digest_line(label: str, program) -> str:
     searches = [find_generators(graph, budget) for budget in BUDGETS]
     search = short(repr([(s.generators, s.tree_nodes, s.complete)
                          for s in searches]))
-    return f"{label} break={broken} graph={short(dump_graph(graph))} search={search}"
+    oracle = short(oracle_output(program) + " " + oracle_output(result.program))
+    return (f"{label} break={broken} graph={short(dump_graph(graph))} search={search}"
+            f" oracle={oracle}")
 
 
 def main():
