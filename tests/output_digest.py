@@ -6,13 +6,13 @@ the encoding, and what ``find_generators`` returns (generators, tree
 nodes, completeness) under budgets 1, 2, 5, 17 and 10**6, and the
 answer sets ``answer_sets`` finds at budget 14 for the program and for
 its break, with ``over-budget`` standing for a call that raises
-``OracleBudgetError``.  The programs are ``corpus()``, the benchmark's workload instances for seeds
-1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and S2..S40 (``free_choice`` of
-2 to 40 atoms).
+``OracleBudgetError``.  The programs are ``corpus()``, the benchmark's
+workload instances for seeds 1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and
+S2..S40 (``free_choice`` of 2 to 40 atoms).
 
 It prints one line per program, the short hashes of its break, graph,
-search and oracle output, and a final total, so a ``diff`` of two runs names the
-programs whose output moved.  ``tests/output_digest.txt`` is the output of
+search and oracle output, and a final total, so a ``diff`` of two runs
+names the programs whose output moved.  ``tests/output_digest.txt`` is the output of
 the committed tree, and CI diffs a run under each of two string-hash seeds
 against it:
 

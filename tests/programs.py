@@ -164,6 +164,16 @@ def random_program(rng: random.Random) -> GroundProgram:
     return GroundProgram(tuple(rules), symbols)
 
 
+def wide_cardinality() -> GroundProgram:
+    """Facts a2..a21 and ``h <- 10 <= #{a2, ..., a21}``: a bounded body
+    with 184,756 minimal sub-bodies, and one answer set."""
+    symbols = {a: f"a{a}" for a in range(2, 22)}
+    symbols[22] = "h"
+    atoms = tuple(range(2, 22))
+    return GroundProgram(tuple(BasicRule(a) for a in atoms)
+                         + (CardinalityRule(22, 10, atoms),), symbols)
+
+
 def corpus() -> list[GroundProgram]:
     """The golden inputs and more: p1-p5, pigeonhole p×h for h ≤ p ≤ 6,
     free_choice(range(1, k)) for k ≤ 12, random_program(Random(i)) for
@@ -234,47 +244,48 @@ def random_colored_graph(rng: random.Random, max_nodes: int = 12):
 
 
 def reference_answer_sets(program: GroundProgram):
-    """Slow independent stable-model check for choice/basic/disjunctive
-    programs, using the native choice reduct instead of shadow atoms."""
+    """Slow independent stable-model check: every interpretation of the
+    semantic view is tested for being a subset-minimal model of its own
+    reduct.  Every rule is read as a lower bound on the weight of its true
+    body literals (a basic or disjunctive body needs all of them); the
+    reduct lowers that bound by the weight of the negative literals the
+    interpretation leaves false, and keeps of a choice rule just the heads
+    the interpretation holds."""
     from itertools import combinations
 
-    from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, semantic_view
+    from symbreak.smodels import CARDINALITY, semantic_view
 
     sem = semantic_view(program)
     false = sem.false_atom
     atoms = [a for a in range(1, sem.max_atom + 1) if a != false]
 
-    def body_holds(interp, pos, neg):
-        return all(a in interp for a in pos) and not any(b in interp for b in neg)
-
-    def holds(rule, interp):
-        if rule.kind in (BASIC, DISJUNCTIVE):
-            return (any(h in interp for h in rule.heads)
-                    or not body_holds(interp, rule.pos, rule.neg))
-        if rule.kind in (CHOICE, MINIMIZE):
-            return True
-        raise TypeError(f"reference oracle cannot evaluate {rule!r}")
+    def literals(rule):
+        """(atom, is_positive, weight) per body literal, and the bound."""
+        if rule.kind == WEIGHT:
+            return rule.pairs(), rule.bound
+        lits = [(b, False, 1) for b in rule.neg] + [(a, True, 1) for a in rule.pos]
+        return lits, rule.bound if rule.kind == CARDINALITY else len(lits)
 
     out = set()
     for size in range(len(atoms) + 1):
         for chosen in combinations(atoms, size):
             interp = frozenset(chosen)
-            if not all(holds(r, interp) for r in sem.rules):
-                continue
             reduct = []
             for r in sem.rules:
-                if any(b in interp for b in r.neg):
+                if r.kind == MINIMIZE:
                     continue
-                if r.kind in (BASIC, DISJUNCTIVE):
-                    reduct.append((frozenset(r.heads), r.pos))
-                elif r.kind == CHOICE:
-                    for h in r.heads:
-                        if h in interp:
-                            reduct.append((frozenset((h,)), r.pos))
+                lits, bound = literals(r)
+                bound -= sum(w for b, is_pos, w in lits if not is_pos and b not in interp)
+                pos = [(a, w) for a, is_pos, w in lits if is_pos]
+                if r.kind == CHOICE:
+                    reduct += [(frozenset((h,)), pos, bound) for h in r.heads if h in interp]
+                else:
+                    reduct.append((frozenset(r.heads), pos, bound))
 
             def models(candidate):
-                return all(heads & candidate or not all(a in candidate for a in pos)
-                           for heads, pos in reduct)
+                return all(heads & candidate
+                           or sum(w for a, w in pos if a in candidate) < bound
+                           for heads, pos, bound in reduct)
 
             if not models(interp):
                 continue

@@ -13,7 +13,7 @@ from symbreak import BreakConfig, break_program, parse_program, write_program
 from symbreak.cli import build_parser, main
 from symbreak.encoding import dump_graph, encode_program
 from symbreak.symmetry import AtomPermutation
-from programs import free_choice, normalize_text, p1, p3, pigeonhole
+from programs import free_choice, normalize_text, p1, p3, pigeonhole, wide_cardinality
 
 
 P1_TEXT = write_program(p1())
@@ -285,6 +285,13 @@ def test_verify_pigeonhole_unsat_preserved(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
     assert code == 0
     assert "unsat preserved" in err
+
+
+def test_verify_wide_cardinality_body(monkeypatch, capsys):
+    text = write_program(wide_cardinality())
+    code, out, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
+    assert code == 0
+    assert "symbreak: answer sets 1 -> 1" in err.splitlines()
 
 
 def test_verify_budget_exceeded(monkeypatch, capsys):

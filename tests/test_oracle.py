@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from symbreak import (BasicRule, CardinalityRule, ChoiceRule, GroundProgram,
-                      MinimizeStatement, OracleBudgetError, WeightRule,
-                      answer_sets, check_soundness)
-from symbreak.smodels import CARDINALITY, WEIGHT
+from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
+                      GroundProgram, MinimizeStatement, OracleBudgetError,
+                      WeightRule, answer_sets, check_soundness)
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import satisfies
 from programs import (p1, p2, p3, p4, p5, pigeonhole, random_program,
@@ -108,6 +107,27 @@ def test_answer_sets_budget():
         answer_sets(big, budget=20)
 
 
+def test_answer_sets_disjunctive_rule_over_many_choices():
+    # only the 12 atoms of the program are guessed: choices add none
+    p = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 11))
+                      + (DisjunctiveRule((11, 12), (1,)),))
+    # 2^9 choices without atom 1, and twice 2^9 with it: 11 or 12
+    assert len(answer_sets(p)) == 1536
+
+
+def test_answer_sets_zero_weights_over_many_negated_atoms():
+    p = GroundProgram(rules=(WeightRule(25, 1, (), tuple(range(1, 25)), (0,) * 24),))
+    assert answer_sets(p, budget=20) == [frozenset()]
+
+
+def test_answer_sets_bounds_outside_the_body_guess_nothing():
+    neg = tuple(range(1, 25))
+    fact = GroundProgram(rules=(CardinalityRule(25, 0, (), neg),))
+    assert answer_sets(fact, budget=20) == sets({25})
+    never = GroundProgram(rules=(CardinalityRule(25, 30, (), neg),))
+    assert answer_sets(never, budget=20) == [frozenset()]
+
+
 def test_pigeonhole_sat_and_unsat():
     assert len(answer_sets(pigeonhole(2, 2))) == 2  # the two matchings
     assert answer_sets(pigeonhole(3, 2)) == []
@@ -130,11 +150,9 @@ def test_oracle_agrees_with_reference_on_random_programs():
     checked = 0
     for _ in range(260):
         p = random_program(rng)
-        if any(r.kind in (CARDINALITY, WEIGHT) for r in p.rules):
-            continue  # reference handles basic/choice/disjunctive forms
         assert answer_sets(p, budget=16) == reference_answer_sets(p), p
         checked += 1
-    assert checked >= 60
+    assert checked >= 260
 
 
 def test_desugaring_self_consistency_on_bounded_bodies():

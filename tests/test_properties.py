@@ -92,8 +92,9 @@ def test_duplicate_occurrences_count_in_aggregates():
 
 
 def test_answer_sets_satisfy_native_aggregate_semantics():
-    """Post-hoc model check: enumeration goes through desugared rules, the
-    satisfaction check here evaluates bounds and weights natively."""
+    """Post-hoc model check: every answer set satisfies each rule of the
+    semantic view, bounds and weights evaluated by ``satisfies``, which
+    shares no code with the oracle's reduct."""
     rng = random.Random(343434)
     checked = 0
     for _ in range(120):
