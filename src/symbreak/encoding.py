@@ -12,12 +12,23 @@ The reserved false atom is not represented: rules it heads (integrity
 constraints) keep their head node but get no head-literal edge, which both
 pins the false atom trivially and lets constraints only map onto other
 constraints.
+
+A binary constraint ``<- a, b`` or ``<- not a, not b`` is instead one edge
+between its two positive (or two negative) literal nodes, as Aloul,
+Ramani, Markov & Sakallah draw a binary clause ("Solving difficult SAT
+instances in the presence of symmetry", DAC 2002).  Between literal
+nodes, only an atom's own pairing joins the two colors and only these
+edges join one color, so an automorphism maps them onto each other.
+Three kinds keep their rule nodes: a pos-neg pair, whose edge could map
+onto an atom's own pairing; a one-atom body such as ``<- a, a``; and a
+constraint that occurs more than once, since the gate counts copies and
+an edge cannot.
 """
 
 from functools import cached_property
 from typing import NamedTuple
 
-from .smodels import CHOICE, MINIMIZE, WEIGHT, GroundProgram
+from .smodels import BASIC, CHOICE, MINIMIZE, WEIGHT, GroundProgram
 
 ATOM_COLOR = 1
 NEGATION_COLOR = 2
@@ -36,7 +47,8 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
     lists the encoded atom indices in node order: atom ``atoms[i]`` owns
     the positive node ``2*i`` and the negative node ``2*i + 1``; rule
-    nodes follow.
+    nodes follow in rule order, except that binary constraints drawn as
+    literal edges have none and those written more than once come last.
     """
 
     def __new__(cls, colors, neighbors, atoms=()):
@@ -85,8 +97,22 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     # a literal node's list ascends, as rule nodes are numbered in rule
     # order; a rule node joins it once, however often the atom repeats in
     # the rule.  A rule node's tuple is made when its rule is done.
+    # pairs counts the binary constraints by their two literal nodes
+    pairs = {}
     for r in sem.rules:
         kind = r.kind
+        if kind == BASIC and r.heads[0] == false:
+            pos, neg = r.pos, r.neg
+            if len(pos) == 2 and not neg:
+                u, v = node[pos[0]], node[pos[1]]
+            elif len(neg) == 2 and not pos:
+                u, v = node[neg[0]] + 1, node[neg[1]] + 1
+            else:
+                u = v = None
+            if u != v:
+                pair = (u, v) if u < v else (v, u)
+                pairs[pair] = pairs.get(pair, 0) + 1
+                continue
         bn = len(colors)
         if kind == MINIMIZE:
             colors.append(MINIMIZE_COLOR)
@@ -133,6 +159,26 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
                 if ns[-1] != bn:
                     ns.append(bn)
             nbrs[bn] = tuple(sorted(set(body)))
+
+    # a constraint seen once is an edge; one seen twice keeps its rule
+    # nodes, as an edge cannot count its copies
+    edged = set()
+    for (u, v), n in pairs.items():
+        if n == 1:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            edged.add(u)
+            edged.add(v)
+            continue
+        for _ in range(n):
+            hn = len(colors)
+            colors += (HEAD_COLOR, BODY_COLOR)
+            nbrs.append((hn + 1,))
+            nbrs.append((u, v, hn))
+            nbrs[u].append(hn + 1)
+            nbrs[v].append(hn + 1)
+    for u in edged:
+        nbrs[u].sort()
 
     # in place, so that no list outlives its tuple
     for u in range(2 * len(atoms)):

@@ -14,7 +14,9 @@ choice heads and the atoms under negation, which together fix the reduct;
 a guess is stable when the reduct's least model derives no false atom and
 agrees with the guess on the guessed atoms, so defined auxiliary atoms
 cost nothing.  A program with a disjunctive rule guesses every atom, and a
-guess is stable when it is a model of its reduct and no proper subset is.
+guess is stable when it is a model of its reduct and no proper subset is;
+every model of the reduct holds the least model of its single-head rules,
+so only the subsets that hold it are tried.
 Minimize statements play no part.
 """
 
@@ -166,10 +168,14 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
         else:
             rules, weighed = _reduct(cand, plain, bounded)
             if disjunctive:
-                if _is_model(cand, rules, weighed) and not any(
-                        sub != cand and _is_model(sub, rules, weighed)
-                        for sub in _gray_subsets(cand)):
-                    found.append(_mask_atoms(cand))
+                if _is_model(cand, rules, weighed):
+                    # every model of the reduct holds the least model of
+                    # its single-head part, so smaller models extend it
+                    least = _least_model([r for r in rules if r[0].bit_count() == 1],
+                                         weighed, false)
+                    if not any(least | sub != cand and _is_model(least | sub, rules, weighed)
+                               for sub in _gray_subsets(cand & ~least)):
+                        found.append(_mask_atoms(cand))
             else:
                 model = _least_model(rules, weighed, false)
                 if not model & false and model & guess == cand:

@@ -13,7 +13,8 @@ bijections; `group_closure` lists every element of a small group, and
 `reference_is_syntactic_symmetry` compares the whole permuted program,
 and `reference_detect_rows` grows rows from a pool of every generator and
 every product of two, rescanned until no row is added.
-`reference_encode_program` builds the graph from a global edge set, and
+`reference_encode_program` builds the graph from a global edge set,
+counting the binary constraints up front, and
 `reference_parse_program` walks every token of every line through the
 checks that name a malformed one.
 
@@ -36,7 +37,7 @@ from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refi
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
-from symbreak.smodels import (_LAYOUTS, CARDINALITY, CHOICE, MINIMIZE, WEIGHT,
+from symbreak.smodels import (_LAYOUTS, BASIC, CARDINALITY, CHOICE, MINIMIZE, WEIGHT,
                               GroundProgram, ParseError, Rule, _atom, _int,
                               semantic_view)
 from symbreak.symmetry import AtomPermutation, RowMatrix, _canonical_matrix
@@ -242,8 +243,8 @@ def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> lis
     """All automorphisms by exhaustive color-respecting enumeration.
 
     Independent of the refinement machinery: candidates are built node by
-    node inside color classes and filtered by edge preservation against
-    the already-mapped prefix.  The candidate space (product of color
+    node, in breadth-first order, inside color classes and filtered by
+    degree and by edge preservation against the already-mapped prefix.  The candidate space (product of color
     class factorials) must fit the budget.
     """
     n = graph.n_nodes
@@ -256,7 +257,20 @@ def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> lis
         if space > budget:
             raise EnumerationBudgetError(
                 f"candidate space exceeds budget {budget}")
-    order = sorted(range(n), key=lambda v: (graph.colors[v], v))
+    # breadth-first from the color-sorted nodes, so that every node but the
+    # first of its component meets a mapped neighbour when it is mapped
+    order = []
+    seen = set()
+    for root in sorted(range(n), key=lambda v: (graph.colors[v], v)):
+        if root not in seen:
+            seen.add(root)
+            component = [root]
+            for u in component:
+                for w in graph.neighbors[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        component.append(w)
+            order += component
     adjacency = graph.adjacency
     out = []
     image = [None] * n
@@ -268,7 +282,7 @@ def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> lis
             return
         v = order[i]
         for w in classes[graph.colors[v]]:
-            if w in used:
+            if w in used or len(adjacency[w]) != len(adjacency[v]):
                 continue
             ok = True
             for u in order[:i]:
@@ -483,7 +497,24 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
     def connect(u: int, v: int):
         edges.add((min(u, v), max(u, v)))
 
+    def binary_pair(r: Rule):
+        """The two literal nodes of ``<- a, b`` or ``<- not a, not b`` on
+        two atoms, else None."""
+        if r.kind != BASIC or r.heads != (sem.false_atom,) or (r.pos and r.neg):
+            return None
+        lits = {pos_node(a) for a in r.pos} | {neg_node(b) for b in r.neg}
+        if len(r.pos) + len(r.neg) != 2 or len(lits) != 2:
+            return None
+        return frozenset(lits)
+
+    # a pair seen once is one edge; repeated pairs get rule nodes at the end
+    counts = Counter(filter(None, map(binary_pair, sem.rules)))
     for r in sem.rules:
+        pair = binary_pair(r)
+        if pair is not None:
+            if counts[pair] == 1:
+                connect(*pair)
+            continue
         if r.kind == MINIMIZE:
             bn = new_node(MINIMIZE_COLOR)
         else:
@@ -503,6 +534,14 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
                 connect(bn, pos_node(a))
             for b in r.neg:
                 connect(bn, neg_node(b))
+    for pair, n in counts.items():
+        if n > 1:
+            for _ in range(n):
+                hn = new_node(HEAD_COLOR)
+                bn = new_node(BODY_COLOR)
+                connect(hn, bn)
+                for u in pair:
+                    connect(bn, u)
 
     nbrs = [[] for _ in range(len(colors))]
     for u, v in edges:

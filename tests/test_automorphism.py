@@ -521,7 +521,7 @@ def test_generators_pinned_on_small_programs():
     expected = {
         p1: ((2, 3, 0, 1, 6, 7, 4, 5),),
         p2: ((2, 3, 0, 1, 4, 5, 6, 7, 10, 11, 8, 9),),
-        p3: ((2, 3, 0, 1, 4, 5, 8, 9, 6, 7),),
+        p3: ((2, 3, 0, 1, 6, 7, 4, 5),),  # <- p, q is an edge
         p4: ((2, 3, 0, 1, 4, 5, 8, 9, 6, 7),),
         p5: ((2, 3, 0, 1, 6, 7, 4, 5),),
     }

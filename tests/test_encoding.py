@@ -5,15 +5,15 @@ from itertools import permutations
 
 import pytest
 
-from symbreak import (GroundProgram, MinimizeStatement, WeightRule,
-                      encode_program, is_syntactic_symmetry, parse_program,
+from symbreak import (BasicRule, ChoiceRule, GroundProgram, MinimizeStatement,
+                      WeightRule, encode_program, is_syntactic_symmetry, parse_program,
                       restrict_to_atoms, semantic_view)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                HEAD_COLOR, MINIMIZE_COLOR, NEGATION_COLOR,
                                dump_graph)
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import (atom_node, brute_force_automorphisms, build_graph,
-                           color_census, negation_node,
+                           color_census, map_atoms, negation_node,
                            reference_encode_program)
 from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
                       with_repeated_atoms)
@@ -52,13 +52,19 @@ def test_p5_facts_get_head_and_body_nodes():
 
 
 def test_p3_constraint_head_has_no_literal_edge():
+    # the binary constraint <- p, q is one edge between the positive nodes
     g = encode_program(p3())
-    assert g.n_nodes == 10  # false atom contributes no nodes
-    head_nodes = [v for v, c in enumerate(g.colors) if c == HEAD_COLOR]
-    assert len(head_nodes) == 1
-    assert len(g.neighbors[head_nodes[0]]) == 1  # only the body edge
+    assert g.n_nodes == 8  # false atom and constraint contribute no nodes
+    assert HEAD_COLOR not in color_census(g)
+    assert atom_node(g, 3) in g.adjacency[atom_node(g, 2)]
     swaps = [restrict_to_atoms(g, a) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({2: 3, 3: 2}) in swaps
+    # <- p, not q keeps its rule nodes, and its head only the body edge
+    g = encode_program(GroundProgram(rules=(BasicRule(1, (2,), (3,)),) + p3().rules[1:]))
+    assert g.n_nodes == 10
+    head_nodes = [v for v, c in enumerate(g.colors) if c == HEAD_COLOR]
+    assert len(head_nodes) == 1
+    assert len(g.neighbors[head_nodes[0]]) == 1
 
 
 def test_cardinality_body_color_depends_on_bound():
@@ -165,3 +171,102 @@ def test_encode_matches_reference():
         assert graph == reference_encode_program(program), program
         repeats += any(len(set(r.pos)) < len(r.pos) for r in program.rules)
     assert repeats > 100
+
+
+def syntactic_symmetries(program: GroundProgram) -> set:
+    """Keys of every atom permutation that passes the gate, by brute force."""
+    atoms = [a for a in semantic_view(program).atoms if a <= program.max_atom]
+    out = set()
+    for image in permutations(atoms):
+        perm = AtomPermutation(dict(zip(atoms, image)))
+        if is_syntactic_symmetry(program, perm):
+            out.add(perm.key())
+    return out
+
+
+def automorphism_restrictions(graph) -> set:
+    # the class-factorial space is large, but each node meets a mapped
+    # neighbour, which prunes all but a few candidates
+    autos = brute_force_automorphisms(graph, budget=10 ** 30)
+    return {restrict_to_atoms(graph, a).key() for a in autos}
+
+
+def literal_edges(graph) -> set:
+    """Edges between two literal nodes other than an atom's own pair."""
+    n = 2 * len(graph.atoms)
+    return {(u, v) for u, v in graph.edges() if v < n and v != u ^ 1}
+
+
+def test_repeated_binary_constraint_keeps_its_rule_nodes():
+    # <- a, b twice beside one <- c, d: an edge for c, d would look like
+    # one for a, b, though the gate counts the copies
+    a, b, c, d = 2, 3, 4, 5
+    program = GroundProgram(rules=tuple(ChoiceRule((x,)) for x in (a, b, c, d))
+                            + (BasicRule(1, (a, b)), BasicRule(1, (b, a)),
+                               BasicRule(1, (c, d))))
+    g = encode_program(program)
+    assert color_census(g)[HEAD_COLOR] == 2
+    assert literal_edges(g) == {(atom_node(g, c), atom_node(g, d))}
+    restrictions = automorphism_restrictions(g)
+    assert AtomPermutation({a: c, b: d, c: a, d: b}).key() not in restrictions
+    assert AtomPermutation({a: b, b: a}).key() in restrictions
+    assert restrictions == syntactic_symmetries(program)
+
+
+@pytest.mark.parametrize("constraint", [BasicRule(1, (2,), (3,)), BasicRule(1, (2, 2)),
+                                        BasicRule(1, (), (3, 3))],
+                         ids=["pos-neg", "one-atom", "one-atom-negative"])
+def test_mixed_sign_and_one_atom_constraints_keep_their_rule_nodes(constraint):
+    program = GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,)), constraint))
+    g = encode_program(program)
+    assert color_census(g)[HEAD_COLOR] == 1
+    assert not literal_edges(g)
+    assert automorphism_restrictions(g) == syntactic_symmetries(program)
+
+
+def binary_constraint_program(rng: random.Random) -> GroundProgram:
+    """A small program built mostly from binary constraints on atom 1:
+    both polarities, mixed signs, one-atom bodies and repeated copies,
+    beside a few choices and basic rules."""
+    atoms = range(2, 2 + rng.randint(2, 4))
+    rules = [ChoiceRule((x,)) for x in atoms if rng.random() < 0.6]
+    for _ in range(rng.randint(1, 5)):
+        x, y = rng.sample(atoms, 2) if rng.random() < 0.85 else [rng.choice(atoms)] * 2
+        shape = rng.random()
+        if shape < 0.1:
+            rule = BasicRule(x, (y,))
+        elif shape < 0.45:
+            rule = BasicRule(1, (x, y))
+        elif shape < 0.8:
+            rule = BasicRule(1, (), (x, y))
+        else:
+            rule = BasicRule(1, (x,), (y,))
+        if any(r.key() == rule.key() for r in rules):
+            continue  # at most two copies, so the group stays enumerable
+        rules.append(rule)
+        if rng.random() < 0.3:
+            rules.append(rule._replace(pos=rule.pos[::-1], neg=rule.neg[::-1]))
+    if rng.random() < 0.5:
+        # add the image under a swap of each rule whose image is missing,
+        # so the swap is often a symmetry and copies stay two at most
+        x, y = rng.sample(atoms, 2)
+        swap = {x: y, y: x}
+        keys = {r.key() for r in rules}
+        images = [map_atoms(r, lambda a: swap.get(a, a)) for r in rules]
+        rules += [r for r in images if r.key() not in keys]
+    return GroundProgram(rules=rules, compute_minus=(1,))
+
+
+def test_binary_constraint_graphs_have_exactly_the_syntactic_symmetries():
+    rng = random.Random(2002)
+    edged = repeated = kept = symmetric = 0
+    for _ in range(300):
+        program = binary_constraint_program(rng)
+        g = encode_program(program)
+        restrictions = automorphism_restrictions(g)
+        assert restrictions == syntactic_symmetries(program), program
+        edged += bool(literal_edges(g))
+        repeated += len(set(program.view.keys)) < len(program.rules)
+        kept += HEAD_COLOR in color_census(g)
+        symmetric += len(restrictions) > 1
+    assert min(edged, repeated, kept, symmetric) >= 100, (edged, repeated, kept, symmetric)

@@ -115,6 +115,20 @@ def test_answer_sets_disjunctive_rule_over_many_choices():
     assert len(answer_sets(p)) == 1536
 
 
+def test_disjunctive_minimality_from_the_least_model_matches_the_reference():
+    # the minimality check tries only the subsets that hold the least
+    # model of the reduct's single-head rules; here that model fixes all
+    # but the two disjunctive heads, or (with 13 <- 11) derives an atom
+    # from one of them
+    repro = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 11))
+                          + (DisjunctiveRule((11, 12), (1,)),))
+    derived = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 7))
+                            + (DisjunctiveRule((7, 8), (1,)), BasicRule(9, (7,)),
+                               DisjunctiveRule((8, 9), (2,))))
+    for p in (repro, derived):
+        assert answer_sets(p) == reference_answer_sets(p), p
+
+
 def test_answer_sets_zero_weights_over_many_negated_atoms():
     p = GroundProgram(rules=(WeightRule(25, 1, (), tuple(range(1, 25)), (0,) * 24),))
     assert answer_sets(p, budget=20) == [frozenset()]
