@@ -160,8 +160,9 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
                     ns.append(bn)
             nbrs[bn] = tuple(sorted(set(body)))
 
-    # a constraint seen once is an edge; one seen twice keeps its rule
-    # nodes, as an edge cannot count its copies
+    # a pair seen once is an edge; a repeated one keeps its rule nodes, as
+    # an edge cannot count its copies.  Those nodes come last, so only the
+    # lists that took an edge need sorting
     edged = set()
     for (u, v), n in pairs.items():
         if n == 1:

@@ -244,8 +244,9 @@ def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> lis
 
     Independent of the refinement machinery: candidates are built node by
     node, in breadth-first order, inside color classes and filtered by
-    degree and by edge preservation against the already-mapped prefix.  The candidate space (product of color
-    class factorials) must fit the budget.
+    degree and by edge preservation against the already-mapped prefix.
+    The candidate space (product of color class factorials) must fit the
+    budget.
     """
     n = graph.n_nodes
     classes: dict[int, list[int]] = {}

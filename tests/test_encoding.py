@@ -213,11 +213,15 @@ def test_repeated_binary_constraint_keeps_its_rule_nodes():
     assert restrictions == syntactic_symmetries(program)
 
 
-@pytest.mark.parametrize("constraint", [BasicRule(1, (2,), (3,)), BasicRule(1, (2, 2)),
-                                        BasicRule(1, (), (3, 3))],
-                         ids=["pos-neg", "one-atom", "one-atom-negative"])
-def test_mixed_sign_and_one_atom_constraints_keep_their_rule_nodes(constraint):
-    program = GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,)), constraint))
+@pytest.mark.parametrize("constraints, compute_minus", [
+    ((BasicRule(1, (2,), (3,)),), (1,)),
+    ((BasicRule(1, (2, 2)),), (1,)),
+    ((BasicRule(1, (), (3, 3)),), (1,)),
+    ((), (1, 2)),  # B- 2 folds into the constraint <- 2
+], ids=["pos-neg", "one-atom", "one-atom-negative", "compute-block"])
+def test_mixed_sign_and_one_atom_constraints_keep_their_rule_nodes(constraints, compute_minus):
+    program = GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,))) + constraints,
+                            compute_minus=compute_minus)
     g = encode_program(program)
     assert color_census(g)[HEAD_COLOR] == 1
     assert not literal_edges(g)
@@ -263,6 +267,7 @@ def test_binary_constraint_graphs_have_exactly_the_syntactic_symmetries():
     for _ in range(300):
         program = binary_constraint_program(rng)
         g = encode_program(program)
+        assert g == reference_encode_program(program), program
         restrictions = automorphism_restrictions(g)
         assert restrictions == syntactic_symmetries(program), program
         edged += bool(literal_edges(g))

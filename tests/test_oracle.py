@@ -118,8 +118,8 @@ def test_answer_sets_disjunctive_rule_over_many_choices():
 def test_disjunctive_minimality_from_the_least_model_matches_the_reference():
     # the minimality check tries only the subsets that hold the least
     # model of the reduct's single-head rules; here that model fixes all
-    # but the two disjunctive heads, or (with 13 <- 11) derives an atom
-    # from one of them
+    # but the disjunctive heads, and in the second program 9 <- 7 derives
+    # an atom from one of them
     repro = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 11))
                           + (DisjunctiveRule((11, 12), (1,)),))
     derived = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 7))
