@@ -9,8 +9,8 @@ first use, so that breaking never imports it.
 
 from .automorphism import (GeneratorSearch, OrderedPartition, color_refine,
                            find_generators, orbit)
-from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
-                       break_rows, lex_leader_rules)
+from .breaking import (FreshAtoms, assemble, binary_rules, break_rows,
+                       lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
 from .pipeline import (BreakConfig, BreakResult, Detection, break_program,
                        detect_symmetries)
@@ -25,7 +25,7 @@ from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
 __all__ = [
     "AtomOrder", "AtomPermutation", "BasicRule", "BreakConfig", "BreakResult",
     "CardinalityRule", "ChoiceRule", "ColoredGraph", "Detection",
-    "DisjunctiveRule", "Fragment", "FreshAtoms", "GeneratorSearch",
+    "DisjunctiveRule", "FreshAtoms", "GeneratorSearch",
     "GroundProgram", "MinimizeStatement",
     "OracleBudgetError", "OrderedPartition", "ParseError", "RowMatrix",
     "Rule", "SoundnessVerdict", "WeightRule", "answer_sets",

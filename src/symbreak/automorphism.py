@@ -87,9 +87,9 @@ rechecks every cell (``reference_color_refine`` in the tests).
 - The rest is a group of its own.  Every marked node of a rechecked cell
   sees a node of a fragment not left out, which is a cell of the round's
   partition, and no unmarked node does, so their keys differ.
-- Fragments come in order.  Every cell ascends: color classes do, any
-  `OrderedPartition` does by its definition, and a split keeps the
-  order of the cell, since a group's members and the rest of an
+- A split's fragments come in order.  Every cell ascends: color classes
+  do, any `OrderedPartition` does by its definition, and a split keeps
+  the order of the cell, since a group's members and the rest of an
   individualized vertex's cell arrive in it.  So fragments need no sort.
 - Relabel and mark in one pass.  Marking reads neighbor lists, not
   labels, so each split relabels and marks its fragments together, and

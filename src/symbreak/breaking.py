@@ -14,14 +14,16 @@ could never fire.  The chain is only built as far as the last emitted
 constraint needs it, which keeps an involution's fragment at half its
 naive size (a transposition becomes one bare constraint).
 
-Every constraint is headed by the program view's false atom, which
-``FreshAtoms`` carries as ``head``; ``assemble`` declares it in B- when the
+Each builder returns its fragment as a tuple of rules.  Every constraint
+is headed by the program view's false atom, which ``FreshAtoms`` carries
+as ``head``; every other appended rule defines an aux atom.  ``assemble``
+reads the aux atoms off those heads, and declares the head in B- when the
 input reserved none and a rule was appended.
 """
 
-from typing import NamedTuple
+from itertools import chain
 
-from .smodels import BasicRule, GroundProgram, Rule, validate
+from .smodels import CHOICE, DISJUNCTIVE, BasicRule, GroundProgram, Rule, validate
 from .symmetry import AtomOrder, AtomPermutation, RowMatrix
 
 
@@ -44,15 +46,8 @@ class FreshAtoms:
         return self._next - self.first
 
 
-class Fragment(NamedTuple):
-    """Rules and fresh atoms generated for one broken symmetry."""
-
-    rules: tuple[Rule, ...]
-    aux_atoms: tuple[int, ...] = ()
-
-
 def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
-                     alloc: FreshAtoms) -> Fragment:
+                     alloc: FreshAtoms) -> tuple[Rule, ...]:
     """Lex-leader fragment for one symmetry.
 
     Support atoms are laid out in ``order`` and truncated so at most
@@ -64,7 +59,7 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
     """
     support = order.sort_atoms(perm.support)
     if not support:
-        return Fragment(())
+        return ()
     points = support[:aux_limit + 1]
     prefix = set()
     emitted = []
@@ -77,28 +72,26 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
     emit_at = set(emitted)
 
     rules = []
-    aux = []
-    chain = None
+    prev = None
     for i, v in enumerate(points[:last + 1]):
         w = perm.image_of(v)
         if i in emit_at:
-            body_pos = (v,) if chain is None else (chain, v)
+            body_pos = (v,) if prev is None else (prev, v)
             rules.append(BasicRule(alloc.head, body_pos, (w,)))
         if i < last:
             e = alloc.fresh()
-            aux.append(e)
-            if chain is None:
+            if prev is None:
                 rules.append(BasicRule(e, (v, w), ()))
                 rules.append(BasicRule(e, (), (v, w)))
             else:
-                rules.append(BasicRule(e, (chain, v, w), ()))
-                rules.append(BasicRule(e, (chain,), (v, w)))
-            chain = e
-    return Fragment(tuple(rules), tuple(aux))
+                rules.append(BasicRule(e, (prev, v, w), ()))
+                rules.append(BasicRule(e, (prev,), (v, w)))
+            prev = e
+    return tuple(rules)
 
 
 def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
-               alloc: FreshAtoms) -> list[Fragment]:
+               alloc: FreshAtoms) -> list[tuple[Rule, ...]]:
     """Complete breaking of a row-interchangeability matrix.
 
     One lex-leader fragment per adjacent-row swap; with the matrix atoms
@@ -110,43 +103,51 @@ def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
             for i in range(matrix.n_rows - 1)]
 
 
-def binary_rules(pairs, alloc: FreshAtoms) -> Fragment:
+def binary_rules(pairs, alloc: FreshAtoms) -> tuple[Rule, ...]:
     """One constraint ``<- v, not w`` per (v, w) pair; `assemble` drops
     repeats."""
-    return Fragment(tuple(BasicRule(alloc.head, (v,), (w,)) for v, w in pairs))
+    return tuple(BasicRule(alloc.head, (v,), (w,)) for v, w in pairs)
 
 
 def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProgram:
-    """Append fragment rules to the program.
+    """Append the rules of each fragment, a tuple of rules, to the program.
 
-    Fresh atoms must be exactly the allocator's range above the input's
-    max atom, a fresh ``alloc.head`` included.  Duplicate constraints
-    across fragments collapse to one occurrence.  With nothing to append
-    the input comes back unchanged; otherwise a fresh head is declared in
-    B- so that downstream solvers treat it as underivable.
+    Rules with the single head ``alloc.head`` are constraints, unless they
+    are choice or disjunctive rules, which could make it true.  The heads
+    of all other rules, with a fresh ``alloc.head``, must be exactly the
+    allocator's range above the input's max atom, and no appended rule may
+    use an atom past that range.  Duplicate constraints across fragments
+    collapse to one occurrence.  With nothing to append the input comes
+    back unchanged; otherwise a fresh head is declared in B- so that
+    downstream solvers treat it as underivable.
     """
     if (alloc.first, alloc.head) != (program.max_atom + 1, program.view.false_atom):
         raise ValueError("allocator was made for another program")
     if program.problems:
         raise ValueError(f"input program is invalid: {list(program.problems)}")
-    fresh_head = program.false_atom is None
-    allocated = set(range(alloc.first, alloc.first + alloc.count))
-    claimed = {alloc.head} if fresh_head else set()
-    for frag in fragments:
-        claimed.update(frag.aux_atoms)
-    if claimed != allocated:
-        raise ValueError("aux atom indices collide or leave gaps")
-
     appended = []
+    aux = set()
     seen_constraints = set()
     for frag in fragments:
-        for r in frag.rules:
-            if r.heads == (alloc.head,):
+        for r in frag:
+            if r.heads == (alloc.head,) and r.kind not in (CHOICE, DISJUNCTIVE):
                 key = r.key()
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)
+            else:
+                aux.update(r.heads)
             appended.append(r)
+    fresh_head = program.false_atom is None
+    if fresh_head:
+        aux.add(alloc.head)
+    end = alloc.first + alloc.count
+    if aux != set(range(alloc.first, end)):
+        raise ValueError("aux atom indices collide or leave gaps")
+    # every head is now alloc.head or an aux atom, so only bodies can reach past
+    top = max(chain.from_iterable(r.pos + r.neg for r in appended), default=0)
+    if top >= end:
+        raise ValueError(f"appended atom {top} lies past the aux atoms")
     if not appended:
         return program
 
@@ -154,10 +155,9 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
     if fresh_head:
         compute_minus = compute_minus + (alloc.head,)
     out = GroundProgram(program.rules + tuple(appended), dict(program.symbols),
-                        program.compute_plus, compute_minus,
-                        program.model_count, program.max_atom + alloc.count)
-    # the input's rules keep the input's cached verdict: they were checked
-    # against its max atom, and the output's max atom is no smaller
+                        program.compute_plus, compute_minus, program.model_count)
+    # the input's rules keep the input's cached verdict: a rule's validity
+    # does not depend on the rest of the program
     problems = validate(out, len(program.rules))
     if problems:
         raise ValueError(f"assembled program is invalid: {problems}")

@@ -76,12 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="automorphism search tree node budget")
     parser.add_argument("--stab-levels", type=_count, default=defaults.stabilizer_levels,
                         metavar="N", help="binary clause levels: base atoms paired "
-                                          "with their orbits (default %(default)s)")
+                                          "with their orbits; 0 turns binary "
+                                          "clauses off (default %(default)s)")
     parser.add_argument("--no-rows", action="store_true",
                         help="disable row-interchangeability detection")
-    parser.add_argument("--no-binary", action="store_true",
-                        help="disable binary prefix clauses: --stab-levels 0, "
-                             "overriding any --stab-levels")
     parser.add_argument("--stats", action="store_true",
                         help="print statistics on standard error")
     parser.add_argument("--dump-graph", action="store_true",
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
     config = BreakConfig(
         aux_limit=args.limit,
         search_budget=args.budget,
-        stabilizer_levels=0 if args.no_binary else args.stab_levels,
+        stabilizer_levels=args.stab_levels,
         row_detection=not args.no_rows,
     )
     try:

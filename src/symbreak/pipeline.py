@@ -16,8 +16,8 @@ not chosen here: ``FreshAtoms`` takes it from the program's view.
 from typing import NamedTuple
 
 from .automorphism import GeneratorSearch, find_generators, orbit
-from .breaking import (Fragment, FreshAtoms, assemble, binary_rules,
-                       break_rows, lex_leader_rules)
+from .breaking import (FreshAtoms, assemble, binary_rules, break_rows,
+                       lex_leader_rules)
 from .encoding import encode_program
 from .smodels import GroundProgram
 from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
@@ -89,7 +89,7 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
             pairs += [(v, w) for w in sorted(orbit(kept, v) - {v})]
 
     alloc = FreshAtoms(program)
-    fragments: list[Fragment] = []
+    fragments = []
     for matrix in rows:
         fragments += break_rows(matrix, order, config.aux_limit, alloc)
     for g in gens:

@@ -11,12 +11,15 @@ derived (conventionally atom 1, unnamed, placed in ``B-``).
 ``GroundProgram.false_atom`` recovers that convention, and its ``view``
 (``semantic_view``, built once per program) names the one constraint head,
 reserved or fresh, and folds the compute blocks into equivalent
-constraints for everything downstream of parsing.
+constraints for everything downstream of parsing.  Nor does the format
+state an atom count: ``GroundProgram.max_atom`` is read off the contents
+on first use, so a program edited with ``_replace`` never carries a
+stale one.
 """
 
 from collections import Counter
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 
@@ -140,12 +143,12 @@ _LAYOUTS = {
 class GroundProgram(NamedTuple("GroundProgram", [
         ("rules", tuple[Rule, ...]), ("symbols", dict[int, str]),
         ("compute_plus", tuple[int, ...]), ("compute_minus", tuple[int, ...]),
-        ("model_count", int), ("max_atom", int)])):
+        ("model_count", int)])):
     """A parsed smodels document.
 
     ``symbols`` maps visible atoms to their names in file order; atoms
-    without an entry are hidden.  ``max_atom`` is the largest atom index
-    in use and is computed from the contents when omitted.
+    without an entry are hidden.  The largest atom index, ``max_atom``, is
+    read off the contents, as the wire format carries none.
 
     Like every record of the package, a named tuple, so equality compares
     the fields alone; this subclass adds the ``__dict__`` that its cached
@@ -153,13 +156,18 @@ class GroundProgram(NamedTuple("GroundProgram", [
     """
 
     def __new__(cls, rules=(), symbols=None, compute_plus=(), compute_minus=(),
-                model_count=1, max_atom=None):
+                model_count=1):
         rules, plus, minus = tuple(rules), tuple(compute_plus), tuple(compute_minus)
         symbols = {} if symbols is None else symbols
-        if max_atom is None:
-            max_atom = max((0, *symbols, *plus, *minus,
-                            *(a for r in rules for a in r.atoms())))
-        return super().__new__(cls, rules, symbols, plus, minus, model_count, max_atom)
+        return super().__new__(cls, rules, symbols, plus, minus, model_count)
+
+    @cached_property
+    def max_atom(self) -> int:
+        """The largest atom index in the rules, symbols and compute
+        blocks; 0 when there is none."""
+        return max(chain(self.symbols, self.compute_plus, self.compute_minus,
+                         chain.from_iterable(r.heads + r.pos + r.neg for r in self.rules)),
+                   default=0)
 
     @cached_property
     def false_atom(self):
@@ -345,7 +353,6 @@ def parse_program(text) -> GroundProgram:
         raise ParseError(len(lines) + 1, f"unexpected end of input, expected {what}")
 
     rules = []
-    top = 0  # the largest atom so far
     while True:
         line, line_no = next_line("a rule or the rules terminator 0")
         toks = line.split()
@@ -358,9 +365,7 @@ def parse_program(text) -> GroundProgram:
             values = [_int(tok, line_no) for tok in toks]
         if values == [0]:
             break
-        rule = _decode_rule(values, line_no)
-        rules.append(rule)
-        top = max((top, *rule.heads, *rule.pos, *rule.neg))
+        rules.append(_decode_rule(values, line_no))
 
     symbols: dict[int, str] = {}
     names_seen = set()
@@ -408,8 +413,7 @@ def parse_program(text) -> GroundProgram:
             raise ParseError(pos + 1, "unexpected content after the model count")
         pos += 1
 
-    top = max((top, *symbols, *plus, *minus))
-    return GroundProgram(tuple(rules), symbols, plus, minus, models, top)
+    return GroundProgram(tuple(rules), symbols, plus, minus, models)
 
 
 def _wire_line(rule: Rule) -> str:
@@ -449,17 +453,14 @@ def validate(program: GroundProgram, first_rule: int = 0) -> list[str]:
     """Check every structural invariant; one diagnostic string per violation.
 
     Rules before position ``first_rule`` are skipped, for a program whose
-    leading rules passed this check against a ``max_atom`` no larger than
-    its own; the symbol table, compute blocks and model count are always
-    checked.
+    leading rules already passed this check; the symbol table, compute
+    blocks and model count are always checked.
     """
     out = []
 
     def atom_ok(a, where):
         if a < 1:
             out.append(f"{where}: atom index {a} must be >= 1")
-        elif a > program.max_atom:
-            out.append(f"{where}: atom index {a} exceeds max atom {program.max_atom}")
 
     for i, r in enumerate(program.rules[first_rule:], first_rule + 1):
         where = f"rule {i}"

@@ -75,8 +75,7 @@ def place_atom(pigeons: int, holes: int, p: int, h: int) -> int:
 
 def free_choice(atoms) -> GroundProgram:
     """One singleton choice rule per atom: every subset is an answer set."""
-    return GroundProgram(rules=tuple(ChoiceRule((a,)) for a in atoms),
-                         max_atom=max(atoms))
+    return GroundProgram(rules=tuple(ChoiceRule((a,)) for a in atoms))
 
 
 def random_program(rng: random.Random) -> GroundProgram:
@@ -307,21 +306,25 @@ def record_fragment_aux(monkeypatch) -> list[int]:
     """Wrap the pipeline's fragment builders for the rest of the test.
 
     The returned list gets the aux-atom count of every fragment built for
-    a row swap or a generator, in the order they are built.
+    a row swap or a generator, in the order they are built: the heads of
+    its rules other than the allocator's constraint head.
     """
     from symbreak import pipeline
 
     counts = []
     real_lex, real_rows = pipeline.lex_leader_rules, pipeline.break_rows
 
+    def aux_count(frag, alloc) -> int:
+        return len({h for r in frag for h in r.heads} - {alloc.head})
+
     def lex(*args):
         frag = real_lex(*args)
-        counts.append(len(frag.aux_atoms))
+        counts.append(aux_count(frag, args[-1]))
         return frag
 
     def rows(*args):
         frags = real_rows(*args)
-        counts.extend(len(frag.aux_atoms) for frag in frags)
+        counts.extend(aux_count(frag, args[-1]) for frag in frags)
         return frags
 
     monkeypatch.setattr(pipeline, "lex_leader_rules", lex)

@@ -4,7 +4,7 @@ import pytest
 
 from symbreak import (BasicRule, ChoiceRule, GroundProgram, Rule, answer_sets,
                       assemble, binary_rules, break_rows, lex_leader_rules)
-from symbreak.breaking import Fragment, FreshAtoms
+from symbreak.breaking import FreshAtoms
 from symbreak.smodels import BASIC, CARDINALITY
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from programs import free_choice, p1, p3
@@ -12,6 +12,12 @@ from programs import free_choice, p1, p3
 
 def natural_order(n):
     return AtomOrder(tuple(range(1, n + 1)))
+
+
+def aux_atoms(frag, alloc) -> tuple[int, ...]:
+    """The atoms a fragment defines: the heads of its rules other than the
+    constraint head, in order of first definition."""
+    return tuple(dict.fromkeys(h for r in frag for h in r.heads if h != alloc.head))
 
 
 def lex_leq(interp, perm, order):
@@ -33,28 +39,28 @@ def test_transposition_is_a_single_constraint():
     alloc = FreshAtoms(p3())  # atom 1 is the reserved head
     frag = lex_leader_rules(AtomPermutation({2: 3, 3: 2}), AtomOrder((2, 3)),
                             50, alloc)
-    assert frag.rules == (BasicRule(1, (2,), (3,)),)
-    assert frag.aux_atoms == ()
+    assert frag == (BasicRule(1, (2,), (3,)),)
+    assert aux_atoms(frag, alloc) == ()
     assert alloc.count == 0
 
 
 def test_identity_gives_empty_fragment():
     frag = lex_leader_rules(AtomPermutation({}), natural_order(2), 50,
                             FreshAtoms(p1()))
-    assert frag.rules == ()
+    assert frag == ()
 
 
 def test_three_cycle_fragment_structure():
     perm = AtomPermutation.from_cycles((1, 2, 3))
     alloc = FreshAtoms(free_choice([1, 2, 3]))  # head 4, aux atoms from 5
     frag = lex_leader_rules(perm, natural_order(3), 50, alloc)
-    assert frag.rules == (
+    assert frag == (
         BasicRule(4, (1,), (2,)),       # <- a, not b
         BasicRule(5, (1, 2), ()),       # e1 <- a, b
         BasicRule(5, (), (1, 2)),       # e1 <- not a, not b
         BasicRule(4, (5, 2), (3,)),     # <- e1, b, not c
     )
-    assert frag.aux_atoms == (5,)
+    assert aux_atoms(frag, alloc) == (5,)
 
 
 def test_three_cycle_matches_brute_force_lex_filter():
@@ -94,9 +100,9 @@ def test_aux_budget_truncation():
     for limit in (0, 3, 50):
         alloc = FreshAtoms(base)
         frag = lex_leader_rules(perm, natural_order(10), limit, alloc)
-        assert len(frag.aux_atoms) <= limit
+        assert len(aux_atoms(frag, alloc)) <= limit
     zero = lex_leader_rules(perm, natural_order(10), 0, FreshAtoms(base))
-    assert zero.rules == (BasicRule(11, (1,), (2,)),)
+    assert zero == (BasicRule(11, (1,), (2,)),)
 
 
 def test_truncation_is_still_sound():
@@ -135,15 +141,15 @@ def test_break_rows_two_rows_single_fragment():
     matrix = RowMatrix(((1,), (2,)))
     frags = break_rows(matrix, natural_order(2), 50, FreshAtoms(p1()))
     assert len(frags) == 1
-    assert frags[0].rules == (BasicRule(3, (1,), (2,)),)
+    assert frags[0] == (BasicRule(3, (1,), (2,)),)
 
 
 def test_binary_rules():
     alloc = FreshAtoms(free_choice([1, 2, 3]))  # head 4
     frag = binary_rules([(1, 2), (2, 3)], alloc)
-    assert frag.rules == (BasicRule(4, (1,), (2,)), BasicRule(4, (2,), (3,)))
-    assert frag.aux_atoms == ()
-    assert binary_rules([], alloc).rules == ()
+    assert frag == (BasicRule(4, (1,), (2,)), BasicRule(4, (2,), (3,)))
+    assert aux_atoms(frag, alloc) == ()
+    assert binary_rules([], alloc) == ()
 
 
 def test_assemble_no_fragments_is_identity():
@@ -184,9 +190,10 @@ def test_assemble_detects_allocator_misuse():
     the assembling one handed out, and an allocator carries its own
     program's head."""
     base = free_choice([1, 2, 3])
+    alloc = FreshAtoms(base)
     frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2, 3)),
-                            natural_order(3), 50, FreshAtoms(base))
-    assert frag.aux_atoms == (5,)
+                            natural_order(3), 50, alloc)
+    assert aux_atoms(frag, alloc) == (5,)
     with pytest.raises(ValueError, match="collide or leave gaps"):
         assemble(base, [frag], FreshAtoms(base))
     # both reserve a head and share max atom 4, which is a choice in p3_4
@@ -209,24 +216,38 @@ def test_assemble_round_trips_through_the_wire_format():
     assert parse_program(write_program(out)) == out
 
 
-@pytest.mark.parametrize("rule", [
-    BasicRule(3, (0,), (1,)),                     # atom 0
-    BasicRule(3, (1,), (4,)),                     # past the new max atom 3
-    Rule(BASIC, (3,), (1,), (2,), None, (1, 1)),  # weights on a basic rule
-    Rule(CARDINALITY, (3,), (1, 2), ()),          # cardinality without bound
+@pytest.mark.parametrize("rule, message", [
+    (BasicRule(3, (0,), (1,)), "assembled program is invalid"),  # atom 0
+    (BasicRule(3, (1,), (4,)), "appended atom 4 lies past the aux atoms"),
+    (Rule(BASIC, (3,), (1,), (2,), None, (1, 1)),  # weights on a basic rule
+     "assembled program is invalid"),
+    (Rule(CARDINALITY, (3,), (1, 2), ()),          # cardinality without bound
+     "assembled program is invalid"),
 ], ids=["atom-0", "past-max-atom", "basic-weights", "unbounded-cardinality"])
-def test_assemble_rejects_corrupt_fragment(rule):
-    """The output check covers appended rules, though it reuses the
-    input's cached verdict for the input's own rules."""
+def test_assemble_rejects_corrupt_fragment(rule, message):
+    """The checks cover appended rules, though the output check reuses the
+    input's cached verdict for the input's own rules; an atom past the
+    allocated range, 3 here, is refused before it."""
     base = free_choice([1, 2])
     alloc = FreshAtoms(base)
-    with pytest.raises(ValueError, match="assembled program is invalid"):
-        assemble(base, [Fragment((rule,))], alloc)
+    with pytest.raises(ValueError, match=message):
+        assemble(base, [(rule,)], alloc)
     valid = BasicRule(3, (1,), (2,))
-    assert assemble(base, [Fragment((valid,))], alloc).rules[-1] == valid
+    assert assemble(base, [(valid,)], alloc).rules[-1] == valid
+
+
+def test_assemble_refuses_a_rule_that_defines_an_input_atom():
+    """Aux atoms are read off the appended heads, so a fact for ``p``
+    would cut p3's answer sets {}, {p}, {q} down to {p}; a choice on its
+    reserved head 1 is no constraint, and would let 1 be true."""
+    base = p3()
+    alloc = FreshAtoms(base)
+    for rule in (BasicRule(2), ChoiceRule((2,)), ChoiceRule((1,))):
+        with pytest.raises(ValueError, match="collide or leave gaps"):
+            assemble(base, [(rule,)], alloc)
 
 
 def test_assemble_rejects_an_invalid_input():
-    bad = GroundProgram(rules=(BasicRule(2, (9,), ()),), max_atom=5)
+    bad = GroundProgram(rules=(BasicRule(2, (0,), ()),))
     with pytest.raises(ValueError, match="input program is invalid"):
         assemble(bad, [], FreshAtoms(bad))

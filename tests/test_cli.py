@@ -111,8 +111,8 @@ def test_missing_input_file_exit_code(capsys):
 
 
 def test_flags_accepted(monkeypatch, capsys):
-    code, out, _ = run_cli(["--limit", "3", "--no-rows", "--no-binary",
-                            "--budget", "1000", "--stab-levels", "2"],
+    code, out, _ = run_cli(["--limit", "3", "--no-rows", "--budget", "1000",
+                            "--stab-levels", "2"],
                            P1_TEXT, monkeypatch, capsys)
     assert code == 0
     parse_program(out)
@@ -156,16 +156,18 @@ def test_stats_lines_match_the_result(monkeypatch, capsys):
         assert out == write_program(result.program)
 
 
-def test_no_binary_wins_over_stab_levels(monkeypatch, capsys):
+def test_stab_levels_zero_turns_binary_clauses_off(monkeypatch, capsys):
     text = write_program(pigeonhole(3, 2))
-    for args in (["--no-binary", "--stab-levels", "2"],
-                 ["--stab-levels", "2", "--no-binary"]):
-        code, out, err = run_cli(["--stats", *args], text, monkeypatch, capsys)
-        assert code == 0
-        assert stats_of(err)["binpairs"] == "0", args
+    code, out, err = run_cli(["--stats", "--stab-levels", "0"], text,
+                             monkeypatch, capsys)
+    assert code == 0
+    assert stats_of(err)["binpairs"] == "0"
     code, out, err = run_cli(["--stats"], text, monkeypatch, capsys)
     assert code == 0
     assert int(stats_of(err)["binpairs"]) > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-binary"])
+    assert exc.value.code == 2
 
 
 def test_break_warns_when_search_budget_exceeded(monkeypatch, capsys):

@@ -153,7 +153,7 @@ def test_check_soundness_trivial_and_adversarial():
     assert check_soundness(p1(), [swap], p1()).ok
     killed = GroundProgram(rules=p1().rules + (BasicRule(3, (1,)),
                                                BasicRule(3, (), (1,))),
-                           compute_minus=(3,), max_atom=3)
+                           compute_minus=(3,))
     verdict = check_soundness(p1(), [swap], killed)
     assert not verdict.ok
     assert not verdict.surviving
@@ -193,5 +193,5 @@ def test_desugaring_self_consistency_on_bounded_bodies():
                                               tuple(a for a, s in sub if s),
                                               tuple(a for a, s in sub if not s)))
         plain = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in atoms)
-                              + tuple(expanded), max_atom=5)
+                              + tuple(expanded))
         assert answer_sets(sugared) == answer_sets(plain)

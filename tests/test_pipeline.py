@@ -135,10 +135,23 @@ def test_toggles_produce_valid_sound_output():
 
 
 def test_augmented_program_round_trips():
-    for program in (p1(), p3(), pigeonhole(3, 2)):
+    for program in corpus():
         result = break_program(program)
         assert validate(result.program) == []
-        assert parse_program(write_program(result.program)) == result.program
+        for x in (program, result.program):
+            assert parse_program(write_program(x)) == x, x
+
+
+def test_max_atom_follows_a_replaced_rule_list():
+    """``max_atom`` is read off the contents, so a program edited with
+    ``_replace`` carries no stale count into validation or breaking."""
+    base = free_choice(range(1, 4))
+    program = base._replace(rules=base.rules + (ChoiceRule((9,)),))
+    assert (base.max_atom, program.max_atom) == (3, 9)
+    assert validate(program) == []
+    result = break_program(program)
+    assert result.program.max_atom > 9
+    assert check_soundness(program, result.detection.generators, result.program).ok
 
 
 def test_one_automorphism_search_per_run(monkeypatch):
@@ -196,15 +209,15 @@ def test_two_semantic_views_per_verify_run(monkeypatch, capsys):
 
 
 def test_invalid_program_is_rejected_before_detection():
-    """An atom above ``max_atom`` would index past the encoding's node
-    table; detection and break refuse the program with one message."""
-    program = GroundProgram(rules=(BasicRule(5, (2,)),), max_atom=3)
+    """Atom 0 lies outside the encoding's atom range 1..max_atom;
+    detection and break refuse the program with one message."""
+    program = GroundProgram(rules=(BasicRule(0, (2,)),))
     with pytest.raises(ValueError) as detected:
         detect_symmetries(program)
     with pytest.raises(ValueError) as broken:
         break_program(program)
     assert str(detected.value) == str(broken.value) == (
-        "invalid program: ['rule 1: atom index 5 exceeds max atom 3']")
+        "invalid program: ['rule 1: atom index 0 must be >= 1']")
 
 
 def test_false_name_on_any_atom_breaks_soundly():

@@ -115,8 +115,8 @@ def test_validate_weight_arity():
 
 
 def test_validate_index_range():
-    bad = GroundProgram(rules=(BasicRule(9, (2,), ()),), max_atom=5)
-    assert any("exceeds max atom 5" in d for d in validate(bad))
+    bad = GroundProgram(rules=(BasicRule(0, (2,), ()),))
+    assert validate(bad) == ["rule 1: atom index 0 must be >= 1"]
 
 
 def test_validate_duplicate_names_and_bounds():

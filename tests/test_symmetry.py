@@ -314,13 +314,13 @@ def test_detect_rows_of_s24_is_fast():
 
 
 def test_choose_order_natural_without_symmetry():
-    p = GroundProgram(rules=(BasicRule(1, (2,)),), max_atom=3)
+    p = GroundProgram(rules=(BasicRule(1, (2,)),), symbols={3: "c"})
     assert choose_order(p, [], []).sequence == (1, 2, 3)
 
 
 def test_choose_order_cycle_layout():
     assert choose_order(p1(), [swap(1, 2)], []).sequence == (1, 2)
-    three = GroundProgram(rules=(), max_atom=4)
+    three = GroundProgram(rules=(), symbols={a: f"a{a}" for a in range(1, 5)})
     order = choose_order(three, [AtomPermutation.from_cycles((2, 4, 3))], [])
     assert order.sequence == (2, 4, 3, 1)
 
