@@ -2,19 +2,23 @@
 
 For each program it hashes the bytes ``write_program`` prints for the
 broken program, the binary pairs of ``break_program``, ``dump_graph`` of
-the encoding, and what ``find_generators`` returns (generators, tree
-nodes, completeness) under budgets 1, 2, 5, 17 and 10**6, and the
-answer sets ``answer_sets`` finds at budget 14 for the program and for
-its break, with ``over-budget`` standing for a call that raises
+the encoding, what ``find_generators`` returns (generators, tree nodes,
+completeness) under budgets 1, 2, 5, 17 and 10**6, and the answer sets
+``answer_sets`` finds at budget 14 for the program and for its break,
+with ``over-budget`` standing for a call that raises
 ``OracleBudgetError``.  The programs are ``corpus()``, the benchmark's
 workload instances for seeds 1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and
 S2..S40 (``free_choice`` of 2 to 40 atoms).
 
 It prints one line per program, the short hashes of its break, graph,
 search and oracle output, and a final total, so a ``diff`` of two runs
-names the programs whose output moved.  ``tests/output_digest.txt`` is the output of
-the committed tree, and CI diffs a run under each of two string-hash seeds
-against it:
+names the programs whose output moved.  The search has two fields:
+``gens=`` hashes the generators and completeness at budget 10**6, and
+``tree=`` the tree nodes at every budget with the generators and
+completeness at the smaller ones.  A change to the shape of the search
+tree that keeps the full-budget generators moves ``tree=`` only.
+``tests/output_digest.txt`` is the output of the committed tree, and CI
+diffs a run under each of two string-hash seeds against it:
 
     PYTHONPATH=src:tests python tests/output_digest.py | diff tests/output_digest.txt -
 
@@ -67,12 +71,13 @@ def digest_line(label: str, program) -> str:
     result = break_program(program)
     broken = short(write_program(result.program) + repr(result.pairs))
     graph = encode_program(program)
-    searches = [find_generators(graph, budget) for budget in BUDGETS]
-    search = short(repr([(s.generators, s.tree_nodes, s.complete)
-                         for s in searches]))
+    *cut, full = [find_generators(graph, budget) for budget in BUDGETS]
+    gens = short(repr((full.generators, full.complete)))
+    tree = short(repr([(s.generators, s.tree_nodes, s.complete) for s in cut]
+                      + [full.tree_nodes]))
     oracle = short(oracle_output(program) + " " + oracle_output(result.program))
-    return (f"{label} break={broken} graph={short(dump_graph(graph))} search={search}"
-            f" oracle={oracle}")
+    return (f"{label} break={broken} graph={short(dump_graph(graph))} gens={gens}"
+            f" tree={tree} oracle={oracle}")
 
 
 def main():
