@@ -27,6 +27,27 @@ images of finished siblings.  Off it, a finished sibling held no leaf
 equivalent to the first leaf, or the search would have jumped, so
 neither does any image of it.
 
+A node off the first path need not dive to a leaf to find the
+automorphism below it (saucy's check for sparse symmetries: Darga,
+Sakallah & Markov, DAC 2008).  The search keeps the first path's
+partition at each depth, and compares each node off it, once refined,
+with the one at its own depth.  When every label starts a cell of the
+same size in both and every non-singleton cell is the same tuple, let g
+take each singleton cell of the first path's partition onto this node's
+cell of the same label and fix every other node.  If g is an
+automorphism, it maps the first path's partition onto this node's, and
+the two dives below go on alike: both split off the first node of the
+same first non-singleton cell, which g fixes, and refinement is
+invariant under relabelling, so g maps each partition of the first path
+onto the dive's at the same depth.  The cells stay alike, so the
+induction goes on to the leaves, and g is the map from the first leaf to
+the dive's first leaf, the automorphism that leaf would have given.  So
+the node is taken as that leaf: g is a generator, and the search jumps
+back.  A map that is no automorphism only means the dive goes on as
+before, so the generators and everything built from them are those of
+the dives, and only the tree shrinks.  The partitions kept are those of
+the first path, all alive at the first leaf anyway.
+
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
 path, so no depth hits the recursion limit.  A node keeps the labelled
@@ -355,6 +376,36 @@ class _Node:
         return None
 
 
+def _early_map(first_path, depth, partition, s):
+    """The map from the first path's partition at ``depth`` onto this
+    node's, or None when their cells differ in shape.
+
+    The shapes agree when every label starts a cell of the same size in
+    both and every non-singleton cell is the same tuple; the map then
+    takes each singleton cell onto this node's cell of the same label and
+    fixes every other node.  ``s`` is the label of the node's first
+    non-singleton cell, compared first, so a node that differs there
+    costs no scan.
+    """
+    if depth >= len(first_path):
+        return None
+    first = first_path[depth].by_label
+    by_label = partition.by_label
+    if first[s] != by_label[s]:
+        return None
+    perm = list(range(len(by_label)))
+    for a, b in zip(first, by_label):
+        if a is b:
+            continue
+        if a is None or b is None or len(a) != len(b):
+            return None
+        if len(a) == 1:
+            perm[a[0]] = b[0]
+        elif a != b:
+            return None
+    return tuple(perm)
+
+
 def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> GeneratorSearch:
     """Generators of the automorphism group via individualization-refinement.
 
@@ -364,13 +415,18 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     found; a node off it with the generators that fixed its base when it
     was made.  Each tree node costs one ``color_refine`` call, which splits
     the node's vertex off its parent's partition and refines the result,
-    and counts against ``max_tree_nodes`` when it is entered.  A leaf off the first
-    path that gives an automorphism ends the search below the deepest
-    first-path node (the module docstring says why this is exact).
+    and counts against ``max_tree_nodes`` when it is entered.  A node off
+    the first path whose partition has the shape of the first path's at
+    its depth is checked at once, with the map between the two partitions;
+    any other is checked at its leaf, with the map from the first leaf.  A
+    map that is an automorphism is a generator and ends the search below
+    the deepest first-path node (the module docstring says why both are
+    exact).
     """
     n = graph.n_nodes
     gens: list[tuple[int, ...]] = []
     first_leaf = None  # node -> position in the first leaf reached
+    first_path: list[OrderedPartition] = []  # its inner nodes' partitions
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
     v = None  # the vertex the current partition individualized
@@ -384,21 +440,25 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
         s = path[-1].label + 1 if path else 0
         while s < n and len(by_label[s]) == 1:
             s += 1
-        if s < n:
-            if first_leaf is None:
+        if first_leaf is None:
+            if s < n:
                 path.append(_Node(partition, s, gens))
+                first_path.append(partition)
             else:
-                stabilizing = [g for g in path[-1].stabilizing if g[v] == v]
-                path.append(_Node(partition, s, stabilizing))
-        elif first_leaf is None:
-            first_leaf = partition.labels
+                first_leaf = partition.labels
         else:
-            perm = tuple([by_label[p][0] for p in first_leaf])
-            if is_automorphism(graph, perm):
+            if s < n:
+                perm = _early_map(first_path, len(path), partition, s)
+            else:
+                perm = tuple([by_label[p][0] for p in first_leaf])
+            if perm is not None and is_automorphism(graph, perm):
                 gens.append(perm)
                 # back to the deepest node on the first path: its current
                 # child's subtree is covered by the new generator
                 del path[next(i for i, node in enumerate(path) if node.done) + 1:]
+            elif s < n:
+                stabilizing = [g for g in path[-1].stabilizing if g[v] == v]
+                path.append(_Node(partition, s, stabilizing))
         while path:
             v = path[-1].next_vertex()
             if v is not None:

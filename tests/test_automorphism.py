@@ -239,11 +239,12 @@ class CountingNeighbors(tuple):
 
 
 def test_search_neighbour_reads_bounded():
-    """Seeded refinement, skipping the largest fragment and backjumping
-    read fewer neighbor lists (52,762 and 36,366 reads with none of them,
-    16,977 and 7,014 without backjumping, 8,473 and 1,414 with all)."""
-    for program, bound, expected in [(pigeonhole(6, 5), 10000, (9, 53)),
-                                     (free_choice(range(1, 17)), 2000, (15, 136))]:
+    """Seeded refinement, skipping the largest fragment, backjumping and
+    early detection off the first path read fewer neighbor lists: 2,531
+    and 504 reads with all of them, 2,633 and 1,414 without early
+    detection."""
+    for program, bound, expected in [(pigeonhole(6, 5), 2600, (9, 50)),
+                                     (free_choice(range(1, 17)), 700, (15, 45))]:
         graph = encode_program(program)
         counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
         CountingNeighbors.reads = 0
@@ -493,13 +494,71 @@ def rook_and_shrikhande_graphs():
 
 def test_search_tree_size_pinned():
     """A change to pruning or refinement that alters the tree shows here."""
-    for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 53)),
-                            (encode_program(free_choice(range(1, 17))), (15, 136)),
+    for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 50)),
+                            (encode_program(free_choice(range(1, 17))), (15, 45)),
                             (two_frucht_graphs(), (1, 159)),
-                            (rook_and_shrikhande_graphs(), (10, 62))]:
+                            (rook_and_shrikhande_graphs(), (10, 44))]:
         search = find_generators(graph)
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == expected
+
+
+def test_symmetric_group_search_is_linear():
+    """A node two levels off S_n's first path has the shape of the first
+    path's partition at its depth, so each generator is found there, not
+    at the end of a dive to a leaf: at most 3n tree nodes (597 for S200),
+    where the dives took n(n + 1)/2 (20,100)."""
+    n = 200
+    search = find_generators(encode_program(free_choice(range(1, n + 1))))
+    assert search.complete
+    assert search.tree_nodes <= 3 * n
+    assert len(search.generators) == n - 1
+
+
+def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
+    """Refinement splits nothing of two Frucht graphs, so 11 nodes off the
+    first path have its partition's shape, and each map onto them fails
+    `is_automorphism`.  The one automorphism, the swap of the copies,
+    is still found, and in the same number of nodes as without early
+    detection."""
+    maps = []
+    early_map = automorphism._early_map
+
+    def recording(*args):
+        perm = early_map(*args)
+        if perm is not None:
+            maps.append(perm)
+        return perm
+
+    monkeypatch.setattr(automorphism, "_early_map", recording)
+    graph = two_frucht_graphs()
+    search = find_generators(graph)
+    assert len(maps) == 11
+    assert not any(is_automorphism(graph, perm) for perm in maps)
+    swap = tuple((v + 12) % 24 for v in range(24))
+    assert search == ((swap,), True, 159)
+
+
+def test_early_detection_changes_only_the_tree(monkeypatch):
+    """An automorphism found off the first path before a leaf is the one
+    the leaf of the dive would give, so the generators and completeness
+    are those of a search that always dives to the leaf, in no more tree
+    nodes."""
+    rng = random.Random(53)
+    graphs = [encode_program(program) for program in corpus()]
+    graphs += [random_colored_graph(rng, max_nodes=rng.choice((12, 30))) for _ in range(100)]
+    graphs += [circulant_graph(n, (1, 2)) for n in range(5, 13)]
+    graphs += [two_frucht_graphs(), rook_and_shrikhande_graphs(),
+               encode_program(pigeonhole(6, 5)), encode_program(free_choice(range(1, 17)))]
+    early = [find_generators(graph) for graph in graphs]
+    monkeypatch.setattr(automorphism, "_early_map", lambda *args: None)
+    saved = 0
+    for graph, search in zip(graphs, early):
+        dive = find_generators(graph)
+        assert (search.generators, search.complete) == (dive.generators, dive.complete)
+        assert search.tree_nodes <= dive.tree_nodes
+        saved += dive.tree_nodes - search.tree_nodes
+    assert saved
 
 
 def test_symmetric_group_gets_n_minus_one_generators():
