@@ -376,7 +376,7 @@ class _Node:
         return None
 
 
-def _early_map(first_path, depth, partition, s):
+def _early_map(first_path, depth, partition, s, identity):
     """The map from the first path's partition at ``depth`` onto this
     node's, or None when their cells differ in shape.
 
@@ -385,7 +385,8 @@ def _early_map(first_path, depth, partition, s):
     takes each singleton cell onto this node's cell of the same label and
     fixes every other node.  ``s`` is the label of the node's first
     non-singleton cell, compared first, so a node that differs there
-    costs no scan.
+    costs no scan.  The map is built on a copy of ``identity``, so every
+    map kept as a generator shares its node ids with all the others.
     """
     if depth >= len(first_path):
         return None
@@ -393,7 +394,7 @@ def _early_map(first_path, depth, partition, s):
     by_label = partition.by_label
     if first[s] != by_label[s]:
         return None
-    perm = list(range(len(by_label)))
+    perm = list(identity)
     for a, b in zip(first, by_label):
         if a is b:
             continue
@@ -427,6 +428,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     gens: list[tuple[int, ...]] = []
     first_leaf = None  # node -> position in the first leaf reached
     first_path: list[OrderedPartition] = []  # its inner nodes' partitions
+    identity = tuple(range(n))
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
     v = None  # the vertex the current partition individualized
@@ -448,7 +450,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
                 first_leaf = partition.labels
         else:
             if s < n:
-                perm = _early_map(first_path, len(path), partition, s)
+                perm = _early_map(first_path, len(path), partition, s, identity)
             else:
                 perm = tuple([by_label[p][0] for p in first_leaf])
             if perm is not None and is_automorphism(graph, perm):
