@@ -30,23 +30,32 @@ neither does any image of it.
 A node off the first path need not dive to a leaf to find the
 automorphism below it (saucy's check for sparse symmetries: Darga,
 Sakallah & Markov, DAC 2008).  The search keeps the first path's
-partition at each depth, and compares each node off it, once refined,
-with the one at its own depth.  When every label starts a cell of the
-same size in both and every non-singleton cell is the same tuple, let g
-take each singleton cell of the first path's partition onto this node's
-cell of the same label and fix every other node.  If g is an
-automorphism, it maps the first path's partition onto this node's, and
-the two dives below go on alike: both split off the first node of the
-same first non-singleton cell, which g fixes, and refinement is
-invariant under relabelling, so g maps each partition of the first path
-onto the dive's at the same depth.  The cells stay alike, so the
-induction goes on to the leaves, and g is the map from the first leaf to
-the dive's first leaf, the automorphism that leaf would have given.  So
-the node is taken as that leaf: g is a generator, and the search jumps
-back.  A map that is no automorphism only means the dive goes on as
-before, so the generators and everything built from them are those of
-the dives, and only the tree shrinks.  The partitions kept are those of
-the first path, all alive at the first leaf anyway.
+partition at each depth, the first leaf's included, and compares each
+node off it, once refined, with the one at its own depth.  When every
+label starts a cell of the same size in both and every non-singleton
+cell is the same tuple, let g take each singleton cell of the first
+path's partition onto this node's cell of the same label and fix every
+other node.  If g is an automorphism, it maps the first path's partition
+onto this node's, and the two dives below go on alike: both split off
+the first node of the same first non-singleton cell, which g fixes, and
+refinement is invariant under relabelling, so g maps each partition of
+the first path onto the dive's at the same depth.  The cells stay alike
+down to the leaves, so g is the map from the first leaf to the dive's
+first leaf, the automorphism that leaf would have given, and the node is
+taken as that leaf: g is a generator, and the search jumps back.  A map
+that is no automorphism only means the dive goes on, so the generators
+and everything built from them are those of the dives, and only the tree
+shrinks.  A leaf is checked the same way: its cells are all singletons,
+so g is the map from the first leaf.  A leaf at another depth than the
+first leaf never gives an automorphism.  A split or a refinement keeps
+the nodes of each cell in the positions that cell covers, so the map
+between two leaves keeps every cell of their deepest common node in
+place.  If it is an automorphism, it takes the vertex split off on one
+path to the one split off at the same position on the other, and by
+induction takes each partition of one path onto the other's at the same
+depth, down to leaves at the same depth.
+The partitions kept are those of the first path, all alive at the first
+leaf anyway.
 
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
@@ -378,7 +387,8 @@ class _Node:
 
 def _early_map(first_path, depth, partition, s, identity):
     """The map from the first path's partition at ``depth`` onto this
-    node's, or None when their cells differ in shape.
+    node's, or None when their cells differ in shape or the first path
+    does not reach ``depth``.
 
     The shapes agree when every label starts a cell of the same size in
     both and every non-singleton cell is the same tuple; the map then
@@ -392,7 +402,7 @@ def _early_map(first_path, depth, partition, s, identity):
         return None
     first = first_path[depth].by_label
     by_label = partition.by_label
-    if first[s] != by_label[s]:
+    if s < len(by_label) and first[s] != by_label[s]:
         return None
     perm = list(identity)
     for a, b in zip(first, by_label):
@@ -416,18 +426,17 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     found; a node off it with the generators that fixed its base when it
     was made.  Each tree node costs one ``color_refine`` call, which splits
     the node's vertex off its parent's partition and refines the result,
-    and counts against ``max_tree_nodes`` when it is entered.  A node off
-    the first path whose partition has the shape of the first path's at
-    its depth is checked at once, with the map between the two partitions;
-    any other is checked at its leaf, with the map from the first leaf.  A
-    map that is an automorphism is a generator and ends the search below
-    the deepest first-path node (the module docstring says why both are
-    exact).
+    and counts against ``max_tree_nodes`` when it is entered.  Each node
+    off the first path, leaves included, whose partition has the shape of
+    the first path's at its depth is checked with the map between the two
+    partitions.  A map that is an automorphism is a generator and ends the
+    search below the deepest first-path node (the module docstring says
+    why this is exact).
     """
     n = graph.n_nodes
     gens: list[tuple[int, ...]] = []
-    first_leaf = None  # node -> position in the first leaf reached
-    first_path: list[OrderedPartition] = []  # its inner nodes' partitions
+    on_first_path = True
+    first_path: list[OrderedPartition] = []  # its partitions by depth
     identity = tuple(range(n))
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
@@ -442,17 +451,14 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
         s = path[-1].label + 1 if path else 0
         while s < n and len(by_label[s]) == 1:
             s += 1
-        if first_leaf is None:
+        if on_first_path:
+            first_path.append(partition)
             if s < n:
                 path.append(_Node(partition, s, gens))
-                first_path.append(partition)
             else:
-                first_leaf = partition.labels
+                on_first_path = False
         else:
-            if s < n:
-                perm = _early_map(first_path, len(path), partition, s, identity)
-            else:
-                perm = tuple([by_label[p][0] for p in first_leaf])
+            perm = _early_map(first_path, len(path), partition, s, identity)
             if perm is not None and is_automorphism(graph, perm):
                 gens.append(perm)
                 # back to the deepest node on the first path: its current

@@ -524,9 +524,9 @@ def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
     maps = []
     early_map = automorphism._early_map
 
-    def recording(*args):
-        perm = early_map(*args)
-        if perm is not None:
+    def recording(first_path, depth, partition, s, identity):
+        perm = early_map(first_path, depth, partition, s, identity)
+        if perm is not None and s < graph.n_nodes:
             maps.append(perm)
         return perm
 
@@ -551,7 +551,14 @@ def test_early_detection_changes_only_the_tree(monkeypatch):
     graphs += [two_frucht_graphs(), rook_and_shrikhande_graphs(),
                encode_program(pigeonhole(6, 5)), encode_program(free_choice(range(1, 17)))]
     early = [find_generators(graph) for graph in graphs]
-    monkeypatch.setattr(automorphism, "_early_map", lambda *args: None)
+    early_map = automorphism._early_map
+
+    def at_leaves(first_path, depth, partition, s, identity):
+        if s < len(partition.by_label):
+            return None
+        return early_map(first_path, depth, partition, s, identity)
+
+    monkeypatch.setattr(automorphism, "_early_map", at_leaves)
     saved = 0
     for graph, search in zip(graphs, early):
         dive = find_generators(graph)
