@@ -53,9 +53,8 @@ between two leaves keeps every cell of their deepest common node in
 place.  If it is an automorphism, it takes the vertex split off on one
 path to the one split off at the same position on the other, and by
 induction takes each partition of one path onto the other's at the same
-depth, down to leaves at the same depth.
-The partitions kept are those of the first path, all alive at the first
-leaf anyway.
+depth, down to leaves at the same depth.  The partitions kept are those
+of the first path, all alive at the first leaf anyway.
 
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
@@ -385,7 +384,7 @@ class _Node:
         return None
 
 
-def _early_map(first_path, depth, partition, s, identity):
+def _early_map(first_path, depth, partition, s):
     """The map from the first path's partition at ``depth`` onto this
     node's, or None when their cells differ in shape or the first path
     does not reach ``depth``.
@@ -395,8 +394,8 @@ def _early_map(first_path, depth, partition, s, identity):
     takes each singleton cell onto this node's cell of the same label and
     fixes every other node.  ``s`` is the label of the node's first
     non-singleton cell, compared first, so a node that differs there
-    costs no scan.  The map is built on a copy of ``identity``, so every
-    map kept as a generator shares its node ids with all the others.
+    costs no scan.  The map's entries are the node ids of the cells, so
+    every map kept as a generator shares them with all the others.
     """
     if depth >= len(first_path):
         return None
@@ -404,15 +403,19 @@ def _early_map(first_path, depth, partition, s, identity):
     by_label = partition.by_label
     if s < len(by_label) and first[s] != by_label[s]:
         return None
-    perm = list(identity)
+    perm = [None] * len(by_label)
     for a, b in zip(first, by_label):
-        if a is b:
-            continue
-        if a is None or b is None or len(a) != len(b):
-            return None
-        if len(a) == 1:
+        if a is None or b is None:
+            if a is not b:
+                return None
+        elif len(a) == 1:
+            if len(b) != 1:
+                return None
             perm[a[0]] = b[0]
-        elif a != b:
+        elif a is b or a == b:
+            for v in a:
+                perm[v] = v
+        else:
             return None
     return tuple(perm)
 
@@ -437,7 +440,6 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     gens: list[tuple[int, ...]] = []
     on_first_path = True
     first_path: list[OrderedPartition] = []  # its partitions by depth
-    identity = tuple(range(n))
     path: list[_Node] = []  # the inner nodes above the current one
     partition = color_refine(graph, partition_by_colors(graph))
     v = None  # the vertex the current partition individualized
@@ -458,7 +460,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             else:
                 on_first_path = False
         else:
-            perm = _early_map(first_path, len(path), partition, s, identity)
+            perm = _early_map(first_path, len(path), partition, s)
             if perm is not None and is_automorphism(graph, perm):
                 gens.append(perm)
                 # back to the deepest node on the first path: its current

@@ -524,8 +524,8 @@ def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
     maps = []
     early_map = automorphism._early_map
 
-    def recording(first_path, depth, partition, s, identity):
-        perm = early_map(first_path, depth, partition, s, identity)
+    def recording(first_path, depth, partition, s):
+        perm = early_map(first_path, depth, partition, s)
         if perm is not None and s < graph.n_nodes:
             maps.append(perm)
         return perm
@@ -553,10 +553,10 @@ def test_early_detection_changes_only_the_tree(monkeypatch):
     early = [find_generators(graph) for graph in graphs]
     early_map = automorphism._early_map
 
-    def at_leaves(first_path, depth, partition, s, identity):
+    def at_leaves(first_path, depth, partition, s):
         if s < len(partition.by_label):
             return None
-        return early_map(first_path, depth, partition, s, identity)
+        return early_map(first_path, depth, partition, s)
 
     monkeypatch.setattr(automorphism, "_early_map", at_leaves)
     saved = 0
