@@ -119,10 +119,11 @@ def _print_violations(violations) -> int:
 
 
 def _verify(program: GroundProgram, result: BreakResult) -> int:
-    """Oracle-check the break of ``program`` into ``result``; print the
-    verdict lines and return the exit status.  A search permutation that
-    failed the gate is a detection bug whatever the budgets, so it sets
-    status 4 even when a budget stops the check."""
+    """Print ``oracle.check_soundness``'s verdict on the break of ``program``
+    into ``result``: new answer sets, lost orbits and generators that move
+    answer sets.  Return the exit status.  A search permutation that failed
+    the gate is a detection bug whatever the budgets, so it sets status 4
+    even when a budget stops the check."""
     from .oracle import OracleBudgetError, check_soundness  # verify alone needs it
 
     violations = [f"automorphism {format_generator(perm, program)} failed the "
@@ -136,18 +137,14 @@ def _verify(program: GroundProgram, result: BreakResult) -> int:
     except OracleBudgetError as exc:
         print(f"symbreak: {exc}", file=sys.stderr)
         return _print_violations(violations) or 2
-    base = set(verdict.original)
-    if not verdict.surviving <= base:
+    if verdict.extra:
         violations.append("augmented program admits a non-answer-set")
-    if not verdict.ok:
+    if verdict.missing:
         violations.append(f"{len(verdict.missing)} orbit(s) lost every representative")
-    for g in result.detection.generators:
-        mapped = {g.apply_to_set(interp) for interp in base}
-        if mapped != base:
-            violations.append(f"generator {format_generator(g, program)} does not "
-                              "preserve the answer sets")
+    violations.extend(f"generator {format_generator(g, program)} does not preserve "
+                      "the answer sets" for g in verdict.unpreserved)
     print(f"symbreak: answer sets {len(verdict.original)} -> {len(verdict.surviving)}"
-          + (" (unsat preserved)" if not base and not verdict.surviving else ""),
+          + ("" if verdict.original or verdict.surviving else " (unsat preserved)"),
           file=sys.stderr)
     if _print_violations(violations):
         return 4

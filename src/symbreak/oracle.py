@@ -16,8 +16,10 @@ agrees with the guess on the guessed atoms, so defined auxiliary atoms
 cost nothing.  A program with a disjunctive rule guesses every atom, and a
 guess is stable when it is a model of its reduct and no proper subset is;
 every model of the reduct holds the least model of its single-head rules,
-so only the subsets that hold it are tried.
-Minimize statements play no part.
+so only the subsets that hold it are tried.  Minimize statements play no part.
+
+``check_soundness`` alone decides whether a break is sound, walking each
+orbit of the input's answer sets once.
 """
 
 from typing import NamedTuple
@@ -41,24 +43,16 @@ def _or_bits(atoms) -> int:
 
 
 def _mask_atoms(mask: int) -> frozenset[int]:
-    out = []
-    a = 1
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return frozenset(out)
+    return frozenset(a for a in range(1, mask.bit_length() + 1) if mask >> (a - 1) & 1)
 
 
-def _gray_subsets(mask: int):
-    """All subset masks of ``mask``, one bit flipped per step."""
-    bits = [b for b in map(_bit, range(1, mask.bit_length() + 1)) if mask & b]
-    cand = 0
-    yield cand
-    for i in range(1, 1 << len(bits)):
-        cand ^= bits[(i & -i).bit_length() - 1]
-        yield cand
+def _subsets(mask: int):
+    """All subset masks of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
 
 
 def _compile(rules):
@@ -161,7 +155,7 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
               if heads == false and (pos | neg) & ~guess == 0]
 
     found = []
-    for cand in _gray_subsets(guess):
+    for cand in _subsets(guess):
         for pos, neg in reject:
             if cand & pos == pos and not cand & neg:
                 break
@@ -174,7 +168,7 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
                     least = _least_model([r for r in rules if r[0].bit_count() == 1],
                                          weighed, false)
                     if not any(least | sub != cand and _is_model(least | sub, rules, weighed)
-                               for sub in _gray_subsets(cand & ~least)):
+                               for sub in _subsets(cand & ~least)):
                         found.append(_mask_atoms(cand))
             else:
                 model = _least_model(rules, weighed, false)
@@ -184,41 +178,49 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
 
 
 class SoundnessVerdict(NamedTuple):
-    """Outcome of the orbit check: every answer set of the input must have
-    a symmetric image surviving in the augmented program.
-
-    ``original`` lists the input's answer sets; ``surviving`` holds the
-    augmented program's, projected onto the input's atoms.
-    """
+    """Outcome of ``check_soundness``: the input's answer sets (``original``),
+    the augmented program's projected onto the input's atoms (``surviving``),
+    the first answer set of each orbit left without a survivor (``missing``),
+    the survivors that are no answer sets of the input (``extra``), and the
+    generators, in order, that move an answer set out of the set
+    (``unpreserved``).  ``ok`` holds when the last three are empty."""
 
     ok: bool
     missing: tuple[frozenset[int], ...]
     original: tuple[frozenset[int], ...]
     surviving: frozenset[frozenset[int]]
+    extra: tuple[frozenset[int], ...]
+    unpreserved: tuple
 
 
 def check_soundness(program: GroundProgram, generators, augmented: GroundProgram,
                     budget: int = 20) -> SoundnessVerdict:
-    """Verify that symmetry breaking kept a representative of every orbit.
-
-    ``generators`` are atom permutations; the orbit of each answer set of
-    ``program`` under the group they generate must intersect the answer
-    sets of ``augmented`` projected back onto the original vocabulary.
-    """
+    """Decide whether breaking ``program`` into ``augmented`` is sound: each
+    orbit of the input's answer sets under ``generators`` keeps a survivor,
+    no survivor is a new answer set, and each generator maps the answer sets
+    onto themselves.  One walk closes each orbit once, from the first answer
+    set no earlier walk reached, so each answer set meets each generator
+    once; an image that is no answer set only marks its generator."""
     base = answer_sets(program, budget)
     keep = frozenset(frozenset(a for a in interp if a <= program.max_atom)
                      for interp in answer_sets(augmented, budget))
-    missing = []
+    reached = dict.fromkeys(base, False)
+    broken, missing = set(), []
     for interp in base:
-        orbit = {interp}
-        frontier = [interp]
-        while frontier:
-            current = frontier.pop()
-            for g in generators:
-                image = g.apply_to_set(current)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        if not orbit & keep:
-            missing.append(interp)
-    return SoundnessVerdict(not missing, tuple(missing), tuple(base), keep)
+        if not reached[interp]:
+            reached[interp] = True
+            orbit = [interp]
+            for current in orbit:
+                for i, g in enumerate(generators):
+                    image = g.apply_to_set(current)
+                    if image not in reached:
+                        broken.add(i)
+                    elif not reached[image]:
+                        reached[image] = True
+                        orbit.append(image)
+            if keep.isdisjoint(orbit):
+                missing.append(interp)
+    extra = tuple(sorted(keep - reached.keys(), key=sorted))
+    unpreserved = tuple(g for i, g in enumerate(generators) if i in broken)
+    return SoundnessVerdict(not (missing or extra or unpreserved), tuple(missing),
+                            tuple(base), keep, extra, unpreserved)

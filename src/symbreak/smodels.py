@@ -494,6 +494,10 @@ def validate(program: GroundProgram, first_rule: int = 0) -> list[str]:
     for name, count in names.items():
         if count > 1:
             out.append(f"symbol table: name {name!r} used {count} times")
+        # the writer puts each name on its own line and the reader strips it
+        if name.splitlines() != [name] or name != name.strip():
+            out.append(f"symbol table: name {name!r} must be one non-empty line "
+                       "with no leading or trailing whitespace")
     for a in program.symbols:
         atom_ok(a, "symbol table")
     for a in program.compute_plus:

@@ -80,7 +80,7 @@ class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])
                                         for a, b in self.moved.items())
 
     def apply_to_set(self, interp) -> frozenset[int]:
-        return frozenset(self.image_of(a) for a in interp)
+        return frozenset(map(self.moved.get, interp, interp))
 
     def key(self):
         return tuple(sorted(self.moved.items()))

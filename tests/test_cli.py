@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import symbreak
-from symbreak import BreakConfig, break_program, parse_program, write_program
+from symbreak import BasicRule, BreakConfig, break_program, parse_program, write_program
 from symbreak.cli import build_parser, main
 from symbreak.encoding import dump_graph, encode_program
 from symbreak.symmetry import AtomPermutation
@@ -321,6 +321,44 @@ def test_verify_names_a_generator_that_moves_answer_sets(monkeypatch, capsys):
     assert code == 4
     assert ("symbreak: VIOLATION: generator (a b) does not preserve the answer sets"
             in err.splitlines())
+
+
+def test_verify_counts_each_lost_orbit_once(monkeypatch, capsys):
+    """A break that kills every answer set of P1 loses its three orbits,
+    {}, {p} ~ {q} and {p, q}."""
+    from symbreak import cli
+    real = cli.break_program
+    killed = p1()._replace(rules=p1().rules + (BasicRule(3, (1,)),
+                                               BasicRule(3, (), (1,))),
+                           compute_minus=(3,))
+
+    def killing(program, config=None):
+        return real(program, config)._replace(program=killed)
+
+    monkeypatch.setattr(cli, "break_program", killing)
+    code, out, err = run_cli(["--mode", "verify"], P1_TEXT, monkeypatch, capsys)
+    assert code == 4
+    assert err.splitlines() == ["symbreak: answer sets 4 -> 0",
+                                "symbreak: VIOLATION: 3 orbit(s) lost every representative"]
+
+
+def test_verify_free_choice_walks_each_orbit_once(monkeypatch, capsys):
+    """S12's 4,096 answer sets form 13 orbits; each answer set meets each
+    of the 11 generators once, where a walk per answer set took minutes."""
+    calls = []
+    real = AtomPermutation.apply_to_set
+
+    def counting(perm, interp):
+        calls.append(interp)
+        return real(perm, interp)
+
+    monkeypatch.setattr(AtomPermutation, "apply_to_set", counting)
+    text = write_program(free_choice(range(1, 13)))
+    code, out, err = run_cli(["--mode", "verify"], text, monkeypatch, capsys)
+    assert code == 0
+    assert err.splitlines() == ["symbreak: answer sets 4096 -> 13",
+                                "symbreak: verification passed"]
+    assert len(calls) == 4096 * 11
 
 
 def test_pipe_composability_subprocess():

@@ -6,10 +6,10 @@ import pytest
 
 from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, OracleBudgetError,
-                      WeightRule, answer_sets, check_soundness)
+                      WeightRule, answer_sets, break_program, check_soundness)
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import satisfies
-from programs import (p1, p2, p3, p4, p5, pigeonhole, random_program,
+from programs import (free_choice, p1, p2, p3, p4, p5, pigeonhole, random_program,
                       reference_answer_sets)
 
 
@@ -157,6 +157,46 @@ def test_check_soundness_trivial_and_adversarial():
     verdict = check_soundness(p1(), [swap], killed)
     assert not verdict.ok
     assert not verdict.surviving
+    # one entry per lost orbit, {1} standing for {2}
+    assert verdict.missing == (frozenset(), frozenset({1}), frozenset({1, 2}))
+    assert not verdict.extra and not verdict.unpreserved
+
+
+def test_check_soundness_names_generators_that_move_answer_sets():
+    # P1's answer sets are the subsets of {1, 2}; moving 1 or 2 to a
+    # third atom leaves them, swapping 1 and 2 does not
+    swap = AtomPermutation({1: 2, 2: 1})
+    p_out, q_out = AtomPermutation({1: 3, 3: 1}), AtomPermutation({2: 4, 4: 2})
+    verdict = check_soundness(p1(), [p_out, swap, q_out, swap], p1())
+    assert verdict.unpreserved == (p_out, q_out)
+    assert not verdict.ok
+    assert not verdict.missing and not verdict.extra
+
+
+def test_check_soundness_names_survivors_that_are_no_answer_sets():
+    # dropping the constraint of P3 lets p and q hold together
+    unconstrained = GroundProgram(rules=p3().rules[1:], symbols=p3().symbols)
+    verdict = check_soundness(p3(), [AtomPermutation({2: 3, 3: 2})], unconstrained)
+    assert verdict.extra == (frozenset({2, 3}),)
+    assert not verdict.ok
+    assert not verdict.missing and not verdict.unpreserved
+
+
+def test_check_soundness_applies_each_generator_once_per_answer_set():
+    calls = []
+
+    class Counting(AtomPermutation):
+        def apply_to_set(self, interp):
+            calls.append(interp)
+            return super().apply_to_set(interp)
+
+    program = free_choice(range(1, 7))
+    result = break_program(program)
+    generators = [Counting(g.moved) for g in result.detection.generators]
+    verdict = check_soundness(program, generators, result.program)
+    assert verdict.ok
+    assert (len(verdict.original), len(generators)) == (64, 5)
+    assert len(calls) == 64 * 5
 
 
 def test_oracle_agrees_with_reference_on_random_programs():

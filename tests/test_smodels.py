@@ -127,6 +127,28 @@ def test_validate_duplicate_names_and_bounds():
     assert any("'x' used 2 times" in d for d in problems)
 
 
+def test_validate_reports_names_the_writer_cannot_round_trip():
+    """A name is written on its own line and read back stripped, so an
+    empty name, one with a line break (anything ``str.splitlines`` splits
+    on) or with outer whitespace would not come back as it was."""
+    bad = ["a\nb", "", "a\x0cb", " a", "a\u2028b", "a\t"]
+    program = GroundProgram(rules=(ChoiceRule(tuple(range(1, 8))),),
+                            symbols=dict(enumerate(bad + ["a b"], 1)))
+    assert validate(program) == [
+        f"symbol table: name {name!r} must be one non-empty line with no "
+        "leading or trailing whitespace" for name in bad]
+    for name in bad:
+        single = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: name})
+        try:
+            back = parse_program(write_program(single)).symbols
+        except ParseError:
+            continue
+        assert back != single.symbols
+    good = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: "a b"})
+    assert validate(good) == []
+    assert parse_program(write_program(good)).symbols == {1: "a b"}
+
+
 def test_validate_rule_shape():
     bad = GroundProgram(rules=(Rule(1, (2, 3)), Rule(6, (2,)), Rule(7, (2,)),
                                Rule(2, (2,)), Rule(1, (2,), bound=1),
