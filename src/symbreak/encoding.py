@@ -1,9 +1,11 @@
 """Colored-graph encoding whose automorphisms are the program's syntactic
 symmetries.
 
-Every atom contributes a positive node (color 1) and a negative node
-(color 2) joined by an edge, so any automorphism maps literals
-consistently.  Every rule contributes a head node and a body node wired to
+Every atom the program's view mentions contributes a positive node
+(color 1) and a negative node (color 2) joined by an edge, so any
+automorphism maps literals consistently.  An atom no rule mentions gets
+no node: it is false in every answer set, so the graph, and its cost,
+follow the rules and not the largest atom index.  Every rule contributes a head node and a body node wired to
 the literals it mentions; choice heads, minimize statements, bounds and
 weights get their own colors so that structurally different rules can
 never be exchanged.  The graph is undirected throughout.
@@ -45,7 +47,7 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     """Undirected graph with integer node colors.
 
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
-    lists the encoded atom indices in node order: atom ``atoms[i]`` owns
+    is its view's ``atoms``, those its rules mention, in node order: atom ``atoms[i]`` owns
     the positive node ``2*i`` and the negative node ``2*i + 1``; rule
     nodes follow in rule order, except that binary constraints drawn as
     literal edges have none and those written more than once come last.
@@ -81,9 +83,7 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     atoms = sem.atoms
     false = sem.false_atom
     # node[a] is atom a's positive node; its negative node is node[a] + 1
-    node = [None] * (sem.max_atom + 1)
-    for i, a in enumerate(atoms):
-        node[a] = 2 * i
+    node = {a: 2 * i for i, a in enumerate(atoms)}
     colors = [ATOM_COLOR, NEGATION_COLOR] * len(atoms)
     nbrs = [[i ^ 1] for i in range(len(colors))]
 

@@ -5,11 +5,10 @@ converted to an atom permutation and re-validated as a syntactic symmetry
 before anything is built from it; permutations failing the gate are
 dropped and kept aside, so a detection bug can only weaken the breaking,
 never corrupt it.  Binary clauses pair each emitted level's base atom v
-with the rest of its orbit under the level's generators, and a generator
-counts only if it is one of the validated ones and moves no atom ranked
-below v; anything else is dropped, never sent to the gate again.
-Syntactic symmetries form a group, so every orbit point is reached by a
-symmetry that fixes everything ranked below v.  The constraint head is
+with the rest of its orbit under the level's generators, which are the
+validated ones that move no atom ranked below v.  Syntactic symmetries
+form a group, so every orbit point is reached by a symmetry that fixes
+everything ranked below v.  The constraint head is
 not chosen here: ``FreshAtoms`` takes it from the program's view.
 """
 
@@ -77,16 +76,11 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     gens = detection.generators
 
     rows = detect_rows(program, gens) if config.row_detection else []
-    order = choose_order(program, gens, rows)
+    order = choose_order(gens, rows)
 
     pairs = []
-    if config.stabilizer_levels:
-        validated = set(gens)  # these passed the gate in detect_symmetries
-        rank = order.rank
-        for v, fixing in stabilizer_binary_symmetries(gens, order, config.stabilizer_levels):
-            kept = [s for s in fixing if s in validated
-                    and all(rank.get(a, -1) >= rank[v] for a in s.support)]
-            pairs += [(v, w) for w in sorted(orbit(kept, v) - {v})]
+    for v, fixing in stabilizer_binary_symmetries(gens, order, config.stabilizer_levels):
+        pairs += [(v, w) for w in sorted(orbit(fixing, v) - {v})]
 
     alloc = FreshAtoms(program)
     fragments = []

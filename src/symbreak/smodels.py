@@ -162,12 +162,17 @@ class GroundProgram(NamedTuple("GroundProgram", [
         return super().__new__(cls, rules, symbols, plus, minus, model_count)
 
     @cached_property
+    def mentioned(self) -> frozenset[int]:
+        """The atoms the rules and compute blocks mention, read in one pass."""
+        return frozenset().union(self.compute_plus, self.compute_minus,
+                                 *(r.heads + r.pos + r.neg for r in self.rules))
+
+    @cached_property
     def max_atom(self) -> int:
         """The largest atom index in the rules, symbols and compute
-        blocks; 0 when there is none."""
-        return max(chain(self.symbols, self.compute_plus, self.compute_minus,
-                         chain.from_iterable(r.heads + r.pos + r.neg for r in self.rules)),
-                   default=0)
+        blocks; 0 when there is none.  It places fresh atoms, and nothing
+        is sized by it: a named atom no rule mentions costs nothing."""
+        return max(chain(self.mentioned, self.symbols), default=0)
 
     @cached_property
     def false_atom(self):
@@ -216,22 +221,22 @@ class GroundProgram(NamedTuple("GroundProgram", [
 
 
 class SemanticProgram(NamedTuple("SemanticProgram", [
-        ("rules", tuple[Rule, ...]), ("max_atom", int), ("false_atom", int)])):
+        ("rules", tuple[Rule, ...]), ("atoms", tuple[int, ...]), ("max_atom", int),
+        ("false_atom", int)])):
     """A program with compute blocks folded into constraints.
 
     ``false_atom`` heads the folded compute blocks and every constraint
     the breaking layer appends: the input's reserved atom, or else one
     past its ``max_atom``, which the view's ``max_atom`` then counts.
-    All downstream semantics (graph encoding, syntactic symmetry checks,
-    the oracle) work on this view, ``GroundProgram.view``, which also owns
-    the gate's rule ``keys`` and atom ``occurrences``; the wire-level
-    program keeps its compute blocks verbatim.
+    ``atoms`` are the atoms the view's rules mention other than
+    ``false_atom``, ascending.  No rule derives any other atom, so each
+    of those is false in every answer set and permuting them fixes every
+    answer set: atoms need not be numbered densely, and nothing but fresh
+    atoms is placed by ``max_atom``.  All downstream semantics (graph encoding, syntactic
+    symmetry checks, the oracle) work on this view, ``GroundProgram.view``,
+    which also owns the gate's rule ``keys`` and atom ``occurrences``; the
+    wire-level program keeps its compute blocks verbatim.
     """
-
-    @property
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(a for a in range(1, self.max_atom + 1)
-                     if a != self.false_atom)
 
     @cached_property
     def keys(self) -> tuple:
@@ -251,6 +256,7 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
 def semantic_view(program: GroundProgram) -> SemanticProgram:
     false = program.false_atom
     max_atom = program.max_atom
+    atoms = tuple(sorted(program.mentioned - {false}))
     plus = list(program.compute_plus)
     minus = [a for a in program.compute_minus if a != false]
     if false is None:
@@ -258,7 +264,7 @@ def semantic_view(program: GroundProgram) -> SemanticProgram:
         false = max_atom
     extra = [BasicRule(false, (), (a,)) for a in plus]
     extra += [BasicRule(false, (a,), ()) for a in minus]
-    return SemanticProgram(program.rules + tuple(extra), max_atom, false)
+    return SemanticProgram(program.rules + tuple(extra), atoms, max_atom, false)
 
 
 def _int(tok: str, line_no: int) -> int:

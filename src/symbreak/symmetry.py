@@ -93,8 +93,10 @@ def restrict_to_atoms(graph: ColoredGraph, node_perm) -> AtomPermutation:
     """Atom permutation induced by a graph automorphism.
 
     Atom nodes only ever map to atom nodes (color 1 is theirs alone), so
-    the restriction is well defined; the reserved false atom has no node
-    and can therefore never move.
+    the restriction is well defined.  Only the atoms the program's rules
+    mention have nodes: the reserved false atom and every atom no rule
+    mentions can therefore never move.  Such atoms touch no rule, so a
+    symmetry that moves them restricts to one that does not.
     """
     moved = {}
     for i, a in enumerate(graph.atoms):
@@ -285,7 +287,8 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
 
 
 class AtomOrder(NamedTuple("AtomOrder", [("sequence", tuple[int, ...])])):
-    """Total order on atoms 1..max_atom, as the sequence of atoms by rank."""
+    """Order on the atoms that breaking ranks, those some matrix or
+    generator moves, as the sequence of atoms by rank."""
 
     @cached_property
     def rank(self) -> dict[int, int]:
@@ -295,13 +298,14 @@ class AtomOrder(NamedTuple("AtomOrder", [("sequence", tuple[int, ...])])):
         return sorted(atoms, key=self.rank.__getitem__)
 
 
-def choose_order(program: GroundProgram, gens, rows) -> AtomOrder:
+def choose_order(gens, rows) -> AtomOrder:
     """Atom order matched to the detected symmetries.
 
     Matrix atoms come first in row-major layout, then the remaining
     support of each generator cycle by cycle (generators by ascending
-    support size, then smallest support atom), then untouched atoms by
-    index.
+    support size, then smallest support atom).  Atoms that nothing moves
+    are left out, as no breaking rule ranks them.  The name is kept for
+    ``perfbench/tracer.py``, which looks the function up by it.
     """
     sequence = []
     seen = set()
@@ -319,8 +323,6 @@ def choose_order(program: GroundProgram, gens, rows) -> AtomOrder:
         for cycle in g.cycles():
             for a in cycle:
                 push(a)
-    for a in range(1, program.max_atom + 1):
-        push(a)
     return AtomOrder(tuple(sequence))
 
 

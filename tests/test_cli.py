@@ -369,6 +369,45 @@ def test_pipe_composability_subprocess():
     assert b"generators=1" in proc.stderr
 
 
+# ``<- a2, a1000000000``: two atoms, one of them named by a vast index
+SPARSE_TEXT = "1 1 2 0 2 1000000000\n0\n0\nB+\n0\nB-\n1\n0\n1\n"
+# ``a | b.`` with a third named atom, z, that no rule mentions
+NAMED_UNUSED_TEXT = "8 2 2 3 0 0\n0\n2 a\n3 b\n40 z\n0\nB+\n0\nB-\n1\n0\n1\n"
+
+
+def test_sparse_atom_indices_cost_what_the_rules_cost():
+    """Only the atoms the rules mention get graph nodes and ranks, so a
+    child capped at 1 GiB of address space breaks the program above in
+    the time a dense one takes: one generator, one appended rule."""
+    resource = pytest.importorskip("resource")
+    cap = 2 ** 30
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    proc = subprocess.run([sys.executable, "-m", "symbreak", "--stats"],
+                          input=SPARSE_TEXT, capture_output=True, encoding="utf-8",
+                          preexec_fn=cap_address_space, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stats = stats_of(proc.stderr)
+    assert (stats["generators"], stats["rules"]) == ("1", "1")
+    assert parse_program(proc.stdout).rules[-1] == BasicRule(1, (2,), (10 ** 9,))
+
+
+def test_named_atom_no_rule_mentions_is_neither_broken_nor_guessed(monkeypatch, capsys):
+    """Atom z is false in every answer set: it gets no node, so the only
+    symmetry is the swap of a and b, and the oracle guesses only a and b."""
+    code, _, err = run_cli(["--stats"], NAMED_UNUSED_TEXT, monkeypatch, capsys)
+    assert code == 0
+    stats = stats_of(err)
+    assert (stats["generators"], stats["rules"]) == ("1", "1")
+    code, out, err = run_cli(["--mode", "verify"], NAMED_UNUSED_TEXT, monkeypatch, capsys)
+    assert code == 0 and out == ""
+    assert err.splitlines() == ["symbreak: answer sets 2 -> 1",
+                                "symbreak: verification passed"]
+
+
 EMPTY_TEXT = "0\n0\nB+\n0\nB-\n0\n1\n"
 SOURCE_ROOT = os.path.dirname(os.path.dirname(symbreak.__file__))
 

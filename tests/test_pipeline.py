@@ -9,7 +9,7 @@ import pytest
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
                       detect_symmetries, is_syntactic_symmetry, parse_program,
-                      pipeline, validate, write_program)
+                      pipeline, stabilizer_binary_symmetries, validate, write_program)
 from symbreak.cli import main
 from symbreak.smodels import BASIC
 from symbreak.symmetry import AtomPermutation
@@ -288,33 +288,21 @@ def test_verify_names_a_rejection_when_the_search_runs_out(monkeypatch, capsys):
         "symbreak: VIOLATION: automorphism (p r) failed the syntactic symmetry check"]
 
 
-def test_pairs_come_only_from_certified_strong_generators(monkeypatch):
-    """Of the generators a mutant level hands over for atom 2, one that is
-    no symmetry, one that is a symmetry but no validated generator, the
-    identity, one that moves an atom outside 1..max_atom and the validated
-    generator (1 2), which moves atom 1 (ranked below 2), add nothing to
-    the orbit; only the validated generator (2 3) gives a pair.  None of
-    them is sent to the gate after the search's permutations."""
-    program = GroundProgram(rules=(ChoiceRule((1,)), ChoiceRule((2,)), ChoiceRule((3,)),
-                                   BasicRule(4, (1, 2, 3))))
-    generator = AtomPermutation.from_cycles((2, 3))
-    below = AtomPermutation.from_cycles((1, 2))  # validated, but it moves 1
-    no_symmetry = AtomPermutation.from_cycles((2, 4))
-    unvalidated = AtomPermutation.from_cycles((1, 2, 3))  # a symmetry, never searched
-    outside = AtomPermutation.from_cycles((2, 9))
-    strong = [no_symmetry, unvalidated, AtomPermutation({}), outside, below, generator]
-    monkeypatch.setattr(pipeline, "stabilizer_binary_symmetries", lambda *args: [(2, strong)])
-    gated = []
-    real_gate = pipeline.is_syntactic_symmetry
-    monkeypatch.setattr(pipeline, "is_syntactic_symmetry",
-                        lambda program, perm: gated.append(perm) or real_gate(program, perm))
-    result = break_program(program)
-    detection = result.detection
-    assert {generator, below} <= set(detection.generators)
-    assert result.order.sequence[:2] == (1, 2)
-    assert is_syntactic_symmetry(program, unvalidated)
-    assert len(gated) == len(detection.generators) + len(detection.rejected)
-    assert result.pairs == [(2, 3)]
+def test_levels_hand_over_validated_generators_fixing_lower_atoms():
+    """The pipeline pairs each level's base atom v with its orbit under the
+    level's generators as they come, so each level must hand over a
+    sub-list of the validated generators, in their order, none of which
+    moves an atom ranked below v."""
+    levels_seen = 0
+    for program in [*corpus(), *workload_instances(range(1, 5))]:
+        result = break_program(program, BreakConfig(stabilizer_levels=10 ** 6))
+        gens, rank = result.detection.generators, result.order.rank
+        for v, fixing in stabilizer_binary_symmetries(gens, result.order, 10 ** 6):
+            remaining = iter(gens)
+            assert all(s in remaining for s in fixing), program
+            assert all(rank[a] >= rank[v] for s in fixing for a in s.support), program
+            levels_seen += 1
+    assert levels_seen >= 400
 
 
 def test_stabilizer_pairs_cost_no_gate_call(monkeypatch):
