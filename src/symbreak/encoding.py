@@ -3,12 +3,12 @@ symmetries.
 
 Every atom the program's view mentions contributes a positive node
 (color 1) and a negative node (color 2) joined by an edge, so any
-automorphism maps literals consistently.  An atom no rule mentions gets
-no node: it is false in every answer set, so the graph, and its cost,
-follow the rules and not the largest atom index.  Every rule contributes a head node and a body node wired to
-the literals it mentions; choice heads, minimize statements, bounds and
-weights get their own colors so that structurally different rules can
-never be exchanged.  The graph is undirected throughout.
+automorphism maps literals consistently; an atom no rule mentions is
+false in every answer set and gets no node.  Every rule contributes a
+head node and a body node wired to the literals it mentions; choice
+heads, minimize statements, bounds and weights get their own colors so
+that structurally different rules can never be exchanged.  The graph is
+undirected throughout.
 
 The reserved false atom is not represented: rules it heads (integrity
 constraints) keep their head node but get no head-literal edge, which both
@@ -47,10 +47,11 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     """Undirected graph with integer node colors.
 
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
-    is its view's ``atoms``, those its rules mention, in node order: atom ``atoms[i]`` owns
-    the positive node ``2*i`` and the negative node ``2*i + 1``; rule
-    nodes follow in rule order, except that binary constraints drawn as
-    literal edges have none and those written more than once come last.
+    is its view's ``atoms``, those its rules mention, in node order:
+    atom ``atoms[i]`` owns the positive node ``2*i`` and the negative
+    node ``2*i + 1``; rule nodes follow in rule order, except that binary
+    constraints drawn as literal edges have none and those written more
+    than once come last.
     """
 
     def __new__(cls, colors, neighbors, atoms=()):

@@ -8,8 +8,8 @@ never corrupt it.  Binary clauses pair each emitted level's base atom v
 with the rest of its orbit under the level's generators, which are the
 validated ones that move no atom ranked below v.  Syntactic symmetries
 form a group, so every orbit point is reached by a symmetry that fixes
-everything ranked below v.  The constraint head is
-not chosen here: ``FreshAtoms`` takes it from the program's view.
+everything ranked below v.  The constraint head is not chosen here:
+``FreshAtoms`` takes it from the program's view.
 """
 
 from typing import NamedTuple

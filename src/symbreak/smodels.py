@@ -164,14 +164,13 @@ class GroundProgram(NamedTuple("GroundProgram", [
     @cached_property
     def mentioned(self) -> frozenset[int]:
         """The atoms the rules and compute blocks mention, read in one pass."""
-        return frozenset().union(self.compute_plus, self.compute_minus,
-                                 *(r.heads + r.pos + r.neg for r in self.rules))
+        return frozenset(chain(self.compute_plus, self.compute_minus,
+                               chain.from_iterable(r.heads + r.pos + r.neg for r in self.rules)))
 
     @cached_property
     def max_atom(self) -> int:
         """The largest atom index in the rules, symbols and compute
-        blocks; 0 when there is none.  It places fresh atoms, and nothing
-        is sized by it: a named atom no rule mentions costs nothing."""
+        blocks; 0 when there is none."""
         return max(chain(self.mentioned, self.symbols), default=0)
 
     @cached_property
@@ -228,11 +227,10 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
     ``false_atom`` heads the folded compute blocks and every constraint
     the breaking layer appends: the input's reserved atom, or else one
     past its ``max_atom``, which the view's ``max_atom`` then counts.
-    ``atoms`` are the atoms the view's rules mention other than
-    ``false_atom``, ascending.  No rule derives any other atom, so each
-    of those is false in every answer set and permuting them fixes every
-    answer set: atoms need not be numbered densely, and nothing but fresh
-    atoms is placed by ``max_atom``.  All downstream semantics (graph encoding, syntactic
+    ``atoms`` are the atoms its rules mention but ``false_atom``,
+    ascending; no rule derives any other atom, so those are false in
+    every answer set, and nothing but fresh atoms is placed by
+    ``max_atom``.  All downstream semantics (graph encoding, syntactic
     symmetry checks, the oracle) work on this view, ``GroundProgram.view``,
     which also owns the gate's rule ``keys`` and atom ``occurrences``; the
     wire-level program keeps its compute blocks verbatim.

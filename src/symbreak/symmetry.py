@@ -94,9 +94,8 @@ def restrict_to_atoms(graph: ColoredGraph, node_perm) -> AtomPermutation:
 
     Atom nodes only ever map to atom nodes (color 1 is theirs alone), so
     the restriction is well defined.  Only the atoms the program's rules
-    mention have nodes: the reserved false atom and every atom no rule
-    mentions can therefore never move.  Such atoms touch no rule, so a
-    symmetry that moves them restricts to one that does not.
+    mention have nodes, so the reserved false atom and every atom that
+    touches no rule can never move.
     """
     moved = {}
     for i, a in enumerate(graph.atoms):
@@ -307,23 +306,11 @@ def choose_order(gens, rows) -> AtomOrder:
     are left out, as no breaking rule ranks them.  The name is kept for
     ``perfbench/tracer.py``, which looks the function up by it.
     """
-    sequence = []
-    seen = set()
-
-    def push(a):
-        if a not in seen:
-            seen.add(a)
-            sequence.append(a)
-
-    for matrix in rows:
-        for row in matrix.rows:
-            for a in row:
-                push(a)
-    for g in sorted(gens, key=lambda g: (len(g.support), min(g.support, default=0))):
-        for cycle in g.cycles():
-            for a in cycle:
-                push(a)
-    return AtomOrder(tuple(sequence))
+    gens = sorted(gens, key=lambda g: (len(g.support), min(g.support, default=0)))
+    # a dict keeps each atom's first place
+    return AtomOrder(tuple(dict.fromkeys(
+        [a for matrix in rows for row in matrix.rows for a in row]
+        + [a for g in gens for cycle in g.cycles() for a in cycle])))
 
 
 def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5

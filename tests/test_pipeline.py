@@ -8,11 +8,10 @@ import pytest
 
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
-                      detect_symmetries, is_syntactic_symmetry, parse_program,
-                      pipeline, stabilizer_binary_symmetries, validate, write_program)
+                      detect_symmetries, parse_program, pipeline,
+                      stabilizer_binary_symmetries, validate, write_program)
 from symbreak.cli import main
 from symbreak.smodels import BASIC
-from symbreak.symmetry import AtomPermutation
 from graph_oracles import atom_node
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       random_program, record_fragment_aux, workload_instances)
