@@ -28,6 +28,8 @@ an edge cannot.
 """
 
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .smodels import BASIC, CHOICE, MINIMIZE, WEIGHT, GroundProgram
@@ -88,11 +90,9 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     colors = [ATOM_COLOR, NEGATION_COLOR] * len(atoms)
     nbrs = [[i ^ 1] for i in range(len(colors))]
 
-    values = set()
-    for r in sem.rules:
-        if r.bound is not None:
-            values.add(r.bound)
-        values.update(r.weights)
+    values = set(map(itemgetter(4), sem.rules))
+    values.discard(None)
+    values.update(chain.from_iterable(map(itemgetter(5), sem.rules)))
     value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
 
     # a literal node's list ascends, as rule nodes are numbered in rule
@@ -100,10 +100,8 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     # the rule.  A rule node's tuple is made when its rule is done.
     # pairs counts the binary constraints by their two literal nodes
     pairs = {}
-    for r in sem.rules:
-        kind = r.kind
-        if kind == BASIC and r.heads[0] == false:
-            pos, neg = r.pos, r.neg
+    for kind, heads, pos, neg, bound, weights in sem.rules:
+        if kind == BASIC and heads[0] == false:
             if len(pos) == 2 and not neg:
                 u, v = node[pos[0]], node[pos[1]]
             elif len(neg) == 2 and not pos:
@@ -123,37 +121,43 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
             hn = bn
             bn += 1
             colors.append(CHOICE_HEAD_COLOR if kind == CHOICE else HEAD_COLOR)
-            colors.append(BODY_COLOR if r.bound is None else value_color[r.bound])
-            head = [bn]
-            for h in r.heads:
-                if h != false:
-                    u = node[h]
-                    head.append(u)
+            colors.append(BODY_COLOR if bound is None else value_color[bound])
+            if len(heads) != 1:
+                # choice and disjunctive heads, never the false atom
+                head = [node[h] for h in heads]
+                for u in head:
                     ns = nbrs[u]
                     if ns[-1] != hn:
                         ns.append(hn)
-            nbrs.append(tuple(sorted(set(head))))
+                nbrs.append((*sorted(set(head)), bn))
+            elif heads[0] == false:
+                nbrs.append((bn,))
+            else:
+                u = node[heads[0]]  # below every rule node
+                nbrs[u].append(hn)
+                nbrs.append((u, bn))
             nbrs.append(None)
             body = [hn]
-        if kind in (WEIGHT, MINIMIZE):
-            # one node per literal and weight; the body node's list
-            # ascends, as these are numbered after the head node
-            for a, is_pos, w in r.pairs():
+        if kind == WEIGHT or kind == MINIMIZE:
+            # one node per literal and weight, neg-then-pos as the weights
+            # run; the body node's list ascends, as these are numbered
+            # after the head node
+            lits = [node[b] + 1 for b in neg] + [node[a] for a in pos]
+            for u, w in zip(lits, weights):
                 tn = len(colors)
-                u = node[a] if is_pos else node[a] + 1
                 colors.append(value_color[w])
                 nbrs.append((u, bn))
                 nbrs[u].append(tn)
                 body.append(tn)
             nbrs[bn] = tuple(body)
         else:
-            for a in r.pos:
+            for a in pos:
                 u = node[a]
                 body.append(u)
                 ns = nbrs[u]
                 if ns[-1] != bn:
                     ns.append(bn)
-            for b in r.neg:
+            for b in neg:
                 u = node[b] + 1
                 body.append(u)
                 ns = nbrs[u]

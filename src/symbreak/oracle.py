@@ -31,19 +31,15 @@ class OracleBudgetError(RuntimeError):
     """The candidate space is too large for exhaustive enumeration."""
 
 
-def _bit(atom: int) -> int:
-    return 1 << (atom - 1)
-
-
-def _or_bits(atoms) -> int:
+def _or_bits(atoms, bit) -> int:
     m = 0
     for a in atoms:
-        m |= _bit(a)
+        m |= bit[a]
     return m
 
 
-def _mask_atoms(mask: int) -> frozenset[int]:
-    return frozenset(a for a in range(1, mask.bit_length() + 1) if mask >> (a - 1) & 1)
+def _mask_atoms(mask: int, atoms) -> frozenset[int]:
+    return frozenset(atoms[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _subsets(mask: int):
@@ -55,7 +51,7 @@ def _subsets(mask: int):
     yield 0
 
 
-def _compile(rules):
+def _compile(rules, bit):
     """Plain rules as ``(heads, pos, neg, need)`` masks and bounded ones as
     ``(head, bound, pos, neg)`` with ``(bit, weight)`` literal lists.
 
@@ -63,23 +59,24 @@ def _compile(rules):
     it stays in a candidate's reduct only when the candidate holds the
     head, so every entry reads "some head holds".  A bound of at most 0 is
     a fact, one above the total weight never fires, and zero-weight
-    literals drop.
+    literals drop.  ``bit`` maps each atom to its bit.
     """
     plain, bounded = [], []
     for r in rules:
         if r.kind in (CARDINALITY, WEIGHT):
             weights = r.weights if r.kind == WEIGHT else (1,) * (len(r.neg) + len(r.pos))
-            neg = [(_bit(b), w) for b, w in zip(r.neg, weights) if w > 0]
-            pos = [(_bit(a), w) for a, w in zip(r.pos, weights[len(r.neg):]) if w > 0]
+            neg = [(bit[b], w) for b, w in zip(r.neg, weights) if w > 0]
+            pos = [(bit[a], w) for a, w in zip(r.pos, weights[len(r.neg):]) if w > 0]
             if r.bound <= 0:
-                plain.append((_bit(r.heads[0]), 0, 0, 0))
+                plain.append((bit[r.heads[0]], 0, 0, 0))
             elif r.bound <= sum(w for _, w in neg + pos):
-                bounded.append((_bit(r.heads[0]), r.bound, pos, neg))
+                bounded.append((bit[r.heads[0]], r.bound, pos, neg))
         elif r.kind == CHOICE:
-            pm, nm = _or_bits(r.pos), _or_bits(r.neg)
-            plain.extend((_bit(h), pm, nm, _bit(h)) for h in r.heads)
+            pm, nm = _or_bits(r.pos, bit), _or_bits(r.neg, bit)
+            plain.extend((bit[h], pm, nm, bit[h]) for h in r.heads)
         elif r.kind != MINIMIZE:
-            plain.append((_or_bits(r.heads), _or_bits(r.pos), _or_bits(r.neg), 0))
+            plain.append((_or_bits(r.heads, bit), _or_bits(r.pos, bit),
+                          _or_bits(r.neg, bit), 0))
     return plain, bounded
 
 
@@ -134,11 +131,13 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
     atoms a normal program defines from the guess are free.
     """
     sem = program.view
-    false = _bit(sem.false_atom)
-    plain, bounded = _compile(sem.rules)
+    # bits by position, so masks grow with the atoms, not their indices
+    bit = {a: 1 << i for i, a in enumerate(sem.atoms)}
+    false = bit[sem.false_atom] = 1 << len(sem.atoms)
+    plain, bounded = _compile(sem.rules, bit)
     disjunctive = any(r.kind == DISJUNCTIVE for r in sem.rules)
     if disjunctive:
-        guess = _or_bits(sem.atoms)
+        guess = false - 1  # every atom but the false one
     else:
         guess = 0
         for _, _, neg, need in plain:
@@ -169,11 +168,11 @@ def answer_sets(program: GroundProgram, budget: int = 20) -> list[frozenset[int]
                                          weighed, false)
                     if not any(least | sub != cand and _is_model(least | sub, rules, weighed)
                                for sub in _subsets(cand & ~least)):
-                        found.append(_mask_atoms(cand))
+                        found.append(_mask_atoms(cand, sem.atoms))
             else:
                 model = _least_model(rules, weighed, false)
                 if not model & false and model & guess == cand:
-                    found.append(_mask_atoms(model))
+                    found.append(_mask_atoms(model, sem.atoms))
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 

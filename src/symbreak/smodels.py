@@ -15,11 +15,16 @@ constraints for everything downstream of parsing.  Nor does the format
 state an atom count: ``GroundProgram.max_atom`` is read off the contents
 on first use, so a program edited with ``_replace`` never carries a
 stale one.
+
+``parse_program`` checks each line as it decodes it: every fault but a
+choice or disjunctive rule with no heads, which its ``problems`` report,
+is a ``ParseError``.  ``validate`` walks programs built in code.
 """
 
 from collections import Counter
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 
@@ -56,12 +61,6 @@ class Rule(NamedTuple):
         yield from self.heads
         yield from self.pos
         yield from self.neg
-
-    def pairs(self) -> list[tuple[int, bool, int]]:
-        """Weighted literals as (atom, is_positive, weight), wire order."""
-        out = [(b, False, w) for b, w in zip(self.neg, self.weights)]
-        out += [(a, True, w) for a, w in zip(self.pos, self.weights[len(self.neg):])]
-        return out
 
     def key(self, image=None):
         """Equal for rules that differ at most in literal order: heads and
@@ -138,6 +137,7 @@ _LAYOUTS = {
     MINIMIZE: _Layout(0, None, True),
     DISJUNCTIVE: _Layout(None, None, False),
 }
+_NO_HEADS = "head list must not be empty"
 
 
 class GroundProgram(NamedTuple("GroundProgram", [
@@ -164,8 +164,8 @@ class GroundProgram(NamedTuple("GroundProgram", [
     @cached_property
     def mentioned(self) -> frozenset[int]:
         """The atoms the rules and compute blocks mention, read in one pass."""
-        return frozenset(chain(self.compute_plus, self.compute_minus,
-                               chain.from_iterable(r.heads + r.pos + r.neg for r in self.rules)))
+        parts = (chain.from_iterable(map(itemgetter(k), self.rules)) for k in (1, 2, 3))
+        return frozenset(chain(self.compute_plus, self.compute_minus, *parts))
 
     @cached_property
     def max_atom(self) -> int:
@@ -206,7 +206,7 @@ class GroundProgram(NamedTuple("GroundProgram", [
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
-        """``validate``'s diagnostics for this program, computed once."""
+        """``validate``'s diagnostics, computed once (or set by the parser)."""
         return tuple(validate(self))
 
     @cached_property
@@ -280,64 +280,85 @@ def _atom(v: int, line_no: int) -> int:
     return v
 
 
-def _decode_rule(values: list[int], line_no: int) -> Rule:
-    """The rule on a line of non-negative integers.
+class _Ints(dict):
+    """A document's tokens, each checked and converted on first lookup only;
+    ValueError for one that is no plain decimal (``_int`` says why)."""
+
+    def __missing__(self, tok: str) -> int:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(tok)
+        value = self[tok] = int(tok)
+        return value
+
+
+class _Texts(dict):
+    """Integers as decimal text, each converted on its first lookup only."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
+def _decode_rule(v: list[int], line_no: int) -> Rule:
+    """The rule on a line of non-negative integers, one path per wire type
+    of ``_LAYOUTS``.
 
     A malformed line raises the ParseError of its first fault in wire
     order: the type, the heads, the bound and counts, the literal atoms,
-    then the weights and any trailing tokens.
+    then the weights and any trailing tokens.  An empty head list is no
+    wire fault; ``validate`` reports it.
     """
+    kind = v[0]
+    bound = None
     try:
-        n_heads, bound_at, weighted = _LAYOUTS[values[0]]
-    except KeyError:
-        raise ParseError(line_no, f"unknown rule type {values[0]}") from None
-    try:
-        if n_heads is None:
-            i = 2 + values[1]
-            heads = tuple(values[2:i])
-        elif n_heads:
-            i = 2
-            heads = (values[1],)
-        elif values[1]:
-            raise ParseError(line_no, "minimize statement must carry a 0 head "
-                                      f"slot, got {values[1]}")
+        if kind == BASIC or kind == CARDINALITY or kind == WEIGHT:
+            heads, i = (v[1],), 2
+        elif kind == CHOICE or kind == DISJUNCTIVE:
+            i = 2 + v[1]
+            heads = tuple(v[2:i])
+        elif kind == MINIMIZE:
+            if v[1]:
+                raise ParseError(line_no, "minimize statement must carry a 0 head "
+                                          f"slot, got {v[1]}")
+            heads, i = (), 2
         else:
-            i = 2
-            heads = ()
+            raise ParseError(line_no, f"unknown rule type {kind}")
         if 0 in heads:
             raise ParseError(line_no, "atom index 0 must be >= 1")
-        bound = None
-        if bound_at == "before":
-            bound = values[i]
+        if kind == WEIGHT:
+            bound = v[i]
             i += 1
-        nlit, nneg = values[i], values[i + 1]
+        nlit, nneg = v[i], v[i + 1]
         i += 2
-        if bound_at == "after":
-            bound = values[i]
+        if kind == CARDINALITY:
+            bound = v[i]
             i += 1
     except IndexError:
         raise ParseError(line_no, "truncated rule") from None
     if nneg > nlit:
         raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
     split, end = i + nneg, i + nlit
-    neg, pos = tuple(values[i:split]), tuple(values[split:end])
+    neg, pos = tuple(v[i:split]), tuple(v[split:end])
     if 0 in neg or 0 in pos:
         raise ParseError(line_no, "atom index 0 must be >= 1")
-    if end > len(values):
+    n = len(v)
+    if end > n:
         raise ParseError(line_no, "truncated rule")
     weights = ()
-    if weighted:
-        weights = tuple(values[end:])
-        if len(weights) != nlit:
+    if kind == WEIGHT or kind == MINIMIZE:
+        if n - end != nlit:
             raise ParseError(line_no, f"weight count mismatch: {nlit} literals, "
-                                      f"{len(weights)} weights")
-    elif end != len(values):
+                                      f"{n - end} weights")
+        weights = tuple(v[end:])
+    elif end != n:
         raise ParseError(line_no, "unexpected trailing tokens on rule line")
-    return Rule(values[0], heads, pos, neg, bound, weights)
+    # tuple.__new__ skips the keyword handling of Rule's own constructor
+    return tuple.__new__(Rule, (kind, heads, pos, neg, bound, weights))
 
 
 def parse_program(text) -> GroundProgram:
-    """Parse an smodels document from a string or byte stream."""
+    """Parse an smodels document from a string or byte stream; this pass
+    also gives the program's ``problems``."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode()
@@ -345,31 +366,29 @@ def parse_program(text) -> GroundProgram:
             raise ParseError(text.count(b"\n", 0, exc.start) + 1,
                              f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
     lines = text.splitlines()
-    pos = 0
-
-    def next_line(what: str) -> tuple[str, int]:
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos]
-            pos += 1
-            if line.strip():
-                return line.strip(), pos
-        raise ParseError(len(lines) + 1, f"unexpected end of input, expected {what}")
-
+    ints = _Ints().__getitem__
     rules = []
-    while True:
-        line, line_no = next_line("a rule or the rules terminator 0")
+    for line_no, line in enumerate(lines, 1):
         toks = line.split()
-        digits = "".join(toks)
+        if not toks:
+            continue
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            values = list(map(int, toks))
+            values = list(map(ints, toks))
         except ValueError:  # a malformed or over-long token; _int names it
             values = [_int(tok, line_no) for tok in toks]
         if values == [0]:
             break
         rules.append(_decode_rule(values, line_no))
+    else:
+        raise ParseError(len(lines) + 1,
+                         "unexpected end of input, expected a rule or the rules terminator 0")
+    rest = ((line, n) for n, line in enumerate(map(str.strip, lines[line_no:]), line_no + 1)
+            if line)
+
+    def next_line(what: str) -> tuple[str, int]:
+        for found in rest:
+            return found
+        raise ParseError(len(lines) + 1, f"unexpected end of input, expected {what}")
 
     symbols: dict[int, str] = {}
     names_seen = set()
@@ -412,42 +431,49 @@ def parse_program(text) -> GroundProgram:
         raise ParseError(line_no, "model count line carries one integer")
     models = _int(toks[0], line_no)
 
-    while pos < len(lines):
-        if lines[pos].strip():
-            raise ParseError(pos + 1, "unexpected content after the model count")
-        pos += 1
+    for _, line_no in rest:
+        raise ParseError(line_no, "unexpected content after the model count")
 
-    return GroundProgram(tuple(rules), symbols, plus, minus, models)
+    program = GroundProgram(tuple(rules), symbols, plus, minus, models)
+    # of the faults validate looks for, the decoder and the checks above
+    # let through only an empty head list
+    program.__dict__["problems"] = tuple(
+        f"rule {i}: {_NO_HEADS}" for i, r in enumerate(rules, 1)
+        if not r.heads and r.kind != MINIMIZE)
+    return program
 
 
-def _wire_line(rule: Rule) -> str:
-    layout = _LAYOUTS[rule.kind]
-    parts = [rule.kind]
-    if layout.n_heads is None:
-        parts.append(len(rule.heads))
-    parts += rule.heads
-    if layout.n_heads == 0:
+def _wire_line(rule: Rule, text) -> str:
+    """The rule's wire line, each integer turned to text by ``text``."""
+    kind, heads, pos, neg, bound, weights = rule
+    n_heads, bound_at, _ = _LAYOUTS[kind]
+    parts = [kind]
+    if n_heads is None:
+        parts.append(len(heads))
+    parts += heads
+    if n_heads == 0:
         parts.append(0)
-    if layout.bound == "before":
-        parts.append(rule.bound)
-    parts += (len(rule.pos) + len(rule.neg), len(rule.neg))
-    if layout.bound == "after":
-        parts.append(rule.bound)
-    parts += [*rule.neg, *rule.pos, *rule.weights]
-    return " ".join(map(str, parts))
+    if bound_at == "before":
+        parts.append(bound)
+    parts += (len(pos) + len(neg), len(neg))
+    if bound_at == "after":
+        parts.append(bound)
+    parts += (*neg, *pos, *weights)
+    return " ".join(map(text, parts))
 
 
 def write_program(program: GroundProgram) -> str:
     """Serialize to canonical smodels text (single spaces, one final newline)."""
-    out = [_wire_line(r) for r in program.rules]
+    text = _Texts().__getitem__
+    out = [_wire_line(r, text) for r in program.rules]
     out.append("0")
     out.extend(f"{atom} {name}" for atom, name in program.symbols.items())
     out.append("0")
     out.append("B+")
-    out.extend(str(a) for a in program.compute_plus)
+    out.extend(map(str, program.compute_plus))
     out.append("0")
     out.append("B-")
-    out.extend(str(a) for a in program.compute_minus)
+    out.extend(map(str, program.compute_minus))
     out.append("0")
     out.append(str(program.model_count))
     return "\n".join(out) + "\n"
@@ -489,7 +515,7 @@ def validate(program: GroundProgram, first_rule: int = 0) -> list[str]:
         elif r.weights:
             out.append(f"{where}: type {r.kind} takes no weights")
         if layout.n_heads is None and not r.heads:
-            out.append(f"{where}: head list must not be empty")
+            out.append(f"{where}: {_NO_HEADS}")
         elif layout.n_heads is not None and len(r.heads) != layout.n_heads:
             out.append(f"{where}: type {r.kind} takes {layout.n_heads} head atom(s), "
                        f"got {len(r.heads)}")

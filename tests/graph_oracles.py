@@ -73,6 +73,14 @@ def negation_node(graph: ColoredGraph, atom: int) -> int:
     return 2 * graph.atoms.index(atom) + 1
 
 
+def pairs(rule) -> list[tuple[int, bool, int]]:
+    """A weight rule's or minimize statement's weighted literals as
+    (atom, is_positive, weight), in wire order."""
+    out = [(b, False, w) for b, w in zip(rule.neg, rule.weights)]
+    out += [(a, True, w) for a, w in zip(rule.pos, rule.weights[len(rule.neg):])]
+    return out
+
+
 def _body_holds(interp, pos, neg) -> bool:
     return all(a in interp for a in pos) and not any(b in interp for b in neg)
 
@@ -92,7 +100,7 @@ def satisfies(interp, rule) -> bool:
         count += sum(1 for b in rule.neg if b not in interp)
         return count < rule.bound
     if rule.kind == WEIGHT:
-        total = sum(w for a, is_pos, w in rule.pairs()
+        total = sum(w for a, is_pos, w in pairs(rule)
                     if (a in interp) == is_pos)
         return total < rule.bound
     return not _body_holds(interp, rule.pos, rule.neg)
@@ -526,7 +534,7 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
                 if h != sem.false_atom:
                     connect(hn, pos_node(h))
         if r.kind in (WEIGHT, MINIMIZE):
-            for a, is_pos, w in r.pairs():
+            for a, is_pos, w in pairs(r):
                 tn = new_node(value_color[w])
                 connect(tn, pos_node(a) if is_pos else neg_node(a))
                 connect(tn, bn)

@@ -252,6 +252,7 @@ def reference_answer_sets(program: GroundProgram):
     the interpretation holds."""
     from itertools import combinations
 
+    from graph_oracles import pairs
     from symbreak.smodels import CARDINALITY, semantic_view
 
     sem = semantic_view(program)
@@ -261,7 +262,7 @@ def reference_answer_sets(program: GroundProgram):
     def literals(rule):
         """(atom, is_positive, weight) per body literal, and the bound."""
         if rule.kind == WEIGHT:
-            return rule.pairs(), rule.bound
+            return pairs(rule), rule.bound
         lits = [(b, False, 1) for b in rule.neg] + [(a, True, 1) for a in rule.pos]
         return lits, rule.bound if rule.kind == CARDINALITY else len(lits)
 

@@ -104,6 +104,16 @@ def test_invalid_program_exit_code(monkeypatch, capsys):
     assert "invalid program" in err
 
 
+@pytest.mark.parametrize("rule", ["3 0 0 0", "8 0 0 0"], ids=["choice", "disjunctive"])
+def test_empty_head_list_is_the_one_diagnostic(rule, monkeypatch, capsys):
+    """The one rule fault the decoder lets through is reported as
+    ``validate`` words it, and nothing else is printed."""
+    code, out, err = run_cli([], f"{rule}\n0\n0\nB+\n0\nB-\n0\n1\n", monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "symbreak: invalid program: rule 1: head list must not be empty\n"
+
+
 def test_missing_input_file_exit_code(capsys):
     code = main(["/nonexistent/input.lp"])
     assert code == 3
@@ -375,17 +385,18 @@ SPARSE_TEXT = "1 1 2 0 2 1000000000\n0\n0\nB+\n0\nB-\n1\n0\n1\n"
 NAMED_UNUSED_TEXT = "8 2 2 3 0 0\n0\n2 a\n3 b\n40 z\n0\nB+\n0\nB-\n1\n0\n1\n"
 
 
+def cap_address_space():
+    """Caps this process's address space at 1 GiB; a child's preexec_fn."""
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, hard))
+
+
 def test_sparse_atom_indices_cost_what_the_rules_cost():
     """Only the atoms the rules mention get graph nodes and ranks, so a
     child capped at 1 GiB of address space breaks the program above in
     the time a dense one takes: one generator, one appended rule."""
-    resource = pytest.importorskip("resource")
-    cap = 2 ** 30
-
-    def cap_address_space():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-
+    pytest.importorskip("resource")
     proc = subprocess.run([sys.executable, "-m", "symbreak", "--stats"],
                           input=SPARSE_TEXT, capture_output=True, encoding="utf-8",
                           preexec_fn=cap_address_space, timeout=60)
@@ -393,6 +404,20 @@ def test_sparse_atom_indices_cost_what_the_rules_cost():
     stats = stats_of(proc.stderr)
     assert (stats["generators"], stats["rules"]) == ("1", "1")
     assert parse_program(proc.stdout).rules[-1] == BasicRule(1, (2,), (10 ** 9,))
+
+
+def test_verify_masks_grow_with_the_atoms_not_their_indices():
+    """The oracle numbers its bits by position among the view's atoms, so
+    verify on ``<- a2, a10000000000`` passes in a child capped at 1 GiB
+    of address space; a bit per index up to 10^10 ran out of memory."""
+    pytest.importorskip("resource")
+    text = SPARSE_TEXT.replace("1000000000", "10000000000")
+    proc = subprocess.run([sys.executable, "-m", "symbreak", "--mode", "verify"],
+                          input=text, capture_output=True, encoding="utf-8",
+                          preexec_fn=cap_address_space, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["symbreak: answer sets 1 -> 1",
+                                        "symbreak: verification passed"]
 
 
 def test_named_atom_no_rule_mentions_is_neither_broken_nor_guessed(monkeypatch, capsys):
@@ -480,18 +505,18 @@ def test_non_ascii_names_are_written_as_utf8(mode, to_file, environment, flags, 
 
 
 def test_cli_break_validates_the_input_once(monkeypatch, capsys):
-    """The CLI, break_program and assemble's output check share one walk
-    over the input's rules."""
+    """The parser's pass is the one check of the input's rules: neither the
+    CLI nor break_program walks them again with validate, and assemble's
+    output check walks only the rules it appends."""
     from symbreak import smodels
     text = write_program(pigeonhole(4, 3))
     n_rules = len(parse_program(text).rules)
-    walks = []
+    starts = []
     real = smodels.validate
 
-    def counting(program, *first_rule):
-        if not first_rule or first_rule[0] < n_rules:
-            walks.append(program)
-        return real(program, *first_rule)
+    def counting(program, first_rule=0):
+        starts.append(first_rule)
+        return real(program, first_rule)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symbreak" and getattr(module, "validate", None) is real:
@@ -499,4 +524,4 @@ def test_cli_break_validates_the_input_once(monkeypatch, capsys):
     code, out, err = run_cli([], text, monkeypatch, capsys)
     assert code == 0
     assert len(parse_program(out).rules) > n_rules
-    assert len(walks) == 1
+    assert starts == [n_rules]

@@ -9,7 +9,7 @@ from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       WeightRule, parse_program,
                       semantic_view, validate, write_program)
 from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
-from graph_oracles import map_atoms, reference_parse_program
+from graph_oracles import map_atoms, pairs, reference_parse_program
 from programs import (SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5,
                       with_repeated_atoms)
 
@@ -31,7 +31,7 @@ def test_parse_weight_rule_neg_then_pos():
     rule = p.rules[0]
     assert rule == WeightRule(head=2, bound=7, pos=(3, 5), neg=(4,),
                               weights=(3, 5, 6))
-    assert rule.pairs() == [(4, False, 3), (3, True, 5), (5, True, 6)]
+    assert pairs(rule) == [(4, False, 3), (3, True, 5), (5, True, 6)]
 
 
 def test_parse_minimize_statement():
@@ -293,15 +293,20 @@ def parse_outcome(parse, text):
 
 
 def test_parse_matches_reference():
+    """The parse, and the verdict the parser's pass gives, which is the
+    full ``validate`` walk's."""
     docs = [write_program(program) for program in corpus()] + SMODELS_CORPUS
     for doc in docs:
         for text in spellings(doc):
-            assert parse_program(text) == reference_parse_program(text), text
+            program = parse_program(text)
+            assert program == reference_parse_program(text), text
+            assert program.problems == tuple(validate(program)), text
 
 
 def mutated_rule_lines(rng, doc):
     """Documents with one rule line truncated, a token replaced by a bad one
-    or raised, or tokens appended."""
+    or raised, tokens appended, or the line replaced by a choice or a
+    disjunctive rule with an empty head list."""
     lines = doc.split("\n")
     end = lines.index("0")
     for i in rng.sample(range(end), min(end, 2)):
@@ -312,24 +317,30 @@ def mutated_rule_lines(rng, doc):
                             + toks[j + 1:])
             variants.append(toks[:j] + [str(int(toks[j]) + rng.choice((1, 2, 5)))]
                             + toks[j + 1:])
-        variants += [toks + ["1"], toks + ["0", "3"]]
+        variants += [toks + ["1"], toks + ["0", "3"], ["3", "0", "1", "1", "2"],
+                     ["8", "0", "0", "0"]]
         for variant in variants:
             yield "\n".join(lines[:i] + [" ".join(variant)] + lines[i + 1:])
 
 
 def test_parse_errors_match_reference():
-    """Every error message and line number of the token-by-token parse."""
+    """Every error message and line number of the token-by-token parse,
+    and for a mutant that parses, the full ``validate`` walk's verdict."""
     rng = random.Random(11)
     docs = SMODELS_CORPUS + [write_program(program) for program in corpus()[:120]]
     messages = set()
-    mutants = 0
+    mutants = invalid = 0
     for doc in docs:
         for text in mutated_rule_lines(rng, doc):
             mutants += 1
             outcome = parse_outcome(parse_program, text)
             assert outcome == parse_outcome(reference_parse_program, text), text
-            if not isinstance(outcome, GroundProgram):  # a (message, line) pair
+            if isinstance(outcome, GroundProgram):
+                assert outcome.problems == tuple(validate(outcome)), text
+                invalid += bool(outcome.problems)
+            else:  # a (message, line) pair
                 messages.add(outcome[0].split(": ", 1)[1].split(" ")[0])
     assert mutants >= 2000
+    assert invalid >= 400
     assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
             "negative", "minimize"} <= messages
