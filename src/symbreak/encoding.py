@@ -138,7 +138,7 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
                 nbrs.append((u, bn))
             nbrs.append(None)
             body = [hn]
-        if kind == WEIGHT or kind == MINIMIZE:
+        if kind in (WEIGHT, MINIMIZE):
             # one node per literal and weight, neg-then-pos as the weights
             # run; the body node's list ascends, as these are numbered
             # after the head node

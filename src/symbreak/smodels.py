@@ -163,7 +163,7 @@ class GroundProgram(NamedTuple("GroundProgram", [
 
     @cached_property
     def mentioned(self) -> frozenset[int]:
-        """The atoms the rules and compute blocks mention, read in one pass."""
+        """The atoms the rules and compute blocks mention."""
         parts = (chain.from_iterable(map(itemgetter(k), self.rules)) for k in (1, 2, 3))
         return frozenset(chain(self.compute_plus, self.compute_minus, *parts))
 
@@ -299,7 +299,7 @@ class _Texts(dict):
         return text
 
 
-def _decode_rule(v: list[int], line_no: int) -> Rule:
+def _decode_rule(values: list[int], line_no: int) -> Rule:
     """The rule on a line of non-negative integers, one path per wire type
     of ``_LAYOUTS``.
 
@@ -308,40 +308,40 @@ def _decode_rule(v: list[int], line_no: int) -> Rule:
     then the weights and any trailing tokens.  An empty head list is no
     wire fault; ``validate`` reports it.
     """
-    kind = v[0]
+    kind = values[0]
     bound = None
     try:
         if kind == BASIC or kind == CARDINALITY or kind == WEIGHT:
-            heads, i = (v[1],), 2
+            heads, i = (values[1],), 2
         elif kind == CHOICE or kind == DISJUNCTIVE:
-            i = 2 + v[1]
-            heads = tuple(v[2:i])
+            i = 2 + values[1]
+            heads = tuple(values[2:i])
         elif kind == MINIMIZE:
-            if v[1]:
+            if values[1]:
                 raise ParseError(line_no, "minimize statement must carry a 0 head "
-                                          f"slot, got {v[1]}")
+                                          f"slot, got {values[1]}")
             heads, i = (), 2
         else:
             raise ParseError(line_no, f"unknown rule type {kind}")
         if 0 in heads:
             raise ParseError(line_no, "atom index 0 must be >= 1")
         if kind == WEIGHT:
-            bound = v[i]
+            bound = values[i]
             i += 1
-        nlit, nneg = v[i], v[i + 1]
+        nlit, nneg = values[i], values[i + 1]
         i += 2
         if kind == CARDINALITY:
-            bound = v[i]
+            bound = values[i]
             i += 1
     except IndexError:
         raise ParseError(line_no, "truncated rule") from None
     if nneg > nlit:
         raise ParseError(line_no, f"negative count {nneg} exceeds literal count {nlit}")
     split, end = i + nneg, i + nlit
-    neg, pos = tuple(v[i:split]), tuple(v[split:end])
+    neg, pos = tuple(values[i:split]), tuple(values[split:end])
     if 0 in neg or 0 in pos:
         raise ParseError(line_no, "atom index 0 must be >= 1")
-    n = len(v)
+    n = len(values)
     if end > n:
         raise ParseError(line_no, "truncated rule")
     weights = ()
@@ -349,7 +349,7 @@ def _decode_rule(v: list[int], line_no: int) -> Rule:
         if n - end != nlit:
             raise ParseError(line_no, f"weight count mismatch: {nlit} literals, "
                                       f"{n - end} weights")
-        weights = tuple(v[end:])
+        weights = tuple(values[end:])
     elif end != n:
         raise ParseError(line_no, "unexpected trailing tokens on rule line")
     # tuple.__new__ skips the keyword handling of Rule's own constructor
@@ -470,10 +470,10 @@ def write_program(program: GroundProgram) -> str:
     out.extend(f"{atom} {name}" for atom, name in program.symbols.items())
     out.append("0")
     out.append("B+")
-    out.extend(map(str, program.compute_plus))
+    out.extend(str(a) for a in program.compute_plus)
     out.append("0")
     out.append("B-")
-    out.extend(map(str, program.compute_minus))
+    out.extend(str(a) for a in program.compute_minus)
     out.append("0")
     out.append(str(program.model_count))
     return "\n".join(out) + "\n"
