@@ -128,6 +128,8 @@ Permutations are dense image tuples over node ids.
 """
 
 from collections import Counter
+from itertools import compress, count
+from operator import ne
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
@@ -300,13 +302,24 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
 
 
 def is_automorphism(graph: ColoredGraph, perm) -> bool:
-    """Check both conditions: colors preserved, edges mapped onto edges."""
+    """Whether the permutation keeps every color and maps edges onto edges.
+
+    Only the nodes ``perm`` moves are checked, each for its color and for
+    its neighbors' images being its image's neighbors, so the cost is the
+    permutation's support, not the graph (saucy's sparsity: Darga,
+    Sakallah & Markov, DAC 2008).  That is exact for a permutation: a
+    fixed node v keeps its color, and if u is a neighbor of v, then u is
+    fixed or, as v is u's neighbor, u's check puts v = perm[v] among the
+    neighbors of perm[u].  Either way perm[u] is a neighbor of v, so
+    perm maps the neighbors of v into them, and onto them, being
+    one-to-one.
+    """
     colors = graph.colors
-    if any(colors[v] != colors[perm[v]] for v in range(graph.n_nodes)):
-        return False
     adjacency = graph.adjacency
-    for u, v in graph.edges():
-        if perm[v] not in adjacency[perm[u]]:
+    image = perm.__getitem__
+    for v in compress(count(), map(ne, perm, count())):
+        w = perm[v]
+        if colors[v] != colors[w] or adjacency[w] != set(map(image, adjacency[v])):
             return False
     return True
 

@@ -164,8 +164,15 @@ class GroundProgram(NamedTuple("GroundProgram", [
     @cached_property
     def mentioned(self) -> frozenset[int]:
         """The atoms the rules and compute blocks mention."""
-        parts = (chain.from_iterable(map(itemgetter(k), self.rules)) for k in (1, 2, 3))
-        return frozenset(chain(self.compute_plus, self.compute_minus, *parts))
+        return self._body_atoms.union(self.compute_plus, self.compute_minus,
+                                      *map(itemgetter(1), self.rules))
+
+    @cached_property
+    def _body_atoms(self) -> frozenset[int]:
+        """The atoms some rule's body mentions, which ``mentioned`` and
+        the false-atom test share."""
+        rules = self.rules
+        return frozenset().union(*map(itemgetter(2), rules), *map(itemgetter(3), rules))
 
     @cached_property
     def max_atom(self) -> int:
@@ -195,14 +202,9 @@ class GroundProgram(NamedTuple("GroundProgram", [
     def _heads_only(self, atom: int) -> bool:
         """Whether the atom occurs in no body, no choice or disjunctive
         head and not in B+."""
-        if atom in self.compute_plus:
-            return False
-        for r in self.rules:
-            if atom in r.pos or atom in r.neg:
-                return False
-            if r.kind in (CHOICE, DISJUNCTIVE) and atom in r.heads:
-                return False
-        return True
+        return not (atom in self.compute_plus or atom in self._body_atoms
+                    or any(atom in r.heads for r in self.rules
+                           if r.kind == CHOICE or r.kind == DISJUNCTIVE))
 
     @cached_property
     def problems(self) -> tuple[str, ...]:

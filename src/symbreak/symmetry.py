@@ -11,9 +11,12 @@ with the generators that move nothing ranked below v; the pipeline pairs
 v with the rest of its orbit under them.
 
 The gate compares the keys of the rules a permutation touches with the
-keys of their images, both from ``Rule.key``; row detection asks it at
-most once per distinct swap within a call, and not about swaps of rows
-an earlier seed grew.
+keys of their images, both from ``Rule.key``.  Row detection takes the
+generators it is handed as validated symmetries, as the pipeline passes
+only those that passed the gate and the lex-leader constraints trust the
+same list.  So it asks the gate only about swaps that are no generator,
+at most once per distinct swap within a call, and not about swaps of
+rows an earlier seed grew.
 """
 
 from collections import Counter
@@ -221,11 +224,15 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     seed's rows are pairwise disjoint, and any two of them are
     interchangeable, since each swap of two of its consecutive rows is the
     seed itself or was admitted, and the other swaps are products of
-    these.  The gate is exact, so it would give the same answer.  A new
-    matrix's adjacent swaps still go to the gate, which sees each distinct
-    swap once per call; the verdicts are dropped on return.
+    these.  The gate is exact, so it would give the same answer.
+
+    The generators are taken as validated symmetries: a swap that is one
+    of them is a symmetry without asking the gate.  Every other swap, of a
+    growth query or of a new matrix's adjacent rows, goes to the gate,
+    which sees each distinct swap once per call; the verdicts are dropped
+    on return.
     """
-    verdicts = {}
+    verdicts = dict.fromkeys(map(AtomPermutation.key, gens), True)
 
     def is_symmetry(perm):
         key = perm.key()

@@ -6,7 +6,9 @@ round-synchronous refinement that recomputes every cell's signature in
 every round; `reference_find_generators` is the recursive search that
 rebuilds each node's partition from cell tuples and refilters its
 stabilizer from scratch (it refines with the package's `color_refine`,
-which the tests hold to `reference_color_refine`);
+which the tests hold to `reference_color_refine`, and checks its leaves
+with `reference_is_automorphism`, which walks every node and every
+edge);
 `brute_force_automorphisms` enumerates all color-respecting
 bijections; `group_closure` lists every element of a small group, and
 `group_order` counts the elements of a larger one.
@@ -33,7 +35,7 @@ from collections import Counter
 from math import factorial
 
 from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refine,
-                                   is_automorphism, orbit, partition_by_colors)
+                                   orbit, partition_by_colors)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
@@ -202,7 +204,7 @@ def reference_find_generators(graph: ColoredGraph,
             for a, b in zip(state["first_leaf"], order):
                 image[a] = b
             perm = tuple(image)
-            if perm != ident and perm not in gen_keys and is_automorphism(graph, perm):
+            if perm != ident and perm not in gen_keys and reference_is_automorphism(graph, perm):
                 gens.append(perm)
                 gen_keys.add(perm)
             return
@@ -235,6 +237,16 @@ def reference_find_generators(graph: ColoredGraph,
 
     dfs(root, ())
     return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
+
+
+def reference_is_automorphism(graph: ColoredGraph, perm) -> bool:
+    """Whether the permutation keeps the color of every node and maps
+    every edge onto an edge, checked over the whole graph."""
+    colors = graph.colors
+    if any(colors[v] != colors[perm[v]] for v in range(graph.n_nodes)):
+        return False
+    adjacency = graph.adjacency
+    return all(perm[v] in adjacency[perm[u]] for u, v in graph.edges())
 
 
 def compose(f, g) -> tuple[int, ...]:

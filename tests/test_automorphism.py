@@ -15,11 +15,12 @@ from symbreak.automorphism import is_automorphism, partition_by_colors
 from symbreak.encoding import MINIMIZE_COLOR, fix_nodes
 from graph_oracles import (EnumerationBudgetError, atom_node,
                            brute_force_automorphisms, build_graph, cells_of,
-                           group_closure, group_order, identity,
+                           compose, group_closure, group_order, identity,
                            partition_from_cells, reference_color_refine,
-                           reference_find_generators)
+                           reference_find_generators, reference_is_automorphism)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      place_atom, random_colored_graph, random_program)
+                      place_atom, random_colored_graph, random_program,
+                      workload_instances)
 
 
 def triangle_tail_graph():
@@ -393,6 +394,57 @@ def test_find_generators_all_verified():
         g = random_colored_graph(rng)
         for gen in find_generators(g).generators:
             assert is_automorphism(g, gen)
+
+
+def test_support_check_matches_whole_graph_check():
+    """Checking only the nodes a permutation moves gives the verdict of
+    the check over every node and edge.  On the corpus graphs, the
+    benchmark instances of seeds 1-4 and random graphs the permutations
+    are the search's generators, their products of two, permutations
+    inside the color classes and across them, each moving every node or
+    two, and generators spoiled by a swap inside a color class.  On the
+    corpus and random graphs they are also the generators of the graph
+    with its colors forgotten, which map edges onto edges but may move a
+    node to another color."""
+    rng = random.Random(27)
+    outcomes = Counter()
+    graphs = [encode_program(program) for program in corpus()]
+    graphs += [random_colored_graph(rng, max_nodes=30) for _ in range(200)]
+    uncolored = len(graphs)
+    graphs += [encode_program(program) for program in workload_instances(range(1, 5))]
+    for number, graph in enumerate(graphs):
+        n = graph.n_nodes
+        gens = list(find_generators(graph).generators)
+        if number < uncolored:
+            plain = graph._replace(colors=(1,) * n)
+            gens += find_generators(plain, max_tree_nodes=500).generators
+        classes = {}
+        for v, c in enumerate(graph.colors):
+            classes.setdefault(c, []).append(v)
+        pairs = [members for members in classes.values() if len(members) > 1]
+
+        def swap(perm, a, b):
+            perm = list(perm)
+            perm[a], perm[b] = perm[b], perm[a]
+            return tuple(perm)
+
+        perms = gens + [compose(f, g) for f in gens for g in gens]
+        shuffled = list(range(n))
+        for members in classes.values():
+            for v, w in zip(members, rng.sample(members, len(members))):
+                shuffled[v] = w
+        perms += [tuple(shuffled), tuple(rng.sample(range(n), n))]
+        if n > 1:
+            perms += [swap(identity(n), *rng.sample(range(n), 2))]
+        for _ in range(3 if pairs else 0):
+            perms.append(swap(identity(n), *rng.sample(rng.choice(pairs), 2)))
+            if gens:
+                perms.append(swap(rng.choice(gens), *rng.sample(rng.choice(pairs), 2)))
+        for perm in perms:
+            verdict = reference_is_automorphism(graph, perm)
+            assert is_automorphism(graph, perm) == verdict, (graph, perm)
+            outcomes[verdict] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
 
 
 def test_find_generators_budget_flag():

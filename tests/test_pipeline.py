@@ -8,7 +8,7 @@ import pytest
 
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
-                      detect_symmetries, parse_program, pipeline,
+                      detect_symmetries, orbit, parse_program, pipeline,
                       stabilizer_binary_symmetries, validate, write_program)
 from symbreak.cli import main
 from symbreak.smodels import BASIC
@@ -291,16 +291,20 @@ def test_levels_hand_over_validated_generators_fixing_lower_atoms():
     """The pipeline pairs each level's base atom v with its orbit under the
     level's generators as they come, so each level must hand over a
     sub-list of the validated generators, in their order, none of which
-    moves an atom ranked below v."""
+    moves an atom ranked below v.  The orbits it reads off the generators'
+    moved atoms are those that apply every generator to every point."""
     levels_seen = 0
     for program in [*corpus(), *workload_instances(range(1, 5))]:
         result = break_program(program, BreakConfig(stabilizer_levels=10 ** 6))
         gens, rank = result.detection.generators, result.order.rank
+        pairs = []
         for v, fixing in stabilizer_binary_symmetries(gens, result.order, 10 ** 6):
             remaining = iter(gens)
             assert all(s in remaining for s in fixing), program
             assert all(rank[a] >= rank[v] for s in fixing for a in s.support), program
+            pairs += [(v, w) for w in sorted(orbit(fixing, v) - {v})]
             levels_seen += 1
+        assert result.pairs == pairs, program
     assert levels_seen >= 400
 
 

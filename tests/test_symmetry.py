@@ -256,8 +256,9 @@ def test_detect_rows_covers_pool_reference(reference_corpus, monkeypatch):
 
 
 def test_detect_rows_asks_each_permutation_once(monkeypatch):
-    """Within one call every distinct swap goes to the gate once; a second
-    call asks again, as no verdict outlives the call."""
+    """Within one call the handed-in generators are taken as validated, so
+    none of them goes to the gate, and every other distinct swap goes to
+    it once; a second call asks again, as no verdict outlives the call."""
     asked = []
     real_gate = symmetry.is_syntactic_symmetry
 
@@ -268,13 +269,15 @@ def test_detect_rows_asks_each_permutation_once(monkeypatch):
     monkeypatch.setattr(symmetry, "is_syntactic_symmetry", recorded)
     for program in (pigeonhole(6, 5), free_choice(range(1, 17))):
         gens = detect_symmetries(program).generators
+        validated = {g.key() for g in gens}
         calls = []
         for _ in range(2):
             asked.clear()
             rows = detect_rows(program, gens)
             assert len(asked) == len(set(asked)), program
+            assert validated.isdisjoint(asked), program
             calls.append(sorted(asked))
-        assert calls[0] == calls[1] and len(calls[0]) >= 10
+        assert calls[0] == calls[1] and calls[0]
         assert matrix_atoms(rows) >= matrix_atoms(reference_detect_rows(program, gens))
 
 
