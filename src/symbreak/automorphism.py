@@ -124,12 +124,12 @@ rechecks every cell (``reference_color_refine`` in the tests).
   labels, so each split relabels and marks its fragments together, and
   the first fragment keeps the cell's label, so its nodes keep theirs.
 
-Permutations are dense image tuples over node ids.
+A permutation is the map of the nodes it moves to their images (saucy
+keeps each by its support: Darga, Sakallah & Markov, DAC 2008); a node
+the map does not hold is fixed.
 """
 
 from collections import Counter
-from itertools import compress, count
-from operator import ne
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
@@ -301,7 +301,7 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     return OrderedPartition(index, cells)
 
 
-def is_automorphism(graph: ColoredGraph, perm) -> bool:
+def is_automorphism(graph: ColoredGraph, perm: dict) -> bool:
     """Whether the permutation keeps every color and maps edges onto edges.
 
     Only the nodes ``perm`` moves are checked, each for its color and for
@@ -316,37 +316,43 @@ def is_automorphism(graph: ColoredGraph, perm) -> bool:
     """
     colors = graph.colors
     adjacency = graph.adjacency
-    image = perm.__getitem__
-    for v in compress(count(), map(ne, perm, count())):
-        w = perm[v]
-        if colors[v] != colors[w] or adjacency[w] != set(map(image, adjacency[v])):
+    image = perm.get
+    for v, w in perm.items():
+        ns = adjacency[v]
+        if colors[v] != colors[w] or adjacency[w] != set(map(image, ns, ns)):
             return False
     return True
 
 
-def orbit(gens, seed: int) -> frozenset:
-    """Closure of {seed} under the given permutations."""
+def orbit(maps, seed: int) -> frozenset:
+    """Closure of {seed} under the given moved maps, each of which fixes
+    every point it does not hold.
+
+    Every point reached is looked up in every map, so a closure costs its
+    size times the number of maps, however many points they move.
+    """
     seen = {seed}
     frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = g[v]
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+    for v in frontier:
+        for g in maps:
+            if v in g:
+                w = g[v]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
     return frozenset(seen)
 
 
 class GeneratorSearch(NamedTuple):
     """Result of an automorphism search.
 
-    ``complete`` is False when the tree-node budget ran out; the
-    generators found so far are still genuine automorphisms, so anything
-    built from them stays sound, merely weaker.
+    Each of ``generators`` is the map ``{node: image}`` of the nodes the
+    automorphism moves.  ``complete`` is False when the tree-node budget
+    ran out; the generators found so far are still genuine automorphisms,
+    so anything built from them stays sound, merely weaker.
     """
 
-    generators: tuple[tuple[int, ...], ...]
+    generators: tuple[dict[int, int], ...]
     complete: bool
     tree_nodes: int
 
@@ -405,10 +411,9 @@ def _early_map(first_path, depth, partition, s):
     The shapes agree when every label starts a cell of the same size in
     both and every non-singleton cell is the same tuple; the map then
     takes each singleton cell onto this node's cell of the same label and
-    fixes every other node.  ``s`` is the label of the node's first
-    non-singleton cell, compared first, so a node that differs there
-    costs no scan.  The map's entries are the node ids of the cells, so
-    every map kept as a generator shares them with all the others.
+    fixes every other node, and holds the singleton cells whose nodes
+    differ.  ``s`` is the label of the node's first non-singleton cell,
+    compared first, so a node that differs there costs no scan.
     """
     if depth >= len(first_path):
         return None
@@ -416,7 +421,7 @@ def _early_map(first_path, depth, partition, s):
     by_label = partition.by_label
     if s < len(by_label) and first[s] != by_label[s]:
         return None
-    perm = [None] * len(by_label)
+    perm = {}
     for a, b in zip(first, by_label):
         if a is None or b is None:
             if a is not b:
@@ -424,13 +429,11 @@ def _early_map(first_path, depth, partition, s):
         elif len(a) == 1:
             if len(b) != 1:
                 return None
-            perm[a[0]] = b[0]
-        elif a is b or a == b:
-            for v in a:
-                perm[v] = v
-        else:
+            if a[0] != b[0]:
+                perm[a[0]] = b[0]
+        elif a is not b and a != b:
             return None
-    return tuple(perm)
+    return perm
 
 
 def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> GeneratorSearch:
@@ -450,7 +453,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     why this is exact).
     """
     n = graph.n_nodes
-    gens: list[tuple[int, ...]] = []
+    gens: list[dict[int, int]] = []
     on_first_path = True
     first_path: list[OrderedPartition] = []  # its partitions by depth
     path: list[_Node] = []  # the inner nodes above the current one
@@ -480,7 +483,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
                 # child's subtree is covered by the new generator
                 del path[next(i for i, node in enumerate(path) if node.done) + 1:]
             elif s < n:
-                stabilizing = [g for g in path[-1].stabilizing if g[v] == v]
+                stabilizing = [g for g in path[-1].stabilizing if v not in g]
                 path.append(_Node(partition, s, stabilizing))
         while path:
             v = path[-1].next_vertex()

@@ -14,7 +14,7 @@ everything ranked below v.  The constraint head is not chosen here:
 
 from typing import NamedTuple
 
-from .automorphism import GeneratorSearch, find_generators
+from .automorphism import GeneratorSearch, find_generators, orbit
 from .breaking import (FreshAtoms, assemble, binary_rules, break_rows,
                        lex_leader_rules)
 from .encoding import encode_program
@@ -70,27 +70,6 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
     return Detection(search, generators, rejected)
 
 
-def _orbit(gens, seed: int) -> set[int]:
-    """Closure of {seed} under the atom permutations ``gens``.
-
-    Each atom reaches only its images under the generators that move it,
-    read off their ``moved`` maps, so the cost is the generators' total
-    support, not the orbit's size times their number.
-    """
-    images = {}
-    for g in gens:
-        for a, b in g.moved.items():
-            images.setdefault(a, []).append(b)
-    seen = {seed}
-    frontier = [seed]
-    for a in frontier:
-        for b in images.get(a, ()):
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return seen
-
-
 def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakResult:
     config = config or BreakConfig()
     detection = detect_symmetries(program, config)
@@ -101,7 +80,7 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
 
     pairs = []
     for v, fixing in stabilizer_binary_symmetries(gens, order, config.stabilizer_levels):
-        pairs += [(v, w) for w in sorted(_orbit(fixing, v) - {v})]
+        pairs += [(v, w) for w in sorted(orbit([g.moved for g in fixing], v) - {v})]
 
     alloc = FreshAtoms(program)
     fragments = []

@@ -55,8 +55,6 @@ class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])
     def image_of(self, atom: int) -> int:
         return self.moved.get(atom, atom)
 
-    __getitem__ = image_of  # lets ``automorphism.orbit`` take atom permutations
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition; cycles sorted by and starting at their minimum."""
         seen = set()
@@ -92,21 +90,21 @@ class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])
         return hash(self.key())
 
 
-def restrict_to_atoms(graph: ColoredGraph, node_perm) -> AtomPermutation:
-    """Atom permutation induced by a graph automorphism.
+def restrict_to_atoms(graph: ColoredGraph, node_perm: dict) -> AtomPermutation:
+    """Atom permutation induced by a graph automorphism, given as the map
+    of the nodes it moves.
 
     Atom nodes only ever map to atom nodes (color 1 is theirs alone), so
     the restriction is well defined.  Only the atoms the program's rules
     mention have nodes, so the reserved false atom and every atom that
-    touches no rule can never move.
+    touches no rule can never move.  Only the moved positive literal
+    nodes are read, in ascending order, so the atoms come in node order
+    whatever order the search found them in.
     """
-    moved = {}
-    for i, a in enumerate(graph.atoms):
-        image = node_perm[2 * i]
-        b = graph.node_atom(image)
-        if b != a:
-            moved[a] = b
-    return AtomPermutation(moved)
+    atoms = graph.atoms
+    literals = 2 * len(atoms)
+    return AtomPermutation({atoms[v // 2]: graph.node_atom(node_perm[v])
+                            for v in sorted(node_perm) if v < literals and not v % 2})
 
 
 def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool:

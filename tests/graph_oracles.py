@@ -6,9 +6,10 @@ round-synchronous refinement that recomputes every cell's signature in
 every round; `reference_find_generators` is the recursive search that
 rebuilds each node's partition from cell tuples and refilters its
 stabilizer from scratch (it refines with the package's `color_refine`,
-which the tests hold to `reference_color_refine`, and checks its leaves
+which the tests hold to `reference_color_refine`, checks its leaves
 with `reference_is_automorphism`, which walks every node and every
-edge);
+edge, and prunes with `reference_orbit`, the closure that applies every
+generator to every point reached);
 `brute_force_automorphisms` enumerates all color-respecting
 bijections; `group_closure` lists every element of a small group, and
 `group_order` counts the elements of a larger one.
@@ -21,21 +22,23 @@ counting the binary constraints up front, and
 checks that name a malformed one.
 
 The fixtures at the top serve the tests only, so the package does not
-ship them: `identity`, `build_graph` (a graph from an edge list),
+ship them: `identity`, `dense` and `moved_map` (a permutation as the
+package keeps it, the map of the points it moves, to a dense image tuple
+and back), `build_graph` (a graph from an edge list),
 `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
 with its atoms renamed), and `partition_from_cells` and `cells_of` (an
 `OrderedPartition` from its cells and back).
 
-Graph permutations are dense image tuples over node ids; composition is
-left-to-right (apply ``f``, then ``g``).
+The references' graph permutations are dense image tuples over node ids;
+composition is left-to-right (apply ``f``, then ``g``).
 """
 
 from collections import Counter
 from math import factorial
 
 from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refine,
-                                   orbit, partition_by_colors)
+                                   partition_by_colors)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
@@ -47,6 +50,16 @@ from symbreak.symmetry import AtomPermutation, RowMatrix, _canonical_matrix
 
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def dense(moved, n: int) -> tuple[int, ...]:
+    """The dense image tuple over 0..n-1 of a map of the points it moves."""
+    return tuple(map(moved.get, range(n), range(n)))
+
+
+def moved_map(perm) -> dict[int, int]:
+    """The map of the points a dense image tuple moves."""
+    return {v: w for v, w in enumerate(perm) if v != w}
 
 
 def build_graph(colors, edges, atoms=()) -> ColoredGraph:
@@ -225,7 +238,7 @@ def reference_find_generators(graph: ColoredGraph,
                 covered = 0
             for w in done[covered:]:
                 if w not in reached:
-                    reached |= orbit(stabilizing, w)
+                    reached |= reference_orbit(stabilizing, w)
             covered = len(done)
             if v in reached:
                 continue
@@ -237,6 +250,21 @@ def reference_find_generators(graph: ColoredGraph,
 
     dfs(root, ())
     return GeneratorSearch(tuple(gens), not state["exhausted"], state["count"])
+
+
+def reference_orbit(gens, seed: int) -> frozenset:
+    """Closure of {seed} under dense permutations, every generator applied
+    to every point reached."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = g[v]
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
 
 
 def reference_is_automorphism(graph: ColoredGraph, perm) -> bool:

@@ -16,7 +16,11 @@ names the programs whose output moved.  The search has two fields:
 ``gens=`` hashes the generators and completeness at budget 10**6, and
 ``tree=`` the tree nodes at every budget with the generators and
 completeness at the smaller ones.  A change to the shape of the search
-tree that keeps the full-budget generators moves ``tree=`` only.
+tree that keeps the full-budget generators moves ``tree=`` only.  Both
+render each generator, which the search keeps as the map of the nodes it
+moves, as its dense image tuple over the graph's nodes, the form the
+search returned when the committed lines were made, so those lines hold
+without being regenerated.
 ``tests/output_digest.txt`` is the output of the committed tree, and CI
 diffs a run under each of two string-hash seeds against it:
 
@@ -29,7 +33,9 @@ own that says which lines moved and why:
 
 To compare with another tree, run it with that tree's ``src`` first on
 ``PYTHONPATH``.  The program builders are imported from this file's own
-directory first, so both runs digest the same inputs.
+directory first, so both runs digest the same inputs.  A tree whose
+search returns dense tuples is digested with its own copy of this file;
+its lines compare with this one's all the same.
 """
 
 import hashlib
@@ -37,6 +43,7 @@ import hashlib
 from symbreak import (OracleBudgetError, answer_sets, break_program, encode_program,
                       find_generators, write_program)
 from symbreak.encoding import dump_graph
+from graph_oracles import dense
 from programs import corpus, free_choice, pigeonhole, workload_instances
 
 BUDGETS = (1, 2, 5, 17, 10 ** 6)
@@ -72,8 +79,12 @@ def digest_line(label: str, program) -> str:
     broken = short(write_program(result.program) + repr(result.pairs))
     graph = encode_program(program)
     *cut, full = [find_generators(graph, budget) for budget in BUDGETS]
-    gens = short(repr((full.generators, full.complete)))
-    tree = short(repr([(s.generators, s.tree_nodes, s.complete) for s in cut]
+
+    def generators(search):
+        return tuple(dense(g, graph.n_nodes) for g in search.generators)
+
+    gens = short(repr((generators(full), full.complete)))
+    tree = short(repr([(generators(s), s.tree_nodes, s.complete) for s in cut]
                       + [full.tree_nodes]))
     oracle = short(oracle_output(program) + " " + oracle_output(result.program))
     return (f"{label} break={broken} graph={short(dump_graph(graph))} gens={gens}"

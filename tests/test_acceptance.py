@@ -15,7 +15,7 @@ from symbreak.breaking import FreshAtoms, assemble, break_rows
 from symbreak.cli import main
 from symbreak.pipeline import detect_symmetries
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
-from graph_oracles import brute_force_automorphisms, group_closure
+from graph_oracles import brute_force_automorphisms, dense, group_closure
 from programs import (SMODELS_CORPUS, free_choice, normalize_text, p1, p2, p3,
                       p4, p5, pigeonhole, random_program, record_fragment_aux)
 
@@ -138,7 +138,8 @@ def test_criterion_6_engine_matches_brute_force():
         brute = set(brute_force_automorphisms(graph))
         search = find_generators(graph)
         assert search.complete
-        closure = group_closure(search.generators, graph.n_nodes)
+        gens = [dense(g, graph.n_nodes) for g in search.generators]
+        closure = group_closure(gens, graph.n_nodes)
         assert closure == brute, (i, graph.colors, sorted(graph.edges()))
         total_order += len(brute)
     elapsed = time.perf_counter() - started

@@ -9,15 +9,16 @@ from math import factorial
 import pytest
 
 from symbreak import (ChoiceRule, GroundProgram, MinimizeStatement,
-                      automorphism, color_refine, encode_program,
-                      find_generators, orbit)
+                      automorphism, color_refine, detect_symmetries,
+                      encode_program, find_generators, orbit)
 from symbreak.automorphism import is_automorphism, partition_by_colors
 from symbreak.encoding import MINIMIZE_COLOR, fix_nodes
 from graph_oracles import (EnumerationBudgetError, atom_node,
                            brute_force_automorphisms, build_graph, cells_of,
-                           compose, group_closure, group_order, identity,
-                           partition_from_cells, reference_color_refine,
-                           reference_find_generators, reference_is_automorphism)
+                           compose, dense, group_closure, group_order, identity,
+                           moved_map, partition_from_cells, reference_color_refine,
+                           reference_find_generators, reference_is_automorphism,
+                           reference_orbit)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       place_atom, random_colored_graph, random_program,
                       workload_instances)
@@ -301,8 +302,9 @@ def assert_search_matches_reference(monkeypatch, graphs):
         assert search.complete
         reference = reference_find_generators(graph)
         order = group_order(reference.generators, n)
-        assert group_order(search.generators, n) == order
-        assert group_order(search.generators + reference.generators, n) == order
+        found = tuple(dense(g, n) for g in search.generators)
+        assert group_order(found, n) == order
+        assert group_order(found + reference.generators, n) == order
         orbits = {orbit(search.generators, v) for v in range(n)}
         assert len(search.generators) <= n - len(orbits)
     assert cut
@@ -414,10 +416,10 @@ def test_support_check_matches_whole_graph_check():
     graphs += [encode_program(program) for program in workload_instances(range(1, 5))]
     for number, graph in enumerate(graphs):
         n = graph.n_nodes
-        gens = list(find_generators(graph).generators)
+        gens = [dense(g, n) for g in find_generators(graph).generators]
         if number < uncolored:
             plain = graph._replace(colors=(1,) * n)
-            gens += find_generators(plain, max_tree_nodes=500).generators
+            gens += [dense(g, n) for g in find_generators(plain, max_tree_nodes=500).generators]
         classes = {}
         for v, c in enumerate(graph.colors):
             classes.setdefault(c, []).append(v)
@@ -442,7 +444,7 @@ def test_support_check_matches_whole_graph_check():
                 perms.append(swap(rng.choice(gens), *rng.sample(rng.choice(pairs), 2)))
         for perm in perms:
             verdict = reference_is_automorphism(graph, perm)
-            assert is_automorphism(graph, perm) == verdict, (graph, perm)
+            assert is_automorphism(graph, moved_map(perm)) == verdict, (graph, perm)
             outcomes[verdict] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000
 
@@ -465,7 +467,7 @@ def test_generated_group_matches_brute_force():
     for _ in range(60):
         g = random_colored_graph(rng)
         brute = set(brute_force_automorphisms(g))
-        gens = find_generators(g).generators
+        gens = [dense(gen, g.n_nodes) for gen in find_generators(g).generators]
         assert group_closure(gens, g.n_nodes) == brute, (g.colors, sorted(g.edges()))
         assert group_order(gens, g.n_nodes) == len(brute)
 
@@ -505,7 +507,7 @@ def test_leaf_certificates_agree_with_automorphism_check():
             for a, b in zip(first, second):
                 image[a] = b
             same = leaf_certificate(g, first) == leaf_certificate(g, second)
-            assert same == is_automorphism(g, tuple(image))
+            assert same == is_automorphism(g, moved_map(image))
             outcomes[kind, same] += 1
     assert outcomes["color-preserving", True] and outcomes["color-preserving", False]
     assert outcomes["any", False] and not outcomes["automorphism", False]
@@ -590,7 +592,7 @@ def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
     assert len(maps) == 11
     assert not any(is_automorphism(graph, perm) for perm in maps)
     swap = tuple((v + 12) % 24 for v in range(24))
-    assert search == ((swap,), True, 159)
+    assert search == ((moved_map(swap),), True, 159)
 
 
 def test_early_detection_changes_only_the_tree(monkeypatch):
@@ -627,7 +629,7 @@ def test_symmetric_group_gets_n_minus_one_generators():
     and S40 stays fast."""
     for k in range(2, 13):
         graph = encode_program(free_choice(range(1, k + 1)))
-        gens = find_generators(graph).generators
+        gens = [dense(g, graph.n_nodes) for g in find_generators(graph).generators]
         assert len(gens) == k - 1
         assert group_order(gens, graph.n_nodes) == factorial(k)
     graph = encode_program(free_choice(range(1, 41)))
@@ -646,13 +648,15 @@ def test_generators_pinned_on_small_programs():
         p5: ((2, 3, 0, 1, 6, 7, 4, 5),),
     }
     for build, generators in expected.items():
-        search = find_generators(encode_program(build()))
-        assert (search.generators, search.tree_nodes) == (generators, 3), build.__name__
+        graph = encode_program(build())
+        search = find_generators(graph)
+        found = tuple(dense(g, graph.n_nodes) for g in search.generators)
+        assert (found, search.tree_nodes) == (generators, 3), build.__name__
 
 
 def test_pigeonhole_group_order():
     g = encode_program(pigeonhole(3, 2))
-    gens = find_generators(g).generators
+    gens = [dense(gen, g.n_nodes) for gen in find_generators(g).generators]
     atom_images = {tuple(gen[2 * i] for i in range(len(g.atoms))) for gen in gens}
     closure = group_closure(gens, g.n_nodes)
     assert len({tuple(p[2 * i] for i in range(len(g.atoms))) for p in closure}) >= 12
@@ -663,6 +667,29 @@ def test_orbit_trivial_and_p1():
     g = encode_program(p1())
     gens = find_generators(g).generators
     assert orbit(gens, atom_node(g, 1)) == {atom_node(g, 1), atom_node(g, 2)}
+
+
+def test_orbit_matches_reference_closure():
+    """The closure over moved maps equals the dense closure that applies
+    every generator to every point: from every point, under the search's
+    generators of the corpus graphs and the benchmark instances of seeds
+    1-4, and from every atom under the moved maps of their validated
+    atom permutations."""
+    closures = 0
+    for program in [*corpus(), *workload_instances(range(1, 5))]:
+        detection = detect_symmetries(program)
+        n = encode_program(program).n_nodes
+        maps = detection.search.generators
+        gens = [dense(g, n) for g in maps]
+        for v in range(n):
+            assert orbit(maps, v) == reference_orbit(gens, v), program
+        atom_maps = [g.moved for g in detection.generators]
+        m = program.max_atom + 1
+        atom_gens = [dense(g, m) for g in atom_maps]
+        for a in range(m):
+            assert orbit(atom_maps, a) == reference_orbit(atom_gens, a), program
+        closures += n + m
+    assert closures > 10000
 
 
 def test_orbit_pigeonhole_covers_all_placements():

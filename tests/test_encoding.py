@@ -13,7 +13,7 @@ from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                dump_graph)
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import (atom_node, brute_force_automorphisms, build_graph,
-                           color_census, map_atoms, negation_node,
+                           color_census, map_atoms, moved_map, negation_node,
                            reference_encode_program)
 from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
                       with_repeated_atoms)
@@ -34,7 +34,7 @@ def test_p1_graph_structure():
     assert negation_node(g, 1) in g.adjacency[atom_node(g, 1)]
     autos = brute_force_automorphisms(g)
     assert len(autos) == 2
-    swaps = [restrict_to_atoms(g, a) for a in autos]
+    swaps = [restrict_to_atoms(g, moved_map(a)) for a in autos]
     assert AtomPermutation({1: 2, 2: 1}) in swaps
     # negation consistency: the image of an atom node fixes its negation
     for auto in autos:
@@ -47,7 +47,7 @@ def test_p5_facts_get_head_and_body_nodes():
     g = encode_program(p5())
     assert color_census(g) == {ATOM_COLOR: 2, NEGATION_COLOR: 2,
                                HEAD_COLOR: 2, BODY_COLOR: 2}
-    swaps = [restrict_to_atoms(g, a) for a in brute_force_automorphisms(g)]
+    swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({1: 2, 2: 1}) in swaps
 
 
@@ -57,7 +57,7 @@ def test_p3_constraint_head_has_no_literal_edge():
     assert g.n_nodes == 8  # false atom and constraint contribute no nodes
     assert HEAD_COLOR not in color_census(g)
     assert atom_node(g, 3) in g.adjacency[atom_node(g, 2)]
-    swaps = [restrict_to_atoms(g, a) for a in brute_force_automorphisms(g)]
+    swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({2: 3, 3: 2}) in swaps
     # <- p, not q keeps its rule nodes, and its head only the body edge
     g = encode_program(GroundProgram(rules=(BasicRule(1, (2,), (3,)),) + p3().rules[1:]))
@@ -114,7 +114,7 @@ def test_constraint_headed_aggregate_skips_head_edge():
     assert g.atoms == (2, 3)
     head = g.colors.index(HEAD_COLOR)
     assert len(g.neighbors[head]) == 1
-    swaps = [restrict_to_atoms(g, a) for a in brute_force_automorphisms(g)]
+    swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({2: 3, 3: 2}) in swaps
 
 
@@ -150,7 +150,7 @@ def test_automorphism_restrictions_are_exactly_the_syntactic_symmetries():
             continue
         g = encode_program(program)
         autos = brute_force_automorphisms(g, budget=10 ** 17)
-        restrictions = {restrict_to_atoms(g, a).key() for a in autos}
+        restrictions = {restrict_to_atoms(g, moved_map(a)).key() for a in autos}
         syntactic = set()
         for image in permutations(atoms):
             perm = AtomPermutation(dict(zip(atoms, image)))
@@ -189,7 +189,7 @@ def automorphism_restrictions(graph) -> set:
     # the class-factorial space is large, but each node meets a mapped
     # neighbour, which prunes all but a few candidates
     autos = brute_force_automorphisms(graph, budget=10 ** 30)
-    return {restrict_to_atoms(graph, a).key() for a in autos}
+    return {restrict_to_atoms(graph, moved_map(a)).key() for a in autos}
 
 
 def literal_edges(graph) -> set:

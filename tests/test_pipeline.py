@@ -8,11 +8,11 @@ import pytest
 
 from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       answer_sets, break_program, check_soundness,
-                      detect_symmetries, orbit, parse_program, pipeline,
+                      detect_symmetries, parse_program, pipeline,
                       stabilizer_binary_symmetries, validate, write_program)
 from symbreak.cli import main
 from symbreak.smodels import BASIC
-from graph_oracles import atom_node
+from graph_oracles import atom_node, dense, moved_map, reference_orbit
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       random_program, record_fragment_aux, workload_instances)
 
@@ -245,7 +245,7 @@ def swapping_p_and_r(find_generators):
         perm = list(range(graph.n_nodes))
         p, r = atom_node(graph, 1), atom_node(graph, 3)
         perm[p], perm[r], perm[p + 1], perm[r + 1] = r, p, r + 1, p + 1
-        return search._replace(generators=search.generators + (tuple(perm),))
+        return search._replace(generators=search.generators + (moved_map(perm),))
 
     return faulty
 
@@ -292,17 +292,19 @@ def test_levels_hand_over_validated_generators_fixing_lower_atoms():
     level's generators as they come, so each level must hand over a
     sub-list of the validated generators, in their order, none of which
     moves an atom ranked below v.  The orbits it reads off the generators'
-    moved atoms are those that apply every generator to every point."""
+    moved maps are those that apply every generator to every point."""
     levels_seen = 0
     for program in [*corpus(), *workload_instances(range(1, 5))]:
         result = break_program(program, BreakConfig(stabilizer_levels=10 ** 6))
         gens, rank = result.detection.generators, result.order.rank
+        n = program.max_atom + 1
         pairs = []
         for v, fixing in stabilizer_binary_symmetries(gens, result.order, 10 ** 6):
             remaining = iter(gens)
             assert all(s in remaining for s in fixing), program
             assert all(rank[a] >= rank[v] for s in fixing for a in s.support), program
-            pairs += [(v, w) for w in sorted(orbit(fixing, v) - {v})]
+            closure = reference_orbit([dense(s.moved, n) for s in fixing], v)
+            pairs += [(v, w) for w in sorted(closure - {v})]
             levels_seen += 1
         assert result.pairs == pairs, program
     assert levels_seen >= 400

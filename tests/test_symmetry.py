@@ -17,8 +17,8 @@ from symbreak.pipeline import detect_symmetries
 from symbreak.smodels import semantic_view
 from symbreak.symmetry import AtomOrder, AtomPermutation, RowMatrix
 from graph_oracles import (EnumerationBudgetError, atom_node, compose,
-                           compose_atoms, group_closure, group_order, identity,
-                           reference_detect_rows,
+                           compose_atoms, dense, group_closure, group_order,
+                           identity, moved_map, reference_detect_rows,
                            reference_is_syntactic_symmetry)
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       place_atom, random_program, workload_instances)
@@ -35,7 +35,8 @@ def swap(a, b):
 def level_pairs(levels):
     """Each level's base atom paired with the rest of its orbit under the
     level's generators, in ascending atom order."""
-    return [(v, w) for v, strong in levels for w in sorted(orbit(strong, v) - {v})]
+    return [(v, w) for v, strong in levels
+            for w in sorted(orbit([s.moved for s in strong], v) - {v})]
 
 
 def assert_certifiable(program, order, levels):
@@ -73,7 +74,16 @@ def test_restrict_to_atoms_p1_swap():
 
 def test_restrict_identity_is_empty():
     g = encode_program(p1())
-    assert restrict_to_atoms(g, identity(g.n_nodes)).is_identity
+    assert restrict_to_atoms(g, {}).is_identity
+
+
+def test_restrict_rejects_a_literal_node_mapped_to_a_rule_node():
+    """Only the moved nodes are read, and a moved positive literal node
+    whose image is no literal node still raises."""
+    g = encode_program(p1())
+    literal, rule = atom_node(g, 1), 2 * len(g.atoms)
+    with pytest.raises(ValueError):
+        restrict_to_atoms(g, {literal: rule, rule: literal})
 
 
 def test_restrict_pigeonhole_hole_swap_moves_columns():
@@ -399,7 +409,8 @@ def research_pairs(program, order, levels=5):
     gate (syntactic symmetry, nothing ranked below the base atom moved).
     """
     graph = encode_program(program)
-    gens = find_generators(graph).generators
+    n = graph.n_nodes
+    gens = [dense(g, n) for g in find_generators(graph).generators]
     pairs = []
     for _ in range(levels):
         moved = [graph.node_atom(v) for v in range(0, 2 * len(graph.atoms), 2)
@@ -408,7 +419,7 @@ def research_pairs(program, order, levels=5):
             break
         v = min(moved, key=order.rank.__getitem__)
         start = atom_node(graph, v)
-        words = {start: identity(graph.n_nodes)}
+        words = {start: identity(n)}
         frontier = [start]
         for node in frontier:
             for g in gens:
@@ -418,12 +429,12 @@ def research_pairs(program, order, levels=5):
         for node in sorted(words):
             if node == start:  # colors keep the orbit on positive atom nodes
                 continue
-            witness = restrict_to_atoms(graph, words[node])
+            witness = restrict_to_atoms(graph, moved_map(words[node]))
             if (is_syntactic_symmetry(program, witness)
                     and min(witness.support, key=order.rank.__getitem__) == v):
                 pairs.append((v, graph.node_atom(node)))
         graph = fix_nodes(graph, [start])
-        gens = find_generators(graph).generators
+        gens = [dense(g, n) for g in find_generators(graph).generators]
     return pairs
 
 
@@ -448,9 +459,9 @@ def test_stabilizer_levels_match_brute_force_stabilizers():
         det = detect_symmetries(program)
         order = choose_order(det.generators, detect_rows(program, det.generators))
         n = program.max_atom + 1
-        dense = [tuple(g.image_of(a) for a in range(n)) for g in det.generators]
+        gens = [dense(g.moved, n) for g in det.generators]
         try:
-            group = group_closure(dense, n, cap=10 ** 5)
+            group = group_closure(gens, n, cap=10 ** 5)
         except EnumerationBudgetError:
             continue
         expected = {}
@@ -463,9 +474,9 @@ def test_stabilizer_levels_match_brute_force_stabilizers():
             fixed.append(v)
         levels = {}
         for v, strong in stabilizer_binary_symmetries(det.generators, order):
-            levels[v] = set(orbit(strong, v))
+            levels[v] = set(orbit([s.moved for s in strong], v))
             for s in strong:
-                assert tuple(s.image_of(a) for a in range(n)) in group, (program, s)
+                assert dense(s.moved, n) in group, (program, s)
         assert levels == expected, program
         checked += bool(expected)
     assert checked >= 30
@@ -513,7 +524,7 @@ def orbit_product(gens, order):
     """The product of the orbit sizes of every level, not only the first
     five."""
     levels = stabilizer_binary_symmetries(gens, order, len(order.sequence))
-    return prod(len(orbit(fixing, v)) for v, fixing in levels)
+    return prod(len(orbit([g.moved for g in fixing], v)) for v, fixing in levels)
 
 
 def test_levels_multiply_to_the_order_of_the_validated_group():
@@ -524,8 +535,8 @@ def test_levels_multiply_to_the_order_of_the_validated_group():
     for program in [*corpus(), *workload_instances(range(1, 5))]:
         gens, order = pipeline_input(program)
         n = program.max_atom + 1
-        dense = [tuple(g.image_of(a) for a in range(n)) for g in gens]
-        assert orbit_product(gens, order) == group_order(dense, n), program
+        dense_gens = [dense(g.moved, n) for g in gens]
+        assert orbit_product(gens, order) == group_order(dense_gens, n), program
     for k in range(2, 41):
         gens, order = pipeline_input(free_choice(range(1, k + 1)))
         assert orbit_product(gens, order) == factorial(k), k
