@@ -312,14 +312,16 @@ def is_automorphism(graph: ColoredGraph, perm: dict) -> bool:
     fixed or, as v is u's neighbor, u's check puts v = perm[v] among the
     neighbors of perm[u].  Either way perm[u] is a neighbor of v, so
     perm maps the neighbors of v into them, and onto them, being
-    one-to-one.
+    one-to-one.  A moved node's images are distinct and every neighbor
+    tuple strictly ascends, so they are its image's neighbors exactly
+    when, sorted, they equal that tuple; no other node's tuple is read.
     """
     colors = graph.colors
-    adjacency = graph.adjacency
+    nbrs = graph.neighbors
     image = perm.get
     for v, w in perm.items():
-        ns = adjacency[v]
-        if colors[v] != colors[w] or adjacency[w] != set(map(image, ns, ns)):
+        ns = nbrs[v]
+        if colors[v] != colors[w] or nbrs[w] != tuple(sorted(map(image, ns, ns))):
             return False
     return True
 
@@ -413,7 +415,10 @@ def _early_map(first_path, depth, partition, s):
     takes each singleton cell onto this node's cell of the same label and
     fixes every other node, and holds the singleton cells whose nodes
     differ.  ``s`` is the label of the node's first non-singleton cell,
-    compared first, so a node that differs there costs no scan.
+    compared first, so a node that differs there costs no scan.  The scan
+    stops at the first label whose cells differ and are not both
+    singletons; every cell before it has the same size in both, so both
+    partitions start a cell at each label up to it, or neither does.
     """
     if depth >= len(first_path):
         return None
@@ -423,15 +428,12 @@ def _early_map(first_path, depth, partition, s):
         return None
     perm = {}
     for a, b in zip(first, by_label):
-        if a is None or b is None:
-            if a is not b:
-                return None
-        elif len(a) == 1:
-            if len(b) != 1:
-                return None
+        if a is b:  # no cell starts here, or both share one
+            continue
+        if len(a) == 1 == len(b):
             if a[0] != b[0]:
                 perm[a[0]] = b[0]
-        elif a is not b and a != b:
+        elif a != b:
             return None
     return perm
 

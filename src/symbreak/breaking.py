@@ -57,7 +57,7 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
     rules ``e_i <- e_{i-1}, v_i, perm(v_i)`` and
     ``e_i <- e_{i-1}, not v_i, not perm(v_i)``.
     """
-    support = order.sort_atoms(perm.support)
+    support = order.sort_atoms(perm.moved)
     if not support:
         return ()
     points = support[:aux_limit + 1]

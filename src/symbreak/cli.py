@@ -35,9 +35,8 @@ def emit_stats(program: GroundProgram, result: BreakResult, seconds: float) -> s
 
 
 def format_generator(perm: AtomPermutation, program: GroundProgram) -> str:
-    """Cycle notation over atom names; hidden atoms print as _<index>."""
-    if perm.is_identity:
-        return "()"
+    """Cycle notation over atom names; hidden atoms print as _<index>.
+    Only non-identity permutations reach it: detection drops the others."""
     return "".join(
         "(" + " ".join(program.name_of(a) for a in cycle) + ")"
         for cycle in perm.cycles()

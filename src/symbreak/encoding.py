@@ -27,7 +27,6 @@ constraint that occurs more than once, since the gate counts copies and
 an edge cannot.
 """
 
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -53,7 +52,9 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     atom ``atoms[i]`` owns the positive node ``2*i`` and the negative
     node ``2*i + 1``; rule nodes follow in rule order, except that binary
     constraints drawn as literal edges have none and those written more
-    than once come last.
+    than once come last.  Every node's ``neighbors`` tuple strictly
+    ascends, so two nodes have the same neighbors exactly when their
+    tuples are equal.
     """
 
     def __new__(cls, colors, neighbors, atoms=()):
@@ -62,10 +63,6 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     @property
     def n_nodes(self) -> int:
         return len(self.colors)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(ns) for ns in self.neighbors)
 
     def node_atom(self, node: int) -> int:
         """The atom owning a literal node (positive or negative)."""

@@ -87,7 +87,7 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     for matrix in rows:
         fragments += break_rows(matrix, order, config.aux_limit, alloc)
     for g in gens:
-        if all(matrix.row_map_of(g) is None for matrix in rows):
+        if not any(matrix.permutes_rows(g) for matrix in rows):
             fragments.append(lex_leader_rules(g, order, config.aux_limit, alloc))
     if pairs:
         fragments.append(binary_rules(pairs, alloc))

@@ -44,10 +44,6 @@ class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])
                 moved[a] = b
         return cls(moved)
 
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.moved)
-
     @property
     def is_identity(self) -> bool:
         return not self.moved
@@ -86,9 +82,6 @@ class AtomPermutation(NamedTuple("AtomPermutation", [("moved", dict[int, int])])
     def key(self):
         return tuple(sorted(self.moved.items()))
 
-    def __hash__(self):
-        return hash(self.key())
-
 
 def restrict_to_atoms(graph: ColoredGraph, node_perm: dict) -> AtomPermutation:
     """Atom permutation induced by a graph automorphism, given as the map
@@ -115,9 +108,9 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
     Compute blocks take part through their constraint form, and a
     permutation moving the reserved false atom is never a symmetry.
 
-    Only the rules touching ``perm.support`` are compared, found through
-    the program view's ``occurrences``: every other rule is its own image,
-    so the verdict is the one for the whole program.  The view's ``keys``
+    Only the rules touching an atom ``perm`` moves are compared, found
+    through the program view's ``occurrences``: every other rule is its own
+    image, so the verdict is the one for the whole program.  The view's ``keys``
     and the image keys, ``key(perm.moved)``, both come from ``Rule.key``.
     """
     sem = program.view
@@ -162,24 +155,16 @@ class RowMatrix(NamedTuple("RowMatrix", [("rows", tuple[tuple[int, ...], ...])])
     def adjacent_swap(self, i: int) -> AtomPermutation:
         return self.row_swap(i, i + 1)
 
-    def row_map_of(self, perm: AtomPermutation):
-        """Row permutation realized by perm, or None.
-
-        Returns the mapping row index -> row index when perm permutes the
-        matrix rows column-consistently and moves nothing else; such a
-        permutation is already broken completely by the row constraints.
-        """
-        if not perm.support <= self.atoms:
-            return None
-        first_col = {row[0]: i for i, row in enumerate(self.rows)}
-        get = perm.moved.get
-        mapping = {}
-        for i, row in enumerate(self.rows):
-            j = first_col.get(get(row[0], row[0]))
-            if j is None or tuple(map(get, row, row)) != self.rows[j]:
-                return None
-            mapping[i] = j
-        return mapping
+    def permutes_rows(self, perm: AtomPermutation) -> bool:
+        """Whether perm moves only matrix atoms and maps each row onto a
+        row, column by column; such a permutation is already broken
+        completely by the row constraints."""
+        moved = perm.moved
+        if not moved.keys() <= self.atoms:
+            return False
+        rows = set(self.rows)
+        get = moved.get
+        return all(tuple(map(get, row, row)) in rows for row in self.rows)
 
 
 def _canonical_matrix(rows) -> RowMatrix:
@@ -240,7 +225,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
 
     movers = {}  # atom -> the generators moving it, in generator order
     for g in gens:
-        for a in g.support:
+        for a in g.moved:
             movers.setdefault(a, []).append(g)
 
     grown = {}  # row -> the first seed whose rows hold it
@@ -311,7 +296,7 @@ def choose_order(gens, rows) -> AtomOrder:
     are left out, as no breaking rule ranks them.  The name is kept for
     ``perfbench/tracer.py``, which looks the function up by it.
     """
-    gens = sorted(gens, key=lambda g: (len(g.support), min(g.support, default=0)))
+    gens = sorted(gens, key=lambda g: (len(g.moved), min(g.moved, default=0)))
     # a dict keeps each atom's first place
     return AtomOrder(tuple(dict.fromkeys(
         [a for matrix in rows for row in matrix.rows for a in row]
@@ -341,6 +326,6 @@ def stabilizer_binary_symmetries(gens, order: AtomOrder, levels: int = 5
     """
     rank = order.rank
     gens = [g for g in gens if g.moved]
-    lowest = [min(map(rank.__getitem__, g.support)) for g in gens]
+    lowest = [min(map(rank.__getitem__, g.moved)) for g in gens]
     return [(order.sequence[r], [g for g, low in zip(gens, lowest) if low >= r])
             for r in sorted(set(lowest))[:max(levels, 0)]]

@@ -273,7 +273,7 @@ def reference_is_automorphism(graph: ColoredGraph, perm) -> bool:
     colors = graph.colors
     if any(colors[v] != colors[perm[v]] for v in range(graph.n_nodes)):
         return False
-    adjacency = graph.adjacency
+    adjacency = [frozenset(ns) for ns in graph.neighbors]
     return all(perm[v] in adjacency[perm[u]] for u, v in graph.edges())
 
 
@@ -320,7 +320,7 @@ def brute_force_automorphisms(graph: ColoredGraph, budget: int = 10 ** 7) -> lis
                         seen.add(w)
                         component.append(w)
             order += component
-    adjacency = graph.adjacency
+    adjacency = [frozenset(ns) for ns in graph.neighbors]
     out = []
     image = [None] * n
     used = set()
@@ -439,7 +439,7 @@ def group_order(gens, n: int) -> int:
 
 def compose_atoms(g: AtomPermutation, h: AtomPermutation) -> AtomPermutation:
     """Apply g, then h."""
-    return AtomPermutation({a: h.image_of(g.image_of(a)) for a in g.support | h.support})
+    return AtomPermutation({a: h.image_of(g.image_of(a)) for a in g.moved.keys() | h.moved.keys()})
 
 
 def reference_is_syntactic_symmetry(program: GroundProgram,
@@ -448,7 +448,7 @@ def reference_is_syntactic_symmetry(program: GroundProgram,
     sem = semantic_view(program)
     if sem.false_atom is not None and perm.image_of(sem.false_atom) != sem.false_atom:
         return False
-    if any(a < 1 or a > sem.max_atom for a in perm.support):
+    if any(a < 1 or a > sem.max_atom for a in perm.moved):
         return False
     base = Counter(r.key() for r in sem.rules)
     mapped = Counter(map_atoms(r, perm.image_of).key() for r in sem.rules)

@@ -242,19 +242,61 @@ class CountingNeighbors(tuple):
         return tuple.__getitem__(self, i)
 
 
-def test_search_neighbour_reads_bounded():
+def test_search_neighbour_reads_bounded(monkeypatch):
     """Seeded refinement, skipping the largest fragment, backjumping and
     early detection off the first path read fewer neighbor lists: 2,531
     and 504 reads with all of them, 2,633 and 1,414 without early
-    detection."""
+    detection.  Only refinement's reads are counted: the automorphism
+    checks read the uncounted graph, and the next test bounds theirs."""
     for program, bound, expected in [(pigeonhole(6, 5), 2600, (9, 50)),
                                      (free_choice(range(1, 17)), 700, (15, 45))]:
         graph = encode_program(program)
         counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
+        monkeypatch.setattr(automorphism, "is_automorphism",
+                            lambda _, perm, graph=graph: is_automorphism(graph, perm))
         CountingNeighbors.reads = 0
         search = find_generators(counted)
         assert CountingNeighbors.reads <= bound
         assert (len(search.generators), search.tree_nodes) == expected
+
+
+class RecordingNeighbors(tuple):
+    """Neighbor lists that record the index of each one read, and count
+    the walks over all of them."""
+
+    def __new__(cls, neighbors):
+        self = super().__new__(cls, neighbors)
+        self.read = []
+        self.walks = 0
+        return self
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        self.walks += 1
+        return tuple.__iter__(self)
+
+
+def test_automorphism_check_reads_moved_nodes_only():
+    """A check reads the neighbor tuples of the nodes the map moves and of
+    their images, once each, and never walks the whole graph: a map that
+    moves 4 nodes of a large graph costs 4 nodes, not the graph."""
+    for program in (pigeonhole(5, 4), free_choice(range(1, 9))):
+        graph = encode_program(program)
+        for perm in find_generators(graph).generators:
+            recorded = RecordingNeighbors(graph.neighbors)
+            assert is_automorphism(graph._replace(neighbors=recorded), perm)
+            assert recorded.walks == 0
+            assert sorted(recorded.read) == sorted([*perm, *perm.values()])
+        # a map that fails reads no further than the first failing node
+        v, w = 0, 2  # two positive literal nodes of distinct atoms
+        recorded = RecordingNeighbors(graph.neighbors)
+        bad = {v: w, w: v}
+        assert (is_automorphism(graph._replace(neighbors=recorded), bad)
+                == reference_is_automorphism(graph, dense(bad, graph.n_nodes)))
+        assert recorded.walks == 0 and set(recorded.read) <= {v, w}
 
 
 def test_refine_leaves_its_argument_unchanged():
@@ -343,6 +385,57 @@ def test_search_matches_reference_on_frucht_and_rook_graphs(monkeypatch):
     graph, which no automorphism maps onto each other."""
     assert_search_matches_reference(monkeypatch, [two_frucht_graphs(),
                                                   rook_and_shrikhande_graphs()])
+
+
+# two connected cubic graphs on which early detection gives up on a node
+# for its shape alone: on the first a node off the first path lies deeper
+# than the first leaf, and on the second a cell the first path's partition
+# holds as a singleton is no singleton at the node, all cells before it
+# matching
+DEEPER_THAN_FIRST_LEAF = build_graph([1] * 8, [
+    (0, 2), (0, 4), (0, 7), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 5),
+    (3, 7), (4, 6), (5, 6)])
+SINGLETON_AGAINST_CELL = build_graph([1] * 10, [
+    (0, 2), (0, 4), (0, 7), (1, 3), (1, 6), (1, 9), (2, 3), (2, 8), (3, 7),
+    (4, 5), (4, 8), (5, 6), (5, 9), (6, 9), (7, 8)])
+
+
+def shape_mismatch(first_path, depth, partition, s):
+    """Why the early map at ``depth`` fails for its shape: "deeper", "first
+    cell" when the cells labelled ``s`` differ, or else the pair of cells,
+    first path's then the node's, at the first label where they differ and
+    are not both singletons; None when the shapes agree."""
+    if depth >= len(first_path):
+        return "deeper"
+    first = first_path[depth].by_label
+    if s < len(first) and first[s] != partition.by_label[s]:
+        return "first cell"
+    for a, b in zip(first, partition.by_label):
+        if a != b and not (a and b and len(a) == len(b) == 1):
+            return a, b
+    return None
+
+
+def test_early_map_shape_mismatches_are_reached(monkeypatch):
+    """The early map's two shape checks after the first cell are each
+    reached, and the search still matches the reference."""
+    reasons = []
+    real = automorphism._early_map
+
+    def recording(first_path, depth, partition, s):
+        reasons.append(shape_mismatch(first_path, depth, partition, s))
+        return real(first_path, depth, partition, s)
+
+    monkeypatch.setattr(automorphism, "_early_map", recording)
+    find_generators(DEEPER_THAN_FIRST_LEAF)
+    assert "deeper" in reasons
+    reasons.clear()
+    find_generators(SINGLETON_AGAINST_CELL)
+    assert any(isinstance(reason, tuple) and len(reason[0]) == 1 < len(reason[1])
+               for reason in reasons)
+    monkeypatch.setattr(automorphism, "_early_map", real)
+    assert_search_matches_reference(monkeypatch, [DEEPER_THAN_FIRST_LEAF,
+                                                  SINGLETON_AGAINST_CELL])
 
 
 def test_deep_search_stops_at_the_budget():

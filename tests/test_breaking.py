@@ -22,7 +22,7 @@ def aux_atoms(frag, alloc) -> tuple[int, ...]:
 
 def lex_leq(interp, perm, order):
     """Reference filter: compare I with its position-wise images."""
-    for v in order.sort_atoms(perm.support):
+    for v in order.sort_atoms(perm.moved):
         here, there = v in interp, perm.image_of(v) in interp
         if here != there:
             return (not here) and there

@@ -47,6 +47,15 @@ def test_break_writes_files(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_unwritable_output_exit_code(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "out.lp"  # its directory does not exist
+    code, out, err = run_cli(["-o", str(target)], P1_TEXT, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("symbreak: cannot write output: ")
+    assert not target.parent.exists()
+
+
 def test_detect_mode_p3(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "detect"], P3_TEXT, monkeypatch, capsys)
     assert code == 0
@@ -281,6 +290,26 @@ def test_verify_enumerates_each_program_once(monkeypatch, capsys):
     assert code == 0
     assert "answer sets 4 -> 3" in err
     assert len(calls) == 2  # the input and the augmented program
+
+
+def test_verify_reports_a_break_that_admits_a_non_answer_set(monkeypatch, capsys):
+    """A break that drops the input's constraint ``<- p, q`` admits {p, q},
+    which is no answer set of the input."""
+    from symbreak import cli
+
+    def dropping(program, config=None):
+        result = break_program(program, config)
+        assert result.program.rules[0] == p3().rules[0]
+        return result._replace(program=result.program._replace(
+            rules=result.program.rules[1:]))
+
+    monkeypatch.setattr(cli, "break_program", dropping)
+    code, out, err = run_cli(["--mode", "verify"], P3_TEXT, monkeypatch, capsys)
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert "symbreak: VIOLATION: augmented program admits a non-answer-set" in lines
+    assert "symbreak: verification passed" not in lines
 
 
 def test_option_defaults_are_the_break_config_defaults():

@@ -16,7 +16,7 @@ from graph_oracles import (atom_node, brute_force_automorphisms, build_graph,
                            color_census, map_atoms, moved_map, negation_node,
                            reference_encode_program)
 from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
-                      with_repeated_atoms)
+                      with_repeated_atoms, workload_instances)
 
 
 def test_empty_program_gives_empty_graph():
@@ -31,7 +31,7 @@ def test_p1_graph_structure():
     assert color_census(g) == {ATOM_COLOR: 2, NEGATION_COLOR: 2,
                                BODY_COLOR: 2, CHOICE_HEAD_COLOR: 2}
     # atom nodes pair with their negations
-    assert negation_node(g, 1) in g.adjacency[atom_node(g, 1)]
+    assert negation_node(g, 1) in g.neighbors[atom_node(g, 1)]
     autos = brute_force_automorphisms(g)
     assert len(autos) == 2
     swaps = [restrict_to_atoms(g, moved_map(a)) for a in autos]
@@ -56,7 +56,7 @@ def test_p3_constraint_head_has_no_literal_edge():
     g = encode_program(p3())
     assert g.n_nodes == 8  # false atom and constraint contribute no nodes
     assert HEAD_COLOR not in color_census(g)
-    assert atom_node(g, 3) in g.adjacency[atom_node(g, 2)]
+    assert atom_node(g, 3) in g.neighbors[atom_node(g, 2)]
     swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({2: 3, 3: 2}) in swaps
     # <- p, not q keeps its rule nodes, and its head only the body edge
@@ -86,7 +86,7 @@ def test_weight_rule_term_nodes():
     assert census[7] == 1 and census[8] == 1 and census[9] == 1
     # term node for weight 6 connects literal 2's positive node and the body
     term = g.colors.index(9)
-    assert atom_node(g, 2) in g.adjacency[term]
+    assert atom_node(g, 2) in g.neighbors[term]
 
 
 def test_shared_value_color_for_bound_and_weight():
@@ -159,6 +159,15 @@ def test_automorphism_restrictions_are_exactly_the_syntactic_symmetries():
         assert restrictions == syntactic, program
         checked += 1
     assert checked == 180
+
+
+def test_neighbor_tuples_strictly_ascend():
+    """The automorphism check compares sorted neighbor images with these
+    tuples, so each must ascend with no repeat."""
+    for program in [*corpus(), *workload_instances(range(1, 5))]:
+        graph = encode_program(program)
+        for ns in graph.neighbors:
+            assert all(u < v for u, v in zip(ns, ns[1:])), (program, ns)
 
 
 def test_encode_matches_reference():

@@ -302,7 +302,7 @@ def test_levels_hand_over_validated_generators_fixing_lower_atoms():
         for v, fixing in stabilizer_binary_symmetries(gens, result.order, 10 ** 6):
             remaining = iter(gens)
             assert all(s in remaining for s in fixing), program
-            assert all(rank[a] >= rank[v] for s in fixing for a in s.support), program
+            assert all(rank[a] >= rank[v] for s in fixing for a in s.moved), program
             closure = reference_orbit([dense(s.moved, n) for s in fixing], v)
             pairs += [(v, w) for w in sorted(closure - {v})]
             levels_seen += 1

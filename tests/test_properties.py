@@ -18,7 +18,7 @@ def random_permutation(rng, atoms):
 
 
 def lex_leq(interp, perm, order):
-    for v in order.sort_atoms(perm.support):
+    for v in order.sort_atoms(perm.moved):
         here, there = v in interp, perm.image_of(v) in interp
         if here != there:
             return (not here) and there

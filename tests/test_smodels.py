@@ -97,6 +97,29 @@ def test_overlong_integer_is_a_parse_error(text, line_no):
     assert "5000 digits" in str(err.value)
 
 
+HEAD = "1 2 0 0\n0\n"  # one fact and the rules terminator
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("1 2 0 0\n1 3 0 0\n", 3,
+     "unexpected end of input, expected a rule or the rules terminator 0"),
+    (HEAD + "2 a\n2 b\n0\nB+\n0\nB-\n0\n1\n", 4, "atom 2 already has a name"),
+    (HEAD + "0\nB-\n0\nB+\n0\n1\n", 4, "expected B+ section header, got 'B-'"),
+    (HEAD + "0\nB+\n0\nB+\n0\n1\n", 6, "expected B- section header, got 'B+'"),
+    (HEAD + "0\nB+\n2 3\n0\nB-\n0\n1\n", 5, "B+ lines carry one atom each"),
+    (HEAD + "0\nB+\n0\nB-\n2\n2 3\n0\n1\n", 8, "B- lines carry one atom each"),
+    (HEAD + "0\nB+\n0\nB-\n0\n1 2\n", 8, "model count line carries one integer"),
+    (HEAD + "0\nB+\n0\nB-\n0\n1\n\n0\n", 10,
+     "unexpected content after the model count"),
+], ids=["end-in-rules", "second-name", "B+-header", "B--header", "B+-two-atoms",
+        "B--two-atoms", "model-count-two-integers", "after-model-count"])
+def test_parse_diagnostics(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_program("1 1 0 0\n7 9\n0\n0\nB+\n0\nB-\n0\n1\n")
@@ -147,6 +170,19 @@ def test_validate_reports_names_the_writer_cannot_round_trip():
     good = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: "a b"})
     assert validate(good) == []
     assert parse_program(write_program(good)).symbols == {1: "a b"}
+
+
+@pytest.mark.parametrize("program,problems", [
+    (GroundProgram(rules=(ChoiceRule((2,)), WeightRule(1, 2, (2,), (3,), (1, -4)))),
+     ["rule 2: weight -4 must be >= 0"]),
+    (GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,)),
+                          MinimizeStatement((2,), (), (-1,)))),
+     ["rule 3: weight -1 must be >= 0"]),
+    (GroundProgram(rules=(ChoiceRule((2,)),), model_count=-1),
+     ["model count -1 must be >= 0"]),
+], ids=["weight-rule", "minimize", "model-count"])
+def test_validate_negative_values(program, problems):
+    assert validate(program) == problems
 
 
 def test_validate_rule_shape():

@@ -45,7 +45,7 @@ def assert_certifiable(program, order, levels):
     for v, strong in levels:
         for s in strong:
             assert is_syntactic_symmetry(program, s), (v, s)
-            assert all(order.rank[a] >= order.rank[v] for a in s.support), (v, s)
+            assert all(order.rank[a] >= order.rank[v] for a in s.moved), (v, s)
 
 
 def test_atom_permutation_rejects_non_bijection():
@@ -55,7 +55,7 @@ def test_atom_permutation_rejects_non_bijection():
 
 def test_atom_permutation_drops_fixed_points():
     perm = AtomPermutation({1: 1, 2: 3, 3: 2})
-    assert perm.support == {2, 3}
+    assert perm.moved.keys() == {2, 3}
 
 
 def test_atom_permutation_cycles_and_composition():
@@ -191,9 +191,13 @@ def test_row_matrix_swaps_and_membership():
     m = RowMatrix(((1, 2), (3, 4), (5, 6)))
     assert m.adjacent_swap(0) == AtomPermutation({1: 3, 3: 1, 2: 4, 4: 2})
     rotation = AtomPermutation.from_cycles((1, 3, 5), (2, 4, 6))
-    assert m.row_map_of(rotation) == {0: 1, 1: 2, 2: 0}
+    assert m.permutes_rows(rotation)
     # a column swap is not a row permutation
-    assert m.row_map_of(AtomPermutation.from_cycles((1, 2))) is None
+    assert not m.permutes_rows(AtomPermutation.from_cycles((1, 2)))
+    # nor is a swap of two rows that exchanges their columns
+    assert not m.permutes_rows(AtomPermutation.from_cycles((1, 4), (2, 3)))
+    # nor a row swap that also moves an atom outside the matrix
+    assert not m.permutes_rows(AtomPermutation.from_cycles((1, 3), (2, 4), (7, 8)))
 
 
 def test_detect_rows_pigeonhole_3_2():
@@ -330,7 +334,7 @@ def test_detect_rows_of_s24_is_fast():
 
 
 def moved_atoms(gens, rows) -> set:
-    return {a for g in gens for a in g.support} | {a for m in rows for a in m.atoms}
+    return {a for g in gens for a in g.moved} | {a for m in rows for a in m.atoms}
 
 
 def test_choose_order_natural_without_symmetry():
@@ -431,7 +435,7 @@ def research_pairs(program, order, levels=5):
                 continue
             witness = restrict_to_atoms(graph, moved_map(words[node]))
             if (is_syntactic_symmetry(program, witness)
-                    and min(witness.support, key=order.rank.__getitem__) == v):
+                    and min(witness.moved, key=order.rank.__getitem__) == v):
                 pairs.append((v, graph.node_atom(node)))
         graph = fix_nodes(graph, [start])
         gens = [dense(g, n) for g in find_generators(graph).generators]
@@ -466,7 +470,7 @@ def test_stabilizer_levels_match_brute_force_stabilizers():
             continue
         expected = {}
         fixed = []
-        for v in order.sort_atoms({a for g in det.generators for a in g.support}):
+        for v in order.sort_atoms({a for g in det.generators for a in g.moved}):
             stabilizer = [g for g in group if all(g[a] == a for a in fixed)]
             images = {g[v] for g in stabilizer}
             if len(images) > 1 and len(expected) < 5:
