@@ -34,7 +34,7 @@ class FreshAtoms:
     def __init__(self, program: GroundProgram):
         self.first = program.max_atom + 1
         self.head = program.view.false_atom
-        self._next = program.view.max_atom + 1
+        self._next = max(self.first, self.head + 1)
 
     def fresh(self) -> int:
         atom = self._next

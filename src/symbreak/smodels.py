@@ -222,20 +222,19 @@ class GroundProgram(NamedTuple("GroundProgram", [
 
 
 class SemanticProgram(NamedTuple("SemanticProgram", [
-        ("rules", tuple[Rule, ...]), ("atoms", tuple[int, ...]), ("max_atom", int),
+        ("rules", tuple[Rule, ...]), ("atoms", tuple[int, ...]),
         ("false_atom", int)])):
     """A program with compute blocks folded into constraints.
 
     ``false_atom`` heads the folded compute blocks and every constraint
     the breaking layer appends: the input's reserved atom, or else one
-    past its ``max_atom``, which the view's ``max_atom`` then counts.
-    ``atoms`` are the atoms its rules mention but ``false_atom``,
-    ascending; no rule derives any other atom, so those are false in
-    every answer set, and nothing but fresh atoms is placed by
-    ``max_atom``.  All downstream semantics (graph encoding, syntactic
-    symmetry checks, the oracle) work on this view, ``GroundProgram.view``,
-    which also owns the gate's rule ``keys`` and atom ``occurrences``; the
-    wire-level program keeps its compute blocks verbatim.
+    past its ``max_atom``.  ``atoms`` are the atoms its rules mention but
+    ``false_atom``, ascending; no rule derives any other atom, so those
+    are false in every answer set.  All downstream semantics (graph
+    encoding, syntactic symmetry checks, the oracle) work on this view,
+    ``GroundProgram.view``, which also owns the gate's rule ``keys`` and
+    atom ``occurrences``; the wire-level program keeps its compute blocks
+    verbatim.
     """
 
     @cached_property
@@ -255,16 +254,14 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
 
 def semantic_view(program: GroundProgram) -> SemanticProgram:
     false = program.false_atom
-    max_atom = program.max_atom
     atoms = tuple(sorted(program.mentioned - {false}))
     plus = list(program.compute_plus)
     minus = [a for a in program.compute_minus if a != false]
     if false is None:
-        max_atom += 1
-        false = max_atom
+        false = program.max_atom + 1
     extra = [BasicRule(false, (), (a,)) for a in plus]
     extra += [BasicRule(false, (a,), ()) for a in minus]
-    return SemanticProgram(program.rules + tuple(extra), atoms, max_atom, false)
+    return SemanticProgram(program.rules + tuple(extra), atoms, false)
 
 
 def _int(tok: str, line_no: int) -> int:

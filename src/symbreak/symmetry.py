@@ -15,8 +15,8 @@ keys of their images, both from ``Rule.key``.  Row detection takes the
 generators it is handed as validated symmetries, as the pipeline passes
 only those that passed the gate and the lex-leader constraints trust the
 same list.  So it asks the gate only about swaps that are no generator,
-at most once per distinct swap within a call, and not about swaps of
-rows an earlier seed grew.
+at most once per distinct swap within a call, and it grows no seed whose
+two rows one earlier seed already grew.
 """
 
 from collections import Counter
@@ -117,7 +117,7 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
     moved = perm.moved
     if sem.false_atom in moved:
         return False
-    if any(a < 1 or a > sem.max_atom for a in moved):
+    if any(a < 1 or a > program.max_atom for a in moved):
         return False
     touched = {i for a in moved for i in sem.occurrences.get(a, ())}
     keys, rules = sem.keys, sem.rules
@@ -202,18 +202,20 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     atom, in generator order: the image under any other holds that atom,
     so it meets the row itself.
 
-    Seeds often grow the same rows, so a growth query whose two rows were
-    both grown by one earlier seed is answered without the gate: that
-    seed's rows are pairwise disjoint, and any two of them are
-    interchangeable, since each swap of two of its consecutive rows is the
-    seed itself or was admitted, and the other swaps are products of
-    these.  The gate is exact, so it would give the same answer.
+    A seed whose two rows one earlier seed grew is skipped: that seed's
+    rows are pairwise disjoint and any two are interchangeable, as each
+    swap of consecutive ones is the seed or was admitted and the rest are
+    products, so the skipped seed would walk them again.  Grown, it would
+    start from fewer used atoms, so the skip is not exact on every list: on
+    the pipeline's search generators it was measured to keep every
+    matrix, but not on a few hand-made involution lists, whose matrices
+    change under mere reordering too.
 
     The generators are taken as validated symmetries: a swap that is one
     of them is a symmetry without asking the gate.  Every other swap, of a
     growth query or of a new matrix's adjacent rows, goes to the gate,
-    which sees each distinct swap once per call; the verdicts are dropped
-    on return.
+    which sees each distinct swap once per call, so a matrix grown twice
+    asks nothing more; the verdicts are dropped on return.
     """
     verdicts = dict.fromkeys(map(AtomPermutation.key, gens), True)
 
@@ -230,13 +232,15 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
 
     grown = {}  # row -> the first seed whose rows hold it
     candidates = []
-    seen_matrices = set()
     for number, seed in enumerate(gens):
         if not seed.is_involution():
             continue
         pairs = sorted(seed.cycles())
         row_one = tuple(a for a, _ in pairs)
         row_two = tuple(b for _, b in pairs)
+        known = grown.get(row_one)
+        if known is not None and known == grown.get(row_two):
+            continue
         rows = [row_one, row_two]
         used = set(row_one) | set(row_two)
         seen = set(rows)
@@ -246,11 +250,8 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
                 if image in seen:
                     continue
                 seen.add(image)
-                if not used.isdisjoint(image):
-                    continue
-                known = grown.get(image)
-                if ((known is not None and known == grown.get(rows[-1]))
-                        or is_symmetry(AtomPermutation.from_cycles(*zip(rows[-1], image)))):
+                if (used.isdisjoint(image)
+                        and is_symmetry(AtomPermutation.from_cycles(*zip(rows[-1], image)))):
                     rows.append(image)
                     used.update(image)
         for row in rows:
@@ -258,11 +259,8 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
         if len(rows) < 3:
             continue
         matrix = _canonical_matrix(rows)
-        if matrix.rows in seen_matrices:
-            continue
         if all(is_symmetry(matrix.adjacent_swap(i))
                for i in range(matrix.n_rows - 1)):
-            seen_matrices.add(matrix.rows)
             candidates.append(matrix)
 
     candidates.sort(key=lambda m: (-len(m.atoms), -m.n_rows, min(m.atoms), m.rows))

@@ -448,7 +448,7 @@ def reference_is_syntactic_symmetry(program: GroundProgram,
     sem = semantic_view(program)
     if sem.false_atom is not None and perm.image_of(sem.false_atom) != sem.false_atom:
         return False
-    if any(a < 1 or a > sem.max_atom for a in perm.moved):
+    if any(a < 1 or a > program.max_atom for a in perm.moved):
         return False
     base = Counter(r.key() for r in sem.rules)
     mapped = Counter(map_atoms(r, perm.image_of).key() for r in sem.rules)

@@ -257,7 +257,7 @@ def reference_answer_sets(program: GroundProgram):
 
     sem = semantic_view(program)
     false = sem.false_atom
-    atoms = [a for a in range(1, sem.max_atom + 1) if a != false]
+    atoms = [a for a in range(1, program.max_atom + 1) if a != false]
 
     def literals(rule):
         """(atom, is_positive, weight) per body literal, and the bound."""

@@ -75,7 +75,7 @@ def test_appended_rules_are_constraints_or_fresh_definitions():
                  for variant in (p._replace(compute_plus=(1,)),
                                  p._replace(compute_minus=(p.max_atom,)))]
     for program in programs:
-        head, top = program.view.false_atom, program.view.max_atom
+        head, top = program.view.false_atom, program.max_atom
         out = break_program(program).program
         appended = out.rules[len(program.rules):]
         assert out.rules[:len(program.rules)] == program.rules

@@ -302,7 +302,6 @@ def test_semantic_view_synthesizes_false_atom():
     p = GroundProgram(rules=(ChoiceRule((1,)),), compute_plus=(1,))
     sem = semantic_view(p)
     assert sem.false_atom == 2
-    assert sem.max_atom == 2
     assert BasicRule(2, (), (1,)) in sem.rules
     assert semantic_view(p1()).false_atom == p1().max_atom + 1  # no constraints
 
