@@ -7,8 +7,8 @@ oracle verifies every step at desk scale.  The oracle's names load on
 first use, so that breaking never imports it.
 """
 
-from .automorphism import (GeneratorSearch, OrderedPartition, color_refine,
-                           find_generators, orbit)
+from .automorphism import (GeneratorSearch, OrderedPartition, Orbits,
+                           color_refine, find_generators)
 from .breaking import (FreshAtoms, assemble, binary_rules, break_rows,
                        lex_leader_rules)
 from .encoding import ColoredGraph, encode_program
@@ -26,13 +26,13 @@ __all__ = [
     "AtomOrder", "AtomPermutation", "BasicRule", "BreakConfig", "BreakResult",
     "CardinalityRule", "ChoiceRule", "ColoredGraph", "Detection",
     "DisjunctiveRule", "FreshAtoms", "GeneratorSearch",
-    "GroundProgram", "MinimizeStatement",
-    "OracleBudgetError", "OrderedPartition", "ParseError", "RowMatrix",
+    "GroundProgram", "MinimizeStatement", "OracleBudgetError", "Orbits",
+    "OrderedPartition", "ParseError", "RowMatrix",
     "Rule", "SoundnessVerdict", "WeightRule", "answer_sets",
     "assemble", "binary_rules", "break_program", "break_rows",
     "check_soundness", "choose_order", "color_refine", "detect_rows",
     "detect_symmetries", "encode_program", "find_generators",
-    "is_syntactic_symmetry", "lex_leader_rules", "orbit",
+    "is_syntactic_symmetry", "lex_leader_rules",
     "parse_program", "restrict_to_atoms", "semantic_view",
     "stabilizer_binary_symmetries", "validate", "write_program",
 ]

@@ -64,7 +64,11 @@ partition refinement works on (``OrderedPartition.labels`` and
 vertex off its cell on the copy and relabels only that cell.
 
 Orbit pruning at a node uses the generators found so far that fix its
-base pointwise.  Backjumping decides in advance which those are:
+base pointwise.  As refinement is invariant under relabelling, they map
+each cell of the node's partition onto itself; the cell ascends, and each
+earlier vertex was searched or lies in the orbit of one that was, so a
+vertex is searched exactly when it is the least of its orbit (`Orbits`).
+Backjumping decides in advance which generators fix a base:
 
 - (I1) every first-path node is made before the first leaf is reached,
   so before the first generator is found;
@@ -77,10 +81,10 @@ base pointwise.  Backjumping decides in advance which those are:
 
 So no generator is ever tested against a base.  By (I1) a first-path
 node has nothing to inherit from its parent, and by (I2) it can prune
-with every generator, so first-path nodes share the live list of them.
-By (I3) an off-path node never sees a generator it was not made with: it
-keeps the snapshot of its parent's list that fixes its own vertex, taken
-when it is made, and nodes need not store their bases.
+with every generator, so first-path nodes share the live list of them
+and its `Orbits`.  By (I3) an off-path node never sees a generator it was
+not made with: it keeps the snapshot of its parent's list that fixes its
+own vertex, taken when it is made, and nodes need not store their bases.
 
 `color_refine` works in rounds, and every round splits each cell against
 the partition the round started from.  So after a round every cell is
@@ -136,7 +140,7 @@ from .encoding import ColoredGraph
 
 __all__ = [
     "OrderedPartition", "partition_by_colors", "color_refine",
-    "GeneratorSearch", "find_generators", "orbit", "is_automorphism",
+    "GeneratorSearch", "find_generators", "Orbits", "is_automorphism",
 ]
 
 
@@ -326,23 +330,43 @@ def is_automorphism(graph: ColoredGraph, perm: dict) -> bool:
     return True
 
 
-def orbit(maps, seed: int) -> frozenset:
-    """Closure of {seed} under the given moved maps, each of which fixes
-    every point it does not hold.
+class Orbits:
+    """Orbits of the group the merged maps generate: a union-find whose
+    roots are the least points of their orbits (nauty's orbit array: McKay
+    & Piperno, J. Symb. Comput. 2014).  ``parent`` holds only the points
+    that are no root, so `merge` costs the map's support."""
 
-    Every point reached is looked up in every map, so a closure costs its
-    size times the number of maps, however many points they move.
-    """
-    seen = {seed}
-    frontier = [seed]
-    for v in frontier:
-        for g in maps:
-            if v in g:
-                w = g[v]
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return frozenset(seen)
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent = {}
+
+    def least(self, v: int) -> int:
+        parent = self.parent
+        while v in parent:
+            p = parent[v]
+            parent[v] = v = parent.get(p, p)  # halve the path
+        return v
+
+    def merge(self, perm: dict) -> None:
+        """Join each moved point's orbit with its image's (`least`, inline)."""
+        parent = self.parent
+        for v, w in perm.items():
+            while v in parent:
+                p = parent[v]
+                parent[v] = v = parent.get(p, p)
+            while w in parent:
+                p = parent[w]
+                parent[w] = w = parent.get(p, p)
+            if v < w:
+                parent[w] = v
+            elif w < v:
+                parent[v] = w
+
+    def orbit(self, v: int) -> list:
+        """v's orbit, ascending."""
+        root = self.least(v)
+        return [root] + sorted(w for w in self.parent if self.least(w) == root)
 
 
 class GeneratorSearch(NamedTuple):
@@ -361,46 +385,29 @@ class GeneratorSearch(NamedTuple):
 
 class _Node:
     """An inner node of the search tree: its partition, the label of its
-    first non-singleton cell, and the loop over that cell."""
+    first non-singleton cell, the loop over that cell, and the found
+    generators fixing its base with their `Orbits` (built from an off-path
+    node's snapshot only when a second vertex is asked for)."""
 
-    __slots__ = ("partition", "label", "todo", "current", "done",
-                 "stabilizing", "known", "reached", "covered")
+    __slots__ = ("partition", "label", "todo", "stabilizing", "orbits")
 
-    def __init__(self, partition, label, stabilizing):
+    def __init__(self, partition, label, stabilizing, orbits=None):
         self.partition = partition
         self.label = label
         self.todo = iter(partition.by_label[label])
-        self.current = None  # the vertex whose subtree is being searched
-        self.done = []  # the vertices whose subtrees are finished
-        # the found generators fixing the base: the search's own list on
-        # the first path, a fixed snapshot off it
         self.stabilizing = stabilizing
-        self.known = len(stabilizing)  # generators `reached` was built with
-        self.reached = set()
-        self.covered = 0  # finished vertices whose orbits are in `reached`
+        self.orbits = orbits
 
     def next_vertex(self):
-        """The next vertex of the cell to individualize, or None when done.
-
-        A vertex is skipped when a finished sibling reaches it under the
-        found generators that fix the base.  `reached` is rebuilt when
-        generators were found since the last call, and otherwise grows by
-        the orbit of each newly finished sibling.
-        """
-        if self.current is not None:
-            self.done.append(self.current)
-            self.current = None
+        """The cell's next vertex least in its orbit, or None when done."""
+        orbits = self.orbits
+        if orbits is None:
+            orbits = self.orbits = Orbits()
+            for g in self.stabilizing:
+                orbits.merge(g)
+        least = orbits.least
         for v in self.todo:
-            if self.known < len(self.stabilizing):
-                self.known = len(self.stabilizing)
-                self.reached = set()
-                self.covered = 0
-            for w in self.done[self.covered:]:
-                if w not in self.reached:
-                    self.reached |= orbit(self.stabilizing, w)
-            self.covered = len(self.done)
-            if v not in self.reached:
-                self.current = v
+            if least(v) == v:
                 return v
         return None
 
@@ -456,6 +463,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     """
     n = graph.n_nodes
     gens: list[dict[int, int]] = []
+    orbits = Orbits()  # under gens, shared by the first path's nodes
     on_first_path = True
     first_path: list[OrderedPartition] = []  # its partitions by depth
     path: list[_Node] = []  # the inner nodes above the current one
@@ -471,27 +479,33 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
         s = path[-1].label + 1 if path else 0
         while s < n and len(by_label[s]) == 1:
             s += 1
+        node = None
         if on_first_path:
             first_path.append(partition)
             if s < n:
-                path.append(_Node(partition, s, gens))
+                node = _Node(partition, s, gens, orbits)
             else:
                 on_first_path = False
         else:
             perm = _early_map(first_path, len(path), partition, s)
             if perm is not None and is_automorphism(graph, perm):
                 gens.append(perm)
+                orbits.merge(perm)
                 # back to the deepest node on the first path: its current
                 # child's subtree is covered by the new generator
-                del path[next(i for i, node in enumerate(path) if node.done) + 1:]
+                while path[-1].stabilizing is not gens:
+                    path.pop()
             elif s < n:
-                stabilizing = [g for g in path[-1].stabilizing if v not in g]
-                path.append(_Node(partition, s, stabilizing))
-        while path:
-            v = path[-1].next_vertex()
-            if v is not None:
-                break
-            path.pop()
+                node = _Node(partition, s, [g for g in path[-1].stabilizing if v not in g])
+        if node is not None:
+            path.append(node)
+            v = next(node.todo)  # the least of its cell
         else:
-            return GeneratorSearch(tuple(gens), True, tree_nodes)
+            while path:
+                v = path[-1].next_vertex()
+                if v is not None:
+                    break
+                path.pop()
+            else:
+                return GeneratorSearch(tuple(gens), True, tree_nodes)
         partition = color_refine(graph, path[-1].partition, v)

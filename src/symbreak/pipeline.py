@@ -6,15 +6,15 @@ before anything is built from it; permutations failing the gate are
 dropped and kept aside, so a detection bug can only weaken the breaking,
 never corrupt it.  Binary clauses pair each emitted level's base atom v
 with the rest of its orbit under the level's generators, which are the
-validated ones that move no atom ranked below v.  Syntactic symmetries
-form a group, so every orbit point is reached by a symmetry that fixes
-everything ranked below v.  The constraint head is not chosen here:
-``FreshAtoms`` takes it from the program's view.
+validated ones that move no atom ranked below v, read off one `Orbits`.
+Syntactic symmetries form a group, so every orbit point is reached by a
+symmetry that fixes everything ranked below v.  The constraint head is
+not chosen here: ``FreshAtoms`` takes it from the program's view.
 """
 
 from typing import NamedTuple
 
-from .automorphism import GeneratorSearch, find_generators, orbit
+from .automorphism import GeneratorSearch, Orbits, find_generators
 from .breaking import (FreshAtoms, assemble, binary_rules, break_rows,
                        lex_leader_rules)
 from .encoding import encode_program
@@ -78,9 +78,16 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     rows = detect_rows(program, gens) if config.row_detection else []
     order = choose_order(gens, rows)
 
+    # a level's generators are the next level's and those moving its base
+    # atom: fed from the last level up (all new, with no pair yet), each once
+    levels = stabilizer_binary_symmetries(gens, order, config.stabilizer_levels)
+    orbits = Orbits()
     pairs = []
-    for v, fixing in stabilizer_binary_symmetries(gens, order, config.stabilizer_levels):
-        pairs += [(v, w) for w in sorted(orbit([g.moved for g in fixing], v) - {v})]
+    for v, fixing in reversed(levels):
+        for g in fixing:
+            if not pairs or v in g.moved:
+                orbits.merge(g.moved)
+        pairs[:0] = [(v, w) for w in orbits.orbit(v) if w != v]
 
     alloc = FreshAtoms(program)
     fragments = []
