@@ -762,18 +762,21 @@ def test_pigeonhole_group_order():
     assert len({tuple(p[2 * i] for i in range(len(g.atoms))) for p in closure}) >= 12
 
 
-def test_orbits_trivial_p1_and_pigeonhole():
+def test_orbit_trivial_and_p1():
     orbits = Orbits()
     assert (orbits.least(3), orbits.orbit(3)) == (3, [3])
     g = encode_program(p1())
     orbits.merge(find_generators(g).generators[0])
     assert orbits.orbit(atom_node(g, 2)) == [atom_node(g, 1), atom_node(g, 2)]
+
+
+def test_orbit_pigeonhole_covers_all_placements():
     g = encode_program(pigeonhole(3, 2))
     orbits = Orbits()
     for gen in find_generators(g).generators:
         orbits.merge(gen)
     placements = [atom_node(g, place_atom(3, 2, p, h)) for p in (1, 2, 3) for h in (1, 2)]
-    reached = orbits.orbit(placements[-1])
+    reached = orbits.orbit(placements[0])
     assert set(placements) <= set(reached)
     assert reached[-1] < 2 * len(g.atoms)  # literal nodes only
 
