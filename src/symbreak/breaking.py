@@ -154,8 +154,7 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
     compute_minus = program.compute_minus
     if fresh_head:
         compute_minus = compute_minus + (alloc.head,)
-    out = GroundProgram(program.rules + tuple(appended), dict(program.symbols),
-                        program.compute_plus, compute_minus, program.model_count)
+    out = program.extended(appended, compute_minus)
     # the input's rules keep the input's cached verdict: a rule's validity
     # does not depend on the rest of the program
     problems = validate(out, len(program.rules))

@@ -18,7 +18,14 @@ stale one.
 
 ``parse_program`` checks each line as it decodes it: every fault but a
 choice or disjunctive rule with no heads, which its ``problems`` report,
-is a ``ParseError``.  ``validate`` walks programs built in code.
+is a ``ParseError``.  ``validate`` walks programs built in code.  The
+rule section is decoded from one token stream per block of lines, each
+block's lines split and its tokens converted in one go.  Only when that
+pass meets a fault, or a terminator spelled other than ``0`` alone on
+its line, does the per-line loop decode the section again, to raise the
+first fault's ``ParseError`` with its line.  When the section is already
+in the writer's spelling, the program keeps a reference to the input,
+and ``write_program`` copies those lines instead of rewriting the rules.
 """
 
 from collections import Counter
@@ -138,6 +145,10 @@ _LAYOUTS = {
     DISJUNCTIVE: _Layout(None, None, False),
 }
 _NO_HEADS = "head list must not be empty"
+_FREE_KINDS = frozenset((CHOICE, DISJUNCTIVE))
+# rule lines split and decoded together: enough to spread the per-block
+# calls, few enough that a block's tokens reuse the memory the last freed
+_BLOCK = 128
 
 
 class GroundProgram(NamedTuple("GroundProgram", [
@@ -152,7 +163,9 @@ class GroundProgram(NamedTuple("GroundProgram", [
 
     Like every record of the package, a named tuple, so equality compares
     the fields alone; this subclass adds the ``__dict__`` that its cached
-    properties fill.
+    properties fill.  The parser also puts there a reference to an input
+    whose rule section is in the writer's spelling; a ``_replace`` copy
+    starts with an empty ``__dict__`` and so is written rule by rule.
     """
 
     def __new__(cls, rules=(), symbols=None, compute_plus=(), compute_minus=(),
@@ -199,12 +212,28 @@ class GroundProgram(NamedTuple("GroundProgram", [
             return None
         return 1 if self._heads_only(1) else None
 
+    @cached_property
+    def _free_heads(self) -> frozenset[int]:
+        """The heads of choice and disjunctive rules, which such a rule can
+        make true; the false-atom test asks of them (set by the parser)."""
+        return frozenset(chain.from_iterable(r.heads for r in self.rules
+                                             if r.kind in _FREE_KINDS))
+
     def _heads_only(self, atom: int) -> bool:
         """Whether the atom occurs in no body, no choice or disjunctive
         head and not in B+."""
         return not (atom in self.compute_plus or atom in self._body_atoms
-                    or any(atom in r.heads for r in self.rules
-                           if r.kind == CHOICE or r.kind == DISJUNCTIVE))
+                    or atom in self._free_heads)
+
+    def extended(self, rules, compute_minus) -> "GroundProgram":
+        """This program with ``rules`` appended and ``compute_minus`` as
+        its B- block.  The result's leading rules are this program's, so
+        it keeps their input text for the writer."""
+        out = GroundProgram(self.rules + tuple(rules), dict(self.symbols),
+                            self.compute_plus, compute_minus, self.model_count)
+        if "_rule_text" in self.__dict__:
+            out.__dict__["_rule_text"] = self._rule_text
+        return out
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -281,11 +310,17 @@ def _atom(v: int, line_no: int) -> int:
 
 class _Ints(dict):
     """A document's tokens, each checked and converted on first lookup only;
-    ValueError for one that is no plain decimal (``_int`` says why)."""
+    ValueError for one that is no plain decimal (``_int`` says why).
+    ``respelled`` turns True at a token with a leading zero, which the
+    writer would spell otherwise."""
+
+    respelled = False
 
     def __missing__(self, tok: str) -> int:
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(tok)
+        if tok[0] == "0" and len(tok) > 1:
+            self.respelled = True
         value = self[tok] = int(tok)
         return value
 
@@ -355,17 +390,73 @@ def _decode_rule(values: list[int], line_no: int) -> Rule:
     return tuple.__new__(Rule, (kind, heads, pos, neg, bound, weights))
 
 
-def parse_program(text) -> GroundProgram:
-    """Parse an smodels document from a string or byte stream; this pass
-    also gives the program's ``problems``."""
-    if isinstance(text, (bytes, bytearray)):
+def _decode_section(lines: list[str], table: _Ints, text: str):
+    """The rules on ``lines``, a rule section without its terminator,
+    decoded from one token stream per block of lines; None at the first
+    fault, which ``_decode_lines`` then names.  With the rules, the
+    positions of those of other kinds than basic, cardinality and weight,
+    and the length of the prefix of ``text`` that spells the rules as the
+    writer would, or 0.
+
+    Basic, cardinality and weight rules are decoded in line, each checked
+    to end where its line ends; other kinds go through ``_decode_rule``.
+    """
+    ints = table.__getitem__
+    rules = []
+    others = []
+    append = rules.append
+    new = tuple.__new__  # skips the keyword handling of Rule's own constructor
+    spelled = 0  # characters of text in the writer's spelling; -1 once not
+    for start in range(0, len(lines), _BLOCK):
+        rows = list(map(str.split, lines[start:start + _BLOCK]))
         try:
-            text = text.decode()
-        except UnicodeDecodeError as exc:
-            raise ParseError(text.count(b"\n", 0, exc.start) + 1,
-                             f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
-    lines = text.splitlines()
-    ints = _Ints().__getitem__
+            values = tuple(map(ints, chain.from_iterable(rows)))
+        except ValueError:  # a malformed or over-long token
+            return None
+        i = 0
+        try:
+            for n in filter(None, map(len, rows)):
+                j = i + n
+                kind = values[i]
+                if kind == BASIC:  # 1 head nlit nneg neg... pos...
+                    split = i + 4 + values[i + 3]
+                    neg, pos = values[i + 4:split], values[split:j]
+                    head = values[i + 1]
+                    if n != 4 + values[i + 2] or split > j or not head or 0 in neg or 0 in pos:
+                        return None
+                    append(new(Rule, (BASIC, (head,), pos, neg, None, ())))
+                elif kind == CARDINALITY:  # 2 head nlit nneg bound neg... pos...
+                    split = i + 5 + values[i + 3]
+                    neg, pos = values[i + 5:split], values[split:j]
+                    head = values[i + 1]
+                    if n != 5 + values[i + 2] or split > j or not head or 0 in neg or 0 in pos:
+                        return None
+                    append(new(Rule, (CARDINALITY, (head,), pos, neg, values[i + 4], ())))
+                elif kind == WEIGHT:  # 5 head bound nlit nneg neg... pos... weights...
+                    nlit = values[i + 3]
+                    split, end = i + 5 + values[i + 4], i + 5 + nlit
+                    neg, pos = values[i + 5:split], values[split:end]
+                    head = values[i + 1]
+                    if n != 5 + 2 * nlit or split > end or not head or 0 in neg or 0 in pos:
+                        return None
+                    append(new(Rule, (WEIGHT, (head,), pos, neg, values[i + 2],
+                                      values[end:j])))
+                else:
+                    others.append(len(rules))
+                    append(_decode_rule(values[i:j], 0))
+                i = j
+        except (IndexError, ParseError):
+            return None
+        if spelled >= 0:
+            wire = "\n".join(map(" ".join, rows)) + "\n"
+            spelled = (spelled + len(wire)
+                       if all(rows) and text.startswith(wire, spelled) else -1)
+    return rules, others, (spelled - 1 if spelled > 0 and not table.respelled else 0)
+
+
+def _decode_lines(lines: list[str], ints) -> tuple[list[Rule], int]:
+    """The rules before the first line that reads ``0``, decoded line by
+    line, and that line's index; the ParseError of the first fault."""
     rules = []
     for line_no, line in enumerate(lines, 1):
         toks = line.split()
@@ -376,11 +467,38 @@ def parse_program(text) -> GroundProgram:
         except ValueError:  # a malformed or over-long token; _int names it
             values = [_int(tok, line_no) for tok in toks]
         if values == [0]:
-            break
+            return rules, line_no - 1
         rules.append(_decode_rule(values, line_no))
+    raise ParseError(len(lines) + 1,
+                     "unexpected end of input, expected a rule or the rules terminator 0")
+
+
+def parse_program(text) -> GroundProgram:
+    """Parse an smodels document from a string or byte stream; this pass
+    also gives the program's ``problems``."""
+    source = text
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(text.count(b"\n", 0, exc.start) + 1,
+                             f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
+        if isinstance(source, bytearray):  # it may change after the parse
+            source = text
+    lines = text.splitlines()
+    table = _Ints()
+    try:
+        end = lines.index("0")
+    except ValueError:  # no terminator spelled "0" alone on its line
+        decoded = None
     else:
-        raise ParseError(len(lines) + 1,
-                         "unexpected end of input, expected a rule or the rules terminator 0")
+        decoded = _decode_section(lines[:end], table, text)
+    if decoded is None:
+        rules, end = _decode_lines(lines, table.__getitem__)
+        others, length = range(len(rules)), 0
+    else:
+        rules, others, length = decoded
+    line_no = end + 1
     rest = ((line, n) for n, line in enumerate(map(str.strip, lines[line_no:]), line_no + 1)
             if line)
 
@@ -435,10 +553,18 @@ def parse_program(text) -> GroundProgram:
 
     program = GroundProgram(tuple(rules), symbols, plus, minus, models)
     # of the faults validate looks for, the decoder and the checks above
-    # let through only an empty head list
+    # let through only an empty head list; only choice and disjunctive
+    # rules, among the others, can have one
+    free = [i for i in others if rules[i].kind in _FREE_KINDS]
     program.__dict__["problems"] = tuple(
-        f"rule {i}: {_NO_HEADS}" for i, r in enumerate(rules, 1)
-        if not r.heads and r.kind != MINIMIZE)
+        f"rule {i + 1}: {_NO_HEADS}" for i in free if not rules[i].heads)
+    program.__dict__["_free_heads"] = frozenset(
+        chain.from_iterable(rules[i].heads for i in free))
+    if length:
+        # the input begins with the wire lines of all rules, ``length``
+        # characters without the last newline; an ASCII prefix has the
+        # same length in characters and in bytes
+        program.__dict__["_rule_text"] = (source, length, len(rules))
     return program
 
 
@@ -462,9 +588,16 @@ def _wire_line(rule: Rule, text) -> str:
 
 
 def write_program(program: GroundProgram) -> str:
-    """Serialize to canonical smodels text (single spaces, one final newline)."""
+    """Serialize to canonical smodels text (single spaces, one final newline).
+
+    The leading rules of a parsed program whose rule section came in this
+    spelling are copied from the input, not rewritten.
+    """
     text = _Texts().__getitem__
-    out = [_wire_line(r, text) for r in program.rules]
+    source, length, count = program.__dict__.get("_rule_text", ("", 0, 0))
+    head = source[:length]
+    out = [head if isinstance(head, str) else head.decode()] if count else []
+    out += [_wire_line(r, text) for r in program.rules[count:]]
     out.append("0")
     out.extend(f"{atom} {name}" for atom, name in program.symbols.items())
     out.append("0")

@@ -155,16 +155,32 @@ class RowMatrix(NamedTuple("RowMatrix", [("rows", tuple[tuple[int, ...], ...])])
     def adjacent_swap(self, i: int) -> AtomPermutation:
         return self.row_swap(i, i + 1)
 
+    @cached_property
+    def _row_at(self) -> dict[int, int]:
+        """Each matrix atom's row index."""
+        return {a: i for i, row in enumerate(self.rows) for a in row}
+
     def permutes_rows(self, perm: AtomPermutation) -> bool:
         """Whether perm moves only matrix atoms and maps each row onto a
         row, column by column; such a permutation is already broken
-        completely by the row constraints."""
+        completely by the row constraints.
+
+        Only the rows holding a moved atom are checked: every other row is
+        its own image.  As rows are disjoint, a row's image can only be
+        the row holding the image of its first atom.
+        """
         moved = perm.moved
-        if not moved.keys() <= self.atoms:
+        row_at = self._row_at
+        if not moved.keys() <= row_at.keys():
             return False
-        rows = set(self.rows)
+        rows = self.rows
         get = moved.get
-        return all(tuple(map(get, row, row)) in rows for row in self.rows)
+        for i in {row_at[a] for a in moved}:
+            row = rows[i]
+            image = tuple(map(get, row, row))
+            if rows[row_at[image[0]]] != image:
+                return False
+        return True
 
 
 def _canonical_matrix(rows) -> RowMatrix:

@@ -19,7 +19,8 @@ every product of two, rescanned until no row is added.
 `reference_encode_program` builds the graph from a global edge set,
 counting the binary constraints up front, and
 `reference_parse_program` walks every token of every line through the
-checks that name a malformed one.
+checks that name a malformed one, and `reference_write_program` spells
+every rule from its fields.
 
 The fixtures at the top serve the tests only, so the package does not
 ship them: `identity`, `dense` and `moved_map` (a permutation as the
@@ -42,8 +43,8 @@ from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refi
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
-from symbreak.smodels import (_LAYOUTS, BASIC, CARDINALITY, CHOICE, MINIMIZE, WEIGHT,
-                              GroundProgram, ParseError, Rule, _atom, _int,
+from symbreak.smodels import (_LAYOUTS, BASIC, CARDINALITY, CHOICE, DISJUNCTIVE,
+                              MINIMIZE, WEIGHT, GroundProgram, ParseError, Rule, _atom, _int,
                               semantic_view)
 from symbreak.symmetry import AtomPermutation, RowMatrix, _canonical_matrix
 
@@ -737,3 +738,27 @@ def reference_parse_program(text) -> GroundProgram:
         pos += 1
 
     return GroundProgram(tuple(rules), symbols, plus, minus, models)
+
+
+def reference_write_program(program: GroundProgram) -> str:
+    """`write_program` rule by rule: each wire line spelled from the
+    rule's fields, whatever text the program was read from."""
+    out = []
+    for kind, heads, pos, neg, bound, weights in program.rules:
+        counts = [len(pos) + len(neg), len(neg)]
+        if kind in (CHOICE, DISJUNCTIVE):
+            parts = [kind, len(heads), *heads, *counts]
+        elif kind == MINIMIZE:
+            parts = [kind, 0, *counts]
+        elif kind == WEIGHT:
+            parts = [kind, *heads, bound, *counts]
+        elif kind == CARDINALITY:
+            parts = [kind, *heads, *counts, bound]
+        else:
+            assert kind == BASIC, kind
+            parts = [kind, *heads, *counts]
+        out.append(" ".join(map(str, [*parts, *neg, *pos, *weights])))
+    out += ["0", *(f"{a} {name}" for a, name in program.symbols.items()), "0",
+            "B+", *map(str, program.compute_plus), "0",
+            "B-", *map(str, program.compute_minus), "0", str(program.model_count)]
+    return "\n".join(out) + "\n"

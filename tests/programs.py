@@ -184,15 +184,20 @@ def corpus() -> list[GroundProgram]:
     return programs
 
 
-def workload_instances(seeds) -> list[GroundProgram]:
+def workload_texts(seeds) -> list[str]:
     """The benchmark's timed instance of every workload for each seed, as
-    ``perfbench/workloads.py`` writes it, parsed back."""
+    ``perfbench/workloads.py`` writes it."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [parse_program(workloads.build(name, seed).instance)
+    return [workloads.build(name, seed).instance
             for seed in seeds for name in workloads.WORKLOADS]
+
+
+def workload_instances(seeds) -> list[GroundProgram]:
+    """``workload_texts(seeds)``, parsed."""
+    return [parse_program(text) for text in workload_texts(seeds)]
 
 
 def with_repeated_atoms(program: GroundProgram) -> GroundProgram:

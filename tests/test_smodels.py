@@ -1,6 +1,7 @@
 """Format reading, writing, validation, and the false-atom convention."""
 
 import random
+from functools import cache
 
 import pytest
 
@@ -8,10 +9,13 @@ from symbreak import (BasicRule, CardinalityRule, ChoiceRule, DisjunctiveRule,
                       GroundProgram, MinimizeStatement, ParseError, Rule,
                       WeightRule, parse_program,
                       semantic_view, validate, write_program)
+from symbreak import smodels
+from symbreak.breaking import FreshAtoms, assemble
 from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
-from graph_oracles import map_atoms, pairs, reference_parse_program
+from graph_oracles import (map_atoms, pairs, reference_parse_program,
+                           reference_write_program)
 from programs import (SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5,
-                      with_repeated_atoms)
+                      with_repeated_atoms, workload_texts)
 
 
 def test_parse_basic_rule_with_symbol():
@@ -379,3 +383,139 @@ def test_parse_errors_match_reference():
     assert invalid >= 400
     assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
             "negative", "minimize"} <= messages
+
+
+def respellings(rng, doc):
+    """The document with its rule section spelled otherwise: CRLF line
+    ends, the terminator as `` 0 `` or ``00``, and at one rule line a tab,
+    a double space, a leading or trailing space, a blank line, a leading
+    zero, the rule split over two lines or joined with the next, the rule
+    truncated, or a token appended."""
+    lines = doc.split("\n")
+    end = lines.index("0")
+    section, tail = lines[:end], lines[end + 1:]
+    yield doc.replace("\n", "\r\n")
+    yield "\n".join(section + [" 0 "] + tail)
+    yield "\n".join(section + ["00"] + tail)
+    if not section:
+        return
+    k = rng.randrange(end)
+    line, toks = section[k], section[k].split()
+
+    def at(*new_lines):
+        return "\n".join(section[:k] + list(new_lines) + section[k + 1:] + ["0"] + tail)
+
+    j = rng.randrange(len(toks))
+    cut = rng.randrange(1, len(toks))
+    yield at(line.replace(" ", "\t", 1))
+    yield at(line.replace(" ", "  ", 1))
+    yield at(" " + line)
+    yield at(line + " ")
+    yield at(line, "")
+    yield at(" ".join(toks[:j] + ["0" + toks[j]] + toks[j + 1:]))
+    yield at(" ".join(toks[:cut]), " ".join(toks[cut:]))
+    if k + 1 < end:
+        yield "\n".join(section[:k] + [f"{line} {section[k + 1]}"] + section[k + 2:]
+                        + ["0"] + tail)
+    yield at(" ".join(toks[:-1]))
+    yield at(line + " 1")
+
+
+@cache
+def decoder_texts() -> tuple:
+    """The corpus as the writer spells it, the workload instances of seeds
+    1-4, respellings of a third of the corpus and of two instances, and
+    some of the corpus as bytes."""
+    rng = random.Random(32)
+    docs = SMODELS_CORPUS + [write_program(program) for program in corpus()]
+    texts = docs + workload_texts(range(1, 5))
+    texts += [t for doc in docs[::3] + workload_texts([1])[:2] for t in respellings(rng, doc)]
+    return tuple(texts + [doc.encode() for doc in docs[::10]])
+
+
+def rules_as_written(program: GroundProgram, text) -> bool:
+    """Whether the program has rules, the text begins with their lines as
+    the per-rule writer spells them, and its next line reads ``0``."""
+    if isinstance(text, bytes):
+        text = text.decode()
+    n = len(program.rules)
+    wire = reference_write_program(program).split("\n")[:n]
+    return n > 0 and text.startswith("\n".join(wire) + "\n") and text.splitlines()[n] == "0"
+
+
+def test_one_pass_decoder_matches_per_line_decoder(monkeypatch):
+    """Rules, problems and every ParseError's line and message are the
+    per-line decoder's, the choice and disjunctive heads the parse fills
+    in are those a program built in code finds, and the one-pass decoder
+    reads every rule section in the writer's spelling."""
+    texts = decoder_texts()
+    one_pass = [parse_outcome(parse_program, text) for text in texts]
+    monkeypatch.setattr(smodels, "_decode_section", lambda *args: None)
+    errors = set()
+    for text, outcome in zip(texts, one_pass):
+        per_line = parse_outcome(parse_program, text)
+        assert outcome == per_line, text
+        if isinstance(outcome, GroundProgram):
+            assert outcome.problems == per_line.problems, text
+            assert outcome._free_heads == GroundProgram(*outcome)._free_heads, text
+            assert ("_rule_text" in outcome.__dict__) == rules_as_written(outcome, text), text
+        else:
+            errors.add(outcome[0].split(": ", 1)[1].split(" ")[0])
+    assert {"truncated", "unexpected", "weight"} <= errors
+    assert len(texts) > 1500
+
+
+def written_faults(parse, write, texts):
+    """The texts whose parse ``write`` does not spell as the per-rule
+    writer does: as parsed, as a ``_replace`` copy, as a program built in
+    code from its fields, and with rules appended by ``assemble``; and the
+    texts in the writer's spelling that do not come back as read."""
+    for text in texts:
+        try:
+            program = parse(text)
+        except ParseError:
+            continue
+        variants = [program, program._replace(), GroundProgram(*program)]
+        if not program.problems:
+            alloc = FreshAtoms(program)
+            aux = alloc.fresh()
+            fragment = (BasicRule(aux, (), ()), BasicRule(alloc.head, (aux,), ()))
+            variants.append(assemble(program, [fragment], alloc))
+        as_read = text if isinstance(text, str) else text.decode()
+        if any(write(p) != reference_write_program(p) for p in variants):
+            yield text
+        elif reference_write_program(program) == as_read and write(program) != as_read:
+            yield text
+
+
+def test_writer_matches_per_rule_writer(monkeypatch):
+    texts = decoder_texts()
+    assert list(written_faults(parse_program, write_program, texts)) == []
+    canonical = [t for t in texts if isinstance(t, str) and t == normalize_text(t)]
+    assert len(canonical) > 300
+
+    def whole_text(program):
+        """Writes the stored text in place of all rules, not the first k."""
+        source, length, count = program.__dict__.get("_rule_text", ("", 0, 0))
+        if not count:
+            return write_program(program)
+        head = source[:length]
+        head = head if isinstance(head, str) else head.decode()
+        return head + "\n" + write_program(program._replace(rules=()))
+
+    assert next(written_faults(parse_program, whole_text, texts), None)
+
+    decode = smodels._decode_section
+
+    def any_spelling(lines, table, text):
+        """Stores the section's text even where it is not in the writer's
+        spelling."""
+        decoded = decode(lines, table, text)
+        if decoded is None:
+            return None
+        rules, others, length = decoded
+        return rules, others, length or len("\n".join(lines))
+
+    monkeypatch.setattr(smodels, "_decode_section", any_spelling)
+    respelled = [t for t in texts if isinstance(t, str) and t != normalize_text(t)]
+    assert next(written_faults(parse_program, write_program, respelled), None)
