@@ -12,6 +12,7 @@ symmetry that fixes everything ranked below v.  The constraint head is
 not chosen here: ``FreshAtoms`` takes it from the program's view.
 """
 
+import gc
 from typing import NamedTuple
 
 from .automorphism import GeneratorSearch, Orbits, find_generators
@@ -55,8 +56,16 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
     config = config or BreakConfig()
     if program.problems:
         raise ValueError(f"invalid program: {list(program.problems)}")
-    graph = encode_program(program)
-    search = find_generators(graph, config.search_budget)
+    # encoding and search build no reference cycles, so a paused collector
+    # holds back no garbage and skips re-walking their short-lived tuples
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        graph = encode_program(program)
+        search = find_generators(graph, config.search_budget)
+    finally:
+        if collecting:
+            gc.enable()
     generators = []
     rejected = []
     for node_perm in search.generators:

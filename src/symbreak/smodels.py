@@ -267,9 +267,9 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
     """
 
     @cached_property
-    def keys(self) -> tuple:
-        """Each rule's ``Rule.key()``, in rule order."""
-        return tuple(r.key() for r in self.rules)
+    def keys(self) -> "_Keys":
+        """Each rule's ``Rule.key()`` by position, keyed on first lookup."""
+        return _Keys(self.rules)
 
     @cached_property
     def occurrences(self) -> dict[int, list[int]]:
@@ -323,6 +323,18 @@ class _Ints(dict):
             self.respelled = True
         value = self[tok] = int(tok)
         return value
+
+
+class _Keys(dict):
+    """Rule keys by position, each computed on its first lookup only, so
+    the gate keys just the rules its permutations touch."""
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        self.rules = rules
+
+    def __missing__(self, i: int) -> tuple:
+        key = self[i] = self.rules[i].key()
+        return key
 
 
 class _Texts(dict):

@@ -110,8 +110,9 @@ def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool
 
     Only the rules touching an atom ``perm`` moves are compared, found
     through the program view's ``occurrences``: every other rule is its own
-    image, so the verdict is the one for the whole program.  The view's ``keys``
-    and the image keys, ``key(perm.moved)``, both come from ``Rule.key``.
+    image, so the verdict is the one for the whole program.  The view's ``keys``,
+    each made on the first call touching its rule, and the image keys,
+    ``key(perm.moved)``, both come from ``Rule.key``.
     """
     sem = program.view
     moved = perm.moved

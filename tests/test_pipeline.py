@@ -1,5 +1,6 @@
 """End-to-end behavior of the break pipeline."""
 
+import gc
 import io
 import random
 import sys
@@ -325,3 +326,43 @@ def test_stabilizer_pairs_cost_no_gate_call(monkeypatch):
         detection = result.detection
         assert len(gated) == len(detection.generators) + len(detection.rejected) == calls
         assert result.pairs
+
+
+def test_a_break_leaves_no_cyclic_garbage():
+    """``detect_symmetries`` pauses the cyclic collector while it encodes
+    and searches; that holds back no garbage only while a break builds no
+    reference cycle, which collecting right after one checks.  Frozen
+    objects are left out of each collection, which then walks only what
+    the last break left."""
+    programs = corpus() + workload_instances(range(1, 5))
+    gc.collect()
+    gc.disable()
+    gc.freeze()
+    try:
+        for program in programs:
+            break_program(program)
+            assert gc.collect() == 0, program
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_detection_leaves_the_collector_as_it_found_it(monkeypatch, enabled, raises):
+    def failing_search(graph, budget):
+        assert not gc.isenabled()
+        raise RuntimeError("search failed")
+
+    if raises:
+        monkeypatch.setattr(pipeline, "find_generators", failing_search)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="search failed"):
+                detect_symmetries(p1())
+        else:
+            assert len(detect_symmetries(p1()).generators) == 1
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

@@ -187,6 +187,15 @@ def test_gate_index_is_per_program():
     assert base.view is not broken.view
 
 
+def test_gate_keys_only_the_rules_a_permutation_touches():
+    program = free_choice(range(1, 9))
+    view = program.view
+    assert is_syntactic_symmetry(program, swap(1, 2))
+    touched = set(view.occurrences[1] + view.occurrences[2])
+    assert len(touched) < len(view.rules)
+    assert view.keys == {i: view.rules[i].key() for i in touched}
+
+
 def test_row_matrix_validation():
     with pytest.raises(ValueError):
         RowMatrix(((1, 2), (3,)))
