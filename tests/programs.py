@@ -173,6 +173,44 @@ def wide_cardinality() -> GroundProgram:
                          + (CardinalityRule(22, 10, atoms),), symbols)
 
 
+def two_frucht_edges() -> list[tuple[int, int]]:
+    """Two disjoint copies of the Frucht graph, nodes x and x + 12.
+
+    The Frucht graph is 3-regular with a trivial automorphism group, so
+    the group of the pair only swaps the copies.
+    """
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    cycle = [(x, (x + 1) % 12) for x in range(12)]
+    chords = [(x, (x + d) % 12) for x, d in enumerate(lcf)]
+    # the LCF notation names each chord from both of its ends: keep one
+    edges = sorted({(min(e), max(e)) for e in cycle + chords})
+    return [(u + k, v + k) for k in (0, 12) for u, v in edges]
+
+
+def rook_and_shrikhande_edges() -> list[tuple[int, int]]:
+    """The 4x4 rook's graph (nodes 4i + j) beside the Shrikhande graph
+    (nodes 16 + 4a + b), both strongly regular with parameters
+    (16, 6, 2, 2) and not isomorphic.  The Shrikhande graph is the Cayley
+    graph of Z4 x Z4 on +-(0, 1), +-(1, 0) and +-(1, 1).
+    """
+    edges = [(u, v) for u in range(16) for v in range(u + 1, 16)
+             if u // 4 == v // 4 or u % 4 == v % 4]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    edges += [(16 + u, 16 + v) for u in range(16) for v in range(u + 1, 16)
+              if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps]
+    return edges
+
+
+def independent_sets(n_vertices: int, edges) -> GroundProgram:
+    """The independent sets of a graph on vertices 0..n_vertices - 1: a
+    choice atom u + 2 per vertex u and ``<- a_u, a_v`` per edge, with
+    atom 1 the reserved false atom in B-.  The program's symmetries are the
+    graph's automorphisms."""
+    rules = tuple(ChoiceRule((u + 2,)) for u in range(n_vertices))
+    rules += tuple(BasicRule(1, (u + 2, v + 2)) for u, v in edges)
+    return GroundProgram(rules, compute_minus=(1,))
+
+
 def corpus() -> list[GroundProgram]:
     """The golden inputs and more: p1-p5, pigeonhole p×h for h ≤ p ≤ 6,
     free_choice(range(1, k)) for k ≤ 12, random_program(Random(i)) for

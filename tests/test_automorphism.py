@@ -19,8 +19,9 @@ from graph_oracles import (EnumerationBudgetError, atom_node,
                            moved_map, partition_from_cells, reference_color_refine,
                            reference_find_generators, reference_is_automorphism,
                            reference_orbit)
-from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
-                      place_atom, random_colored_graph, random_program,
+from programs import (corpus, free_choice, independent_sets, p1, p2, p3, p4, p5,
+                      pigeonhole, place_atom, random_colored_graph, random_program,
+                      rook_and_shrikhande_edges, two_frucht_edges,
                       workload_instances)
 
 
@@ -611,47 +612,37 @@ def test_leaf_certificates_agree_with_automorphism_check():
 def two_frucht_graphs():
     """Two disjoint copies of the Frucht graph, nodes x and x + 12.
 
-    The Frucht graph is 3-regular with a trivial automorphism group, so
-    refinement leaves all 24 nodes in one cell while the group only swaps
+    Refinement leaves all 24 nodes in one cell while the group only swaps
     the copies.  The swap is found at node 12, after every node of the
     first copy was tried; it must then prune 13..23 through the orbits of
     1..11, which were tried before it was known.
     """
-    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
-    edges = [(x, (x + 1) % 12) for x in range(12)]
-    edges += [(x, (x + d) % 12) for x, d in enumerate(lcf)]
-    return build_graph([1] * 24, [(u + k, v + k) for k in (0, 12) for u, v in edges])
+    return build_graph([1] * 24, two_frucht_edges())
 
 
 def rook_and_shrikhande_graphs():
-    """The 4x4 rook's graph (nodes 4i + j) beside the Shrikhande graph
-    (nodes 16 + 4a + b), both strongly regular with parameters (16, 6, 2, 2)
-    and in one color.
+    """The 4x4 rook's graph beside the Shrikhande graph, in one color.
 
     Refinement splits nothing.  The first leaf lies in the rook's graph,
     and the two graphs are not isomorphic, so no leaf below a Shrikhande
     vertex gives an automorphism: those subtrees are searched to the end,
-    and only orbit pruning off the first path keeps them small.  The
-    Shrikhande graph is the Cayley graph of Z4 x Z4 on +-(0, 1), +-(1, 0)
-    and +-(1, 1).
+    and only orbit pruning off the first path keeps them small.
     """
-    edges = [(u, v) for u in range(16) for v in range(u + 1, 16)
-             if u // 4 == v // 4 or u % 4 == v % 4]
-    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-    edges += [(16 + u, 16 + v) for u in range(16) for v in range(u + 1, 16)
-              if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps]
-    return build_graph([1] * 32, edges)
+    return build_graph([1] * 32, rook_and_shrikhande_edges())
 
 
 def test_search_tree_size_pinned():
     """A change to pruning or refinement that alters the tree shows here.
     Off-path nodes prune on the rook's and Shrikhande graphs and on the
-    two cubic graphs, which pin that rule: the digest's programs reach
-    none of it."""
+    two cubic graphs, which pin that rule, and on the independent-set
+    programs of the first two, which carry it into the digest."""
     for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 50)),
                             (encode_program(free_choice(range(1, 17))), (15, 45)),
                             (two_frucht_graphs(), (1, 159)),
                             (rook_and_shrikhande_graphs(), (10, 44)),
+                            (encode_program(independent_sets(32, rook_and_shrikhande_edges())),
+                             (10, 44)),
+                            (encode_program(independent_sets(24, two_frucht_edges())), (1, 159)),
                             (DEEPER_THAN_FIRST_LEAF, (2, 8)),
                             (SINGLETON_AGAINST_CELL, (3, 23))]:
         search = find_generators(graph)
