@@ -7,8 +7,10 @@ completeness) under budgets 1, 2, 5, 17 and 10**6, and the answer sets
 ``answer_sets`` finds at budget 14 for the program and for its break,
 with ``over-budget`` standing for a call that raises
 ``OracleBudgetError``.  The programs are ``corpus()``, the benchmark's
-workload instances for seeds 1 to 4, pigeonhole p×h for h ≤ p ≤ 7, and
-S2..S40 (``free_choice`` of 2 to 40 atoms).
+workload instances for seeds 1 to 4, pigeonhole p×h for h ≤ p ≤ 7,
+S2..S40 (``free_choice`` of 2 to 40 atoms), and the independent-set
+programs of the rook's graph beside the Shrikhande graph and of two
+Frucht graphs, whose searches prune off the first path.
 
 It prints one line per program, the short hashes of its break, graph,
 search and oracle output, and a final total, so a ``diff`` of two runs
@@ -44,7 +46,8 @@ from symbreak import (OracleBudgetError, answer_sets, break_program, encode_prog
                       find_generators, write_program)
 from symbreak.encoding import dump_graph
 from graph_oracles import dense
-from programs import corpus, free_choice, pigeonhole, workload_instances
+from programs import (corpus, free_choice, independent_sets, pigeonhole,
+                      rook_and_shrikhande_edges, two_frucht_edges, workload_instances)
 
 BUDGETS = (1, 2, 5, 17, 10 ** 6)
 ORACLE_BUDGET = 14
@@ -61,6 +64,8 @@ def programs():
             yield f"php{p}x{h}", pigeonhole(p, h)
     for k in range(2, 41):
         yield f"S{k}", free_choice(range(1, k + 1))
+    yield "rook_shrikhande", independent_sets(32, rook_and_shrikhande_edges())
+    yield "two_frucht", independent_sets(24, two_frucht_edges())
 
 
 def short(text: str) -> str:
