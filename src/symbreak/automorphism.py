@@ -349,15 +349,11 @@ class Orbits:
         return v
 
     def merge(self, perm: dict) -> None:
-        """Join each moved point's orbit with its image's (`least`, inline)."""
+        """Join each moved point's orbit with its image's."""
         parent = self.parent
+        least = self.least
         for v, w in perm.items():
-            while v in parent:
-                p = parent[v]
-                parent[v] = v = parent.get(p, p)
-            while w in parent:
-                p = parent[w]
-                parent[w] = w = parent.get(p, p)
+            v, w = least(v), least(w)
             if v < w:
                 parent[w] = v
             elif w < v:

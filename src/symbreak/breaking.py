@@ -51,16 +51,16 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
     """Lex-leader fragment for one symmetry.
 
     Support atoms are laid out in ``order`` and truncated so at most
-    ``aux_limit`` chain atoms are created.  Position i contributes the
-    constraint ``<- e_{i-1}, v_i, not perm(v_i)`` unless its cycle is
-    already closed by the prefix; chain atoms carry the two defining
-    rules ``e_i <- e_{i-1}, v_i, perm(v_i)`` and
+    ``aux_limit`` chain atoms are created; a negative limit reads as 0.
+    Position i contributes the constraint ``<- e_{i-1}, v_i, not perm(v_i)``
+    unless its cycle is already closed by the prefix; chain atoms carry
+    the two defining rules ``e_i <- e_{i-1}, v_i, perm(v_i)`` and
     ``e_i <- e_{i-1}, not v_i, not perm(v_i)``.
     """
     support = order.sort_atoms(perm.moved)
     if not support:
         return ()
-    points = support[:aux_limit + 1]
+    points = support[:max(aux_limit, 0) + 1]
     prefix = set()
     emitted = []
     for i, v in enumerate(points):
@@ -72,21 +72,16 @@ def lex_leader_rules(perm: AtomPermutation, order: AtomOrder, aux_limit: int,
     emit_at = set(emitted)
 
     rules = []
-    prev = None
+    prev = ()  # the chain atom before position i, if any
     for i, v in enumerate(points[:last + 1]):
         w = perm.image_of(v)
         if i in emit_at:
-            body_pos = (v,) if prev is None else (prev, v)
-            rules.append(BasicRule(alloc.head, body_pos, (w,)))
+            rules.append(BasicRule(alloc.head, (*prev, v), (w,)))
         if i < last:
             e = alloc.fresh()
-            if prev is None:
-                rules.append(BasicRule(e, (v, w), ()))
-                rules.append(BasicRule(e, (), (v, w)))
-            else:
-                rules.append(BasicRule(e, (prev, v, w), ()))
-                rules.append(BasicRule(e, (prev,), (v, w)))
-            prev = e
+            rules.append(BasicRule(e, (*prev, v, w), ()))
+            rules.append(BasicRule(e, prev, (v, w)))
+            prev = (e,)
     return tuple(rules)
 
 

@@ -26,7 +26,8 @@ from .symmetry import (AtomOrder, AtomPermutation, RowMatrix, choose_order,
 
 
 class BreakConfig(NamedTuple):
-    """Run settings; ``stabilizer_levels=0`` turns binary clauses off."""
+    """Run settings; ``stabilizer_levels=0`` turns binary clauses off.
+    A negative ``aux_limit`` or ``stabilizer_levels`` reads as 0."""
 
     aux_limit: int = 50
     search_budget: int = 10 ** 6

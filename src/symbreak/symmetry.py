@@ -14,9 +14,14 @@ The gate compares the keys of the rules a permutation touches with the
 keys of their images, both from ``Rule.key``.  Row detection takes the
 generators it is handed as validated symmetries, as the pipeline passes
 only those that passed the gate and the lex-leader constraints trust the
-same list.  So it asks the gate only about swaps that are no generator,
-at most once per distinct swap within a call, and it grows no seed whose
-two rows one earlier seed already grew.
+same list.  So it asks the gate only about growth swaps that are no
+generator, at most once per distinct swap within a call, and it grows no
+seed whose two rows one earlier seed already grew.
+A finished matrix, like a binary level, needs no gate call, as syntactic
+symmetries form a group: each swap that grew its rows is a generator or
+passed the gate, so any two rows are interchangeable, and the canonical
+form reorders every row's columns alike, so each adjacent swap of the
+matrix is a product of swaps that passed.
 """
 
 from collections import Counter
@@ -91,13 +96,12 @@ def restrict_to_atoms(graph: ColoredGraph, node_perm: dict) -> AtomPermutation:
     the restriction is well defined.  Only the atoms the program's rules
     mention have nodes, so the reserved false atom and every atom that
     touches no rule can never move.  Only the moved positive literal
-    nodes are read, in ascending order, so the atoms come in node order
-    whatever order the search found them in.
+    nodes are read.
     """
     atoms = graph.atoms
     literals = 2 * len(atoms)
     return AtomPermutation({atoms[v // 2]: graph.node_atom(node_perm[v])
-                            for v in sorted(node_perm) if v < literals and not v % 2})
+                            for v in node_perm if v < literals and not v % 2})
 
 
 def is_syntactic_symmetry(program: GroundProgram, perm: AtomPermutation) -> bool:
@@ -185,15 +189,13 @@ class RowMatrix(NamedTuple("RowMatrix", [("rows", tuple[tuple[int, ...], ...])])
 
 
 def _canonical_matrix(rows) -> RowMatrix:
-    """Reorder rows/columns deterministically: the row holding the smallest
-    atom comes first with its atoms ascending; other rows sort by column 0."""
-    smallest = min(a for r in rows for a in r)
-    first = next(r for r in rows if smallest in r)
-    col_order = sorted(range(len(first)), key=lambda j: first[j])
-    reordered = [tuple(r[j] for j in col_order) for r in rows]
-    first = next(r for r in reordered if smallest in r)
-    rest = sorted((r for r in reordered if r != first), key=lambda r: r[0])
-    return RowMatrix((first, *rest))
+    """Reorder rows/columns deterministically: the columns follow the
+    ascending atoms of the row holding the smallest atom, and the rows
+    sort.  Disjoint rows start with distinct atoms, and that row starts
+    with the smallest, so it comes first."""
+    first = min(rows, key=min)
+    col_order = sorted(range(len(first)), key=first.__getitem__)
+    return RowMatrix(tuple(sorted(tuple(r[j] for j in col_order) for r in rows)))
 
 
 def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
@@ -229,10 +231,12 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     change under mere reordering too.
 
     The generators are taken as validated symmetries: a swap that is one
-    of them is a symmetry without asking the gate.  Every other swap, of a
-    growth query or of a new matrix's adjacent rows, goes to the gate,
-    which sees each distinct swap once per call, so a matrix grown twice
-    asks nothing more; the verdicts are dropped on return.
+    of them is a symmetry without asking the gate.  Every other growth
+    swap goes to the gate, which sees each distinct swap once per call;
+    the verdicts are dropped on return.  A finished matrix asks nothing
+    more.  Any two of its rows are interchangeable, and the canonical form
+    reorders every row's columns alike, so each of its adjacent swaps is a
+    product of swaps that passed, and syntactic symmetries form a group.
     """
     verdicts = dict.fromkeys(map(AtomPermutation.key, gens), True)
 
@@ -252,7 +256,7 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
     for number, seed in enumerate(gens):
         if not seed.is_involution():
             continue
-        pairs = sorted(seed.cycles())
+        pairs = seed.cycles()
         row_one = tuple(a for a, _ in pairs)
         row_two = tuple(b for _, b in pairs)
         known = grown.get(row_one)
@@ -273,14 +277,10 @@ def detect_rows(program: GroundProgram, gens) -> list[RowMatrix]:
                     used.update(image)
         for row in rows:
             grown.setdefault(row, number)
-        if len(rows) < 3:
-            continue
-        matrix = _canonical_matrix(rows)
-        if all(is_symmetry(matrix.adjacent_swap(i))
-               for i in range(matrix.n_rows - 1)):
-            candidates.append(matrix)
+        if len(rows) >= 3:
+            candidates.append(_canonical_matrix(rows))
 
-    candidates.sort(key=lambda m: (-len(m.atoms), -m.n_rows, min(m.atoms), m.rows))
+    candidates.sort(key=lambda m: (-len(m.atoms), -m.n_rows, m.rows))
     chosen = []
     taken = set()
     for m in candidates:

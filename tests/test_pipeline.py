@@ -112,6 +112,16 @@ def test_aux_budget_respected(monkeypatch):
                 assert answer_sets(result.program) == [], (limit, program)
 
 
+def test_negative_aux_limit_reads_as_zero():
+    """A negative limit creates no chain atom, like a limit of 0: it
+    neither raises on an empty chain nor cuts the support short."""
+    for program in (pigeonhole(3, 3), free_choice(range(1, 6))):
+        zero = write_program(break_program(program, BreakConfig(aux_limit=0)).program)
+        for limit in (-1, -3):
+            config = BreakConfig(aux_limit=limit)
+            assert write_program(break_program(program, config).program) == zero, limit
+
+
 def test_row_generators_not_broken_twice(monkeypatch):
     php = pigeonhole(4, 3)
     default_aux = record_fragment_aux(monkeypatch)

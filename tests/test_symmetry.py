@@ -246,13 +246,17 @@ def test_detect_rows_no_symmetry():
 
 def test_detect_rows_every_pairwise_swap_is_symmetric(reference_corpus):
     """Any two rows of a returned matrix are interchangeable, which is
-    what lets a seed inside an earlier seed's rows be skipped: checked
-    against the whole-program reference on the corpus, pigeonhole 4x3
-    and free choice over 12 to 20 atoms.  On one hand-made list the
-    second generator takes pigeon 2's row to pigeon 3's with holes 1 and
-    2 exchanged, an image whose swap with a row is no symmetry."""
+    what lets a seed inside an earlier seed's rows be skipped and a
+    finished matrix go without a gate call: checked against the
+    whole-program reference on the corpus (pigeonhole p x h for
+    h <= p <= 6 among it), pigeonhole 7 x h, the benchmark's workload
+    instances for seeds 1 to 4, and free choice over 12 to 20 atoms.  On
+    one hand-made list the second generator takes pigeon 2's row to
+    pigeon 3's with holes 1 and 2 exchanged, an image whose swap with a
+    row is no symmetry."""
     php = pigeonhole(4, 3)
-    extra = [php] + [free_choice(range(1, k)) for k in range(13, 22)]
+    extra = [php] + [pigeonhole(7, h) for h in range(1, 8)] + workload_instances(range(1, 5))
+    extra += [free_choice(range(1, k)) for k in range(13, 22)]
     place = {(p, h): place_atom(4, 3, p, h) for p in range(1, 5) for h in range(1, 4)}
     skewed = [AtomPermutation({place[p, h]: place[{1: 2, 2: 1}.get(p, p), h]
                                for p, h in place}),
