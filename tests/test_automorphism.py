@@ -635,7 +635,8 @@ def test_search_tree_size_pinned():
     """A change to pruning or refinement that alters the tree shows here.
     Off-path nodes prune on the rook's and Shrikhande graphs and on the
     two cubic graphs, which pin that rule, and on the independent-set
-    programs of the first two, which carry it into the digest."""
+    program of the rook's and Shrikhande graphs, which carries it into
+    the digest."""
     for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 50)),
                             (encode_program(free_choice(range(1, 17))), (15, 45)),
                             (two_frucht_graphs(), (1, 159)),
