@@ -87,9 +87,16 @@ not made with: it keeps the snapshot of its parent's list that fixes its
 own vertex, taken when it is made, and nodes need not store their bases.
 
 `color_refine` works in rounds, and every round splits each cell against
-the partition the round started from.  So after a round every cell is
-equitable with respect to the partition that round started from: all its
-nodes have equal neighbor counts into each cell of it.  The savings below
+the partition the round started from.  A node's key is the sorted tuple
+of its neighbors' labels, and a cell's groups of equal keys are ordered
+by plain tuple comparison.  Labels are cell positions, so renaming the
+nodes maps every key onto an equal key, and each round, hence the whole
+refinement, commutes with the renaming.  That is all the search above
+asks of the order: any order invariant under relabelling finds the same
+group, through a generating set and a tree that may differ (McKay &
+Piperno, J. Symb. Comput. 2014).  After a round every cell is equitable
+with respect to the partition that round started from: all its nodes
+have equal neighbor counts into each cell of it.  The savings below
 follow from this invariant; each skips only work whose outcome is known,
 so every round ends with the cells, in the order, of a refinement that
 rechecks every cell (``reference_color_refine`` in the tests).
@@ -101,20 +108,13 @@ rechecks every cell (``reference_color_refine`` in the tests).
   round rechecks only cells holding a neighbor of a fragment not left out.
 - Key only marked nodes.  By the same argument, the nodes of a rechecked
   cell that see none of those fragments share one key, so one of them is
-  keyed for all.
+  keyed for all.  A cell whose nodes are all marked is keyed whole.
 - Seed the first round.  The search refines an equitable partition with
   one vertex v split off its cell: given ``individualized=v``,
   `color_refine` splits v off first, on its copy.  {v} and the rest of
   the cell are the fragments of a split equitable cell, with the rest
   left out, so the first round marks v's neighbors only.  Without it
   (the root call, arbitrary partitions) the first round keys every node.
-- Cheaper group order.  Sub-cells are ordered by the (cell, count)
-  signature of their nodes' neighbor labels.  `_signature_order` turns a
-  sorted key into a tuple that sorts as its signature does, and that form
-  is one-to-one, so nodes are grouped by it and the groups sorted by it
-  without building a signature.  A key without repeats is its own form,
-  so only a key that repeats a label is rebuilt, and a key of degree 2 is
-  made in that form by the comparison that orders its two labels.
 - Key low degrees directly.  A node of degree at most 2 gets its key
   from a comparison, not from a sort.
 - The rest is a group of its own.  Every marked node of a rechecked cell
@@ -173,30 +173,16 @@ def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
     return OrderedPartition([first[c] for c in colors], by_label)
 
 
-def _signature_order(key: tuple, top: int) -> tuple:
-    """Sort key ordering sorted neighbor-label keys as their (cell, count)
-    signatures do.
-
-    Every repeat of a label becomes ``top``, which exceeds every label, so
-    a longer run of one label sorts after a shorter run of it followed by
-    anything else, exactly as the larger count does in the signature.  A
-    key without repeats is its own sort key, and no two keys share one.
-    """
-    out = list(key)
-    for i in range(1, len(key)):
-        if key[i] == key[i - 1]:
-            out[i] = top
-    return tuple(out)
-
-
 def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                  individualized: int = None) -> OrderedPartition:
     """Coarsest equitable refinement of the partition.
 
     Two nodes stay in one cell only while they have equal neighbor counts
     into every cell.  Splits keep the host cell's position, sub-cells
-    ordered by their neighborhood signature, so the result is both
-    deterministic and invariant under relabeling.
+    ordered by their nodes' sorted tuples of neighbor labels, compared as
+    tuples.  Labels are cell positions, so the result is deterministic and
+    invariant under relabeling, the one property of the order that keeps
+    the search exact.
 
     When ``individualized`` names a vertex v of an equitable partition, v
     is first split off its cell into a singleton cell just before the rest
@@ -215,7 +201,6 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     partition itself, and the result carries the refined labelling.
     """
     nbrs = graph.neighbors
-    n = graph.n_nodes
     index = partition.labels.copy()
     cells = partition.by_label.copy()
     if individualized is None:
@@ -237,16 +222,14 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
         for s in pending:
             cell = cells[s]
             rest = None
-            if marked is None:
+            if marked is None or marked.issuperset(cell):
                 keyed = cell
             else:
+                # unmarked nodes share one key: key the first of them
                 keyed = [v for v in cell if v in marked]
-                if len(keyed) < len(cell):
-                    # unmarked nodes share one key: key the first of them
-                    rest = [v for v in cell if v not in marked]
-                    keyed.append(rest[0])
-            # keys are the nodes' sorted neighbor labels in their
-            # _signature_order form, so they sort as the signatures do
+                rest = [v for v in cell if v not in marked]
+                keyed.append(rest[0])
+            # keys are the nodes' sorted neighbor labels
             groups = {}
             for v in keyed:
                 ns = nbrs[v]
@@ -254,16 +237,9 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                 if d == 2:
                     a = index[ns[0]]
                     b = index[ns[1]]
-                    if a < b:
-                        key = (a, b)
-                    elif a > b:
-                        key = (b, a)
-                    else:
-                        key = (a, n)
+                    key = (a, b) if a <= b else (b, a)
                 elif d > 2:
                     key = tuple(sorted(map(index.__getitem__, ns)))
-                    if len(set(key)) < d:
-                        key = _signature_order(key, n)
                 elif d:
                     key = (index[ns[0]],)
                 else:

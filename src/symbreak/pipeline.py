@@ -58,19 +58,21 @@ def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Det
     if program.problems:
         raise ValueError(f"invalid program: {list(program.problems)}")
     # encoding and search build no reference cycles, so a paused collector
-    # holds back no garbage and skips re-walking their short-lived tuples
+    # holds back no garbage and skips re-walking their short-lived tuples;
+    # the graph is gone before it resumes, so it has little left to walk
     collecting = gc.isenabled()
     gc.disable()
     try:
         graph = encode_program(program)
         search = find_generators(graph, config.search_budget)
+        perms = [restrict_to_atoms(graph, node_perm) for node_perm in search.generators]
+        del graph
     finally:
         if collecting:
             gc.enable()
     generators = []
     rejected = []
-    for node_perm in search.generators:
-        perm = restrict_to_atoms(graph, node_perm)
+    for perm in perms:
         if perm.is_identity:
             continue
         if is_syntactic_symmetry(program, perm):

@@ -2,8 +2,8 @@
 
 None of these is used by the package: they are simple, slow and
 independent of the search engine.  `reference_color_refine` is the plain
-round-synchronous refinement that recomputes every cell's signature in
-every round; `reference_find_generators` is the recursive search that
+round-synchronous refinement that recomputes every node's key in every
+round; `reference_find_generators` is the recursive search that
 rebuilds each node's partition from cell tuples and refilters its
 stabilizer from scratch (it refines with the package's `color_refine`,
 which the tests hold to `reference_color_refine`, checks its leaves
@@ -154,9 +154,11 @@ def reference_color_refine(graph: ColoredGraph,
                            partition: OrderedPartition) -> OrderedPartition:
     """Coarsest equitable refinement, every cell rechecked every round.
 
-    Each round signs every node of a non-singleton cell with its neighbor
-    count per cell, splits the cell by signature and orders the sub-cells
-    by signature, keeping the host cell's position.
+    Each round keys every node of a non-singleton cell with the sorted
+    tuple of its neighbors' cells, splits the cell by key and orders the
+    sub-cells by key, keeping the host cell's position.  Cells are
+    numbered in order, so the keys compare as the package's keys of cell
+    positions do, and the result is the package's, cell for cell.
     """
     cells = list(cells_of(partition))
     nbrs = graph.neighbors
@@ -173,14 +175,14 @@ def reference_color_refine(graph: ColoredGraph,
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(sorted(Counter(index[u] for u in nbrs[v]).items()))
-                groups.setdefault(sig, []).append(v)
+                key = tuple(sorted(index[u] for u in nbrs[v]))
+                groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
                 changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(sorted(groups[sig])))
+                for key in sorted(groups):
+                    new_cells.append(tuple(sorted(groups[key])))
         cells = new_cells
         if not changed:
             return partition_from_cells(cells)

@@ -154,8 +154,9 @@ def test_refine_matches_reference_from_random_partitions():
 
 @pytest.mark.parametrize("neighbors, cells", [
     # round 2 keys the marked 1 and 3 as (1, 4), and the unmarked 4 as
-    # (1, 1): only the rest's key repeats a label, and by signature the
-    # rest's group sorts last, against the order of the raw keys
+    # (1, 1): only the rest's key repeats a label, and the rest's group
+    # sorts first, as the raw keys compare (by (cell, count) signature it
+    # sorted last)
     (((1, 2, 3), (0, 4), (0,), (0, 4), (1, 3)), ((0, 1, 2, 3, 4),)),
     # the same with a rest key of degree 3
     (((2, 3, 5), (2, 3, 4), (0, 1, 5), (0, 1, 5), (1,), (0, 2, 3)),
@@ -231,6 +232,41 @@ def test_refine_matches_reference_on_individualized_partitions():
             assert partition == reference_color_refine(g, start), (start, v)
             seeded += 1
     assert seeded > 800
+
+
+def assert_cells_correspond(partition, relabelled, image):
+    """The k-th cell of ``partition``, renamed by ``image``, is the k-th
+    cell of ``relabelled``."""
+    cells, other = cells_of(partition), cells_of(relabelled)
+    assert len(cells) == len(other)
+    for a, b in zip(cells, other):
+        assert {image[v] for v in a} == set(b), (a, b)
+
+
+def test_refine_is_invariant_under_relabelling():
+    """Refinement commutes with renaming the nodes: from the colour
+    partition, and from the refined partition with a vertex v of a
+    non-singleton cell individualized against v's image, the k-th cell of
+    the graph's refinement maps onto the k-th cell of its relabelled
+    copy's.  The search is exact under any cell order with this property,
+    so it is what the order of a cell's groups must keep."""
+    rng = random.Random(53)
+    graphs = [encode_program(program) for program in corpus()]
+    graphs += [random_colored_graph(rng, max_nodes=rng.choice((12, 30))) for _ in range(200)]
+    individualized = 0
+    for g in graphs:
+        image = rng.sample(range(g.n_nodes), g.n_nodes)
+        h = build_graph([g.colors[v] for v in sorted(range(g.n_nodes), key=image.__getitem__)],
+                        [(image[u], image[v]) for u, v in g.edges()])
+        refined = color_refine(g, partition_by_colors(g))
+        refined_h = color_refine(h, partition_by_colors(h))
+        assert_cells_correspond(refined, refined_h, image)
+        open_nodes = [v for cell in cells_of(refined) if len(cell) > 1 for v in cell]
+        for v in rng.sample(open_nodes, min(3, len(open_nodes))):
+            assert_cells_correspond(color_refine(g, refined, v),
+                                    color_refine(h, refined_h, image[v]), image)
+            individualized += 1
+    assert individualized > 500
 
 
 class CountingNeighbors(tuple):
@@ -645,7 +681,7 @@ def test_search_tree_size_pinned():
                              (10, 44)),
                             (encode_program(independent_sets(24, two_frucht_edges())), (1, 159)),
                             (DEEPER_THAN_FIRST_LEAF, (2, 8)),
-                            (SINGLETON_AGAINST_CELL, (3, 23))]:
+                            (SINGLETON_AGAINST_CELL, (3, 24))]:
         search = find_generators(graph)
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == expected

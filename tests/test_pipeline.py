@@ -4,6 +4,7 @@ import gc
 import io
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -355,6 +356,27 @@ def test_a_break_leaves_no_cyclic_garbage():
     finally:
         gc.unfreeze()
         gc.enable()
+
+
+def test_the_collector_resumes_after_the_graph_is_gone(monkeypatch):
+    """``detect_symmetries`` restricts the search's generators to atoms and
+    drops the graph before it turns the collector back on, so the
+    collection that follows walks a few dozen young objects, not the
+    29,000 that the encoding and the search of the seed-1 asym-large
+    instance leave alive with the graph."""
+    program = workload_instances([1])[2]
+    young = []
+
+    def enable():
+        young.append(len(gc.get_objects(0)))
+        gc.enable()
+
+    monkeypatch.setattr(pipeline, "gc", SimpleNamespace(
+        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    gc.collect()
+    assert gc.isenabled()
+    detect_symmetries(program)
+    assert len(young) == 1 and young[0] < 1000, young
 
 
 @pytest.mark.parametrize("enabled", [True, False])
