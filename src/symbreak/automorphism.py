@@ -32,19 +32,22 @@ automorphism below it (saucy's check for sparse symmetries: Darga,
 Sakallah & Markov, DAC 2008).  The search keeps the first path's
 partition at each depth, the first leaf's included, and compares each
 node off it, once refined, with the one at its own depth.  When every
-label starts a cell of the same size in both and every non-singleton
-cell is the same tuple, let g take each singleton cell of the first
-path's partition onto this node's cell of the same label and fix every
-other node.  If g is an automorphism, it maps the first path's partition
-onto this node's, and the two dives below go on alike: both split off
-the first node of the same first non-singleton cell, which g fixes, and
-refinement is invariant under relabelling, so g maps each partition of
-the first path onto the dive's at the same depth.  The cells stay alike
-down to the leaves, so g is the map from the first leaf to the dive's
-first leaf, the automorphism that leaf would have given, and the node is
-taken as that leaf: g is a generator, and the search jumps back.  A map
-that is no automorphism only means the dive goes on, so the generators
-and everything built from them are those of the dives, and only the tree
+label starts a cell of the same size in both, let g map each cell of the
+first path's partition onto this node's cell of the same label, position
+by position.  Every cell ascends, so g keeps the order of each cell.  If
+g is an automorphism, the dive below the node goes on as the first path
+did: refinement commutes with relabelling, so g maps each partition of
+the first path onto the dive's at the same depth, cell onto cell of the
+same label.  A split keeps the order of its host cell, so every cell
+below lies in order in a cell g maps position by position, and g is the
+positional map between the two partitions at every depth below as well.
+The dive splits off the first vertex of its first non-singleton cell,
+which is g's image of the vertex the first path split off there.  Down to
+the leaves, then, g is the map from the first leaf to the dive's first
+leaf, the automorphism that leaf would have given, and the node is taken
+as that leaf: g is a generator, and the search jumps back.  A map that is
+no automorphism only means the dive goes on, so the generators and
+everything built from them are those of the dives, and only the tree
 shrinks.  A leaf is checked the same way: its cells are all singletons,
 so g is the map from the first leaf.  A leaf at another depth than the
 first leaf never gives an automorphism.  A split or a refinement keeps
@@ -384,36 +387,33 @@ class _Node:
         return None
 
 
-def _early_map(first_path, depth, partition, s):
+def _early_map(first_path, depth, partition):
     """The map from the first path's partition at ``depth`` onto this
     node's, or None when their cells differ in shape or the first path
     does not reach ``depth``.
 
     The shapes agree when every label starts a cell of the same size in
-    both and every non-singleton cell is the same tuple; the map then
-    takes each singleton cell onto this node's cell of the same label and
-    fixes every other node, and holds the singleton cells whose nodes
-    differ.  ``s`` is the label of the node's first non-singleton cell,
-    compared first, so a node that differs there costs no scan.  The scan
-    stops at the first label whose cells differ and are not both
-    singletons; every cell before it has the same size in both, so both
-    partitions start a cell at each label up to it, or neither does.
+    both; the map then takes each cell of the first path's partition onto
+    this node's cell of the same label, position by position, and holds
+    the nodes it moves.  The scan stops at the first label whose cells
+    differ in size; every cell before it has the same size in both, so
+    both partitions start a cell at each label up to it, or neither does.
     """
     if depth >= len(first_path):
         return None
-    first = first_path[depth].by_label
-    by_label = partition.by_label
-    if s < len(by_label) and first[s] != by_label[s]:
-        return None
     perm = {}
-    for a, b in zip(first, by_label):
+    for a, b in zip(first_path[depth].by_label, partition.by_label):
         if a is b:  # no cell starts here, or both share one
             continue
         if len(a) == 1 == len(b):
             if a[0] != b[0]:
                 perm[a[0]] = b[0]
-        elif a != b:
+        elif len(a) != len(b):
             return None
+        else:
+            for v, w in zip(a, b):
+                if v != w:
+                    perm[v] = w
     return perm
 
 
@@ -427,11 +427,12 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
     was made.  Each tree node costs one ``color_refine`` call, which splits
     the node's vertex off its parent's partition and refines the result,
     and counts against ``max_tree_nodes`` when it is entered.  Each node
-    off the first path, leaves included, whose partition has the shape of
-    the first path's at its depth is checked with the map between the two
-    partitions.  A map that is an automorphism is a generator and ends the
-    search below the deepest first-path node (the module docstring says
-    why this is exact).
+    off the first path, leaves included, whose cells have the sizes of the
+    first path's at its depth, label by label, is checked with the map
+    between the two partitions, cell by cell and position by position.  A
+    map that is an automorphism is a generator and ends the search below
+    the deepest first-path node (the module docstring says why this is
+    exact).
     """
     n = graph.n_nodes
     gens: list[dict[int, int]] = []
@@ -459,7 +460,7 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
             else:
                 on_first_path = False
         else:
-            perm = _early_map(first_path, len(path), partition, s)
+            perm = _early_map(first_path, len(path), partition)
             if perm is not None and is_automorphism(graph, perm):
                 gens.append(perm)
                 orbits.merge(perm)

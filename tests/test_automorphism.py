@@ -281,12 +281,14 @@ class CountingNeighbors(tuple):
 
 def test_search_neighbour_reads_bounded(monkeypatch):
     """Seeded refinement, skipping the largest fragment, backjumping and
-    early detection off the first path read fewer neighbor lists: 2,531
-    and 504 reads with all of them, 2,633 and 1,414 without early
-    detection.  Only refinement's reads are counted: the automorphism
-    checks read the uncounted graph, and the next test bounds theirs."""
-    for program, bound, expected in [(pigeonhole(6, 5), 2600, (9, 50)),
-                                     (free_choice(range(1, 17)), 700, (15, 45))]:
+    early detection off the first path read fewer neighbor lists: 1,082
+    and 364 reads with all of them, 2,531 and 504 when early detection
+    took only nodes whose non-singleton cells were the first path's, and
+    2,633 and 1,414 without early detection.  Only refinement's reads are
+    counted: the automorphism checks read the uncounted graph, and the
+    next test bounds theirs."""
+    for program, bound, expected in [(pigeonhole(6, 5), 1100, (9, 18)),
+                                     (free_choice(range(1, 17)), 370, (15, 31))]:
         graph = encode_program(program)
         counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
         monkeypatch.setattr(automorphism, "is_automorphism",
@@ -429,8 +431,8 @@ def test_search_matches_reference_on_frucht_and_rook_graphs(monkeypatch):
 # two connected cubic graphs on which early detection gives up on a node
 # for its shape alone: on the first a node off the first path lies deeper
 # than the first leaf, and on the second a cell the first path's partition
-# holds as a singleton is no singleton at the node, all cells before it
-# matching
+# holds as a singleton is larger at the node, all cells before it matching
+# in size
 DEEPER_THAN_FIRST_LEAF = build_graph([1] * 8, [
     (0, 2), (0, 4), (0, 7), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 5),
     (3, 7), (4, 6), (5, 6)])
@@ -439,39 +441,43 @@ SINGLETON_AGAINST_CELL = build_graph([1] * 10, [
     (4, 5), (4, 8), (5, 6), (5, 9), (6, 9), (7, 8)])
 
 
-def shape_mismatch(first_path, depth, partition, s):
-    """Why the early map at ``depth`` fails for its shape: "deeper", "first
-    cell" when the cells labelled ``s`` differ, or else the pair of cells,
-    first path's then the node's, at the first label where they differ and
-    are not both singletons; None when the shapes agree."""
+def cell_sizes(partition):
+    """The sizes of the partition's cells, in label order."""
+    return [len(cell) for cell in partition.by_label if cell is not None]
+
+
+def shape_mismatch(first_path, depth, partition):
+    """Why the early map at ``depth`` fails for its shape: "deeper" when
+    the first path does not reach ``depth``, "size" when the two
+    partitions' cells differ in size in label order; None when the shapes
+    agree."""
     if depth >= len(first_path):
         return "deeper"
-    first = first_path[depth].by_label
-    if s < len(first) and first[s] != partition.by_label[s]:
-        return "first cell"
-    for a, b in zip(first, partition.by_label):
-        if a != b and not (a and b and len(a) == len(b) == 1):
-            return a, b
+    if cell_sizes(first_path[depth]) != cell_sizes(partition):
+        return "size"
     return None
 
 
 def test_early_map_shape_mismatches_are_reached(monkeypatch):
-    """The early map's two shape checks after the first cell are each
-    reached, and the search still matches the reference."""
+    """The early map's two shape checks are each reached, it gives up on a
+    node exactly when the shapes differ, and the search still matches the
+    reference."""
     reasons = []
     real = automorphism._early_map
 
-    def recording(first_path, depth, partition, s):
-        reasons.append(shape_mismatch(first_path, depth, partition, s))
-        return real(first_path, depth, partition, s)
+    def recording(first_path, depth, partition):
+        reason = shape_mismatch(first_path, depth, partition)
+        perm = real(first_path, depth, partition)
+        assert (perm is None) == (reason is not None), reason
+        reasons.append(reason)
+        return perm
 
     monkeypatch.setattr(automorphism, "_early_map", recording)
     find_generators(DEEPER_THAN_FIRST_LEAF)
     assert "deeper" in reasons
     reasons.clear()
     find_generators(SINGLETON_AGAINST_CELL)
-    assert any(isinstance(reason, tuple) and len(reason[0]) == 1 < len(reason[1])
-               for reason in reasons)
+    assert "size" in reasons
     monkeypatch.setattr(automorphism, "_early_map", real)
     assert_search_matches_reference(monkeypatch, [DEEPER_THAN_FIRST_LEAF,
                                                   SINGLETON_AGAINST_CELL])
@@ -668,59 +674,79 @@ def rook_and_shrikhande_graphs():
 
 
 def test_search_tree_size_pinned():
-    """A change to pruning or refinement that alters the tree shows here.
-    Off-path nodes prune on the rook's and Shrikhande graphs and on the
-    two cubic graphs, which pin that rule, and on the independent-set
-    program of the rook's and Shrikhande graphs, which carries it into
-    the digest."""
-    for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 50)),
-                            (encode_program(free_choice(range(1, 17))), (15, 45)),
-                            (two_frucht_graphs(), (1, 159)),
-                            (rook_and_shrikhande_graphs(), (10, 44)),
+    """A change to pruning, refinement or early detection that alters the
+    tree shows here.  Off-path nodes prune on the rook's and Shrikhande
+    graphs and on the two cubic graphs, which pin that rule, and on the
+    independent-set program of the rook's and Shrikhande graphs, which
+    carries it into the digest.  Early detection maps every cell
+    position by position, so a node whose non-singleton cells differ from
+    the first path's takes its generator at once instead of diving to a
+    leaf: pigeonhole 6×5 went from 50 nodes to 18, S16 from 45 to 31, the
+    rook's and Shrikhande graphs and their independent-set program from
+    44 to 32, the two Frucht graphs and theirs from 159 to 158, and the
+    second cubic graph from 24 to 23.  The first cubic graph stays at 8."""
+    for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 18)),
+                            (encode_program(free_choice(range(1, 17))), (15, 31)),
+                            (two_frucht_graphs(), (1, 158)),
+                            (rook_and_shrikhande_graphs(), (10, 32)),
                             (encode_program(independent_sets(32, rook_and_shrikhande_edges())),
-                             (10, 44)),
-                            (encode_program(independent_sets(24, two_frucht_edges())), (1, 159)),
+                             (10, 32)),
+                            (encode_program(independent_sets(24, two_frucht_edges())), (1, 158)),
                             (DEEPER_THAN_FIRST_LEAF, (2, 8)),
-                            (SINGLETON_AGAINST_CELL, (3, 24))]:
+                            (SINGLETON_AGAINST_CELL, (3, 23))]:
         search = find_generators(graph)
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == expected
 
 
 def test_symmetric_group_search_is_linear():
-    """A node two levels off S_n's first path has the shape of the first
-    path's partition at its depth, so each generator is found there, not
-    at the end of a dive to a leaf: at most 3n tree nodes (597 for S200),
-    where the dives took n(n + 1)/2 (20,100)."""
-    n = 200
-    search = find_generators(encode_program(free_choice(range(1, n + 1))))
-    assert search.complete
-    assert search.tree_nodes <= 3 * n
-    assert len(search.generators) == n - 1
+    """A node one level off S_n's first path has the shape of the first
+    path's partition at its depth, and the map between the two, cell by
+    cell and position by position, is the generator, so each generator is
+    found there, not at the end of a dive to a leaf: 2n - 1 tree nodes
+    (399 for S200).  Taking only nodes whose non-singleton cells were the
+    first path's found each two levels off, in 3n - 3 (597); the dives
+    took n(n + 1)/2 (20,100)."""
+    for n in (2, 3, 5, 16, 200):
+        search = find_generators(encode_program(free_choice(range(1, n + 1))))
+        assert search.complete
+        assert (len(search.generators), search.tree_nodes) == (n - 1, 2 * n - 1), n
+
+
+def test_pigeonhole_search_is_linear():
+    """Pigeonhole n×(n-1) takes 4n - 6 tree nodes (14, 34 and 74 for n = 5,
+    10 and 20), with 2n - 3 generators.  Taking only nodes whose
+    non-singleton cells were the first path's took 33, 148 and 603, for
+    every generator a dive that grew with n."""
+    for n in (5, 10, 20):
+        search = find_generators(encode_program(pigeonhole(n, n - 1)))
+        assert search.complete
+        assert (len(search.generators), search.tree_nodes) == (2 * n - 3, 4 * n - 6), n
 
 
 def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
-    """Refinement splits nothing of two Frucht graphs, so 11 nodes off the
-    first path have its partition's shape, and each map onto them fails
-    `is_automorphism`.  The one automorphism, the swap of the copies,
-    is still found, and in the same number of nodes as without early
-    detection."""
+    """Refinement splits nothing of two Frucht graphs, so 12 nodes off the
+    first path above the leaves have its partition's shape.  The maps onto
+    the first 11 fail `is_automorphism`, and the search dives below them;
+    the last is the one automorphism, the swap of the copies, found one
+    level above the leaf that gave it without early detection, so the tree
+    has 158 nodes instead of 159."""
     maps = []
     early_map = automorphism._early_map
 
-    def recording(first_path, depth, partition, s):
-        perm = early_map(first_path, depth, partition, s)
-        if perm is not None and s < graph.n_nodes:
+    def recording(first_path, depth, partition):
+        perm = early_map(first_path, depth, partition)
+        if perm is not None and None in partition.by_label:
             maps.append(perm)
         return perm
 
     monkeypatch.setattr(automorphism, "_early_map", recording)
     graph = two_frucht_graphs()
     search = find_generators(graph)
-    assert len(maps) == 11
-    assert not any(is_automorphism(graph, perm) for perm in maps)
+    assert [is_automorphism(graph, perm) for perm in maps] == [False] * 11 + [True]
     swap = tuple((v + 12) % 24 for v in range(24))
-    assert search == ((moved_map(swap),), True, 159)
+    assert search == ((moved_map(swap),), True, 158)
+    assert maps[-1] == moved_map(swap)
 
 
 def test_early_detection_changes_only_the_tree(monkeypatch):
@@ -733,14 +759,15 @@ def test_early_detection_changes_only_the_tree(monkeypatch):
     graphs += [random_colored_graph(rng, max_nodes=rng.choice((12, 30))) for _ in range(100)]
     graphs += [circulant_graph(n, (1, 2)) for n in range(5, 13)]
     graphs += [two_frucht_graphs(), rook_and_shrikhande_graphs(),
-               encode_program(pigeonhole(6, 5)), encode_program(free_choice(range(1, 17)))]
+               encode_program(pigeonhole(6, 5)), encode_program(pigeonhole(10, 9)),
+               encode_program(free_choice(range(1, 17)))]
     early = [find_generators(graph) for graph in graphs]
     early_map = automorphism._early_map
 
-    def at_leaves(first_path, depth, partition, s):
-        if s < len(partition.by_label):
+    def at_leaves(first_path, depth, partition):
+        if None in partition.by_label:  # some cell is no singleton
             return None
-        return early_map(first_path, depth, partition, s)
+        return early_map(first_path, depth, partition)
 
     monkeypatch.setattr(automorphism, "_early_map", at_leaves)
     saved = 0
@@ -750,6 +777,30 @@ def test_early_detection_changes_only_the_tree(monkeypatch):
         assert search.tree_nodes <= dive.tree_nodes
         saved += dive.tree_nodes - search.tree_nodes
     assert saved
+
+
+def test_early_maps_are_taken_above_the_leaves(monkeypatch):
+    """On pigeonhole 6×5 and S16 a node whose non-singleton cells differ
+    from the first path's takes its generator from the early map: 8 of
+    the 9 generators and 14 of the 15 are found above the leaves.  Taking
+    only nodes whose non-singleton cells were the first path's found 2 and
+    13 there, in trees of 50 and 45 nodes against 18 and 31."""
+    early_map = automorphism._early_map
+    for program, expected in [(pigeonhole(6, 5), (8, 9)), (free_choice(range(1, 17)), (14, 15))]:
+        graph = encode_program(program)
+        taken = []
+
+        def recording(first_path, depth, partition):
+            perm = early_map(first_path, depth, partition)
+            if perm is not None and None in partition.by_label and is_automorphism(graph, perm):
+                taken.append(perm)
+            return perm
+
+        monkeypatch.setattr(automorphism, "_early_map", recording)
+        search = find_generators(graph)
+        assert taken and set(map(frozenset, map(dict.items, taken))) <= set(
+            map(frozenset, map(dict.items, search.generators)))
+        assert (len(taken), len(search.generators)) == expected
 
 
 def test_symmetric_group_gets_n_minus_one_generators():
@@ -871,8 +922,8 @@ def test_symmetric_group_search_reads_each_generator_twice(monkeypatch):
 
     early_map = automorphism._early_map
 
-    def counting(first_path, depth, partition, s):
-        perm = early_map(first_path, depth, partition, s)
+    def counting(first_path, depth, partition):
+        perm = early_map(first_path, depth, partition)
         return None if perm is None else CountingMap(perm)
 
     monkeypatch.setattr(automorphism, "_early_map", counting)
