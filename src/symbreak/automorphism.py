@@ -405,15 +405,11 @@ def _early_map(first_path, depth, partition):
     for a, b in zip(first_path[depth].by_label, partition.by_label):
         if a is b:  # no cell starts here, or both share one
             continue
-        if len(a) == 1 == len(b):
-            if a[0] != b[0]:
-                perm[a[0]] = b[0]
-        elif len(a) != len(b):
+        if len(a) != len(b):
             return None
-        else:
-            for v, w in zip(a, b):
-                if v != w:
-                    perm[v] = w
+        for v, w in zip(a, b):
+            if v != w:
+                perm[v] = w
     return perm
 
 

@@ -684,9 +684,24 @@ def test_search_tree_size_pinned():
     leaf: pigeonhole 6×5 went from 50 nodes to 18, S16 from 45 to 31, the
     rook's and Shrikhande graphs and their independent-set program from
     44 to 32, the two Frucht graphs and theirs from 159 to 158, and the
-    second cubic graph from 24 to 23.  The first cubic graph stays at 8."""
+    second cubic graph from 24 to 23.  The first cubic graph stays at 8.
+    Pigeonhole n×(n-1) takes 4n - 6 nodes with 2n - 3 generators (14, 34
+    and 74 for n = 5, 10 and 20); taking only nodes whose non-singleton
+    cells were the first path's took 33, 148 and 603, for every generator
+    a dive that grew with n.  The benchmark's seed-1 instances are
+    relabelled: its pigeonhole 6×5 takes 22 nodes (50 before), and its
+    S16 takes 40 (45 before), not 31, since a cell's ascending order
+    follows the symmetry only in part once atoms are renamed and rules
+    shuffled, so some positional maps fail `is_automorphism` and the
+    search dives below them."""
+    php, choice, _ = workload_instances([1])
     for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 18)),
+                            (encode_program(pigeonhole(5, 4)), (7, 14)),
+                            (encode_program(pigeonhole(10, 9)), (17, 34)),
+                            (encode_program(pigeonhole(20, 19)), (37, 74)),
+                            (encode_program(php), (9, 22)),
                             (encode_program(free_choice(range(1, 17))), (15, 31)),
+                            (encode_program(choice), (15, 40)),
                             (two_frucht_graphs(), (1, 158)),
                             (rook_and_shrikhande_graphs(), (10, 32)),
                             (encode_program(independent_sets(32, rook_and_shrikhande_edges())),
@@ -704,24 +719,16 @@ def test_symmetric_group_search_is_linear():
     path's partition at its depth, and the map between the two, cell by
     cell and position by position, is the generator, so each generator is
     found there, not at the end of a dive to a leaf: 2n - 1 tree nodes
-    (399 for S200).  Taking only nodes whose non-singleton cells were the
-    first path's found each two levels off, in 3n - 3 (597); the dives
-    took n(n + 1)/2 (20,100)."""
+    (399 for S200).  That holds for the natural labelling built here,
+    where every cell lists its atoms' nodes in the order of the atoms; the
+    benchmark's relabelled S16 takes 40 nodes, not 31
+    (`test_search_tree_size_pinned`).  Taking only nodes whose
+    non-singleton cells were the first path's found each two levels off,
+    in 3n - 3 (597); the dives took n(n + 1)/2 (20,100)."""
     for n in (2, 3, 5, 16, 200):
         search = find_generators(encode_program(free_choice(range(1, n + 1))))
         assert search.complete
         assert (len(search.generators), search.tree_nodes) == (n - 1, 2 * n - 1), n
-
-
-def test_pigeonhole_search_is_linear():
-    """Pigeonhole n×(n-1) takes 4n - 6 tree nodes (14, 34 and 74 for n = 5,
-    10 and 20), with 2n - 3 generators.  Taking only nodes whose
-    non-singleton cells were the first path's took 33, 148 and 603, for
-    every generator a dive that grew with n."""
-    for n in (5, 10, 20):
-        search = find_generators(encode_program(pigeonhole(n, n - 1)))
-        assert search.complete
-        assert (len(search.generators), search.tree_nodes) == (2 * n - 3, 4 * n - 6), n
 
 
 def test_early_maps_are_checked_on_two_frucht_graphs(monkeypatch):
