@@ -109,6 +109,11 @@ rechecks every cell (``reference_color_refine`` in the tests).
   of the other fragments had equal counts into S, so they have equal
   counts into the fragment left out, and cannot split on S.  The next
   round rechecks only cells holding a neighbor of a fragment not left out.
+- Mark only when it pays.  A round that keyed every node and left over
+  half the n nodes outside its largest fragments marks nothing, and the
+  next round keys every node.  That is at most n < 2 * those nodes keys,
+  and a node is outside its cell's largest fragment at most log2 n times
+  (Hopcroft's smaller half), so such rounds cost O(n log n) in all.
 - Key only marked nodes.  By the same argument, the nodes of a rechecked
   cell that see none of those fragments share one key, so one of them is
   keyed for all.  A cell whose nodes are all marked is keyed whole.
@@ -136,7 +141,7 @@ keeps each by its support: Darga, Sakallah & Markov, DAC 2008); a node
 the map does not hold is fixed.
 """
 
-from collections import Counter
+from collections import defaultdict
 from typing import NamedTuple
 
 from .encoding import ColoredGraph
@@ -165,15 +170,17 @@ def partition_by_colors(graph: ColoredGraph) -> OrderedPartition:
     """The color classes by ascending color, each listing its nodes in
     ascending order, as a labelled partition."""
     colors = graph.colors
-    by_color = sorted(range(len(colors)), key=colors.__getitem__)  # stable
+    classes = defaultdict(list)
+    for v, c in enumerate(colors):  # in ascending order
+        classes[c].append(v)
     by_label = [None] * len(colors)
     first = {}
     start = 0
-    for c, size in sorted(Counter(colors).items()):
+    for c in sorted(classes):
         first[c] = start
-        by_label[start] = tuple(by_color[start:start + size])
-        start += size
-    return OrderedPartition([first[c] for c in colors], by_label)
+        by_label[start] = tuple(classes[c])
+        start += len(by_label[start])
+    return OrderedPartition(list(map(first.__getitem__, colors)), by_label)
 
 
 def color_refine(graph: ColoredGraph, partition: OrderedPartition,
@@ -193,15 +200,18 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
 
     Every round splits each cell against the partition the round started
     from.  The first round checks every cell, or, given ``individualized``,
-    only the cells holding a neighbor of v.  Later rounds check only the
-    cells holding a neighbor of a fragment, other than the largest one, of
-    a cell that split in the round before.  Only those neighbors are keyed
-    one by one (the module docstring says why this and the other shortcuts
-    are exact).  A cell is labelled by the position of its first node in
-    the concatenated cells, so a split relabels only its own nodes, and the
-    labels order the cells as their positions do.  The split and the
-    refinement work on one copy of the partition's labelling, never on the
-    partition itself, and the result carries the refined labelling.
+    only the cells holding a neighbor of v.  A round after one that
+    checked every cell and left over half the nodes outside its largest
+    fragments checks every cell too.  Other rounds check only the cells
+    holding a neighbor of a fragment, other than the largest one, of a
+    cell that split in the round before.  Only those neighbors are keyed
+    one by one (the module docstring says why this and the other
+    shortcuts are exact).  A cell is labelled by the position of its first
+    node in the concatenated cells, so a split relabels only its own
+    nodes, and the labels order the cells as their positions do.  The
+    split and the refinement work on one copy of the partition's
+    labelling, never on the partition itself, and the result carries the
+    refined labelling.
     """
     nbrs = graph.neighbors
     index = partition.labels.copy()
@@ -258,6 +268,17 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                 # ``key`` is the first unmarked node's, and no marked node's
                 groups[key] = rest
             splits.append((s, list(map(tuple, map(groups.__getitem__, sorted(groups))))))
+        if marked is None and 2 * sum(len(cells[s]) - max(map(len, fragments))
+                                      for s, fragments in splits) > len(index):
+            # most nodes would be marked: relabel, and key every node again
+            for s, fragments in splits:
+                for fragment in fragments:
+                    cells[s] = fragment
+                    for v in fragment:
+                        index[v] = s
+                    s += len(fragment)
+            pending = [s for s in set(index) if len(cells[s]) > 1]
+            continue
         # relabel and mark in one pass per split; the first fragment keeps
         # the cell's label, so its nodes keep theirs
         marked = set()

@@ -25,7 +25,9 @@ every rule from its fields.
 The fixtures at the top serve the tests only, so the package does not
 ship them: `identity`, `dense` and `moved_map` (a permutation as the
 package keeps it, the map of the points it moves, to a dense image tuple
-and back), `build_graph` (a graph from an edge list),
+and back), `build_graph` (a graph from an edge list), `CountingNeighbors`
+and `root_refine_reads` (neighbor lists that count their reads, and the
+count the root refinement reads),
 `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
 with its atoms renamed), and `partition_from_cells` and `cells_of` (an
@@ -77,6 +79,25 @@ def build_graph(colors, edges, atoms=()) -> ColoredGraph:
         nbrs[v].add(u)
     return ColoredGraph(colors, tuple(tuple(sorted(ns)) for ns in nbrs),
                         tuple(atoms))
+
+
+class CountingNeighbors(tuple):
+    """Neighbor lists that count how often one is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingNeighbors.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def root_refine_reads(graph: ColoredGraph) -> int:
+    """The neighbor tuples ``color_refine`` reads refining the graph's
+    color partition, as the search's root does."""
+    counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
+    CountingNeighbors.reads = 0
+    color_refine(counted, partition_by_colors(counted))
+    return CountingNeighbors.reads
 
 
 def atom_node(graph: ColoredGraph, atom: int) -> int:

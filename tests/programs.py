@@ -78,6 +78,14 @@ def free_choice(atoms) -> GroundProgram:
     return GroundProgram(rules=tuple(ChoiceRule((a,)) for a in atoms))
 
 
+def chain(n: int) -> GroundProgram:
+    """``a_i <- a_{i+1}`` for i = 2..n-1, then ``{a_n}``, with atom 1 the
+    reserved false atom in B-: a path of rules whose refinement splits one
+    or two nodes off a cell of about n in each round."""
+    rules = tuple(BasicRule(i, (i + 1,)) for i in range(2, n)) + (ChoiceRule((n,)),)
+    return GroundProgram(rules, compute_minus=(1,))
+
+
 def random_program(rng: random.Random) -> GroundProgram:
     """A small mixed-rule-type program the oracle can enumerate.
 
@@ -222,13 +230,19 @@ def corpus() -> list[GroundProgram]:
     return programs
 
 
-def workload_texts(seeds) -> list[str]:
-    """The benchmark's timed instance of every workload for each seed, as
-    ``perfbench/workloads.py`` writes it."""
+def perfbench_workloads():
+    """``perfbench/workloads.py``, the benchmark's instance builders."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload_texts(seeds) -> list[str]:
+    """The benchmark's timed instance of every workload for each seed, as
+    ``perfbench/workloads.py`` writes it."""
+    workloads = perfbench_workloads()
     return [workloads.build(name, seed).instance
             for seed in seeds for name in workloads.WORKLOADS]
 

@@ -10,17 +10,18 @@ import pytest
 
 from symbreak import (ChoiceRule, GroundProgram, MinimizeStatement, Orbits,
                       automorphism, color_refine, detect_symmetries,
-                      encode_program, find_generators)
+                      encode_program, find_generators, parse_program)
 from symbreak.automorphism import is_automorphism, partition_by_colors
 from symbreak.encoding import MINIMIZE_COLOR, fix_nodes
-from graph_oracles import (EnumerationBudgetError, atom_node,
+from graph_oracles import (CountingNeighbors, EnumerationBudgetError, atom_node,
                            brute_force_automorphisms, build_graph, cells_of,
                            compose, dense, group_closure, group_order, identity,
                            moved_map, partition_from_cells, reference_color_refine,
                            reference_find_generators, reference_is_automorphism,
-                           reference_orbit)
-from programs import (corpus, free_choice, independent_sets, p1, p2, p3, p4, p5,
-                      pigeonhole, place_atom, random_colored_graph, random_program,
+                           reference_orbit, root_refine_reads)
+from programs import (chain, corpus, free_choice, independent_sets, p1, p2, p3, p4,
+                      p5, perfbench_workloads, pigeonhole, place_atom,
+                      random_colored_graph, random_program,
                       rook_and_shrikhande_edges, two_frucht_edges,
                       workload_instances)
 
@@ -269,14 +270,53 @@ def test_refine_is_invariant_under_relabelling():
     assert individualized > 500
 
 
-class CountingNeighbors(tuple):
-    """Neighbor lists that count how often one is read."""
+def test_root_refinement_keys_every_node_while_most_would_be_marked(monkeypatch):
+    """At the root of a program with no symmetry, the first rounds split
+    most of the graph into fragments that are not left out, and marking
+    their neighbors would mark nearly every node.  Such a round only
+    relabels, and the next one keys every node of every non-singleton
+    cell, as the reference does in every round.  On the 300-atom
+    asym-large draw the root takes two of these full rounds after the
+    first and reads 5,726 neighbor tuples, against 10,146 when every
+    round after the first marked.  The output is the reference's, there
+    and on every corpus program, 67 of which take a full round after the
+    first.  A full round is counted where `color_refine` hands its label
+    list, the only list it passes to ``set``, to ``set`` to find the
+    pending cells: once for the first round and once per full round after
+    it."""
+    collected = []
 
-    reads = 0
+    def counting_set(*args):
+        if args and type(args[0]) is list:
+            collected.append(len(args[0]))
+        return set(*args)
 
-    def __getitem__(self, i):
-        CountingNeighbors.reads += 1
-        return tuple.__getitem__(self, i)
+    monkeypatch.setattr(automorphism, "set", counting_set, raising=False)
+    text = perfbench_workloads().asym_large_text(300, 900, random.Random(1))
+    asym = encode_program(parse_program(text))
+    assert root_refine_reads(asym) <= 5800
+    full_rounds = []
+    for graph in [asym, *map(encode_program, corpus())]:
+        start = partition_by_colors(graph)
+        collected.clear()
+        assert color_refine(graph, start) == reference_color_refine(graph, start)
+        assert collected and set(collected) == {graph.n_nodes}
+        full_rounds.append(len(collected) - 1)
+    assert full_rounds[0] == 2
+    assert sum(map(bool, full_rounds[1:])) == 67
+
+
+def test_chain_root_refinement_marks_small_splits():
+    """On a chain of rules each round of the root refinement splits one or
+    two nodes off a cell of about n, so the fragments not left out are
+    small and the rounds mark: the 750-atom chain reads 11,215 neighbor
+    tuples.  Keying every node of every cell again after such rounds would
+    read about n per round, over about 1,100 rounds.  The reference is
+    quadratic here, so the output is checked on a 100-atom chain."""
+    assert root_refine_reads(encode_program(chain(750))) == 11215
+    graph = encode_program(chain(100))
+    start = partition_by_colors(graph)
+    assert color_refine(graph, start) == reference_color_refine(graph, start)
 
 
 def test_search_neighbour_reads_bounded(monkeypatch):
