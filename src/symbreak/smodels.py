@@ -20,12 +20,14 @@ stale one.
 choice or disjunctive rule with no heads, which its ``problems`` report,
 is a ``ParseError``.  ``validate`` walks programs built in code.  The
 rule section is decoded from one token stream per block of lines, each
-block's lines split and its tokens converted in one go.  Only when that
-pass meets a fault, or a terminator spelled other than ``0`` alone on
-its line, does the per-line loop decode the section again, to raise the
-first fault's ``ParseError`` with its line.  When the section is already
-in the writer's spelling, the program keeps a reference to the input,
-and ``write_program`` copies those lines instead of rewriting the rules.
+block's lines split and its tokens converted in one go.  Only a block
+that holds a fault, or a terminator spelled other than ``0`` alone on
+its line, is read again line by line, to raise the first fault's
+``ParseError`` with its line or to stop at the terminator.  A line ends
+at a line feed alone, as the writer ends it.  When the section is
+already in the writer's spelling, the program keeps a reference to the
+input, and ``write_program`` copies those lines instead of rewriting the
+rules.
 """
 
 from collections import Counter
@@ -309,19 +311,17 @@ def _atom(v: int, line_no: int) -> int:
 
 
 class _Ints(dict):
-    """A document's tokens, each checked and converted on first lookup only;
-    ValueError for one that is no plain decimal (``_int`` says why).
-    ``respelled`` turns True at a token with a leading zero, which the
-    writer would spell otherwise."""
+    """A document's tokens, each checked and converted by ``_int`` on first
+    lookup only, so one that is no plain decimal raises its ParseError
+    (without a line).  ``respelled`` turns True at a token with a leading
+    zero, which the writer would spell otherwise."""
 
     respelled = False
 
     def __missing__(self, tok: str) -> int:
-        if not (tok.isascii() and tok.isdigit()):
-            raise ValueError(tok)
+        value = self[tok] = _int(tok, 0)
         if tok[0] == "0" and len(tok) > 1:
             self.respelled = True
-        value = self[tok] = int(tok)
         return value
 
 
@@ -402,31 +402,39 @@ def _decode_rule(values: list[int], line_no: int) -> Rule:
     return tuple.__new__(Rule, (kind, heads, pos, neg, bound, weights))
 
 
-def _decode_section(lines: list[str], table: _Ints, text: str):
-    """The rules on ``lines``, a rule section without its terminator,
-    decoded from one token stream per block of lines; None at the first
-    fault, which ``_decode_lines`` then names.  With the rules, the
-    positions of those of other kinds than basic, cardinality and weight,
-    and the length of the prefix of ``text`` that spells the rules as the
-    writer would, or 0.
+def _decode_section(lines: list[str], text: str):
+    """The rule section that opens ``lines``: its rules, the positions of
+    those ``_decode_rule`` decoded, the length of the prefix of ``text``
+    that spells the rules as the writer would, or 0, and the index of the
+    terminator's line.  Raises the ParseError of the section's first fault.
 
-    Basic, cardinality and weight rules are decoded in line, each checked
-    to end where its line ends; other kinds go through ``_decode_rule``.
+    The section runs to the first line that reads ``0``, or to the end of
+    input when none does, and is decoded from one token stream per block
+    of lines.  Basic, cardinality and weight rules are decoded in line,
+    each checked to end where its line ends; other kinds go through
+    ``_decode_rule``.  A block that holds a fault, or a terminator spelled
+    other than ``0`` alone on its line, fails as a whole: its rules are
+    dropped and its lines read again one by one, which raises the first
+    fault with its line or stops at the terminator, and the writer's
+    spelling is not kept.
     """
+    try:
+        section = lines[:lines.index("0")]
+    except ValueError:  # no line reads "0": a kind-0 line, if any, ends the section
+        section = lines
+    table = _Ints()
     ints = table.__getitem__
     rules = []
     others = []
     append = rules.append
     new = tuple.__new__  # skips the keyword handling of Rule's own constructor
     spelled = 0  # characters of text in the writer's spelling; -1 once not
-    for start in range(0, len(lines), _BLOCK):
-        rows = list(map(str.split, lines[start:start + _BLOCK]))
+    for start in range(0, len(section), _BLOCK):
+        rows = list(map(str.split, section[start:start + _BLOCK]))
+        count, n_others = len(rules), len(others)
         try:
             values = tuple(map(ints, chain.from_iterable(rows)))
-        except ValueError:  # a malformed or over-long token
-            return None
-        i = 0
-        try:
+            i = 0
             for n in filter(None, map(len, rows)):
                 j = i + n
                 kind = values[i]
@@ -435,14 +443,14 @@ def _decode_section(lines: list[str], table: _Ints, text: str):
                     neg, pos = values[i + 4:split], values[split:j]
                     head = values[i + 1]
                     if n != 4 + values[i + 2] or split > j or not head or 0 in neg or 0 in pos:
-                        return None
+                        break
                     append(new(Rule, (BASIC, (head,), pos, neg, None, ())))
                 elif kind == CARDINALITY:  # 2 head nlit nneg bound neg... pos...
                     split = i + 5 + values[i + 3]
                     neg, pos = values[i + 5:split], values[split:j]
                     head = values[i + 1]
                     if n != 5 + values[i + 2] or split > j or not head or 0 in neg or 0 in pos:
-                        return None
+                        break
                     append(new(Rule, (CARDINALITY, (head,), pos, neg, values[i + 4], ())))
                 elif kind == WEIGHT:  # 5 head bound nlit nneg neg... pos... weights...
                     nlit = values[i + 3]
@@ -450,39 +458,37 @@ def _decode_section(lines: list[str], table: _Ints, text: str):
                     neg, pos = values[i + 5:split], values[split:end]
                     head = values[i + 1]
                     if n != 5 + 2 * nlit or split > end or not head or 0 in neg or 0 in pos:
-                        return None
+                        break
                     append(new(Rule, (WEIGHT, (head,), pos, neg, values[i + 2],
                                       values[end:j])))
                 else:
                     others.append(len(rules))
                     append(_decode_rule(values[i:j], 0))
                 i = j
-        except (IndexError, ParseError):
-            return None
-        if spelled >= 0:
-            wire = "\n".join(map(" ".join, rows)) + "\n"
-            spelled = (spelled + len(wire)
-                       if all(rows) and text.startswith(wire, spelled) else -1)
-    return rules, others, (spelled - 1 if spelled > 0 and not table.respelled else 0)
-
-
-def _decode_lines(lines: list[str], ints) -> tuple[list[Rule], int]:
-    """The rules before the first line that reads ``0``, decoded line by
-    line, and that line's index; the ParseError of the first fault."""
-    rules = []
-    for line_no, line in enumerate(lines, 1):
-        toks = line.split()
-        if not toks:
-            continue
-        try:
-            values = list(map(ints, toks))
-        except ValueError:  # a malformed or over-long token; _int names it
-            values = [_int(tok, line_no) for tok in toks]
-        if values == [0]:
-            return rules, line_no - 1
-        rules.append(_decode_rule(values, line_no))
-    raise ParseError(len(lines) + 1,
-                     "unexpected end of input, expected a rule or the rules terminator 0")
+            else:  # every line of the block decoded
+                if spelled >= 0:
+                    wire = "\n".join(map(" ".join, rows)) + "\n"
+                    spelled = (spelled + len(wire)
+                               if all(rows) and text.startswith(wire, spelled) else -1)
+                continue
+        except (IndexError, ValueError):  # a malformed or over-long token, or
+            pass                           # a line _decode_rule refuses
+        # a fault or the terminator is in this block: read it line by line
+        del rules[count:], others[n_others:]
+        spelled = -1
+        for line_no, line in enumerate(section[start:start + _BLOCK], start + 1):
+            toks = line.split()
+            if toks:
+                values = [_int(tok, line_no) for tok in toks]
+                if values == [0]:
+                    return rules, others, 0, line_no - 1
+                others.append(len(rules))
+                append(_decode_rule(values, line_no))
+    if section is lines:
+        raise ParseError(len(lines) + 1,
+                         "unexpected end of input, expected a rule or the rules terminator 0")
+    length = spelled - 1 if spelled > 0 and not table.respelled else 0
+    return rules, others, length, len(section)
 
 
 def parse_program(text) -> GroundProgram:
@@ -497,19 +503,10 @@ def parse_program(text) -> GroundProgram:
                              f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
         if isinstance(source, bytearray):  # it may change after the parse
             source = text
-    lines = text.splitlines()
-    table = _Ints()
-    try:
-        end = lines.index("0")
-    except ValueError:  # no terminator spelled "0" alone on its line
-        decoded = None
-    else:
-        decoded = _decode_section(lines[:end], table, text)
-    if decoded is None:
-        rules, end = _decode_lines(lines, table.__getitem__)
-        others, length = range(len(rules)), 0
-    else:
-        rules, others, length = decoded
+    lines = text.split("\n")  # a line ends at "\n" alone, as the writer ends it
+    if not lines[-1]:
+        del lines[-1]
+    rules, others, length, end = _decode_section(lines, text)
     line_no = end + 1
     rest = ((line, n) for n, line in enumerate(map(str.strip, lines[line_no:]), line_no + 1)
             if line)
@@ -526,7 +523,7 @@ def parse_program(text) -> GroundProgram:
         if line == "0":
             break
         parts = line.split(maxsplit=1)
-        if len(parts) != 2:
+        if len(parts) != 2 or "\r" in line:  # as for validate, no name holds a CR
             raise ParseError(line_no, "symbol line must be '<atom> <name>'")
         atom = _atom(_int(parts[0], line_no), line_no)
         name = parts[1].strip()
@@ -668,8 +665,9 @@ def validate(program: GroundProgram, first_rule: int = 0) -> list[str]:
     for name, count in names.items():
         if count > 1:
             out.append(f"symbol table: name {name!r} used {count} times")
-        # the writer puts each name on its own line and the reader strips it
-        if name.splitlines() != [name] or name != name.strip():
+        # the writer puts each name on its own line and the reader strips it;
+        # a carriage return ends a line for some other readers
+        if not name or "\n" in name or "\r" in name or name != name.strip():
             out.append(f"symbol table: name {name!r} must be one non-empty line "
                        "with no leading or trailing whitespace")
     for a in program.symbols:

@@ -693,7 +693,9 @@ def reference_parse_program(text) -> GroundProgram:
         except UnicodeDecodeError as exc:
             raise ParseError(text.count(b"\n", 0, exc.start) + 1,
                              f"byte 0x{text[exc.start]:02x} is not valid UTF-8") from None
-    lines = text.splitlines()
+    lines = text.split("\n")  # a carriage return before it is whitespace
+    if not lines[-1]:
+        lines.pop()
     pos = 0
 
     def next_line(what: str) -> tuple[str, int]:
@@ -721,7 +723,7 @@ def reference_parse_program(text) -> GroundProgram:
         if line == "0":
             break
         parts = line.split(maxsplit=1)
-        if len(parts) != 2:
+        if len(parts) != 2 or "\r" in line:  # as for validate, no name holds a CR
             raise ParseError(line_no, "symbol line must be '<atom> <name>'")
         atom = _atom(_int(parts[0], line_no), line_no)
         name = parts[1].strip()

@@ -408,6 +408,19 @@ def test_pipe_composability_subprocess():
     assert b"generators=1" in proc.stderr
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\x85", "\x0c"],
+                         ids=["line-separator", "next-line", "form-feed"])
+def test_lines_end_at_line_feeds_alone(char):
+    """``str.splitlines`` also breaks at these characters; the reader does
+    not, so a name that holds one is read as written, and a program with
+    no symmetry comes back byte for byte."""
+    text = f'1 2 0 0\n0\n2 p("a{char}b")\n0\nB+\n0\nB-\n0\n1\n'.encode()
+    proc = subprocess.run([sys.executable, "-m", "symbreak"], input=text,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text
+
+
 # ``<- a2, a1000000000``: two atoms, one of them named by a vast index
 SPARSE_TEXT = "1 1 2 0 2 1000000000\n0\n0\nB+\n0\nB-\n1\n0\n1\n"
 # ``a | b.`` with a third named atom, z, that no rule mentions

@@ -14,6 +14,7 @@ from symbreak import (BasicRule, BreakConfig, ChoiceRule, GroundProgram,
                       stabilizer_binary_symmetries, validate, write_program)
 from symbreak.cli import main
 from symbreak.smodels import BASIC
+from symbreak.symmetry import AtomPermutation
 from graph_oracles import atom_node, dense, moved_map, reference_orbit
 from programs import (corpus, free_choice, p1, p2, p3, p4, p5, pigeonhole,
                       random_program, record_fragment_aux, workload_instances)
@@ -278,6 +279,25 @@ def test_gate_drops_a_search_permutation_that_is_no_symmetry(monkeypatch, capsys
     assert main(["--mode", "verify"]) == 4
     err = capsys.readouterr().err
     assert "VIOLATION: automorphism (p r) failed the syntactic symmetry check" in err
+
+
+# x :- 2{a,a}.  y :- 2{b}.  {a;b}.
+CARD_TEXT = ("2 4 2 0 2 2 2\n2 5 1 0 2 3\n3 2 2 3 0 0\n0\n2 a\n3 b\n4 x\n5 y\n0\n"
+             "B+\n0\nB-\n0\n1\n")
+
+
+def test_gate_rejects_what_the_encoder_over_approximates():
+    """The graph draws a rule's literals as a set, so ``2{a,a}`` and
+    ``2{b}`` look alike and the search finds ``(a b)(x y)``; the gate keys
+    rules as multisets and rejects it, so nothing is appended and the
+    break stays sound."""
+    program = parse_program(CARD_TEXT)
+    result = break_program(program)
+    # ROADMAP item 1e: an exact encoder finds no such permutation
+    assert result.detection.rejected == [AtomPermutation.from_cycles((2, 3), (4, 5))]
+    assert result.detection.generators == []
+    assert result.program == program
+    assert check_soundness(program, result.detection.generators, result.program).ok
 
 
 def test_verify_names_a_rejection_when_the_search_runs_out(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from symbreak.smodels import BASIC, CHOICE, DISJUNCTIVE, MINIMIZE, WEIGHT
 from graph_oracles import (map_atoms, pairs, reference_parse_program,
                            reference_write_program)
 from programs import (SMODELS_CORPUS, corpus, normalize_text, p1, p3, p5,
-                      with_repeated_atoms, workload_texts)
+                      perfbench_workloads, with_repeated_atoms, workload_texts)
 
 
 def test_parse_basic_rule_with_symbol():
@@ -108,6 +108,7 @@ HEAD = "1 2 0 0\n0\n"  # one fact and the rules terminator
     ("1 2 0 0\n1 3 0 0\n", 3,
      "unexpected end of input, expected a rule or the rules terminator 0"),
     (HEAD + "2 a\n2 b\n0\nB+\n0\nB-\n0\n1\n", 4, "atom 2 already has a name"),
+    (HEAD + "2 a\rb\n0\nB+\n0\nB-\n0\n1\n", 3, "symbol line must be '<atom> <name>'"),
     (HEAD + "0\nB-\n0\nB+\n0\n1\n", 4, "expected B+ section header, got 'B-'"),
     (HEAD + "0\nB+\n0\nB+\n0\n1\n", 6, "expected B- section header, got 'B+'"),
     (HEAD + "0\nB+\n2 3\n0\nB-\n0\n1\n", 5, "B+ lines carry one atom each"),
@@ -115,7 +116,7 @@ HEAD = "1 2 0 0\n0\n"  # one fact and the rules terminator
     (HEAD + "0\nB+\n0\nB-\n0\n1 2\n", 8, "model count line carries one integer"),
     (HEAD + "0\nB+\n0\nB-\n0\n1\n\n0\n", 10,
      "unexpected content after the model count"),
-], ids=["end-in-rules", "second-name", "B+-header", "B--header", "B+-two-atoms",
+], ids=["end-in-rules", "second-name", "carriage-return-in-name", "B+-header", "B--header", "B+-two-atoms",
         "B--two-atoms", "model-count-two-integers", "after-model-count"])
 def test_parse_diagnostics(text, line_no, message):
     with pytest.raises(ParseError) as err:
@@ -156,24 +157,28 @@ def test_validate_duplicate_names_and_bounds():
 
 def test_validate_reports_names_the_writer_cannot_round_trip():
     """A name is written on its own line and read back stripped, so an
-    empty name, one with a line break (anything ``str.splitlines`` splits
-    on) or with outer whitespace would not come back as it was."""
-    bad = ["a\nb", "", "a\x0cb", " a", "a\u2028b", "a\t"]
-    program = GroundProgram(rules=(ChoiceRule(tuple(range(1, 8))),),
-                            symbols=dict(enumerate(bad + ["a b"], 1)))
+    empty name, one with a line feed or with outer whitespace would not
+    come back as it was.  A carriage return is refused too, as some other
+    readers end a line there; the reader ends lines at a line feed alone,
+    so other characters that ``str.splitlines`` splits on come back."""
+    bad = ["a\nb", "", " a", "a\t", "a\rb"]
+    good = ["a b", "a\x0cb", "a\u2028b", "a\x85b", "a\x0bb", "a\x1cb"]
+    program = GroundProgram(rules=(ChoiceRule(tuple(range(1, 12))),),
+                            symbols=dict(enumerate(bad + good, 1)))
     assert validate(program) == [
         f"symbol table: name {name!r} must be one non-empty line with no "
         "leading or trailing whitespace" for name in bad]
-    for name in bad:
+    for name in bad[:-1]:
         single = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: name})
         try:
             back = parse_program(write_program(single)).symbols
         except ParseError:
             continue
         assert back != single.symbols
-    good = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: "a b"})
-    assert validate(good) == []
-    assert parse_program(write_program(good)).symbols == {1: "a b"}
+    for name in good:
+        single = GroundProgram(rules=(ChoiceRule((1,)),), symbols={1: name})
+        assert validate(single) == []
+        assert parse_program(write_program(single)).symbols == {1: name}
 
 
 @pytest.mark.parametrize("program,problems", [
@@ -362,29 +367,6 @@ def mutated_rule_lines(rng, doc):
             yield "\n".join(lines[:i] + [" ".join(variant)] + lines[i + 1:])
 
 
-def test_parse_errors_match_reference():
-    """Every error message and line number of the token-by-token parse,
-    and for a mutant that parses, the full ``validate`` walk's verdict."""
-    rng = random.Random(11)
-    docs = SMODELS_CORPUS + [write_program(program) for program in corpus()[:120]]
-    messages = set()
-    mutants = invalid = 0
-    for doc in docs:
-        for text in mutated_rule_lines(rng, doc):
-            mutants += 1
-            outcome = parse_outcome(parse_program, text)
-            assert outcome == parse_outcome(reference_parse_program, text), text
-            if isinstance(outcome, GroundProgram):
-                assert outcome.problems == tuple(validate(outcome)), text
-                invalid += bool(outcome.problems)
-            else:  # a (message, line) pair
-                messages.add(outcome[0].split(": ", 1)[1].split(" ")[0])
-    assert mutants >= 2000
-    assert invalid >= 400
-    assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
-            "negative", "minimize"} <= messages
-
-
 def respellings(rng, doc):
     """The document with its rule section spelled otherwise: CRLF line
     ends, the terminator as `` 0 `` or ``00``, and at one rule line a tab,
@@ -440,29 +422,78 @@ def rules_as_written(program: GroundProgram, text) -> bool:
         text = text.decode()
     n = len(program.rules)
     wire = reference_write_program(program).split("\n")[:n]
-    return n > 0 and text.startswith("\n".join(wire) + "\n") and text.splitlines()[n] == "0"
+    return n > 0 and text.startswith("\n".join(wire) + "\n") and text.split("\n")[n] == "0"
 
 
-def test_one_pass_decoder_matches_per_line_decoder(monkeypatch):
-    """Rules, problems and every ParseError's line and message are the
-    per-line decoder's, the choice and disjunctive heads the parse fills
-    in are those a program built in code finds, and the one-pass decoder
-    reads every rule section in the writer's spelling."""
+def matches_reference(text):
+    """The parse outcome, checked against the token-by-token parse: the
+    program or every ParseError's message and line, the full ``validate``
+    walk's verdict, the choice and disjunctive heads a program built in
+    code finds, and the writer's text kept exactly when the rule section
+    is in its spelling."""
+    outcome = parse_outcome(parse_program, text)
+    assert outcome == parse_outcome(reference_parse_program, text), text
+    if isinstance(outcome, GroundProgram):
+        assert outcome.problems == tuple(validate(outcome)), text
+        assert outcome._free_heads == GroundProgram(*outcome)._free_heads, text
+        assert ("_rule_text" in outcome.__dict__) == rules_as_written(outcome, text), text
+    return outcome
+
+
+def error_kind(outcome) -> str:
+    """The first word of a (message, line) outcome's message."""
+    return outcome[0].split(": ", 1)[1].split(" ")[0]
+
+
+def test_parse_errors_match_reference():
+    """Mutants of the corpus, and ``decoder_texts()``, which the block
+    decoder reads in every path: whole blocks, the writer's spelling kept
+    or not, and blocks read again line by line to name a fault or to find
+    a terminator spelled other than ``0``."""
+    rng = random.Random(11)
+    docs = SMODELS_CORPUS + [write_program(program) for program in corpus()[:120]]
+    messages = set()
+    mutants = invalid = 0
+    for doc in docs:
+        for text in mutated_rule_lines(rng, doc):
+            mutants += 1
+            outcome = matches_reference(text)
+            if isinstance(outcome, GroundProgram):
+                invalid += bool(outcome.problems)
+            else:  # a (message, line) pair
+                messages.add(error_kind(outcome))
+    assert mutants >= 2000
+    assert invalid >= 400
+    assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
+            "negative", "minimize"} <= messages
     texts = decoder_texts()
-    one_pass = [parse_outcome(parse_program, text) for text in texts]
-    monkeypatch.setattr(smodels, "_decode_section", lambda *args: None)
-    errors = set()
-    for text, outcome in zip(texts, one_pass):
-        per_line = parse_outcome(parse_program, text)
-        assert outcome == per_line, text
-        if isinstance(outcome, GroundProgram):
-            assert outcome.problems == per_line.problems, text
-            assert outcome._free_heads == GroundProgram(*outcome)._free_heads, text
-            assert ("_rule_text" in outcome.__dict__) == rules_as_written(outcome, text), text
-        else:
-            errors.add(outcome[0].split(": ", 1)[1].split(" ")[0])
+    errors = {error_kind(outcome) for outcome in map(matches_reference, texts)
+              if not isinstance(outcome, GroundProgram)}
     assert {"truncated", "unexpected", "weight"} <= errors
     assert len(texts) > 1500
+
+
+def test_faults_at_block_boundaries_match_reference():
+    """On the 9,000 rule lines of the seed-1 asym-large instance, a
+    truncated rule, a malformed token, or a terminator spelled ``00`` or
+    `` 0 `` on either side of the first two 128-line block boundaries and
+    on the last rule line.  Each parse is the reference parse; a fault is
+    named at its line, and a terminator ends the section there."""
+    texts = dict(zip(perfbench_workloads().WORKLOADS, workload_texts([1])))
+    lines = texts["asym-large"].split("\n")
+    end = lines.index("0")
+    assert end == 9000
+    rules = parse_program(texts["asym-large"]).rules
+    for line_no in (128, 129, 130, 256, 257, end):
+        k = line_no - 1
+        toks = lines[k].split()
+        for fault in (" ".join(toks[:-1]), " ".join([toks[0], "x", *toks[2:]])):
+            outcome = matches_reference("\n".join(lines[:k] + [fault] + lines[k + 1:]))
+            assert outcome[1] == line_no, outcome
+        for terminator in ("00", " 0 "):
+            matches_reference("\n".join(lines[:k] + [terminator] + lines[k:]))
+            program = matches_reference("\n".join(lines[:k] + [terminator] + lines[end + 1:]))
+            assert program.rules == rules[:k]
 
 
 def written_faults(parse, write, texts):
@@ -507,14 +538,11 @@ def test_writer_matches_per_rule_writer(monkeypatch):
 
     decode = smodels._decode_section
 
-    def any_spelling(lines, table, text):
+    def any_spelling(lines, text):
         """Stores the section's text even where it is not in the writer's
         spelling."""
-        decoded = decode(lines, table, text)
-        if decoded is None:
-            return None
-        rules, others, length = decoded
-        return rules, others, length or len("\n".join(lines))
+        rules, others, length, end = decode(lines, text)
+        return rules, others, length or len("\n".join(lines[:end])), end
 
     monkeypatch.setattr(smodels, "_decode_section", any_spelling)
     respelled = [t for t in texts if isinstance(t, str) and t != normalize_text(t)]
