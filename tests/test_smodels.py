@@ -446,10 +446,8 @@ def error_kind(outcome) -> str:
 
 
 def test_parse_errors_match_reference():
-    """Mutants of the corpus, and ``decoder_texts()``, which the block
-    decoder reads in every path: whole blocks, the writer's spelling kept
-    or not, and blocks read again line by line to name a fault or to find
-    a terminator spelled other than ``0``."""
+    """Every error message and line number of the token-by-token parse,
+    and for a mutant that parses, the full ``validate`` walk's verdict."""
     rng = random.Random(11)
     docs = SMODELS_CORPUS + [write_program(program) for program in corpus()[:120]]
     messages = set()
@@ -466,6 +464,13 @@ def test_parse_errors_match_reference():
     assert invalid >= 400
     assert {"truncated", "malformed", "atom", "unknown", "unexpected", "weight",
             "negative", "minimize"} <= messages
+
+
+def test_one_pass_decoder_matches_per_line_decoder():
+    """The block decoder against the line-by-line, token-by-token parse on
+    ``decoder_texts()``, which it reads in every path: whole blocks, the
+    writer's spelling kept or not, and blocks read again line by line to
+    name a fault or to find a terminator spelled other than ``0``."""
     texts = decoder_texts()
     errors = {error_kind(outcome) for outcome in map(matches_reference, texts)
               if not isinstance(outcome, GroundProgram)}
