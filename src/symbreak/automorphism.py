@@ -132,9 +132,12 @@ rechecks every cell (``reference_color_refine`` in the tests).
   do, any `OrderedPartition` does by its definition, and a split keeps
   the order of the cell, since a group's members and the rest of an
   individualized vertex's cell arrive in it.  So fragments need no sort.
-- Relabel and mark in one pass.  Marking reads neighbor lists, not
-  labels, so each split relabels and marks its fragments together, and
-  the first fragment keeps the cell's label, so its nodes keep theirs.
+- Relabel and mark in one step.  Full rounds and marking rounds share
+  it: each split marks the neighbors of its fragments but the largest,
+  unless the round is full, then relabels its fragments.  Marking reads
+  neighbor lists, not labels, so the order of the two does not matter.
+  The first fragment keeps the cell's label in either kind of round, so
+  its nodes keep theirs and none of them is written.
 
 A permutation is the map of the nodes it moves to their images (saucy
 keeps each by its support: Darga, Sakallah & Markov, DAC 2008); a node
@@ -199,26 +202,28 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
     of it, which is nothing to do when v is a singleton already.
 
     Every round splits each cell against the partition the round started
-    from.  The first round checks every cell, or, given ``individualized``,
-    only the cells holding a neighbor of v.  A round after one that
-    checked every cell and left over half the nodes outside its largest
-    fragments checks every cell too.  Other rounds check only the cells
-    holding a neighbor of a fragment, other than the largest one, of a
-    cell that split in the round before.  Only those neighbors are keyed
-    one by one (the module docstring says why this and the other
-    shortcuts are exact).  A cell is labelled by the position of its first
-    node in the concatenated cells, so a split relabels only its own
-    nodes, and the labels order the cells as their positions do.  The
-    split and the refinement work on one copy of the partition's
-    labelling, never on the partition itself, and the result carries the
-    refined labelling.
+    from, in the same three steps: it finds the cells to check, keys their
+    nodes, and relabels each cell that split, marking the neighbors of its
+    fragments but the largest unless the round is full.  The round is
+    full when it checked every cell and left over half the nodes outside
+    its largest fragments; it marks nothing, and the next round checks
+    every cell.  The first round checks every cell, or, given
+    ``individualized``, only the cells holding a neighbor of v.  Other
+    rounds check only the cells holding a marked node, and only the
+    marked nodes are keyed one by one (the module docstring says why this
+    and the other shortcuts are exact).  The refinement ends at the first
+    round with no cell to check.  A cell is labelled by the position of
+    its first node in the concatenated cells, so a split relabels only
+    the nodes of its fragments after the first, and the labels order the
+    cells as their positions do.  The split and the refinement work on one
+    copy of the partition's labelling, never on the partition itself, and
+    the result carries the refined labelling.
     """
     nbrs = graph.neighbors
     index = partition.labels.copy()
     cells = partition.by_label.copy()
     if individualized is None:
         marked = None  # every node of a pending cell is keyed
-        pending = [s for s in set(index) if len(cells[s]) > 1]
     else:
         v = individualized
         s = index[v]
@@ -229,8 +234,12 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
             for w in rest:
                 index[w] = s + 1
         marked = set(nbrs[v])
-        pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
-    while pending:
+    while True:
+        pending = [s for s in (set(index) if marked is None
+                               else set(map(index.__getitem__, marked)))
+                   if len(cells[s]) > 1]
+        if not pending:
+            return OrderedPartition(index, cells)
         splits = []
         for s in pending:
             cell = cells[s]
@@ -268,41 +277,26 @@ def color_refine(graph: ColoredGraph, partition: OrderedPartition,
                 # ``key`` is the first unmarked node's, and no marked node's
                 groups[key] = rest
             splits.append((s, list(map(tuple, map(groups.__getitem__, sorted(groups))))))
-        if marked is None and 2 * sum(len(cells[s]) - max(map(len, fragments))
-                                      for s, fragments in splits) > len(index):
-            # most nodes would be marked: relabel, and key every node again
-            for s, fragments in splits:
-                for fragment in fragments:
-                    cells[s] = fragment
-                    for v in fragment:
-                        index[v] = s
-                    s += len(fragment)
-            pending = [s for s in set(index) if len(cells[s]) > 1]
-            continue
-        # relabel and mark in one pass per split; the first fragment keeps
-        # the cell's label, so its nodes keep theirs
-        marked = set()
-        mark = marked.update
+        # a full round, one in which most nodes would be marked, marks
+        # nothing, and the next round keys every node again
+        full = marked is None and 2 * sum(len(cells[s]) - max(map(len, fragments))
+                                          for s, fragments in splits) > len(index)
+        marked = None if full else set()
         for s, fragments in splits:
-            skipped = max(fragments, key=len)
-            first = fragments[0]
-            for fragment in fragments:
-                cells[s] = fragment
-                if len(fragment) == 1:
-                    v = fragment[0]
-                    index[v] = s
+            if not full:  # mark the neighbors of every fragment but the largest
+                skipped = max(fragments, key=len)
+                for fragment in fragments:
                     if fragment is not skipped:
-                        mark(nbrs[v])
-                elif fragment is not skipped:
-                    for v in fragment:
-                        index[v] = s
-                        mark(nbrs[v])
-                elif fragment is not first:
-                    for v in fragment:
-                        index[v] = s
+                        for v in fragment:
+                            marked.update(nbrs[v])
+            # the first fragment keeps the cell's label, so its nodes keep theirs
+            cells[s] = fragments[0]
+            s += len(fragments[0])
+            for fragment in fragments[1:]:
+                cells[s] = fragment
+                for v in fragment:
+                    index[v] = s
                 s += len(fragment)
-        pending = [s for s in set(map(index.__getitem__, marked)) if len(cells[s]) > 1]
-    return OrderedPartition(index, cells)
 
 
 def is_automorphism(graph: ColoredGraph, perm: dict) -> bool:

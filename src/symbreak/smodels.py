@@ -269,9 +269,13 @@ class SemanticProgram(NamedTuple("SemanticProgram", [
     """
 
     @cached_property
-    def keys(self) -> "_Keys":
-        """Each rule's ``Rule.key()`` by position, keyed on first lookup."""
-        return _Keys(self.rules)
+    def keys(self) -> "_Lazy":
+        """Each rule's ``Rule.key()`` by position, computed on its first
+        lookup only, so the gate keys just the rules its permutations
+        touch."""
+        # the maker holds the rules, not the view: a view that held itself
+        # through it would be garbage only the cyclic collector frees
+        return _Lazy(lambda i, rules=self.rules: rules[i].key())
 
     @cached_property
     def occurrences(self) -> dict[int, list[int]]:
@@ -310,39 +314,18 @@ def _atom(v: int, line_no: int) -> int:
     return v
 
 
-class _Ints(dict):
-    """A document's tokens, each checked and converted by ``_int`` on first
-    lookup only, so one that is no plain decimal raises its ParseError
-    (without a line).  ``respelled`` turns True at a token with a leading
-    zero, which the writer would spell otherwise."""
+class _Lazy(dict):
+    """A table whose value for a key is ``make(key)``, made on the key's
+    first lookup only."""
 
-    respelled = False
+    __slots__ = ("make",)
 
-    def __missing__(self, tok: str) -> int:
-        value = self[tok] = _int(tok, 0)
-        if tok[0] == "0" and len(tok) > 1:
-            self.respelled = True
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
-
-
-class _Keys(dict):
-    """Rule keys by position, each computed on its first lookup only, so
-    the gate keys just the rules its permutations touch."""
-
-    def __init__(self, rules: tuple[Rule, ...]):
-        self.rules = rules
-
-    def __missing__(self, i: int) -> tuple:
-        key = self[i] = self.rules[i].key()
-        return key
-
-
-class _Texts(dict):
-    """Integers as decimal text, each converted on its first lookup only."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
 
 
 def _decode_rule(values: list[int], line_no: int) -> Rule:
@@ -422,7 +405,9 @@ def _decode_section(lines: list[str], text: str):
         section = lines[:lines.index("0")]
     except ValueError:  # no line reads "0": a kind-0 line, if any, ends the section
         section = lines
-    table = _Ints()
+    # each token is checked and converted by _int on its first lookup only,
+    # so one that is no plain decimal raises its ParseError (without a line)
+    table = _Lazy(lambda tok: _int(tok, 0))
     ints = table.__getitem__
     rules = []
     others = []
@@ -487,7 +472,9 @@ def _decode_section(lines: list[str], text: str):
     if section is lines:
         raise ParseError(len(lines) + 1,
                          "unexpected end of input, expected a rule or the rules terminator 0")
-    length = spelled - 1 if spelled > 0 and not table.respelled else 0
+    # the writer would spell a token with a leading zero otherwise
+    respelled = any(tok[0] == "0" and len(tok) > 1 for tok in table)
+    length = spelled - 1 if spelled > 0 and not respelled else 0
     return rules, others, length, len(section)
 
 
@@ -602,7 +589,7 @@ def write_program(program: GroundProgram) -> str:
     The leading rules of a parsed program whose rule section came in this
     spelling are copied from the input, not rewritten.
     """
-    text = _Texts().__getitem__
+    text = _Lazy(str).__getitem__  # integers as decimal text
     source, length, count = program.__dict__.get("_rule_text", ("", 0, 0))
     head = source[:length]
     out = [head if isinstance(head, str) else head.decode()] if count else []

@@ -25,10 +25,10 @@ every rule from its fields.
 The fixtures at the top serve the tests only, so the package does not
 ship them: `identity`, `dense` and `moved_map` (a permutation as the
 package keeps it, the map of the points it moves, to a dense image tuple
-and back), `build_graph` (a graph from an edge list), `CountingNeighbors`
-and `root_refine_reads` (neighbor lists that count their reads, and the
-count the root refinement reads),
-`atom_node` and `negation_node` (an encoded atom's literal nodes),
+and back), `build_graph` (a graph from an edge list), `CountingNeighbors`,
+`root_refine_reads` and `search_refine_reads` (neighbor lists that count
+their reads, and the counts the root refinement and the whole search
+read), `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
 with its atoms renamed), and `partition_from_cells` and `cells_of` (an
 `OrderedPartition` from its cells and back).
@@ -40,8 +40,9 @@ composition is left-to-right (apply ``f``, then ``g``).
 from collections import Counter
 from math import factorial
 
+from symbreak import automorphism
 from symbreak.automorphism import (GeneratorSearch, OrderedPartition, color_refine,
-                                   partition_by_colors)
+                                   find_generators, partition_by_colors)
 from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
                                FIRST_VALUE_COLOR, HEAD_COLOR, MINIMIZE_COLOR,
                                NEGATION_COLOR, ColoredGraph)
@@ -98,6 +99,21 @@ def root_refine_reads(graph: ColoredGraph) -> int:
     CountingNeighbors.reads = 0
     color_refine(counted, partition_by_colors(counted))
     return CountingNeighbors.reads
+
+
+def search_refine_reads(graph: ColoredGraph) -> tuple[int, GeneratorSearch]:
+    """The neighbor tuples ``color_refine`` reads over the whole search of
+    the graph, and the search.  The automorphism checks read the uncounted
+    graph."""
+    counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
+    check = automorphism.is_automorphism
+    automorphism.is_automorphism = lambda _, perm: check(graph, perm)
+    CountingNeighbors.reads = 0
+    try:
+        search = find_generators(counted)
+    finally:
+        automorphism.is_automorphism = check
+    return CountingNeighbors.reads, search
 
 
 def atom_node(graph: ColoredGraph, atom: int) -> int:

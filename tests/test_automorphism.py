@@ -13,12 +13,12 @@ from symbreak import (ChoiceRule, GroundProgram, MinimizeStatement, Orbits,
                       encode_program, find_generators, parse_program)
 from symbreak.automorphism import is_automorphism, partition_by_colors
 from symbreak.encoding import MINIMIZE_COLOR, fix_nodes
-from graph_oracles import (CountingNeighbors, EnumerationBudgetError, atom_node,
-                           brute_force_automorphisms, build_graph, cells_of,
-                           compose, dense, group_closure, group_order, identity,
-                           moved_map, partition_from_cells, reference_color_refine,
-                           reference_find_generators, reference_is_automorphism,
-                           reference_orbit, root_refine_reads)
+from graph_oracles import (EnumerationBudgetError, atom_node, brute_force_automorphisms,
+                           build_graph, cells_of, compose, dense, group_closure,
+                           group_order, identity, moved_map, partition_from_cells,
+                           reference_color_refine, reference_find_generators,
+                           reference_is_automorphism, reference_orbit, root_refine_reads,
+                           search_refine_reads)
 from programs import (chain, corpus, free_choice, independent_sets, p1, p2, p3, p4,
                       p5, perfbench_workloads, pigeonhole, place_atom,
                       random_colored_graph, random_program,
@@ -319,7 +319,19 @@ def test_chain_root_refinement_marks_small_splits():
     assert color_refine(graph, start) == reference_color_refine(graph, start)
 
 
-def test_search_neighbour_reads_bounded(monkeypatch):
+def test_search_work_on_the_benchmark_instances():
+    """The whole search on the seed-1 php and free-choice instances, as the
+    benchmark relabels them: the neighbor lists refinement reads, the tree
+    nodes and the generators, pinned exactly, so a refinement change that
+    reads more or grows the tree on the benchmark's own traffic fails
+    here.  The automorphism checks read the uncounted graph."""
+    php, free, _ = workload_instances([1])
+    for program, expected in [(php, (1323, 22, 9)), (free, (454, 40, 15))]:
+        reads, search = search_refine_reads(encode_program(program))
+        assert (reads, search.tree_nodes, len(search.generators)) == expected
+
+
+def test_search_neighbour_reads_bounded():
     """Seeded refinement, skipping the largest fragment, backjumping and
     early detection off the first path read fewer neighbor lists: 1,082
     and 364 reads with all of them, 2,531 and 504 when early detection
@@ -329,13 +341,8 @@ def test_search_neighbour_reads_bounded(monkeypatch):
     next test bounds theirs."""
     for program, bound, expected in [(pigeonhole(6, 5), 1100, (9, 18)),
                                      (free_choice(range(1, 17)), 370, (15, 31))]:
-        graph = encode_program(program)
-        counted = graph._replace(neighbors=CountingNeighbors(graph.neighbors))
-        monkeypatch.setattr(automorphism, "is_automorphism",
-                            lambda _, perm, graph=graph: is_automorphism(graph, perm))
-        CountingNeighbors.reads = 0
-        search = find_generators(counted)
-        assert CountingNeighbors.reads <= bound
+        reads, search = search_refine_reads(encode_program(program))
+        assert reads <= bound
         assert (len(search.generators), search.tree_nodes) == expected
 
 

@@ -56,6 +56,16 @@ def test_unwritable_output_exit_code(tmp_path, monkeypatch, capsys):
     assert not target.parent.exists()
 
 
+def test_output_to_a_stdout_without_a_byte_buffer(monkeypatch):
+    """A ``sys.stdout`` with no ``buffer``, such as an ``io.StringIO``, is
+    written the text itself."""
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO(P1_TEXT))
+    monkeypatch.setattr("sys.stdout", out)
+    assert main([]) == 0
+    assert out.getvalue() == write_program(break_program(parse_program(P1_TEXT)).program)
+
+
 def test_detect_mode_p3(monkeypatch, capsys):
     code, out, err = run_cli(["--mode", "detect"], P3_TEXT, monkeypatch, capsys)
     assert code == 0

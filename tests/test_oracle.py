@@ -101,6 +101,17 @@ def test_answer_sets_compute_blocks_enforced():
     assert answer_sets(p) == sets({1})
 
 
+@pytest.mark.parametrize("constraint", [CardinalityRule(1, 2, (2, 3)),
+                                        WeightRule(1, 3, (2, 3), (), (2, 2))],
+                         ids=["cardinality", "weight"])
+def test_a_bounded_rule_deriving_the_false_atom_ends_the_least_model(constraint):
+    """{a; b} with a bounded constraint that both atoms break: the least
+    model of the guess {a, b} stops at the false atom the constraint
+    derives."""
+    p = GroundProgram(rules=(ChoiceRule((2, 3)), constraint), compute_minus=(1,))
+    assert answer_sets(p) == sets((), {2}, {3}) == reference_answer_sets(p)
+
+
 def test_answer_sets_budget():
     big = GroundProgram(rules=tuple(ChoiceRule((a,)) for a in range(1, 25)))
     with pytest.raises(OracleBudgetError):

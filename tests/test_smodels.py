@@ -321,6 +321,16 @@ def test_semantic_view_skips_false_atom_in_b_minus():
     assert sem.rules == (BasicRule(1, (2,)),)
 
 
+def test_a_parsed_bytearray_may_change_afterwards():
+    """The parse keeps the decoded text, not the bytearray, for the writer
+    to copy the rule section from."""
+    text = write_program(p3())
+    data = bytearray(text.encode())
+    program = parse_program(data)
+    data[:] = b"9" * len(data)
+    assert write_program(program) == text
+
+
 def spellings(doc: str) -> list:
     """The document as written and with other whitespace between tokens."""
     return [doc, doc.replace(" ", "\t"), doc.replace(" ", "  ").replace("\n", "\n \n"),

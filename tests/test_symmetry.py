@@ -69,6 +69,7 @@ def test_atom_permutation_cycles_and_composition():
     perm = AtomPermutation.from_cycles((1, 2, 3), (5, 6))
     assert perm.cycles() == [(1, 2, 3), (5, 6)]
     assert perm.cycle_of(2) == (2, 3, 1)
+    assert perm.cycle_of(4) == (4,)  # a fixed atom
     assert not perm.is_involution()
     assert swap(1, 2).is_involution()
 
