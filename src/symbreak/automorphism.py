@@ -59,6 +59,13 @@ induction takes each partition of one path onto the other's at the same
 depth, down to leaves at the same depth.  The partitions kept are those
 of the first path, all alive at the first leaf anyway.
 
+How much the tree shrinks depends on the node ids: the map is an
+automorphism only when some automorphism maps each cell onto its image
+in ascending order.  Literal nodes follow their atoms, and
+`encode_program` numbers rule nodes in the order of the sorted rules, so
+rule nodes of one shape ascend as their atoms do, whatever the order of
+the input's lines.
+
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current
 path, so no depth hits the recursion limit.  A node keeps the labelled
@@ -459,10 +466,15 @@ def find_generators(graph: ColoredGraph, max_tree_nodes: int = 10 ** 6) -> Gener
         if tree_nodes > max_tree_nodes:
             return GeneratorSearch(tuple(gens), False, tree_nodes)
         by_label = partition.by_label
-        # the cells up to the parent's individualized vertex are singletons
+        # the cells up to the parent's individualized vertex are singletons,
+        # and s starts a cell; a cell of size k leaves k - 1 positions
+        # unlabelled after its start, so the first None at or after s
+        # follows the start of the first cell there of size 2 or more
         s = path[-1].label + 1 if path else 0
-        while s < n and len(by_label[s]) == 1:
-            s += 1
+        try:
+            s = by_label.index(None, s) - 1
+        except ValueError:  # discrete
+            s = n
         node = None
         if on_first_path:
             first_path.append(partition)

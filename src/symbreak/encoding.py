@@ -25,6 +25,13 @@ Three kinds keep their rule nodes: a pos-neg pair, whose edge could map
 onto an atom's own pairing; a one-atom body such as ``<- a, a``; and a
 constraint that occurs more than once, since the gate counts copies and
 an edge cannot.
+
+Rule nodes are numbered in the order of the sorted rules, not of the
+input's lines, which carry no meaning.  So the graph depends on the rules
+alone, and rule nodes of one shape ascend as their atoms do: the
+search's positional early map, which maps each cell onto another position
+by position, then meets rule nodes in the order a symmetry of the atoms
+maps them, however the lines were shuffled.
 """
 
 from itertools import chain
@@ -50,11 +57,12 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
     is its view's ``atoms``, those its rules mention, in node order:
     atom ``atoms[i]`` owns the positive node ``2*i`` and the negative
-    node ``2*i + 1``; rule nodes follow in rule order, except that binary
-    constraints drawn as literal edges have none and those written more
-    than once come last.  Every node's ``neighbors`` tuple strictly
-    ascends, so two nodes have the same neighbors exactly when their
-    tuples are equal.
+    node ``2*i + 1``.  Rule nodes follow in the order of the sorted
+    rules, not of the lines, so rule nodes of one shape ascend as their
+    atoms do (the module docstring says why); binary constraints drawn as
+    literal edges have none, and those written more than once come last.
+    Every node's ``neighbors`` tuple strictly ascends, so two nodes have
+    the same neighbors exactly when their tuples are equal.
     """
 
     def __new__(cls, colors, neighbors, atoms=()):
@@ -82,6 +90,11 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     sem = program.view
     atoms = sem.atoms
     false = sem.false_atom
+    # rule nodes follow the sorted rules (the module docstring says why).
+    # The sort never compares None with an int: a rule's bound is compared
+    # only after its kind, and a validated program, the only kind this
+    # takes, gives each kind a bound always or never
+    rules = sorted(sem.rules)
     # node[a] is atom a's positive node; its negative node is node[a] + 1
     node = {a: 2 * i for i, a in enumerate(atoms)}
     colors = [ATOM_COLOR, NEGATION_COLOR] * len(atoms)
@@ -92,12 +105,12 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     values.update(chain.from_iterable(map(itemgetter(5), sem.rules)))
     value_color = {v: FIRST_VALUE_COLOR + i for i, v in enumerate(sorted(values))}
 
-    # a literal node's list ascends, as rule nodes are numbered in rule
-    # order; a rule node joins it once, however often the atom repeats in
-    # the rule.  A rule node's tuple is made when its rule is done.
+    # a literal node's list ascends, as rule nodes are numbered in the
+    # order of ``rules``; a rule node joins it once, however often the atom
+    # repeats in the rule.  A rule node's tuple is made when its rule is done.
     # pairs counts the binary constraints by their two literal nodes
     pairs = {}
-    for kind, heads, pos, neg, bound, weights in sem.rules:
+    for kind, heads, pos, neg, bound, weights in rules:
         if kind == BASIC and heads[0] == false:
             if len(pos) == 2 and not neg:
                 u, v = node[pos[0]], node[pos[1]]

@@ -596,9 +596,11 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
             return None
         return frozenset(lits)
 
-    # a pair seen once is one edge; repeated pairs get rule nodes at the end
-    counts = Counter(filter(None, map(binary_pair, sem.rules)))
-    for r in sem.rules:
+    # a pair seen once is one edge; repeated pairs get rule nodes at the end.
+    # Rule nodes follow the sorted rules
+    rules = sorted(sem.rules)
+    counts = Counter(filter(None, map(binary_pair, rules)))
+    for r in rules:
         pair = binary_pair(r)
         if pair is not None:
             if counts[pair] == 1:

@@ -324,11 +324,40 @@ def test_search_work_on_the_benchmark_instances():
     benchmark relabels them: the neighbor lists refinement reads, the tree
     nodes and the generators, pinned exactly, so a refinement change that
     reads more or grows the tree on the benchmark's own traffic fails
-    here.  The automorphism checks read the uncounted graph."""
+    here.  The automorphism checks read the uncounted graph.  Rule nodes
+    follow the sorted rules, so the search does the work it does on the
+    natural pigeonhole 6×5 and S16 (`test_search_neighbour_reads_bounded`);
+    numbered in line order, it read 1,323 and 454 tuples in 22 and 40
+    nodes."""
     php, free, _ = workload_instances([1])
-    for program, expected in [(php, (1323, 22, 9)), (free, (454, 40, 15))]:
+    for program, expected in [(php, (1082, 18, 9)), (free, (364, 31, 15))]:
         reads, search = search_refine_reads(encode_program(program))
         assert (reads, search.tree_nodes, len(search.generators)) == expected
+
+
+def test_every_early_map_on_the_benchmark_instances_is_an_automorphism(monkeypatch):
+    """Within a cell, rule nodes ascend as their atoms do, whatever the
+    order of the rule lines, so on the seed-1 php and free-choice
+    instances every positional map the search builds off the first path
+    is the automorphism the dive below it would find: 9 maps and 15, one
+    per generator.  With rule nodes numbered in line order it built 13 and
+    24, of which 4 and 9 failed `is_automorphism`."""
+    early_map = automorphism._early_map
+    php, free, _ = workload_instances([1])
+    for program, generators in [(php, 9), (free, 15)]:
+        graph = encode_program(program)
+        built = []
+
+        def recording(first_path, depth, partition):
+            perm = early_map(first_path, depth, partition)
+            if perm is not None:
+                built.append(is_automorphism(graph, perm))
+            return perm
+
+        monkeypatch.setattr(automorphism, "_early_map", recording)
+        search = find_generators(graph)
+        assert len(search.generators) == generators
+        assert built == [True] * generators
 
 
 def test_search_neighbour_reads_bounded():
@@ -735,20 +764,21 @@ def test_search_tree_size_pinned():
     Pigeonhole n×(n-1) takes 4n - 6 nodes with 2n - 3 generators (14, 34
     and 74 for n = 5, 10 and 20); taking only nodes whose non-singleton
     cells were the first path's took 33, 148 and 603, for every generator
-    a dive that grew with n.  The benchmark's seed-1 instances are
-    relabelled: its pigeonhole 6×5 takes 22 nodes (50 before), and its
-    S16 takes 40 (45 before), not 31, since a cell's ascending order
-    follows the symmetry only in part once atoms are renamed and rules
-    shuffled, so some positional maps fail `is_automorphism` and the
-    search dives below them."""
+    a dive that grew with n.  The benchmark's seed-1 instances rename
+    their atoms and shuffle their rule lines, but rule nodes follow the
+    sorted rules, so their pigeonhole 6×5 takes 18 nodes and their S16 31,
+    as the natural ones do.  With rule nodes in line order a cell's
+    ascending order followed the symmetry only in part, some positional
+    maps failed `is_automorphism`, and the search dived below them: 22
+    nodes and 40."""
     php, choice, _ = workload_instances([1])
     for graph, expected in [(encode_program(pigeonhole(6, 5)), (9, 18)),
                             (encode_program(pigeonhole(5, 4)), (7, 14)),
                             (encode_program(pigeonhole(10, 9)), (17, 34)),
                             (encode_program(pigeonhole(20, 19)), (37, 74)),
-                            (encode_program(php), (9, 22)),
+                            (encode_program(php), (9, 18)),
                             (encode_program(free_choice(range(1, 17))), (15, 31)),
-                            (encode_program(choice), (15, 40)),
+                            (encode_program(choice), (15, 31)),
                             (two_frucht_graphs(), (1, 158)),
                             (rook_and_shrikhande_graphs(), (10, 32)),
                             (encode_program(independent_sets(32, rook_and_shrikhande_edges())),
@@ -766,10 +796,10 @@ def test_symmetric_group_search_is_linear():
     path's partition at its depth, and the map between the two, cell by
     cell and position by position, is the generator, so each generator is
     found there, not at the end of a dive to a leaf: 2n - 1 tree nodes
-    (399 for S200).  That holds for the natural labelling built here,
-    where every cell lists its atoms' nodes in the order of the atoms; the
-    benchmark's relabelled S16 takes 40 nodes, not 31
-    (`test_search_tree_size_pinned`).  Taking only nodes whose
+    (399 for S200).  That needs every cell to list its atoms' nodes in
+    the order of the atoms, which holds for rule nodes too, as they follow
+    the sorted rules: the benchmark's relabelled S16 takes 31 nodes as
+    well (`test_search_tree_size_pinned`).  Taking only nodes whose
     non-singleton cells were the first path's found each two levels off,
     in 3n - 3 (597); the dives took n(n + 1)/2 (20,100)."""
     for n in (2, 3, 5, 16, 200):
@@ -876,7 +906,7 @@ def test_generators_pinned_on_small_programs():
         p1: ((2, 3, 0, 1, 6, 7, 4, 5),),
         p2: ((2, 3, 0, 1, 4, 5, 6, 7, 10, 11, 8, 9),),
         p3: ((2, 3, 0, 1, 6, 7, 4, 5),),  # <- p, q is an edge
-        p4: ((2, 3, 0, 1, 4, 5, 8, 9, 6, 7),),
+        p4: ((2, 3, 0, 1, 6, 7, 4, 5, 8, 9),),  # choice rules before the disjunctive
         p5: ((2, 3, 0, 1, 6, 7, 4, 5),),
     }
     for build, generators in expected.items():
