@@ -92,8 +92,8 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     false = sem.false_atom
     # rule nodes follow the sorted rules (the module docstring says why).
     # The sort never compares None with an int: a rule's bound is compared
-    # only after its kind, and a validated program, the only kind this
-    # takes, gives each kind a bound always or never
+    # only after its kind, and the encoder takes only validated programs,
+    # whose rules of one kind all have a bound or none do
     rules = sorted(sem.rules)
     # node[a] is atom a's positive node; its negative node is node[a] + 1
     node = {a: 2 * i for i, a in enumerate(atoms)}
