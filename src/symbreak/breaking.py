@@ -19,11 +19,18 @@ is headed by the program view's false atom, which ``FreshAtoms`` carries
 as ``head``; every other appended rule defines an aux atom.  ``assemble``
 reads the aux atoms off those heads, and declares the head in B- when the
 input reserved none and a rule was appended.
+
+``assemble`` appends only the transitive reduction of the binary
+constraints ``<- v, not w`` (v implies w) across all fragments: it drops
+each one that a path through the other kept ones implies.  Binary
+implications with the same transitive closure have the same models, and
+unit propagation over them derives the same literals, so the answer sets
+and the solver's propagation stay as they were.
 """
 
 from itertools import chain
 
-from .smodels import CHOICE, DISJUNCTIVE, BasicRule, GroundProgram, Rule, validate
+from .smodels import BASIC, CHOICE, DISJUNCTIVE, BasicRule, GroundProgram, Rule, validate
 from .symmetry import AtomOrder, AtomPermutation, RowMatrix
 
 
@@ -100,21 +107,58 @@ def break_rows(matrix: RowMatrix, order: AtomOrder, aux_limit: int,
 
 def binary_rules(pairs, alloc: FreshAtoms) -> tuple[Rule, ...]:
     """One constraint ``<- v, not w`` per (v, w) pair; `assemble` drops
-    repeats."""
+    repeats and the pairs that the other appended binary constraints imply."""
     return tuple(BasicRule(alloc.head, (v,), (w,)) for v, w in pairs)
 
 
-def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProgram:
-    """Append the rules of each fragment, a tuple of rules, to the program.
+def _implied(successors: dict) -> set[int]:
+    """Positions of the edges v -> w of an implication graph that a path
+    through another successor of v implies; ``successors[v]`` maps each w
+    to its edge's position.  Nodes are taken sinks first, each once all its
+    successors are, with the nodes it reaches as a bitset; a node that
+    reaches a cycle is never taken, so it keeps every edge."""
+    predecessors = {}
+    for v, ws in successors.items():
+        for w in ws:
+            predecessors.setdefault(w, []).append(v)
+    ready = [w for w in predecessors if w not in successors]
+    bit = {v: 1 << i for i, v in enumerate(chain(successors, ready))}
+    reach = dict.fromkeys(ready, 0)
+    waiting = {v: len(ws) for v, ws in successors.items()}
+    implied = set()
+    while ready:
+        for v in predecessors.get(ready.pop(), ()):
+            waiting[v] -= 1
+            if not waiting[v]:
+                ws = successors[v]
+                below = 0
+                for w in ws:
+                    below |= reach[w]
+                # the graph below v is acyclic, so no w reaches itself
+                implied.update(i for w, i in ws.items() if below & bit[w])
+                for w in ws:
+                    below |= bit[w]
+                reach[v] = below
+                ready.append(v)
+    return implied
+
+
+def assemble(program: GroundProgram, fragments,
+             alloc: FreshAtoms) -> tuple[GroundProgram, int]:
+    """Append the rules of each fragment, a tuple of rules, to the program;
+    return the result and the number of binary constraints dropped as
+    implied.
 
     Rules with the single head ``alloc.head`` are constraints, unless they
     are choice or disjunctive rules, which could make it true.  The heads
     of all other rules, with a fresh ``alloc.head``, must be exactly the
     allocator's range above the input's max atom, and no appended rule may
     use an atom past that range.  Duplicate constraints across fragments
-    collapse to one occurrence.  With nothing to append the input comes
-    back unchanged; otherwise a fresh head is declared in B- so that
-    downstream solvers treat it as underivable.
+    collapse to one occurrence, and a binary constraint ``<- v, not w`` is
+    dropped when the other kept ones reach w from v; where they form a
+    cycle, every edge out of a node that reaches it is kept.  With nothing
+    to append the input comes back unchanged; otherwise a fresh head is
+    declared in B- so that downstream solvers treat it as underivable.
     """
     if (alloc.first, alloc.head) != (program.max_atom + 1, program.view.false_atom):
         raise ValueError("allocator was made for another program")
@@ -123,6 +167,7 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
     appended = []
     aux = set()
     seen_constraints = set()
+    successors = {}  # v -> {w: position in appended} of each <- v, not w
     for frag in fragments:
         for r in frag:
             if r.heads == (alloc.head,) and r.kind not in (CHOICE, DISJUNCTIVE):
@@ -130,6 +175,8 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)
+                if r.kind == BASIC and len(r.pos) == len(r.neg) == 1:
+                    successors.setdefault(r.pos[0], {})[r.neg[0]] = len(appended)
             else:
                 aux.update(r.heads)
             appended.append(r)
@@ -144,7 +191,10 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
     if top >= end:
         raise ValueError(f"appended atom {top} lies past the aux atoms")
     if not appended:
-        return program
+        return program, 0
+    implied = _implied(successors)
+    if implied:
+        appended = [r for i, r in enumerate(appended) if i not in implied]
 
     compute_minus = program.compute_minus
     if fresh_head:
@@ -155,4 +205,4 @@ def assemble(program: GroundProgram, fragments, alloc: FreshAtoms) -> GroundProg
     problems = validate(out, len(program.rules))
     if problems:
         raise ValueError(f"assembled program is invalid: {problems}")
-    return out
+    return out, len(implied)

@@ -30,6 +30,7 @@ def emit_stats(program: GroundProgram, result: BreakResult, seconds: float) -> s
         f"seconds={seconds:.3f}",
         f"rows={len(result.rows)}",
         f"binpairs={len(result.pairs)}",
+        f"implied={result.implied}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -8,8 +8,14 @@ never corrupt it.  Binary clauses pair each emitted level's base atom v
 with the rest of its orbit under the level's generators, which are the
 validated ones that move no atom ranked below v, read off one `Orbits`.
 Syntactic symmetries form a group, so every orbit point is reached by a
-symmetry that fixes everything ranked below v.  The constraint head is
-not chosen here: ``FreshAtoms`` takes it from the program's view.
+symmetry that fixes everything ranked below v.  A level pairs v with
+its whole orbit even where a row chain already orders the pair, so
+``assemble`` appends only the transitive reduction of all binary
+constraints, and counts the ones it drops in ``BreakResult.implied``.
+Binary implications with the same transitive closure have the same
+models and propagate the same literals, so that changes no answer set.
+The constraint head is not chosen here: ``FreshAtoms`` takes it from the
+program's view.
 """
 
 import gc
@@ -46,11 +52,16 @@ class Detection(NamedTuple):
 
 
 class BreakResult(NamedTuple):
+    """The broken program and what built it.  ``pairs`` lists every level
+    pair; ``implied`` counts the binary constraints that ``assemble``
+    dropped because the other appended ones imply them."""
+
     program: GroundProgram
     detection: Detection
     rows: list[RowMatrix]
     order: AtomOrder
     pairs: list[tuple[int, int]]
+    implied: int
 
 
 def detect_symmetries(program: GroundProgram, config: BreakConfig = None) -> Detection:
@@ -111,5 +122,5 @@ def break_program(program: GroundProgram, config: BreakConfig = None) -> BreakRe
     if pairs:
         fragments.append(binary_rules(pairs, alloc))
 
-    augmented = assemble(program, fragments, alloc)
-    return BreakResult(augmented, detection, rows, order, pairs)
+    augmented, implied = assemble(program, fragments, alloc)
+    return BreakResult(augmented, detection, rows, order, pairs, implied)

@@ -30,7 +30,9 @@ and back), `build_graph` (a graph from an edge list), `CountingNeighbors`,
 their reads, and the counts the root refinement and the whole search
 read), `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
-with its atoms renamed), and `partition_from_cells` and `cells_of` (an
+with its atoms renamed), `implications` (the (v, w) of each binary
+constraint ``<- v, not w``), `reference_reach` (every pair joined by a
+path of implications, from a fresh walk out of each node), and `partition_from_cells` and `cells_of` (an
 `OrderedPartition` from its cells and back).
 
 The references' graph permutations are dense image tuples over node ids;
@@ -163,6 +165,30 @@ def map_atoms(rule: Rule, f) -> Rule:
     """The same rule with every atom a replaced by f(a)."""
     return Rule(rule.kind, tuple(map(f, rule.heads)), tuple(map(f, rule.pos)),
                 tuple(map(f, rule.neg)), rule.bound, rule.weights)
+
+
+def implications(rules, head: int) -> set[tuple[int, int]]:
+    """(v, w) for each basic rule ``head <- v, not w`` among ``rules``."""
+    return {(r.pos[0], r.neg[0]) for r in rules
+            if r.kind == BASIC and r.heads == (head,) and len(r.pos) == len(r.neg) == 1}
+
+
+def reference_reach(edges) -> set[tuple[int, int]]:
+    """The transitive closure of a set of (v, w) edges: every (v, w) with a
+    path of one or more edges from v to w."""
+    successors = {}
+    for v, w in edges:
+        successors.setdefault(v, set()).add(w)
+    closure = set()
+    for v, ws in successors.items():
+        seen, stack = set(), list(ws)
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(successors.get(w, ()))
+        closure.update((v, w) for w in seen)
+    return closure
 
 
 def partition_from_cells(cells) -> OrderedPartition:

@@ -48,7 +48,7 @@ def test_criterion_2_lex_leader_exactness_on_p1():
     alloc = FreshAtoms(program)
     frag = lex_leader_rules(AtomPermutation({1: 2, 2: 1}),
                             AtomOrder((1, 2)), 50, alloc)
-    augmented = assemble(program, [frag], alloc)
+    augmented, _ = assemble(program, [frag], alloc)
     before = set(answer_sets(program))
     after = project(program, answer_sets(augmented))
     assert len(before) == 4
@@ -118,7 +118,7 @@ def test_criterion_5_complete_row_breaking():
         base = free_choice(base_atoms)
         alloc = FreshAtoms(base)
         frags = break_rows(matrix, AtomOrder(tuple(base_atoms)), 50, alloc)
-        augmented = assemble(base, frags, alloc)
+        augmented, _ = assemble(base, frags, alloc)
         before = len(answer_sets(base))
         after = len(answer_sets(augmented))
         assert after == expected, (rows, before, after)

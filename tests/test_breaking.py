@@ -32,7 +32,7 @@ def lex_leq(interp, perm, order):
 def augmented_with(program, perm, order, aux_limit=50):
     alloc = FreshAtoms(program)
     frag = lex_leader_rules(perm, order, aux_limit, alloc)
-    return assemble(program, [frag], alloc), frag
+    return assemble(program, [frag], alloc)[0], frag
 
 
 def test_transposition_is_a_single_constraint():
@@ -122,7 +122,7 @@ def test_break_rows_3x1_counts():
     alloc = FreshAtoms(base)
     frags = break_rows(matrix, natural_order(3), 50, alloc)
     assert len(frags) == 2
-    augmented = assemble(base, frags, alloc)
+    augmented, _ = assemble(base, frags, alloc)
     assert len(answer_sets(base)) == 8
     assert len(answer_sets(augmented)) == 4
 
@@ -132,7 +132,7 @@ def test_break_rows_3x2_counts():
     base = free_choice(range(1, 7))
     alloc = FreshAtoms(base)
     frags = break_rows(matrix, natural_order(6), 50, alloc)
-    augmented = assemble(base, frags, alloc)
+    augmented, _ = assemble(base, frags, alloc)
     assert len(answer_sets(base)) == 64
     assert len(answer_sets(augmented)) == 20
 
@@ -153,8 +153,7 @@ def test_binary_rules():
 
 
 def test_assemble_no_fragments_is_identity():
-    out = assemble(p1(), [], FreshAtoms(p1()))
-    assert out == p1()
+    assert assemble(p1(), [], FreshAtoms(p1())) == (p1(), 0)
 
 
 def test_assemble_updates_max_atom_and_b_minus():
@@ -162,7 +161,7 @@ def test_assemble_updates_max_atom_and_b_minus():
     alloc = FreshAtoms(base)
     frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
                             natural_order(2), 50, alloc)
-    out = assemble(base, [frag], alloc)
+    out, _ = assemble(base, [frag], alloc)
     assert out.max_atom == 3
     assert out.compute_minus == (3,)
     assert out.symbols == {}
@@ -175,14 +174,39 @@ def test_assemble_dedupes_constraints_across_fragments():
     lex = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
                            natural_order(2), 50, alloc)
     binary = make_binary([(1, 2)], alloc)
-    out = assemble(base, [lex, binary], alloc)
+    out, _ = assemble(base, [lex, binary], alloc)
     assert len(out.rules) == len(base.rules) + 1
     # and within one fragment, keeping the first occurrence
     base = free_choice([1, 2, 3])
     alloc = FreshAtoms(base)
-    out = assemble(base, [make_binary([(1, 2), (1, 2), (2, 3)], alloc)], alloc)
+    out, _ = assemble(base, [make_binary([(1, 2), (1, 2), (2, 3)], alloc)], alloc)
     assert out.rules[len(base.rules):] == (BasicRule(alloc.head, (1,), (2,)),
                                            BasicRule(alloc.head, (2,), (3,)))
+
+
+@pytest.mark.parametrize("fragments, kept", [
+    # a repeat across fragments collapses to its first occurrence
+    ([[(1, 2)], [(1, 2), (2, 3)]], [(1, 2), (2, 3)]),
+    # an edge backward in atom order is reduced like a forward one
+    ([[(3, 1), (1, 2), (3, 2)]], [(3, 1), (1, 2)]),
+    # a 2-cycle keeps an edge each way, and the edges out of it stay too
+    ([[(1, 2), (2, 1)], [(1, 3), (2, 3)]], [(1, 2), (2, 1), (1, 3), (2, 3)]),
+    # of a chain and its shortcut, only the shortcut goes
+    ([[(1, 2), (2, 3)], [(1, 3)]], [(1, 2), (2, 3)]),
+], ids=["duplicate", "backward", "two-cycle", "chain-shortcut"])
+def test_assemble_appends_the_transitive_reduction(fragments, kept):
+    """Binary constraints ``<- v, not w`` that the other appended ones
+    imply are dropped and counted; the answer sets are those of the input
+    that satisfy every constraint handed in."""
+    base = free_choice([1, 2, 3])
+    alloc = FreshAtoms(base)  # head 4
+    out, implied = assemble(base, [binary_rules(f, alloc) for f in fragments], alloc)
+    assert out.rules[len(base.rules):] == binary_rules(kept, alloc)
+    edges = {e for f in fragments for e in f}
+    assert implied == len(edges) - len(kept)
+    expected = {s for s in answer_sets(base)
+                if all(v not in s or w in s for v, w in edges)}
+    assert set(answer_sets(out)) == expected
 
 
 def test_assemble_detects_allocator_misuse():
@@ -211,7 +235,7 @@ def test_assemble_round_trips_through_the_wire_format():
     alloc = FreshAtoms(base)
     frag = lex_leader_rules(AtomPermutation.from_cycles((1, 2)),
                             natural_order(2), 50, alloc)
-    out = assemble(base, [frag], alloc)
+    out, _ = assemble(base, [frag], alloc)
     assert validate(out) == []
     assert parse_program(write_program(out)) == out
 
@@ -233,7 +257,7 @@ def test_assemble_rejects_corrupt_fragment(rule, message):
     with pytest.raises(ValueError, match=message):
         assemble(base, [(rule,)], alloc)
     valid = BasicRule(3, (1,), (2,))
-    assert assemble(base, [(valid,)], alloc).rules[-1] == valid
+    assert assemble(base, [(valid,)], alloc)[0].rules[-1] == valid
 
 
 def test_assemble_refuses_a_rule_that_defines_an_input_atom():

@@ -175,12 +175,13 @@ def test_stats_lines_match_the_result(monkeypatch, capsys):
         result = break_program(program)
         stats = stats_of(err)
         assert list(stats) == ["generators", "rules", "aux", "seconds",
-                               "rows", "binpairs"]
+                               "rows", "binpairs", "implied"]
         assert int(stats["generators"]) == len(result.detection.generators)
         assert int(stats["rules"]) == len(result.program.rules) - len(program.rules)
         assert int(stats["aux"]) == result.program.max_atom - program.max_atom
         assert int(stats["rows"]) == len(result.rows)
         assert int(stats["binpairs"]) == len(result.pairs)
+        assert int(stats["implied"]) == result.implied
         assert float(stats["seconds"]) >= 0.0
         assert out == write_program(result.program)
 
@@ -266,12 +267,14 @@ def test_verify_prints_the_stats_of_the_break_it_checks(monkeypatch, capsys):
     assert lines[:2] == ["symbreak: answer sets 0 -> 0 (unsat preserved)",
                          "symbreak: verification passed"]
     stats = stats_of(err)
-    assert list(stats) == ["generators", "rules", "aux", "seconds", "rows", "binpairs"]
+    assert list(stats) == ["generators", "rules", "aux", "seconds", "rows",
+                           "binpairs", "implied"]
     assert int(stats["generators"]) == len(result.detection.generators)
     assert int(stats["rules"]) == len(result.program.rules) - len(program.rules)
     assert int(stats["aux"]) == result.program.max_atom - program.max_atom
     assert int(stats["rows"]) == len(result.rows) == 1
     assert int(stats["binpairs"]) == len(result.pairs)
+    assert int(stats["implied"]) == result.implied
     assert float(stats["seconds"]) >= 0.0
 
 

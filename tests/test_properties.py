@@ -42,7 +42,7 @@ def test_single_symmetry_exactness_random_sweep():
         base = free_choice(atoms)
         alloc = FreshAtoms(base)
         frag = lex_leader_rules(perm, order, 50, alloc)
-        augmented = assemble(base, [frag], alloc)
+        augmented, _ = assemble(base, [frag], alloc)
         projected = {frozenset(a for a in s if a <= n)
                      for s in answer_sets(augmented)}
         expected = {s for s in answer_sets(base) if lex_leq(s, perm, order)}
@@ -66,7 +66,7 @@ def test_sound_breaking_of_whole_random_groups():
         alloc = FreshAtoms(base)
         frags = [lex_leader_rules(g, AtomOrder(tuple(atoms)), 50, alloc)
                  for g in gens]
-        augmented = assemble(base, frags, alloc)
+        augmented, _ = assemble(base, frags, alloc)
         survivors = {frozenset(a for a in s if a <= n)
                      for s in answer_sets(augmented)}
         for interp in answer_sets(base):

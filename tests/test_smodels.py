@@ -526,7 +526,7 @@ def written_faults(parse, write, texts):
             alloc = FreshAtoms(program)
             aux = alloc.fresh()
             fragment = (BasicRule(aux, (), ()), BasicRule(alloc.head, (aux,), ()))
-            variants.append(assemble(program, [fragment], alloc))
+            variants.append(assemble(program, [fragment], alloc)[0])
         as_read = text if isinstance(text, str) else text.decode()
         if any(write(p) != reference_write_program(p) for p in variants):
             yield text
