@@ -175,7 +175,8 @@ def assemble(program: GroundProgram, fragments,
                 if key in seen_constraints:
                     continue
                 seen_constraints.add(key)
-                if r.kind == BASIC and len(r.pos) == len(r.neg) == 1:
+                if (r.kind == BASIC and len(r.pos) == len(r.neg) == 1
+                        and r.bound is None and not r.weights):
                     successors.setdefault(r.pos[0], {})[r.neg[0]] = len(appended)
             else:
                 aux.update(r.heads)
@@ -192,6 +193,8 @@ def assemble(program: GroundProgram, fragments,
         raise ValueError(f"appended atom {top} lies past the aux atoms")
     if not appended:
         return program, 0
+    # a dropped rule is well formed, and its atoms lie on the kept path
+    # that implies it, so validating the kept rules misses no fault
     implied = _implied(successors)
     if implied:
         appended = [r for i, r in enumerate(appended) if i not in implied]

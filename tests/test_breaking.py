@@ -260,6 +260,16 @@ def test_assemble_rejects_corrupt_fragment(rule, message):
     assert assemble(base, [(valid,)], alloc)[0].rules[-1] == valid
 
 
+def test_assemble_rejects_a_corrupt_rule_that_others_imply():
+    """A basic rule ``<- 1, not 3`` with weights is no binary constraint,
+    so the chain 1 -> 2 -> 3 does not drop it before the check."""
+    base = free_choice([1, 2, 3])
+    alloc = FreshAtoms(base)  # head 4
+    corrupt = Rule(BASIC, (4,), (1,), (3,), None, (1, 1))
+    with pytest.raises(ValueError, match="assembled program is invalid"):
+        assemble(base, [binary_rules([(1, 2), (2, 3)], alloc), (corrupt,)], alloc)
+
+
 def test_assemble_refuses_a_rule_that_defines_an_input_atom():
     """Aux atoms are read off the appended heads, so a fact for ``p``
     would cut p3's answer sets {}, {p}, {q} down to {p}; a choice on its
