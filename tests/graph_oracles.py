@@ -32,8 +32,9 @@ read), `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
 with its atoms renamed), `implications` (the (v, w) of each binary
 constraint ``<- v, not w``), `reference_reach` (every pair joined by a
-path of implications, from a fresh walk out of each node), and `partition_from_cells` and `cells_of` (an
-`OrderedPartition` from its cells and back).
+path of implications, from a fresh walk out of each node), and
+`partition_from_cells` and `cells_of` (an `OrderedPartition` from its
+cells and back).
 
 The references' graph permutations are dense image tuples over node ids;
 composition is left-to-right (apply ``f``, then ``g``).

@@ -137,7 +137,7 @@ def test_breaking_power_pinned(program, answers, kept, appended):
     """Answer sets of the input and of its break, and the rules appended.
     Before implied binary constraints were dropped the same answer sets
     were kept with 63, 47, 85, 61, 124, 27 and 51 rules; a change that
-    drops a rule no other implies keeps fewer answer sets here."""
+    drops a rule the others do not imply fails here."""
     result = break_program(program)
     assert len(answer_sets(program)) == answers
     assert len(answer_sets(result.program)) == kept
