@@ -131,14 +131,14 @@ def _implied(successors: dict) -> set[int]:
             waiting[v] -= 1
             if not waiting[v]:
                 ws = successors[v]
-                below = 0
+                below = own = 0
                 for w in ws:
                     below |= reach[w]
-                # the graph below v is acyclic, so no w reaches itself
-                implied.update(i for w, i in ws.items() if below & bit[w])
-                for w in ws:
-                    below |= bit[w]
-                reach[v] = below
+                    own |= bit[w]
+                if below & own:
+                    # the graph below v is acyclic, so no w reaches itself
+                    implied.update(i for w, i in ws.items() if below & bit[w])
+                reach[v] = below | own
                 ready.append(v)
     return implied
 
