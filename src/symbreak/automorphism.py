@@ -61,10 +61,10 @@ of the first path, all alive at the first leaf anyway.
 
 How much the tree shrinks depends on the node ids: the map is an
 automorphism only when some automorphism maps each cell onto its image
-in ascending order.  Literal nodes follow their atoms, and
-`encode_program` numbers rule nodes in the order of the sorted rules, so
-rule nodes of one shape ascend as their atoms do, whatever the order of
-the input's lines.
+in ascending order.  Literal nodes follow their atoms, unit rules are
+colors of their atoms and have no nodes, and `encode_program` numbers the
+other rules' nodes in the order of the sorted rules, so rule nodes of one
+shape ascend as their atoms do, whatever the order of the input's lines.
 
 Each tree node costs work in proportion to what it changes.  The search
 is depth first over an explicit stack of the inner nodes on the current

@@ -2,13 +2,13 @@
 symmetries.
 
 Every atom the program's view mentions contributes a positive node
-(color 1) and a negative node (color 2) joined by an edge, so any
-automorphism maps literals consistently; an atom no rule mentions is
-false in every answer set and gets no node.  Every rule contributes a
-head node and a body node wired to the literals it mentions; choice
-heads, minimize statements, bounds and weights get their own colors so
-that structurally different rules can never be exchanged.  The graph is
-undirected throughout.
+(color 1, or its unit rules' color, below) and a negative node (color 2)
+joined by an edge, so any automorphism maps literals consistently; an
+atom no rule mentions is false in every answer set and gets no node.
+Every other rule contributes a head node and a body node wired to the
+literals it mentions; choice heads, minimize statements, bounds and
+weights get their own colors so that structurally different rules can
+never be exchanged.  The graph is undirected throughout.
 
 The reserved false atom is not represented: rules it heads (integrity
 constraints) keep their head node but get no head-literal edge, which both
@@ -19,12 +19,26 @@ A binary constraint ``<- a, b`` or ``<- not a, not b`` is instead one edge
 between its two positive (or two negative) literal nodes, as Aloul,
 Ramani, Markov & Sakallah draw a binary clause ("Solving difficult SAT
 instances in the presence of symmetry", DAC 2002).  Between literal
-nodes, only an atom's own pairing joins the two colors and only these
-edges join one color, so an automorphism maps them onto each other.
+nodes, only an atom's own pairing joins a positive node to a negative
+one and only these edges join two of one sign, so an automorphism maps
+them onto each other.
 Three kinds keep their rule nodes: a pos-neg pair, whose edge could map
 onto an atom's own pairing; a one-atom body such as ``<- a, a``; and a
 constraint that occurs more than once, since the gate counts copies and
 an edge cannot.
+
+A unit rule names one atom once and nothing else: a choice ``{a}.``, a
+fact ``a.``, or a constraint ``<- a.`` or ``<- not a.``, into which the
+compute blocks fold.  It gets no node.  Instead its atom's positive node
+takes a color that stands for the atom's counts of the four shapes,
+copies included, as the gate counts them; these colors come after every
+other color, in the order of the sorted count vectors, so they depend on
+the counts alone.  No other node has one, so a permutation of the atoms
+keeps them exactly when it maps the unit rules onto themselves as a
+multiset; every other rule is drawn as before, so the automorphisms stay
+exactly the syntactic symmetries.  ``<- a, a`` and a one-head disjunctive
+``a | .`` keep their nodes, as the gate keys them apart from ``<- a.``
+and ``a.``.
 
 Rule nodes are numbered in the order of the sorted rules, not of the
 input's lines, which carry no meaning.  So the graph depends on the rules
@@ -57,10 +71,13 @@ class ColoredGraph(NamedTuple("ColoredGraph", [
     Nodes are dense 0-based ids.  When built from a program, ``atoms``
     is its view's ``atoms``, those its rules mention, in node order:
     atom ``atoms[i]`` owns the positive node ``2*i`` and the negative
-    node ``2*i + 1``.  Rule nodes follow in the order of the sorted
-    rules, not of the lines, so rule nodes of one shape ascend as their
-    atoms do (the module docstring says why); binary constraints drawn as
-    literal edges have none, and those written more than once come last.
+    node ``2*i + 1``.  A positive node's color is ``ATOM_COLOR`` or the
+    color of its atom's unit rules, which no other node shares.  Rule
+    nodes follow in the order of the sorted rules, not of the lines, so
+    rule nodes of one shape ascend as their atoms do (the module
+    docstring says why); unit rules and binary constraints drawn as
+    literal edges have none, and binary constraints written more than
+    once come last.
     Every node's ``neighbors`` tuple strictly ascends, so two nodes have
     the same neighbors exactly when their tuples are equal.
     """
@@ -108,20 +125,29 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     # a literal node's list ascends, as rule nodes are numbered in the
     # order of ``rules``; a rule node joins it once, however often the atom
     # repeats in the rule.  A rule node's tuple is made when its rule is done.
-    # pairs counts the binary constraints by their two literal nodes
+    # pairs counts the binary constraints by their two literal nodes, and
+    # units each atom's unit rules as [{a}., a., <- a., <- not a.]
     pairs = {}
+    units = {}
     for kind, heads, pos, neg, bound, weights in rules:
         if kind == BASIC and heads[0] == false:
             if len(pos) == 2 and not neg:
                 u, v = node[pos[0]], node[pos[1]]
             elif len(neg) == 2 and not pos:
                 u, v = node[neg[0]] + 1, node[neg[1]] + 1
+            elif len(pos) + len(neg) == 1:
+                unit = units.setdefault(pos[0] if pos else neg[0], [0, 0, 0, 0])
+                unit[2 if pos else 3] += 1
+                continue
             else:
                 u = v = None
             if u != v:
                 pair = (u, v) if u < v else (v, u)
                 pairs[pair] = pairs.get(pair, 0) + 1
                 continue
+        elif not (pos or neg) and len(heads) == 1 and (kind == BASIC or kind == CHOICE):
+            units.setdefault(heads[0], [0, 0, 0, 0])[kind == BASIC] += 1
+            continue
         bn = len(colors)
         if kind == MINIMIZE:
             colors.append(MINIMIZE_COLOR)
@@ -195,6 +221,13 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
             nbrs[v].append(hn + 1)
     for u in edged:
         nbrs[u].sort()
+
+    # a unit rule's colour counts its atom's unit rules, after every other
+    # colour and in the order of the sorted counts
+    first = FIRST_VALUE_COLOR + len(value_color)
+    unit_color = {v: first + i for i, v in enumerate(sorted(set(map(tuple, units.values()))))}
+    for a, unit in units.items():
+        colors[node[a]] = unit_color[tuple(unit)]
 
     # in place, so that no list outlives its tuple
     for u in range(2 * len(atoms)):

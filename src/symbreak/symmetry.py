@@ -92,8 +92,9 @@ def restrict_to_atoms(graph: ColoredGraph, node_perm: dict) -> AtomPermutation:
     """Atom permutation induced by a graph automorphism, given as the map
     of the nodes it moves.
 
-    Atom nodes only ever map to atom nodes (color 1 is theirs alone), so
-    the restriction is well defined.  Only the atoms the program's rules
+    Positive literal nodes only ever map to positive literal nodes, so
+    the restriction is well defined: their colors, ``ATOM_COLOR`` and the
+    colors of unit rules, are theirs alone.  Only the atoms the program's rules
     mention have nodes, so the reserved false atom and every atom that
     touches no rule can never move.  Only the moved positive literal
     nodes are read.

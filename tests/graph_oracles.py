@@ -17,7 +17,7 @@ bijections; `group_closure` lists every element of a small group, and
 and `reference_detect_rows` grows rows from a pool of every generator and
 every product of two, rescanned until no row is added.
 `reference_encode_program` builds the graph from a global edge set,
-counting the binary constraints up front, and
+counting the binary constraints and the unit rules up front, and
 `reference_parse_program` walks every token of every line through the
 checks that name a malformed one, and `reference_write_program` spells
 every rule from its fields.
@@ -30,7 +30,8 @@ and back), `build_graph` (a graph from an edge list), `CountingNeighbors`,
 their reads, and the counts the root refinement and the whole search
 read), `atom_node` and `negation_node` (an encoded atom's literal nodes),
 `satisfies` (classical satisfaction of one rule), `map_atoms` (a rule
-with its atoms renamed), `implications` (the (v, w) of each binary
+with its atoms renamed), `unit_slot` (the atom and shape of a unit
+rule), `implications` (the (v, w) of each binary
 constraint ``<- v, not w``), `reference_reach` (every pair joined by a
 path of implications, from a fresh walk out of each node), and
 `partition_from_cells` and `cells_of` (an `OrderedPartition` from its
@@ -166,6 +167,20 @@ def map_atoms(rule: Rule, f) -> Rule:
     """The same rule with every atom a replaced by f(a)."""
     return Rule(rule.kind, tuple(map(f, rule.heads)), tuple(map(f, rule.pos)),
                 tuple(map(f, rule.neg)), rule.bound, rule.weights)
+
+
+def unit_slot(rule: Rule, false_atom: int):
+    """(atom, slot) of a unit rule of a view with the given false atom, with
+    slots 0-3 for ``{a}.``, ``a.``, ``<- a.`` and ``<- not a.``; else None."""
+    body = rule.pos + rule.neg
+    constraint = rule.kind == BASIC and rule.heads == (false_atom,)
+    if rule.kind == CHOICE and len(rule.heads) == 1 and not body:
+        return rule.heads[0], 0
+    if rule.kind == BASIC and not constraint and not body:
+        return rule.heads[0], 1
+    if constraint and len(body) == 1:
+        return body[0], 2 if rule.pos else 3
+    return None
 
 
 def implications(rules, head: int) -> set[tuple[int, int]]:
@@ -624,12 +639,14 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
         return frozenset(lits)
 
     # a pair seen once is one edge; repeated pairs get rule nodes at the end.
-    # Rule nodes follow the sorted rules
+    # A unit rule gets no node but counts towards its atom's colour.  Rule
+    # nodes follow the sorted rules
     rules = sorted(sem.rules)
     counts = Counter(filter(None, map(binary_pair, rules)))
+    units = Counter(filter(None, (unit_slot(r, sem.false_atom) for r in rules)))
     for r in rules:
         pair = binary_pair(r)
-        if pair is not None:
+        if pair is not None or unit_slot(r, sem.false_atom) is not None:
             if counts[pair] == 1:
                 connect(*pair)
             continue
@@ -660,6 +677,13 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
                 connect(hn, bn)
                 for u in pair:
                     connect(bn, u)
+
+    vectors = {a: tuple(units[a, slot] for slot in range(4)) for a, _ in units}
+    first = FIRST_VALUE_COLOR + len(values)
+    for rank, vector in enumerate(sorted(set(vectors.values()))):
+        for a, v in vectors.items():
+            if v == vector:
+                colors[pos_node(a)] = first + rank
 
     nbrs = [[] for _ in range(len(colors))]
     for u, v in edges:

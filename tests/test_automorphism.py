@@ -35,7 +35,7 @@ def triangle_tail_graph():
 def test_refine_keeps_interchangeable_atoms_together():
     g = encode_program(p1())
     refined = color_refine(g, partition_by_colors(g))
-    assert len(cells_of(refined)) == 4
+    assert len(cells_of(refined)) == 2
     assert (0, 2) in cells_of(refined)  # the two atom nodes stay one cell
 
 
@@ -277,9 +277,9 @@ def test_root_refinement_keys_every_node_while_most_would_be_marked(monkeypatch)
     relabels, and the next one keys every node of every non-singleton
     cell, as the reference does in every round.  On the 300-atom
     asym-large draw the root takes two of these full rounds after the
-    first and reads 5,726 neighbor tuples, against 10,146 when every
+    first and reads 5,450 neighbor tuples, against 9,741 when every
     round after the first marked.  The output is the reference's, there
-    and on every corpus program, 67 of which take a full round after the
+    and on every corpus program, 62 of which take a full round after the
     first.  A full round is counted where `color_refine` hands its label
     list, the only list it passes to ``set``, to ``set`` to find the
     pending cells: once for the first round and once per full round after
@@ -294,7 +294,7 @@ def test_root_refinement_keys_every_node_while_most_would_be_marked(monkeypatch)
     monkeypatch.setattr(automorphism, "set", counting_set, raising=False)
     text = perfbench_workloads().asym_large_text(300, 900, random.Random(1))
     asym = encode_program(parse_program(text))
-    assert root_refine_reads(asym) <= 5800
+    assert root_refine_reads(asym) <= 5500
     full_rounds = []
     for graph in [asym, *map(encode_program, corpus())]:
         start = partition_by_colors(graph)
@@ -303,17 +303,20 @@ def test_root_refinement_keys_every_node_while_most_would_be_marked(monkeypatch)
         assert collected and set(collected) == {graph.n_nodes}
         full_rounds.append(len(collected) - 1)
     assert full_rounds[0] == 2
-    assert sum(map(bool, full_rounds[1:])) == 67
+    assert sum(map(bool, full_rounds[1:])) == 62
 
 
 def test_chain_root_refinement_marks_small_splits():
     """On a chain of rules each round of the root refinement splits one or
     two nodes off a cell of about n, so the fragments not left out are
-    small and the rounds mark: the 750-atom chain reads 11,215 neighbor
+    small and the rounds mark: the 750-atom chain reads 11,581 neighbor
     tuples.  Keying every node of every cell again after such rounds would
-    read about n per round, over about 1,100 rounds.  The reference is
+    read about n per round, over about 1,100 rounds.  The count rose from
+    11,215 when ``{a_n}`` became a colour of a_n instead of two rule nodes:
+    the rounds stay 1,122, but the path now ends at a literal node, and
+    its splits mark 366 more neighbors.  The reference is
     quadratic here, so the output is checked on a 100-atom chain."""
-    assert root_refine_reads(encode_program(chain(750))) == 11215
+    assert root_refine_reads(encode_program(chain(750))) == 11581
     graph = encode_program(chain(100))
     start = partition_by_colors(graph)
     assert color_refine(graph, start) == reference_color_refine(graph, start)
@@ -328,9 +331,10 @@ def test_search_work_on_the_benchmark_instances():
     follow the sorted rules, so the search does the work it does on the
     natural pigeonhole 6×5 and S16 (`test_search_neighbour_reads_bounded`);
     numbered in line order, it read 1,323 and 454 tuples in 22 and 40
-    nodes."""
+    nodes.  Free choice reads 152, as its choice rules are colours of their
+    atoms; with two rule nodes per choice rule it read 364."""
     php, free, _ = workload_instances([1])
-    for program, expected in [(php, (1082, 18, 9)), (free, (364, 31, 15))]:
+    for program, expected in [(php, (1082, 18, 9)), (free, (152, 31, 15))]:
         reads, search = search_refine_reads(encode_program(program))
         assert (reads, search.tree_nodes, len(search.generators)) == expected
 
@@ -903,11 +907,12 @@ def test_symmetric_group_gets_n_minus_one_generators():
 
 def test_generators_pinned_on_small_programs():
     expected = {
-        p1: ((2, 3, 0, 1, 6, 7, 4, 5),),
-        p2: ((2, 3, 0, 1, 4, 5, 6, 7, 10, 11, 8, 9),),
-        p3: ((2, 3, 0, 1, 6, 7, 4, 5),),  # <- p, q is an edge
-        p4: ((2, 3, 0, 1, 6, 7, 4, 5, 8, 9),),  # choice rules before the disjunctive
-        p5: ((2, 3, 0, 1, 6, 7, 4, 5),),
+        # unit rules ({p}., p.) are colours of their atoms
+        p1: ((2, 3, 0, 1),),
+        p2: ((2, 3, 0, 1, 4, 5, 6, 7),),
+        p3: ((2, 3, 0, 1),),  # <- p, q is an edge
+        p4: ((2, 3, 0, 1, 4, 5),),
+        p5: ((2, 3, 0, 1),),
     }
     for build, generators in expected.items():
         graph = encode_program(build())
@@ -987,8 +992,10 @@ def test_orbits_of_a_long_chain_need_no_recursion():
 def test_symmetric_group_search_reads_each_generator_twice(monkeypatch):
     """On S200 the search reads each entry of a generator's moved map
     once to check it and once to merge it into the orbits: at most twice
-    the 1,592 entries of support, where applying every stabilizing
-    generator to every orbit point read 41,390."""
+    the 796 entries of support, where applying every stabilizing
+    generator to every orbit point read 41,390.  Each generator moves two
+    atoms' literal nodes; before choice rules were colours it also moved
+    their two rule nodes each, 1,592 entries in all."""
     reads = 0
 
     class CountingMap(dict):
@@ -1012,7 +1019,7 @@ def test_symmetric_group_search_reads_each_generator_twice(monkeypatch):
     monkeypatch.setattr(automorphism, "_early_map", counting)
     search = find_generators(encode_program(free_choice(range(1, 201))))
     support = sum(map(len, search.generators))
-    assert (search.complete, len(search.generators), support) == (True, 199, 1592)
+    assert (search.complete, len(search.generators), support) == (True, 199, 796)
     assert reads <= 2 * support
 
 

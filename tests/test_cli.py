@@ -150,7 +150,7 @@ def test_flags_accepted(monkeypatch, capsys):
 def test_dump_graph_flag(monkeypatch, capsys):
     code, out, err = run_cli(["--dump-graph"], P1_TEXT, monkeypatch, capsys)
     assert code == 0
-    assert "node 0 1" in err
+    assert "node 1 2" in err  # p's negative literal node
     assert "edge" in err
 
 

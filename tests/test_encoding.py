@@ -1,22 +1,24 @@
 """Graph encoding: structure, census, and the symmetry correspondence."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from symbreak import (BasicRule, ChoiceRule, GroundProgram, MinimizeStatement,
+from symbreak import (BasicRule, ChoiceRule, DisjunctiveRule, GroundProgram,
+                      MinimizeStatement,
                       WeightRule, encode_program, is_syntactic_symmetry, parse_program,
                       restrict_to_atoms, semantic_view)
-from symbreak.encoding import (ATOM_COLOR, BODY_COLOR, CHOICE_HEAD_COLOR,
-                               HEAD_COLOR, MINIMIZE_COLOR, NEGATION_COLOR,
-                               dump_graph)
+from symbreak.smodels import DISJUNCTIVE
+from symbreak.encoding import (ATOM_COLOR, FIRST_VALUE_COLOR, HEAD_COLOR,
+                               MINIMIZE_COLOR, NEGATION_COLOR, dump_graph)
 from symbreak.symmetry import AtomPermutation
 from graph_oracles import (atom_node, brute_force_automorphisms, build_graph,
                            color_census, map_atoms, moved_map, negation_node,
-                           reference_encode_program)
-from programs import (SMODELS_CORPUS, corpus, p1, p3, p5, random_program,
-                      with_repeated_atoms, workload_instances)
+                           reference_encode_program, unit_slot)
+from programs import (SMODELS_CORPUS, corpus, free_choice, p1, p3, p5, pigeonhole,
+                      random_program, with_repeated_atoms, workload_instances)
 
 
 def test_empty_program_gives_empty_graph():
@@ -26,10 +28,10 @@ def test_empty_program_gives_empty_graph():
 
 
 def test_p1_graph_structure():
+    # each {a}. is a colour of a's positive node, not a rule cluster
     g = encode_program(p1())
-    assert g.n_nodes == 8
-    assert color_census(g) == {ATOM_COLOR: 2, NEGATION_COLOR: 2,
-                               BODY_COLOR: 2, CHOICE_HEAD_COLOR: 2}
+    assert g.n_nodes == 4
+    assert color_census(g) == {FIRST_VALUE_COLOR: 2, NEGATION_COLOR: 2}
     # atom nodes pair with their negations
     assert negation_node(g, 1) in g.neighbors[atom_node(g, 1)]
     autos = brute_force_automorphisms(g)
@@ -43,10 +45,9 @@ def test_p1_graph_structure():
             assert auto[negation_node(g, atom)] == negation_node(g, image)
 
 
-def test_p5_facts_get_head_and_body_nodes():
+def test_p5_facts_are_colours_of_their_atoms():
     g = encode_program(p5())
-    assert color_census(g) == {ATOM_COLOR: 2, NEGATION_COLOR: 2,
-                               HEAD_COLOR: 2, BODY_COLOR: 2}
+    assert color_census(g) == {FIRST_VALUE_COLOR: 2, NEGATION_COLOR: 2}
     swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({1: 2, 2: 1}) in swaps
 
@@ -54,14 +55,14 @@ def test_p5_facts_get_head_and_body_nodes():
 def test_p3_constraint_head_has_no_literal_edge():
     # the binary constraint <- p, q is one edge between the positive nodes
     g = encode_program(p3())
-    assert g.n_nodes == 8  # false atom and constraint contribute no nodes
+    assert g.n_nodes == 4  # false atom, constraint and choices add no nodes
     assert HEAD_COLOR not in color_census(g)
     assert atom_node(g, 3) in g.neighbors[atom_node(g, 2)]
     swaps = [restrict_to_atoms(g, moved_map(a)) for a in brute_force_automorphisms(g)]
     assert AtomPermutation({2: 3, 3: 2}) in swaps
     # <- p, not q keeps its rule nodes, and its head only the body edge
     g = encode_program(GroundProgram(rules=(BasicRule(1, (2,), (3,)),) + p3().rules[1:]))
-    assert g.n_nodes == 10
+    assert g.n_nodes == 6
     head_nodes = [v for v, c in enumerate(g.colors) if c == HEAD_COLOR]
     assert len(head_nodes) == 1
     assert len(g.neighbors[head_nodes[0]]) == 1
@@ -161,6 +162,24 @@ def test_automorphism_restrictions_are_exactly_the_syntactic_symmetries():
     assert checked == 180
 
 
+def test_graph_size_pinned_at_n_and_2n():
+    """The encoder's work, counted as the nodes and the edges of the graph
+    it builds, pinned exactly at n and 2n: S200 and S400, pigeonhole 10×9
+    and 20×19, and the seed-1 asym-large instance.  A unit rule is a
+    colour, so S_n takes 2n nodes and n edges, where a head and a body node
+    per choice rule took 4n and 3n; asym-large's 264 unit rules took 528
+    nodes and edges.  Each at-most-one constraint of pigeonhole is an edge."""
+    def size(program):
+        graph = encode_program(program)
+        return graph.n_nodes, sum(map(len, graph.neighbors)) // 2
+
+    assert size(free_choice(range(1, 201))) == (400, 200)
+    assert size(free_choice(range(1, 401))) == (800, 400)
+    assert size(pigeonhole(10, 9)) == (220, 695)
+    assert size(pigeonhole(20, 19)) == (840, 4790)
+    assert size(workload_instances([1])[2]) == (28465, 50975)
+
+
 def test_neighbor_tuples_strictly_ascend():
     """The automorphism check compares sorted neighbor images with these
     tuples, so each must ascend with no repeat."""
@@ -227,8 +246,7 @@ def test_repeated_binary_constraint_keeps_its_rule_nodes():
     ((BasicRule(1, (2,), (3,)),), (1,)),
     ((BasicRule(1, (2, 2)),), (1,)),
     ((BasicRule(1, (), (3, 3)),), (1,)),
-    ((), (1, 2)),  # B- 2 folds into the constraint <- 2
-], ids=["pos-neg", "one-atom", "one-atom-negative", "compute-block"])
+], ids=["pos-neg", "one-atom", "one-atom-negative"])
 def test_mixed_sign_and_one_atom_constraints_keep_their_rule_nodes(constraints, compute_minus):
     program = GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,))) + constraints,
                             compute_minus=compute_minus)
@@ -285,3 +303,79 @@ def test_binary_constraint_graphs_have_exactly_the_syntactic_symmetries():
         kept += HEAD_COLOR in color_census(g)
         symmetric += len(restrictions) > 1
     assert min(edged, repeated, kept, symmetric) >= 100, (edged, repeated, kept, symmetric)
+
+
+@pytest.mark.parametrize("extra, compute_plus, compute_minus", [
+    ((ChoiceRule((2,)),), (), (1,)),  # {a}. {a}. against {b}.
+    ((BasicRule(2),), (), (1,)),
+    ((BasicRule(1, (2,)),), (), (1,)),
+    ((BasicRule(1, (), (2,)),), (), (1,)),
+    ((), (2,), ()),  # B+ 2 folds into the constraint <- not 2
+    ((), (), (1, 2)),  # B- 2 folds into the constraint <- 2
+], ids=["choice-copy", "fact", "constraint", "negative-constraint", "compute-plus",
+        "compute-block"])
+def test_unit_rules_are_colours_of_their_atom(extra, compute_plus, compute_minus):
+    """One more unit rule on atom 2 than on atom 3 adds no node, yet gives
+    2 a colour of its own, so the swap is no automorphism, as the gate
+    rejects it."""
+    program = GroundProgram(rules=(ChoiceRule((2,)), ChoiceRule((3,))) + extra,
+                            compute_plus=compute_plus, compute_minus=compute_minus)
+    g = encode_program(program)
+    assert g.n_nodes == 4
+    assert ATOM_COLOR not in color_census(g)
+    assert g.colors[atom_node(g, 2)] != g.colors[atom_node(g, 3)]
+    assert automorphism_restrictions(g) == syntactic_symmetries(program) == {
+        AtomPermutation({}).key()}
+
+
+def unit_rule_program(rng: random.Random) -> GroundProgram:
+    """A small program of unit rules on shared atoms, the reserved atom 1
+    heading constraints: all four shapes, copies, and B+ and B- members,
+    beside a rule that keeps its nodes (``<- a, a``, a one-head ``a | .``
+    or a binary constraint)."""
+    atoms = range(2, 2 + rng.randint(2, 4))
+    shapes = (lambda x: ChoiceRule((x,)), BasicRule,
+              lambda x: BasicRule(1, (x,)), lambda x: BasicRule(1, (), (x,)))
+    rules = []
+    for _ in range(rng.randint(2, 6)):
+        rule = rng.choice(shapes)(rng.choice(atoms))
+        rules += [rule] * (2 if rng.random() < 0.3 else 1)
+    x, y = rng.sample(atoms, 2)
+    rules.append(rng.choice((BasicRule(1, (x, x)), DisjunctiveRule((x,)),
+                             BasicRule(1, (x, y)), ChoiceRule((x,), (y,)))))
+    plus = [a for a in atoms if rng.random() < 0.2]
+    minus = [1] + [a for a in atoms if rng.random() < 0.2]
+    if rng.random() < 0.5:
+        # add the image under a swap of each rule, block member and copy
+        # whose image is missing, so the swap is often a symmetry
+        x, y = rng.sample(atoms, 2)
+        swap = {x: y, y: x}
+        counts = Counter(r.key() for r in rules)
+        images = Counter(map_atoms(r, lambda a: swap.get(a, a)) for r in rules)
+        for r, n in images.items():
+            rules += [r] * max(0, n - counts[r.key()])
+        plus += [swap[a] for a in plus if a in swap and swap[a] not in plus]
+        minus += [swap[a] for a in minus if a in swap and swap[a] not in minus]
+    return GroundProgram(rules=rules, compute_plus=plus, compute_minus=minus)
+
+
+def test_unit_rule_graphs_have_exactly_the_syntactic_symmetries():
+    rng = random.Random(2004)
+    copies = mixed = plus = minus = self_pairs = one_heads = symmetric = 0
+    for _ in range(300):
+        program = unit_rule_program(rng)
+        g = encode_program(program)
+        assert g == reference_encode_program(program), program
+        restrictions = automorphism_restrictions(g)
+        assert restrictions == syntactic_symmetries(program), program
+        sem = program.view
+        units = Counter(filter(None, (unit_slot(r, sem.false_atom) for r in sem.rules)))
+        copies += max(units.values()) > 1
+        mixed += max(Counter(a for a, _ in units).values()) > 1
+        plus += bool(program.compute_plus)
+        minus += len(program.compute_minus) > 1
+        self_pairs += any(len(r.pos) == 2 and r.pos[0] == r.pos[1] for r in program.rules)
+        one_heads += any(r.kind == DISJUNCTIVE for r in program.rules)
+        symmetric += len(restrictions) > 1
+    counts = copies, mixed, plus, minus, self_pairs, one_heads, symmetric
+    assert min(counts) >= 50, counts

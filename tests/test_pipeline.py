@@ -372,6 +372,16 @@ def test_gate_rejects_what_the_encoder_over_approximates():
     assert check_soundness(program, result.detection.generators, result.program).ok
 
 
+def test_a_fact_is_not_drawn_like_a_one_head_disjunction():
+    """``a.`` and ``b | .`` key apart at the gate.  The fact is a colour of
+    a, while the disjunctive rule keeps its rule nodes, so the search no
+    longer finds the swap (a b) for the gate to reject."""
+    program = parse_program("1 2 0 0\n8 1 3 0 0\n0\n2 a\n3 b\n0\nB+\n0\nB-\n0\n1\n")
+    result = break_program(program)
+    assert (result.detection.rejected, result.detection.generators) == ([], [])
+    assert result.program == program
+
+
 def test_verify_names_a_rejection_when_the_search_runs_out(monkeypatch, capsys):
     """A gate rejection is a detection bug whatever the budget, so verify
     prints it and exits 4 even when the search budget ran out first."""
