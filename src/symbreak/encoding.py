@@ -136,8 +136,7 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
             elif len(neg) == 2 and not pos:
                 u, v = node[neg[0]] + 1, node[neg[1]] + 1
             elif len(pos) + len(neg) == 1:
-                unit = units.setdefault(pos[0] if pos else neg[0], [0, 0, 0, 0])
-                unit[2 if pos else 3] += 1
+                units.setdefault(pos[0] if pos else neg[0], [0, 0, 0, 0])[2 if pos else 3] += 1
                 continue
             else:
                 u = v = None
@@ -222,8 +221,8 @@ def encode_program(program: GroundProgram) -> ColoredGraph:
     for u in edged:
         nbrs[u].sort()
 
-    # a unit rule's colour counts its atom's unit rules, after every other
-    # colour and in the order of the sorted counts
+    # a unit rule's color counts its atom's unit rules, after every other
+    # color and in the order of the sorted counts
     first = FIRST_VALUE_COLOR + len(value_color)
     unit_color = {v: first + i for i, v in enumerate(sorted(set(map(tuple, units.values()))))}
     for a, unit in units.items():

@@ -639,7 +639,7 @@ def reference_encode_program(program: GroundProgram) -> ColoredGraph:
         return frozenset(lits)
 
     # a pair seen once is one edge; repeated pairs get rule nodes at the end.
-    # A unit rule gets no node but counts towards its atom's colour.  Rule
+    # A unit rule gets no node but counts towards its atom's color.  Rule
     # nodes follow the sorted rules
     rules = sorted(sem.rules)
     counts = Counter(filter(None, map(binary_pair, rules)))

@@ -331,8 +331,8 @@ def test_unit_rules_are_colours_of_their_atom(extra, compute_plus, compute_minus
 def unit_rule_program(rng: random.Random) -> GroundProgram:
     """A small program of unit rules on shared atoms, the reserved atom 1
     heading constraints: all four shapes, copies, and B+ and B- members,
-    beside a rule that keeps its nodes (``<- a, a``, a one-head ``a | .``
-    or a binary constraint)."""
+    beside one other rule: ``<- a, a`` or a one-head ``a | .``, which keep
+    their nodes, a binary constraint, which is an edge, or ``{a} :- b``."""
     atoms = range(2, 2 + rng.randint(2, 4))
     shapes = (lambda x: ChoiceRule((x,)), BasicRule,
               lambda x: BasicRule(1, (x,)), lambda x: BasicRule(1, (), (x,)))
